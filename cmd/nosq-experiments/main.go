@@ -63,7 +63,6 @@ func main() {
 		scenario   = flag.String("scenario", "", "workload scenario spec file (JSON) to run through the scenario experiment")
 		corpusDir  = flag.String("corpus-dir", "", "corpus experiment only: directory of committed scenario entries (default: bench/corpus)")
 		traceDir   = flag.String("trace-dir", "", "trace experiment only: directory of recorded trace entries (default: bench/traces)")
-		noBatch    = flag.Bool("no-batch", false, "disable config-parallel batch simulation (results are identical either way; NOSQ_NO_BATCH=1 has the same effect)")
 		version    = flag.Bool("version", false, "print version information and exit")
 	)
 	flag.Parse()
@@ -97,7 +96,6 @@ func main() {
 		Shards:      *shards,
 		ShardIndex:  *shardIndex,
 		Checkpoint:  *checkpoint,
-		NoBatch:     *noBatch,
 		CorpusDir:   *corpusDir,
 		TraceDir:    *traceDir,
 	}

@@ -51,7 +51,6 @@ func main() {
 		baseline    = flag.String("baseline", "assoc-sq-storesets", "baseline configuration kind for relative objectives (ipc-gap)")
 		maxInsts    = flag.Uint64("max-insts", 0, "bound each simulation to N committed instructions (0 = unbounded)")
 		parallel    = flag.Int("parallel", 0, "concurrent candidate evaluations (0 = GOMAXPROCS)")
-		noBatch     = flag.Bool("no-batch", false, "disable config-parallel batch simulation in the local evaluator")
 		server      = flag.String("server", "", "evaluate candidates via this simulation server URL instead of in-process")
 		out         = flag.String("out", experiments.DefaultCorpusDir, "directory to commit discovered entries to")
 		commit      = flag.Int("commit", 3, "commit at most N survivors that beat the stress suite")
@@ -95,7 +94,7 @@ func main() {
 	if *server != "" {
 		eval = tuner.ServerEvaluator{Client: simclient.New(*server, nil).WithClientID("nosq-tune")}
 	} else {
-		eval = tuner.LocalEvaluator{NoBatch: *noBatch}
+		eval = tuner.LocalEvaluator{}
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

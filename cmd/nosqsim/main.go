@@ -42,7 +42,6 @@ func main() {
 		format   = flag.String("format", stats.FormatText, "output format: "+strings.Join(stats.Formats(), ", "))
 		out      = flag.String("out", "", "write output to this file (default: stdout)")
 		list     = flag.Bool("list", false, "list benchmarks and configurations, then exit")
-		noBatch  = flag.Bool("no-batch", false, "disable config-parallel batch simulation (results are identical either way; NOSQ_NO_BATCH=1 has the same effect)")
 		version  = flag.Bool("version", false, "print version information and exit")
 	)
 	flag.Parse()
@@ -100,7 +99,6 @@ func main() {
 		Benchmarks: []string{*bench},
 		Configs:    names,
 		Windows:    []int{*window},
-		NoBatch:    *noBatch,
 	}
 	title := *bench
 	runExp := experiments.Sweep

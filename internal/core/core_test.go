@@ -82,6 +82,18 @@ func TestSimulateProgramCustom(t *testing.T) {
 	}
 }
 
+// TestSimulateProgramReportsEmulatorFault: a program that runs past its last
+// instruction is an error, not a successful run of the instructions executed
+// before the fault.
+func TestSimulateProgramReportsEmulatorFault(t *testing.T) {
+	b := program.NewBuilder("no-halt")
+	b.MovImm(isa.IntReg(1), 7) // no Halt: execution runs off the end
+	run, err := SimulateProgram(b.MustBuild(), ConfigFor(NoSQDelay, 0))
+	if err == nil {
+		t.Fatalf("SimulateProgram returned a %d-instruction run and no error", run.Committed)
+	}
+}
+
 func TestBenchmarkLists(t *testing.T) {
 	if len(Benchmarks()) != 47 {
 		t.Errorf("Benchmarks() returned %d names", len(Benchmarks()))

@@ -53,9 +53,9 @@ func (t *Trace) Name() string { return t.name }
 func (t *Trace) Len() uint64 { return uint64(len(t.insts)) }
 
 // Cursor returns a replay cursor over the trace. limit bounds the number of
-// instructions the cursor will serve (0 = the whole trace), mirroring the
-// MaxInsts bound of a live Stream. Each simulation needs its own cursor;
-// cursors never mutate the trace.
+// instructions the cursor will serve (0 = the whole trace), which is how a
+// simulation's MaxInsts bound applies to a shared recording. Each simulation
+// needs its own cursor; cursors never mutate the trace.
 func (t *Trace) Cursor(limit uint64) *TraceCursor {
 	end := t.Len()
 	if limit > 0 && limit < end {
@@ -64,13 +64,21 @@ func (t *Trace) Cursor(limit uint64) *TraceCursor {
 	return &TraceCursor{t: t, end: end}
 }
 
-// TraceCursor adapts a recorded Trace to the rewindable-stream interface the
-// timing model consumes (Get/Release). Release is a no-op: the whole trace
-// stays resident and rewinding is free.
+// TraceCursor gives the timing model rewindable access to a recorded Trace.
+// The timing model fetches along the architecturally correct path
+// (oracle-path simulation); when it squashes in-flight work — on a branch
+// mis-prediction or a store-load bypassing mis-prediction — it re-fetches the
+// same dynamic instructions. The whole trace stays resident, so rewinding is
+// free.
 type TraceCursor struct {
 	t   *Trace
 	end uint64
 }
+
+// ErrEndOfStream is returned by TraceCursor.Get when no instruction with the
+// requested sequence number exists: the program halted, or the cursor's limit
+// was reached.
+var ErrEndOfStream = errors.New("emu: end of dynamic instruction stream")
 
 // Get returns the dynamic instruction with sequence number seq (1-based), or
 // ErrEndOfStream past the end of the (possibly limit-bounded) trace.
@@ -83,9 +91,3 @@ func (c *TraceCursor) Get(seq uint64) (*DynInst, error) {
 	}
 	return &c.t.insts[seq-1], nil
 }
-
-// Release is a no-op; recorded instructions stay available for re-fetch.
-func (c *TraceCursor) Release(seq uint64) {}
-
-// Produced returns the number of instructions the cursor can serve.
-func (c *TraceCursor) Produced() uint64 { return c.end }

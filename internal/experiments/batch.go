@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"os"
-
-	"repro/internal/emu"
 	"repro/internal/pipeline"
 	"repro/internal/stats"
 )
@@ -14,17 +11,9 @@ import (
 // footprint that makes sharing the trace a win in the first place.
 const batchGroupCap = 8
 
-// batchDisabled reports whether config-parallel execution is off for this
-// run: Options.NoBatch (the CLIs' -no-batch flag) or the NOSQ_NO_BATCH
-// environment variable (any non-empty value — the CI bit-identity job's
-// lever for forcing the scalar reference path).
-func (o Options) batchDisabled() bool {
-	return o.NoBatch || os.Getenv("NOSQ_NO_BATCH") != ""
-}
-
 // sweepGroup is the worker pool's unit of execution: pending pairs of one
-// benchmark that run as a single config-parallel batch over the benchmark's
-// shared trace (width > 1), or one pair on the scalar path (width 1).
+// benchmark that run as a single batch over the benchmark's shared trace and
+// TraceMeta. A group of one pair is a width-1 batch.
 type sweepGroup struct {
 	benchmark string
 	jobs      []sweepJob // ascending index order
@@ -42,19 +31,11 @@ type groupKey struct {
 
 // planGroups partitions the pending jobs — already in ascending full-order
 // index — into execution groups. Pairs sharing a groupKey batch together up
-// to batchGroupCap per group; everything else (including every pair when
-// noBatch is set) becomes a singleton group that runs on the scalar path.
+// to batchGroupCap per group; a pair with no partner is a singleton group.
 // Grouping only changes which worker simulates which pair and how: per-pair
 // results, checkpoint entries and progress events are emitted exactly as
-// before, so reports are byte-identical either way.
-func planGroups(pending []sweepJob, noBatch bool) []sweepGroup {
-	if noBatch {
-		groups := make([]sweepGroup, len(pending))
-		for i, j := range pending {
-			groups[i] = sweepGroup{benchmark: j.benchmark, jobs: []sweepJob{j}}
-		}
-		return groups
-	}
+// before, so reports are byte-identical whatever the group widths.
+func planGroups(pending []sweepJob) []sweepGroup {
 	open := make(map[groupKey]int) // key -> index of its open group
 	var groups []sweepGroup
 	for _, j := range pending {
@@ -78,7 +59,7 @@ type sweepResult struct {
 }
 
 // effectiveConfig applies the sweep-wide instruction bound to a job's
-// configuration (the same override the scalar path has always applied).
+// configuration.
 func effectiveConfig(j sweepJob, opts Options) pipeline.Config {
 	cfg := j.cfg
 	if opts.MaxInsts > 0 {
@@ -87,21 +68,10 @@ func effectiveConfig(j sweepJob, opts Options) pipeline.Config {
 	return cfg
 }
 
-func runScalar(tr *emu.Trace, cfg pipeline.Config) (stats.Run, error) {
-	sim, err := pipeline.NewFromTrace(tr, cfg)
-	if err != nil {
-		return stats.Run{}, err
-	}
-	return sim.Run()
-}
-
-// runGroup executes one group's pairs and returns a result per pair, in job
-// order. Groups of width > 1 run config-parallel over the benchmark's shared
-// trace and pre-decoded TraceMeta; singleton groups — and any group whose
-// batch cannot be constructed (structural divergence between what the
-// planner grouped and what the batch accepts) — fall back to the scalar
-// one-simulation-per-pair path. Either way each pair's statistics are
-// bit-identical, so the fallback is silent by design.
+// runGroup executes one group's pairs as one batch over the benchmark's
+// shared trace and TraceMeta, and returns a result per pair, in job order.
+// Members are validated first, so an invalid configuration fails only its
+// own pair while the rest of the group still runs.
 func runGroup(g sweepGroup, traces *traceCache, opts Options) []sweepResult {
 	out := make([]sweepResult, len(g.jobs))
 	for i := range out {
@@ -115,30 +85,38 @@ func runGroup(g sweepGroup, traces *traceCache, opts Options) []sweepResult {
 		}
 	}()
 	tr, err := traces.get(g.benchmark)
+	var meta *pipeline.TraceMeta
+	if err == nil {
+		meta, err = traces.getMeta(g.benchmark)
+	}
 	if err != nil {
 		for i := range out {
 			out[i].err = err
 		}
 		return out
 	}
-	if len(g.jobs) > 1 {
-		if meta, merr := traces.getMeta(g.benchmark); merr == nil {
-			cfgs := make([]pipeline.Config, len(g.jobs))
-			for i, j := range g.jobs {
-				cfgs[i] = effectiveConfig(j, opts)
-			}
-			if b, berr := pipeline.NewBatchWithMeta(tr, meta, cfgs); berr == nil {
-				runs, errs := b.Run()
-				for i := range out {
-					out[i].run, out[i].err = runs[i], errs[i]
-				}
-				return out
-			}
-		}
-		// Batch construction failed: run the members individually below.
-	}
+	var cfgs []pipeline.Config
+	var members []int // out index of each batch member
 	for i, j := range g.jobs {
-		out[i].run, out[i].err = runScalar(tr, effectiveConfig(j, opts))
+		cfg := effectiveConfig(j, opts)
+		if out[i].err = cfg.Validate(); out[i].err == nil {
+			cfgs = append(cfgs, cfg)
+			members = append(members, i)
+		}
+	}
+	if len(cfgs) == 0 {
+		return out
+	}
+	b, err := pipeline.NewBatchWithMeta(tr, meta, cfgs)
+	if err != nil {
+		for _, i := range members {
+			out[i].err = err
+		}
+		return out
+	}
+	runs, errs := b.Run()
+	for k, i := range members {
+		out[i].run, out[i].err = runs[k], errs[k]
 	}
 	return out
 }

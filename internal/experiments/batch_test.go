@@ -34,7 +34,7 @@ func TestPlanGroupsByBenchmarkAndGeometry(t *testing.T) {
 		{index: 5, benchmark: "a", cfg: cfg256},
 		{index: 8, benchmark: "b", cfg: cfg128},
 	}
-	got := groupShape(planGroups(pending, false))
+	got := groupShape(planGroups(pending))
 	// Same benchmark + same ROB size group together even when non-adjacent
 	// (sorted config keys interleave windows) or when sharding left index
 	// gaps; different benchmarks and geometries never mix.
@@ -49,66 +49,55 @@ func TestPlanGroupsCapsWidth(t *testing.T) {
 	for i := 0; i < batchGroupCap+3; i++ {
 		pending = append(pending, sweepJob{index: i, benchmark: "a", cfg: pipeline.Config{ROBSize: 128}})
 	}
-	groups := planGroups(pending, false)
+	groups := planGroups(pending)
 	if len(groups) != 2 || len(groups[0].jobs) != batchGroupCap || len(groups[1].jobs) != 3 {
 		t.Errorf("groups = %v, want one full group of %d plus the remainder", groupShape(groups), batchGroupCap)
 	}
 }
 
-func TestPlanGroupsNoBatchIsAllSingletons(t *testing.T) {
-	pending := []sweepJob{
-		{index: 0, benchmark: "a", cfg: pipeline.Config{ROBSize: 128}},
-		{index: 1, benchmark: "a", cfg: pipeline.Config{ROBSize: 128}},
-		{index: 2, benchmark: "a", cfg: pipeline.Config{ROBSize: 128}},
-	}
-	groups := planGroups(pending, true)
-	if len(groups) != len(pending) {
-		t.Fatalf("noBatch planned %d groups, want %d singletons", len(groups), len(pending))
-	}
-	for i, g := range groups {
-		if len(g.jobs) != 1 || g.jobs[i%1].index != i {
-			t.Errorf("group %d = %v, want the single job %d", i, groupShape(groups[i:i+1]), i)
-		}
-	}
-}
-
-// TestSweepBatchBitIdenticalToScalar is the in-repo analogue of CI's
-// bit-identity job: the same sweep run config-parallel and forced-scalar must
-// render byte-for-byte identically in every report format.
-func TestSweepBatchBitIdenticalToScalar(t *testing.T) {
-	run := func(noBatch bool) *Report {
+// TestSweepGroupWidthDoesNotChangeRows: how the engine groups pairs into
+// batches is invisible in reports. One 3-config sweep (a single width-3
+// group) and three 1-config sweeps (three width-1 groups) sharing a
+// checkpoint must render identical rows in every format.
+func TestSweepGroupWidthDoesNotChangeRows(t *testing.T) {
+	kinds := []string{core.Baseline.String(), core.NoSQDelay.String(), core.NoSQNoDelay.String()}
+	ck := filepath.Join(t.TempDir(), "ck.jsonl")
+	sweep := func(configs []string, checkpoint string) *Report {
 		rep, err := Sweep(context.Background(), Options{
 			Iterations: 25,
-			Benchmarks: []string{"gzip", "applu"},
-			Configs: []string{core.Baseline.String(), core.NoSQDelay.String(),
-				core.NoSQNoDelay.String()},
-			Windows:     []int{128},
-			Parallelism: 4,
-			NoBatch:     noBatch,
+			Benchmarks: []string{"gzip"},
+			Configs:    configs,
+			Checkpoint: checkpoint,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep
 	}
-	batched, scalar := run(false), run(true)
-	if batched.Summary.BatchedPairs == 0 || batched.Summary.BatchGroups == 0 {
-		t.Fatalf("batched run planned no batch groups: %+v", batched.Summary)
+	wide := sweep(kinds, "")
+	if s := wide.Summary; s.BatchGroups != 1 || s.BatchedPairs != len(kinds) {
+		t.Fatalf("3-config sweep summary = %+v, want one width-3 group", s)
 	}
-	if scalar.Summary.BatchedPairs != 0 || scalar.Summary.BatchGroups != 0 {
-		t.Fatalf("NoBatch run still planned batches: %+v", scalar.Summary)
+	for _, k := range kinds {
+		if s := sweep([]string{k}, ck).Summary; s.Executed != 1 || s.BatchGroups != 0 {
+			t.Fatalf("1-config sweep %s summary = %+v, want one width-1 group", k, s)
+		}
+	}
+	narrow := sweep(kinds, ck) // every pair resumed from the width-1 runs
+	if narrow.Summary.Executed != 0 || narrow.Summary.Resumed != len(kinds) {
+		t.Fatalf("replay summary = %+v, want every pair resumed", narrow.Summary)
 	}
 	for _, format := range stats.Formats() {
-		b, err := batched.Render(format)
+		w, err := wide.Table.Render(format)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := scalar.Render(format)
+		n, err := narrow.Table.Render(format)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b != s {
-			t.Errorf("%s rendering differs between batched and scalar runs:\nbatched:\n%s\nscalar:\n%s", format, b, s)
+		if w != n {
+			t.Errorf("%s rows differ between width-3 and width-1 groups:\nwidth 3:\n%s\nwidth 1:\n%s", format, w, n)
 		}
 	}
 }
@@ -158,17 +147,21 @@ func TestSweepSliceSplitsBatchGroup(t *testing.T) {
 	}
 }
 
-// TestSweepBatchFallsBackOnBadGroup: a group whose batch cannot be
-// constructed must still produce per-pair results via the scalar fallback
-// rather than failing the pairs.
-func TestRunGroupScalarFallback(t *testing.T) {
+// TestRunGroupValidatesMembers: in a group mixing a valid and an invalid
+// configuration, the valid pair still runs and the invalid pair reports its
+// Config.Validate error.
+func TestRunGroupValidatesMembers(t *testing.T) {
 	prog, err := workload.Generate("gzip", workload.Options{Iterations: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := core.ConfigFor(core.Baseline, 0)
 	bad := cfg
-	bad.IssueWidth = 0 // rejected by config validation at simulator construction
+	bad.IssueWidth = 0
+	wantErr := bad.Validate()
+	if wantErr == nil {
+		t.Fatal("zero issue width passed validation")
+	}
 	pending := []sweepJob{
 		{index: 0, benchmark: "gzip", key: "ok", cfg: cfg},
 		{index: 1, benchmark: "gzip", key: "bad", cfg: bad},
@@ -179,9 +172,9 @@ func TestRunGroupScalarFallback(t *testing.T) {
 		t.Fatalf("got %d results, want 2", len(results))
 	}
 	if results[0].err != nil || results[0].run.Committed == 0 {
-		t.Errorf("good pair: err=%v run=%+v, want a successful scalar-fallback run", results[0].err, results[0].run)
+		t.Errorf("good pair: err=%v run=%+v, want a successful run", results[0].err, results[0].run)
 	}
-	if results[1].err == nil {
-		t.Error("bad pair should report its construction error")
+	if results[1].err == nil || results[1].err.Error() != wantErr.Error() {
+		t.Errorf("bad pair error = %v, want %v", results[1].err, wantErr)
 	}
 }

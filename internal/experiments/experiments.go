@@ -70,15 +70,6 @@ type Options struct {
 	// byte-identical to a local run.
 	Executor Executor
 
-	// NoBatch forces every pair onto the scalar one-simulation-per-pair path,
-	// disabling config-parallel batch execution (the sweep engine's default of
-	// running same-benchmark, same-geometry configurations together over one
-	// shared trace). Batching never changes results — reports are
-	// byte-identical either way — so this exists for measurement isolation and
-	// for CI's bit-identity check. Setting the NOSQ_NO_BATCH environment
-	// variable to any non-empty value has the same effect.
-	NoBatch bool
-
 	// MaxInsts bounds each simulation to N committed instructions
 	// (0 = unbounded). It is part of a run's identity in the result store: a
 	// resume under a different bound re-runs rather than serving stale rows.

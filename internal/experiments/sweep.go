@@ -195,10 +195,9 @@ type Summary struct {
 	// because shard selection left them without a full configuration set.
 	Incomplete int
 	// BatchGroups and BatchedPairs count config-parallel execution as
-	// planned: groups of width > 1 and the pairs they cover. Zero when
-	// batching is disabled (Options.NoBatch / NOSQ_NO_BATCH) or every group
-	// was a singleton. They describe only how pairs were simulated, never
-	// what was measured, so they appear in no report rendering.
+	// planned: groups of width > 1 and the pairs they cover. Zero when every
+	// group was a singleton. They describe only how pairs were simulated,
+	// never what was measured, so they appear in no report rendering.
 	BatchGroups  int
 	BatchedPairs int
 }
@@ -261,8 +260,8 @@ type ProgressSink interface {
 // implements it receives each locally executed pair's wall-clock simulation
 // time. Config-parallel batching makes exact per-pair time unobservable —
 // members of one batch simulate interleaved — so the engine times the whole
-// execution group and attributes an equal share to each member; scalar
-// singletons get their true time. Implementations may be called concurrently
+// execution group and attributes an equal share to each member; singletons
+// get their true time. Implementations may be called concurrently
 // from worker goroutines and should be quick. The interface is type-asserted
 // at runtime, so existing ProgressSink implementations keep working unchanged.
 type PairTimer interface {
@@ -402,9 +401,8 @@ func (s *checkpointFileStore) Close() error {
 // generating each benchmark's program once. Locally executed pairs of the
 // same benchmark and window geometry run config-parallel — one batch
 // simulation over the benchmark's shared trace (see pipeline.Batch and
-// planGroups) — unless Options.NoBatch or NOSQ_NO_BATCH forces the scalar
-// path; either way every pair's measurements are bit-identical, so grouping
-// is invisible in every output.
+// planGroups); every pair's measurements are bit-identical whatever the
+// group widths, so grouping is invisible in every output.
 //
 // The job list is deterministic — benchmarks in the given order, configuration
 // keys sorted — which makes two things possible. First, sharding: with
@@ -591,11 +589,11 @@ func runSweep(ctx context.Context, benchmarks []string, cfgs map[string]pipeline
 
 	// Partition the pending pairs into execution groups: same-benchmark,
 	// same-geometry pairs run config-parallel as one batch over the shared
-	// trace; singletons (and everything, under NoBatch) take the scalar path.
-	// Grouping affects only how pairs are simulated — results, checkpoint
-	// entries and progress events stay per-pair, so reports are byte-identical
-	// to an ungrouped run.
-	groups := planGroups(pending, opts.batchDisabled())
+	// trace and TraceMeta, and a pair with no partner runs as a width-1
+	// batch. Grouping affects only how pairs are simulated — results,
+	// checkpoint entries and progress events stay per-pair, so reports are
+	// byte-identical to an ungrouped run.
+	groups := planGroups(pending)
 	for _, g := range groups {
 		if len(g.jobs) > 1 {
 			sum.BatchGroups++

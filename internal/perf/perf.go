@@ -182,8 +182,8 @@ func Run(opts Options) (*Result, error) {
 			return nil, fmt.Errorf("perf: recording %s: %w", b, err)
 		}
 		// gridWalls[r] accumulates repeat r's wall time across every kind:
-		// one full scalar pass over the configuration grid, as a sweep would
-		// run it one-at-a-time. The batch speedup denominator is the fastest
+		// one full scalar pass over the configuration grid, one configuration
+		// at a time. The batch speedup denominator is the fastest
 		// such pass — a wall time some scalar run actually achieved — rather
 		// than the sum of per-kind minima, which combines lucky repeats of
 		// independent runs into a composite no single pass ever ran.

@@ -99,9 +99,6 @@ func (s *Simulator) retire() {
 		s.histAfterRetired = in.histAfter
 		s.committed++
 		s.res.Committed++
-		if s.cursor == nil {
-			s.stream.Release(in.seq) // trace cursors: Release is a no-op
-		}
 
 		flush := false
 		switch {

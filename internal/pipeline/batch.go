@@ -21,13 +21,12 @@ const batchQuantum = 16384
 //
 // All members replay the same read-only trace through per-member cursors and
 // share one TraceMeta (pre-decoded issue-port classes), so the
-// timing-independent front-end work is done once per benchmark. Member
-// simulators also run with the event-driven issue scheduler (sched.go)
-// enabled. Everything configuration-dependent — predictor, SVW, SMB, cache,
-// and flush state — stays per-member, and each member executes exactly the
-// same per-cycle step sequence as a solo Simulator, so every member's
-// statistics are bit-identical to pipeline.NewFromTrace + Run on the same
-// (trace, configuration) pair.
+// timing-independent front-end work is done once per benchmark. Everything
+// configuration-dependent — predictor, SVW, SMB, cache, and flush state —
+// stays per-member, and each member executes exactly the same per-cycle step
+// sequence as a solo Simulator, so every member's statistics are
+// bit-identical to pipeline.NewFromTrace + Run on the same (trace,
+// configuration) pair. A width-1 batch is a solo run.
 type Batch struct {
 	sims []*Simulator
 }
@@ -58,13 +57,10 @@ func NewBatchWithMeta(t *emu.Trace, meta *TraceMeta, cfgs []Config) (*Batch, err
 	}
 	b := &Batch{sims: make([]*Simulator, 0, len(cfgs))}
 	for _, cfg := range cfgs {
-		s, err := newSimulator(t.Cursor(cfg.MaxInsts), t.Name(), cfg)
+		s, err := newSimulator(t, meta, cfg)
 		if err != nil {
 			return nil, err
 		}
-		s.fast = true
-		s.meta = meta
-		s.initFastSched()
 		b.sims = append(b.sims, s)
 	}
 	return b, nil
@@ -73,11 +69,11 @@ func NewBatchWithMeta(t *emu.Trace, meta *TraceMeta, cfgs []Config) (*Batch, err
 // Width returns the number of member simulations.
 func (b *Batch) Width() int { return len(b.sims) }
 
-// Run advances all members round-robin in cycle quanta until every member
-// completes, and returns each member's statistics and error in configuration
-// order. A member that fails (cycle limit) reports its partial statistics
-// alongside its error, exactly like Simulator.Run; other members are
-// unaffected.
+// Run advances all members round-robin in instruction quanta until every
+// member completes, and returns each member's statistics and error in
+// configuration order. A member that fails (cycle limit) reports its partial
+// statistics alongside its error, exactly like Simulator.Run; other members
+// are unaffected.
 func (b *Batch) Run() ([]stats.Run, []error) {
 	n := len(b.sims)
 	results := make([]stats.Run, n)
@@ -89,7 +85,7 @@ func (b *Batch) Run() ([]stats.Run, []error) {
 			if done[i] {
 				continue
 			}
-			finished, err := s.runQuantum(batchQuantum)
+			finished, err := s.runQuantum(s.committed + batchQuantum)
 			if !finished {
 				continue
 			}
@@ -100,22 +96,4 @@ func (b *Batch) Run() ([]stats.Run, []error) {
 		}
 	}
 	return results, errs
-}
-
-// runQuantum advances the simulation until up to the given number of further
-// instructions have committed, reporting whether it finished (completed or
-// failed). The completion and cycle-limit behaviour is identical to Run.
-func (s *Simulator) runQuantum(insts uint64) (finished bool, err error) {
-	target := s.committed + insts
-	for !s.done() {
-		if s.cfg.MaxCycles > 0 && s.now >= s.cfg.MaxCycles {
-			return true, fmt.Errorf("%w after %d cycles (%d committed)", ErrCycleLimit, s.now, s.committed)
-		}
-		if s.committed >= target {
-			return false, nil
-		}
-		s.step()
-	}
-	s.res.Cycles = s.now
-	return true, nil
 }

@@ -10,11 +10,11 @@ import (
 )
 
 // TestBatchBitIdenticalToScalar is the core config-parallel guarantee: a
-// Batch member's statistics must be bit-for-bit identical to a solo scalar
+// Batch member's statistics must be bit-for-bit identical to a solo
 // simulation (NewFromTrace + Run) of the same (trace, configuration) pair,
-// across every configuration kind. The batch path uses the event-driven
-// scheduler and the shared TraceMeta, so this exercises both against the
-// polling reference.
+// across every configuration kind. Members share one TraceMeta and run
+// interleaved in instruction quanta, so this checks that neither sharing
+// nor interleaving leaks state between them.
 func TestBatchBitIdenticalToScalar(t *testing.T) {
 	for _, bench := range []string{"gs.d", "vortex", "wupwise", "gzip"} {
 		prog, err := workload.Generate(bench, workload.Options{Iterations: 40})

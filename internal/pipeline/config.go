@@ -12,19 +12,18 @@
 // predictor, delay, SVW-filtered in-order load re-execution, and the
 // lengthened NoSQ commit pipeline — are modelled structurally.
 //
-// Two execution engines run that model. A solo Simulator steps one
-// (trace, configuration) pair cycle by cycle. Batch is the config-parallel
-// engine: all configurations of one benchmark replay a single shared
-// recorded trace (emu.Trace plus a pre-decoded TraceMeta) in interleaved
-// instruction quanta, so the trace and its metadata are streamed through
-// the cache once per benchmark instead of once per configuration, and the
-// event-driven issue scheduler (sched.go) replaces the oldest-first scan.
-// Batching is a pure execution strategy: every member performs exactly the
-// per-cycle step sequence of a solo Simulator, so its statistics are
-// bit-identical to a solo run of the same pair — the property the CI
-// bit-identity job enforces. The policy deciding which pairs are grouped
-// into a batch lives in internal/experiments; the off switches are the
-// CLIs' -no-batch flag and the NOSQ_NO_BATCH environment variable.
+// Every simulation replays a recorded dynamic instruction stream (an
+// emu.Trace plus its pre-decoded TraceMeta) and selects instructions for
+// issue with an event-driven scheduler (sched.go). New records the program
+// first; NewFromTrace replays an existing recording. Batch runs several
+// configurations of one benchmark over a single shared trace and TraceMeta
+// in interleaved instruction quanta, so the trace and its metadata are
+// streamed through the cache once per benchmark instead of once per
+// configuration. Batching is a pure execution strategy: every member
+// performs exactly the per-cycle step sequence of a solo Simulator, so its
+// statistics are bit-identical to a solo run of the same pair. The policy
+// deciding which pairs are grouped into a batch lives in
+// internal/experiments.
 package pipeline
 
 import (

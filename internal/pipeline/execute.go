@@ -5,37 +5,6 @@ import (
 	"slices"
 )
 
-// issue selects up to IssueWidth ready instructions per cycle, oldest first,
-// subject to per-class port limits, and begins their execution.
-func (s *Simulator) issue() {
-	// Per-class port budgets in a fixed array (indexed by portClass); a map
-	// here would allocate every cycle.
-	var ports [portNone + 1]int
-	ports[portSimple] = s.cfg.SimpleIntPorts
-	ports[portComplex] = s.cfg.ComplexPorts
-	ports[portBranch] = s.cfg.BranchPorts
-	ports[portLoad] = s.cfg.LoadPorts
-	ports[portStore] = s.cfg.StorePorts
-	issued := 0
-	// Select oldest-first over the scheduler's occupants; the IQ list is in
-	// seq order and holds exactly the renamed, un-issued IQ holders.
-	for in := s.iqHead; in != nil; {
-		if issued >= s.cfg.IssueWidth {
-			return
-		}
-		next := in.nextIQ
-		if ports[in.port] > 0 && s.ready(in) {
-			s.doIssue(in) // unlinks in from the IQ list
-			ports[in.port]--
-			issued++
-		}
-		in = next
-	}
-	if issued == 0 {
-		s.res.IdleIssueCycles++
-	}
-}
-
 // ready reports whether an instruction's register inputs and memory-
 // scheduling gates allow it to issue this cycle.
 func (s *Simulator) ready(in *inflight) bool {
@@ -85,7 +54,6 @@ func (s *Simulator) doIssue(in *inflight) {
 	if in.holdsIQ {
 		s.iqUsed--
 		in.holdsIQ = false
-		s.iqRemove(in)
 	}
 	st := in.dyn.Static
 	switch {

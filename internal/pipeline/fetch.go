@@ -1,9 +1,6 @@
 package pipeline
 
 import (
-	"errors"
-
-	"repro/internal/emu"
 	"repro/internal/isa"
 )
 
@@ -27,19 +24,8 @@ func (s *Simulator) fetch() {
 		if s.window.len() >= maxInFlight {
 			return
 		}
-		var d *emu.DynInst
-		var err error
-		if s.cursor != nil {
-			d, err = s.cursor.Get(s.fetchSeq)
-		} else {
-			d, err = s.stream.Get(s.fetchSeq)
-		}
-		if err != nil {
-			if errors.Is(err, emu.ErrEndOfStream) {
-				s.streamEnded = true
-				return
-			}
-			// Any other error is a harness bug; stop fetching.
+		d, err := s.cursor.Get(s.fetchSeq)
+		if err != nil { // emu.ErrEndOfStream, the only error a cursor returns
 			s.streamEnded = true
 			return
 		}
@@ -58,17 +44,10 @@ func (s *Simulator) fetch() {
 		in.seq = d.Seq
 		in.fetchCycle = s.now
 		in.renameReady = s.now + uint64(s.cfg.FrontEndDepth)
-		if s.meta != nil {
-			// Batch mode: the port class was pre-decoded once for the whole
-			// trace (the same value classify computes below).
-			in.port = portClass(s.meta.class[d.Seq-1])
-		} else {
-			in.port = classify(d.Static)
-		}
-		if s.fast {
-			// The new occupant reuses a window slot; reset its completed bit.
-			s.clearCompletedBit(d.Seq)
-		}
+		// The port class was pre-decoded once for the whole trace.
+		in.port = portClass(s.meta.class[d.Seq-1])
+		// The new occupant reuses a window slot; reset its completed bit.
+		s.clearCompletedBit(d.Seq)
 		in.histAtDec = s.pathHist.Value()
 
 		st := d.Static

@@ -117,18 +117,15 @@ type inflight struct {
 
 	// Harness bookkeeping (not architectural state). gen is bumped every time
 	// the record is recycled, invalidating completion events scheduled for a
-	// previous occupant; prevIQ/nextIQ link the record into the simulator's
-	// issue-queue list while it holds an IQ entry.
-	gen    uint64
-	prevIQ *inflight
-	nextIQ *inflight
+	// previous occupant.
+	gen uint64
 
-	// Event-driven scheduler state (batch mode only; see sched.go). wake
-	// lists the issue-queue occupants to re-evaluate when this instruction
-	// completes; inReadyQ/inMSGate guard against duplicate membership in the
-	// scheduler's ready queue and multi-source poll list; msFlip marks loads
-	// whose readiness can be revoked (the associative multi-source hold) and
-	// so must be re-verified at selection.
+	// Event-driven scheduler state (see sched.go). wake lists the issue-queue
+	// occupants to re-evaluate when this instruction completes;
+	// inReadyQ/inMSGate guard against duplicate membership in the scheduler's
+	// ready queue and multi-source poll list; msFlip marks loads whose
+	// readiness can be revoked (the associative multi-source hold) and so must
+	// be re-verified at selection.
 	wake     []schedRef
 	inReadyQ bool
 	inMSGate bool

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -304,6 +305,23 @@ func TestCycleLimitError(t *testing.T) {
 	sim := MustNew(simpleLoop(1000), cfg)
 	if _, err := sim.Run(); err == nil {
 		t.Fatal("expected cycle-limit error")
+	}
+}
+
+// TestNewReportsEmulatorFault: a program that runs past its last instruction
+// faults in the emulator, and New must report that instead of simulating the
+// instructions executed before the fault as a complete run.
+func TestNewReportsEmulatorFault(t *testing.T) {
+	b := program.NewBuilder("no-halt")
+	r1 := isa.IntReg(1)
+	b.AddImm(r1, r1, 1).AddImm(r1, r1, 1) // no Halt: execution runs off the end
+	sim, err := New(b.MustBuild(), NoSQConfig(true))
+	if err == nil {
+		res, runErr := sim.Run()
+		t.Fatalf("New accepted a program that runs past its end: committed %d, Run error %v", res.Committed, runErr)
+	}
+	if !strings.Contains(err.Error(), "outside program") {
+		t.Errorf("New error = %v, want the emulator's pc-outside-program fault", err)
 	}
 }
 

@@ -156,7 +156,6 @@ func (s *Simulator) renameOne(in *inflight) bool {
 	if needIQ {
 		s.iqUsed++
 		in.holdsIQ = true
-		s.iqPush(in)
 	}
 	if needLQ {
 		s.lqUsed++
@@ -218,10 +217,10 @@ func (s *Simulator) renameOne(in *inflight) bool {
 		}
 	}
 
-	// Batch mode: hand the new issue-queue occupant to the event-driven
-	// scheduler (ready instructions enter the ready queue, blocked ones
-	// register wakeups on their blocking conditions).
-	if s.fast && in.holdsIQ {
+	// Hand the new issue-queue occupant to the event-driven scheduler (ready
+	// instructions enter the ready queue, blocked ones register wakeups on
+	// their blocking conditions).
+	if in.holdsIQ {
 		s.schedDispatch(in)
 	}
 	return true

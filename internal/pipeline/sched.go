@@ -4,27 +4,28 @@ import (
 	"math/bits"
 )
 
-// Event-driven issue scheduling for config-parallel batches.
+// Event-driven issue scheduling.
 //
-// The scalar issue stage polls every issue-queue occupant every cycle
-// (issue -> ready -> producerDone), which profiling shows is the simulator's
-// dominant cost. In batch mode the same selection is computed from events:
-// an instruction dispatched into the issue queue registers a wakeup on each
-// condition that blocks it (an incomplete producer, a store it must wait
-// for, a store-sequence number that must reach the data cache), and the
-// conditions mark it candidate-ready as they resolve. Ready candidates live
-// in a bitmap indexed by window-ring slot (seq & seqMask — the window ring
-// has power-of-two capacity and contiguous sequence numbers, so the mapping
-// is unique per window occupant and rotates with the window), and the issue
-// pass walks only set bits, in age order, with trailing-zero scans.
+// The issue stage selects, each cycle, the oldest issue-queue occupants
+// whose inputs and memory-scheduling gates are satisfied (ready), subject to
+// per-class port budgets and the issue width. Polling every occupant every
+// cycle would dominate the simulator's cost, so the selection is computed
+// from events instead: an instruction dispatched into the issue queue
+// registers a wakeup on each condition that blocks it (an incomplete
+// producer, a store it must wait for, a store-sequence number that must
+// reach the data cache), and the conditions mark it candidate-ready as they
+// resolve. Ready candidates live in a bitmap indexed by window-ring slot
+// (seq & seqMask — the window ring has power-of-two capacity and contiguous
+// sequence numbers, so the mapping is unique per window occupant and rotates
+// with the window), and the issue pass walks only set bits, in age order,
+// with trailing-zero scans.
 //
-// Selection is bit-identical to the scalar scan: candidates are re-verified
-// with the same ready() predicate at issue time (so a wakeup can never issue
-// an instruction the scan would have skipped), iteration is in sequence
-// order with the same per-class port budgets and issue-width limit, and
-// every blocking condition is monotone within one window occupancy — except
+// Selection equals that of an oldest-first scan over the whole issue queue:
+// every blocking condition is monotone within one window occupancy, except
 // the associative multi-source hold, whose loads are therefore re-polled
-// every cycle instead of woken (msGate below).
+// every cycle and re-verified at selection (msGate below). The scan survives
+// as a differential oracle in sched_oracle_test.go, which checks the two
+// agree every cycle.
 //
 // Stale references are tolerated everywhere: a schedRef pins a specific
 // occupancy of an inflight record via its generation counter, so entries
@@ -155,9 +156,9 @@ func (s *Simulator) wakeConsumers(p *inflight) {
 }
 
 // drainSSNWaiters wakes loads whose awaited store sequence number has
-// reached the data cache. Called right after drainDCacheWrites advances
-// ssnInDCache, so a load unblocked this cycle is a candidate for this
-// cycle's issue pass — exactly when the scalar scan would see it.
+// reached the data cache. Called at the start of the issue pass, after
+// drainDCacheWrites advanced ssnInDCache this cycle, so a load unblocked
+// this cycle is a candidate for this cycle's selection.
 func (s *Simulator) drainSSNWaiters() {
 	for len(s.ssnWaiters) > 0 && s.ssnWaiters[0].ssn <= s.ssnInDCache {
 		ref := s.ssnWaitPop()
@@ -171,21 +172,9 @@ func (s *Simulator) drainSSNWaiters() {
 	}
 }
 
-// initFastSched sizes the ready bitmap to the window ring's (power-of-two)
-// capacity. Called once per batch member, after the window ring exists.
-func (s *Simulator) initFastSched() {
-	capacity := len(s.window.buf)
-	s.readyBits = make([]uint64, (capacity+63)/64)
-	s.complBits = make([]uint64, (capacity+63)/64)
-	s.seqMask = uint64(capacity - 1)
-}
-
 // markCompleted mirrors in.completed into the completed bitmap, which gives
-// producerDone a one-load answer in batch mode. A no-op on the scalar path.
+// producerDone a one-load answer.
 func (s *Simulator) markCompleted(in *inflight) {
-	if !s.fast {
-		return
-	}
 	idx := in.seq & s.seqMask
 	s.complBits[idx>>6] |= 1 << (idx & 63)
 }
@@ -212,7 +201,7 @@ func (s *Simulator) pushReady(in *inflight) {
 
 // clearReady removes an instruction from the ready bitmap (at issue, squash,
 // or a revoked multi-source wakeup). Safe to call for instructions that are
-// not candidates; a no-op on the scalar path (inReadyQ is never set there).
+// not candidates.
 func (s *Simulator) clearReady(in *inflight) {
 	if !in.inReadyQ {
 		return
@@ -223,12 +212,14 @@ func (s *Simulator) clearReady(in *inflight) {
 	s.readyBits[idx>>6] &^= 1 << (idx & 63)
 }
 
-// issueFast is the batch-mode issue stage: identical selection to issue(),
-// computed over the candidate-ready queue instead of a full scan.
+// issueFast is the issue stage: it selects up to IssueWidth ready
+// instructions per cycle, oldest first, subject to per-class port limits,
+// and begins their execution. Selection walks the candidate-ready bitmap
+// instead of scanning the issue queue.
 func (s *Simulator) issueFast() {
 	// Committed store data became visible in drainDCacheWrites at the top of
 	// this cycle; wake the loads whose SSN gates it satisfied so they are
-	// candidates this cycle, exactly when the scalar scan would see them.
+	// candidates this cycle.
 	s.drainSSNWaiters()
 
 	// Multi-source-gated loads re-poll every cycle (see schedRegisterWaits).
@@ -306,7 +297,7 @@ func (s *Simulator) issueReadyWord(word uint64, w int, start uint64, ports *[por
 		// Readiness is monotone for everything except multi-source-gated
 		// loads, so only those re-verify at selection. A gate that closed
 		// between wakeup and selection drops the candidate and re-registers
-		// its waits, exactly as the scalar scan would skip it.
+		// its waits.
 		if in.msFlip && !s.ready(in) {
 			s.clearReady(in)
 			s.schedRegisterWaits(in)

@@ -392,12 +392,15 @@ func (s *Server) Submit(spec simapi.JobSpec, client string) (simapi.JobInfo, err
 
 	s.mu.Lock()
 	if id, ok := s.active[hash]; ok {
-		j := s.jobs[id]
-		s.mu.Unlock()
-		s.metrics.deduped.Add(1)
-		info := j.info()
-		info.Deduped = true
-		return info, nil
+		// A job keeps its dedup slot from its terminal event until
+		// finishAccounting runs; a re-submission in between is a new job,
+		// exactly as it is afterwards.
+		if info := s.jobs[id].info(); !simapi.TerminalState(info.State) {
+			s.mu.Unlock()
+			s.metrics.deduped.Add(1)
+			info.Deduped = true
+			return info, nil
+		}
 	}
 	if s.cfg.MaxQueuedJobs > 0 && s.queue.depth() >= s.cfg.MaxQueuedJobs {
 		s.tenants.rejectQueueFull(client)

@@ -57,8 +57,6 @@ type LocalEvaluator struct {
 	// already runs evaluations concurrently, so 1 (the zero value is
 	// normalized to 1) is the right setting almost always.
 	Parallelism int
-	// NoBatch forces the scalar simulation path, as in Options.NoBatch.
-	NoBatch bool
 	// Store, when set, is shared across evaluations: finished pairs are
 	// recorded and identical re-evaluations resume from it.
 	Store experiments.ResultStore
@@ -81,7 +79,6 @@ func (l LocalEvaluator) Evaluate(ctx context.Context, s workload.Scenario, setti
 		Windows:     []int{settings.Window},
 		MaxInsts:    settings.MaxInsts,
 		Parallelism: par,
-		NoBatch:     l.NoBatch,
 		Store:       l.Store,
 	})
 	if err != nil {
