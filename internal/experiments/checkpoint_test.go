@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -15,8 +16,9 @@ func ckEntry(bench, cfg string, cycles uint64) CheckpointEntry {
 		Run: stats.Run{Benchmark: bench, Config: cfg, Cycles: cycles}}
 }
 
-// TestCheckpointWriterDurablePerAppend: every append must be fully on the
-// file (flushed through any buffering) before the call returns — an
+// TestCheckpointWriterDurablePerAppend: every append to the checkpoint file
+// store must be fully on the file (flushed through any buffering) before the
+// call returns — an
 // interrupted sweep resumes from exactly the pairs it was told were
 // recorded. This is the regression test for buffered writes lingering in
 // memory: a crash between append and Close would otherwise leave a
@@ -24,8 +26,8 @@ func ckEntry(bench, cfg string, cycles uint64) CheckpointEntry {
 // silently discards, re-running finished work.
 func TestCheckpointWriterDurablePerAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
-	w, err := openCheckpoint(path)
-	if err != nil {
+	w := &checkpointFileStore{path: path}
+	if err := w.open(); err != nil {
 		t.Fatal(err)
 	}
 	entries := []CheckpointEntry{
@@ -34,7 +36,7 @@ func TestCheckpointWriterDurablePerAppend(t *testing.T) {
 		ckEntry("mesa.o", "assoc-sq-storesets", 300),
 	}
 	for i, e := range entries {
-		if err := w.append(e); err != nil {
+		if err := w.Append(e); err != nil {
 			t.Fatal(err)
 		}
 		// Before Close — as if the process died right here: the file must
@@ -57,12 +59,12 @@ func TestCheckpointWriterDurablePerAppend(t *testing.T) {
 			}
 		}
 	}
-	if err := w.Close(); err != nil {
+	if err := w.log.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// And the whole file round-trips through the loader with zero corruption.
-	loaded, corrupt, err := LoadCheckpointEntries(path)
+	loaded, corrupt, err := w.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,25 +81,78 @@ func TestCheckpointWriterDurablePerAppend(t *testing.T) {
 	}
 }
 
-// TestCheckpointWriterCloseAfterNoAppends: a sweep that resumed everything
-// opens no writer; the file-store Close must tolerate that.
+// TestCheckpointFileStoreLazyOpen: a sweep with nothing left to run — every
+// pair resumed, or owned by another shard — never opens the store, so it
+// creates no checkpoint file; one that opens it round-trips its appends.
 func TestCheckpointFileStoreLazyOpen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
-	s := &checkpointFileStore{path: path}
-	if err := s.Close(); err != nil {
-		t.Fatalf("close with no appends: %v", err)
+	opts := Options{Iterations: 25, Benchmarks: []string{"gzip"}, Configs: []string{"nosq-delay"},
+		Checkpoint: path, Shards: 2, ShardIndex: 1} // the grid's only pair belongs to shard 0
+	if _, err := Sweep(context.Background(), opts); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("file store created a checkpoint file without any append")
+		t.Fatal("a sweep with no pending pairs created a checkpoint file")
+	}
+	s := &checkpointFileStore{path: path}
+	if err := s.open(); err != nil {
+		t.Fatal(err)
 	}
 	if err := s.Append(ckEntry("gzip", "nosq-delay", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Close(); err != nil {
+	if err := s.log.Close(); err != nil {
 		t.Fatal(err)
 	}
 	loaded, corrupt, err := s.Load()
 	if err != nil || corrupt != 0 || len(loaded) != 1 {
 		t.Fatalf("Load = %d entries, %d corrupt, err %v", len(loaded), corrupt, err)
+	}
+}
+
+// TestCheckpointTornTailAppend: a crash mid-append leaves a torn final line.
+// The next append after a restart must land on its own line instead of
+// concatenating onto the fragment, so the checkpoint keeps both entries and
+// counts only the fragment as corrupt.
+func TestCheckpointTornTailAppend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck.jsonl")
+	s := &checkpointFileStore{path: path}
+	if err := s.open(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(ckEntry("gzip", "nosq-delay", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"experiment":"sweep","benchmark":"app`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	s = &checkpointFileStore{path: path}
+	if loaded, corrupt, err := s.Load(); err != nil || corrupt != 1 || len(loaded) != 1 {
+		t.Fatalf("after the tear: Load = %d entries, %d corrupt, err %v; want 1, 1", len(loaded), corrupt, err)
+	}
+	if err := s.open(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(ckEntry("applu", "nosq-delay", 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	loaded, corrupt, err := s.Load()
+	if err != nil || corrupt != 1 || len(loaded) != 2 {
+		t.Fatalf("after the append: Load = %d entries, %d corrupt, err %v; want 2, 1", len(loaded), corrupt, err)
+	}
+	if loaded[1].Benchmark != "applu" {
+		t.Fatalf("appended entry replayed as %+v", loaded[1])
 	}
 }

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -15,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/emu"
+	"repro/internal/jsonl"
 	"repro/internal/pipeline"
 	"repro/internal/program"
 	"repro/internal/stats"
@@ -268,132 +267,48 @@ type PairTimer interface {
 	PairTimed(benchmark, config string, wall time.Duration)
 }
 
-// LoadCheckpointEntries reads a JSONL checkpoint file. A missing file is an
-// empty checkpoint. Malformed lines (e.g. a line truncated when the writing
-// process was killed, or one missing its identifying fields) are skipped so a
-// checkpoint stays usable after any interruption; corrupt counts them so
-// callers can warn — a silently shrinking checkpoint would otherwise look
-// like completed work re-running for no reason.
-func LoadCheckpointEntries(path string) (entries []CheckpointEntry, corrupt int, err error) {
-	if path == "" {
-		return nil, 0, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, 0, nil
-		}
-		return nil, 0, fmt.Errorf("experiments: reading checkpoint: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+// checkpointFileStore is the default ResultStore: one JSONL checkpoint file,
+// appended with one unbuffered write per entry (so every recorded pair
+// reaches the OS before it counts as checkpointed) and fsynced when runSweep
+// closes it. runSweep opens it only once there is work to run, so a sweep
+// that resumes everything never creates or touches the file.
+type checkpointFileStore struct {
+	path string
+	log  *jsonl.Log // set by open
+}
+
+// Load reads the checkpoint; a missing file is an empty checkpoint. Lines
+// that do not decode or lack their identifying fields (e.g. one truncated
+// when the writing process was killed) are counted as corrupt, so callers can
+// warn instead of silently re-running finished work.
+func (s *checkpointFileStore) Load() (entries []CheckpointEntry, corrupt int, err error) {
+	corrupt, err = jsonl.Scan(s.path, func(line []byte) bool {
 		var e CheckpointEntry
 		if json.Unmarshal(line, &e) != nil || e.Benchmark == "" || e.Config == "" {
-			corrupt++
-			continue
+			return false
 		}
 		entries = append(entries, e)
-	}
-	if err := sc.Err(); err != nil {
+		return true
+	})
+	if err != nil {
 		return nil, corrupt, fmt.Errorf("experiments: reading checkpoint: %w", err)
 	}
 	return entries, corrupt, nil
 }
 
-// checkpointWriter appends finished jobs to the JSONL checkpoint file. Each
-// append is one unbuffered write of a complete line (so every recorded pair
-// reaches the OS before the job counts as checkpointed, and an interrupted
-// sweep never re-runs finished work), and Close fsyncs before closing so a
-// crash right after a clean shutdown cannot leave a truncated final line
-// for the corrupt-line skipper to discard.
-type checkpointWriter struct {
-	mu sync.Mutex
-	f  *os.File
-}
-
-func openCheckpoint(path string) (*checkpointWriter, error) {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: opening checkpoint: %w", err)
+func (s *checkpointFileStore) open() (err error) {
+	if s.log, err = jsonl.Open(s.path, jsonl.Hooks{}); err != nil {
+		return fmt.Errorf("experiments: opening checkpoint: %w", err)
 	}
-	return &checkpointWriter{f: f}, nil
-}
-
-func (w *checkpointWriter) append(e CheckpointEntry) error {
-	b, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	_, err = w.f.Write(append(b, '\n'))
-	return err
-}
-
-func (w *checkpointWriter) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	err := w.f.Sync()
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// checkpointFileStore is the default ResultStore: entries resume from and
-// append to one JSONL checkpoint file. The writer opens lazily, so a sweep
-// that resumes everything never touches the file for writing.
-type checkpointFileStore struct {
-	path string
-	mu   sync.Mutex
-	w    *checkpointWriter
-}
-
-func (s *checkpointFileStore) Load() ([]CheckpointEntry, int, error) {
-	return LoadCheckpointEntries(s.path)
-}
-
-// open makes the writer eagerly so a sweep with pending work rejects an
-// unwritable checkpoint path before simulating anything, not after.
-func (s *checkpointFileStore) open() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.w != nil {
-		return nil
-	}
-	w, err := openCheckpoint(s.path)
-	if err != nil {
-		return err
-	}
-	s.w = w
 	return nil
 }
 
 func (s *checkpointFileStore) Append(e CheckpointEntry) error {
-	if err := s.open(); err != nil {
+	b, err := json.Marshal(e)
+	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	w := s.w
-	s.mu.Unlock()
-	return w.append(e)
-}
-
-func (s *checkpointFileStore) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.w == nil {
-		return nil
-	}
-	err := s.w.Close()
-	s.w = nil
-	return err
+	return s.log.Append(b)
 }
 
 // runSweep is the sweep engine behind every experiment: it runs each
@@ -458,7 +373,6 @@ func runSweep(ctx context.Context, benchmarks []string, cfgs map[string]pipeline
 	if store == nil && opts.Checkpoint != "" {
 		fileStore = &checkpointFileStore{path: opts.Checkpoint}
 		store = fileStore
-		defer fileStore.Close()
 	}
 	done := make(map[string]CheckpointEntry)
 	if store != nil {
@@ -510,6 +424,7 @@ func runSweep(ctx context.Context, benchmarks []string, cfgs map[string]pipeline
 		if err := fileStore.open(); err != nil {
 			return nil, sum, err
 		}
+		defer fileStore.log.Close()
 	}
 
 	// A configured Executor takes over raw pair execution (the distributed

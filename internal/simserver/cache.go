@@ -1,18 +1,15 @@
 package simserver
 
 import (
-	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/experiments"
+	"repro/internal/jsonl"
 	"repro/internal/obs"
 )
 
@@ -42,15 +39,14 @@ type cacheRecord struct {
 // re-simulating, and a stale binary's results are never served.
 //
 // The cache is resident in memory and (when opened with a path) persisted as
-// append-only JSONL in the checkpoint format, so a restarted server warms up
+// an internal/jsonl log, fsynced on close, so a restarted server warms up
 // from disk. All methods are safe for concurrent use.
 type ResultCache struct {
-	rev  string
-	path string
+	rev string
 
 	mu      sync.Mutex
 	entries map[string]experiments.CheckpointEntry
-	f       *os.File
+	log     *jsonl.Log // nil for a memory-only (or closed) cache
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
@@ -63,48 +59,31 @@ type ResultCache struct {
 func OpenResultCache(path, codeRev string) (c *ResultCache, corrupt int, err error) {
 	c = &ResultCache{
 		rev:     codeRev,
-		path:    path,
 		entries: make(map[string]experiments.CheckpointEntry),
 	}
 	if path == "" {
 		return c, 0, nil
 	}
-	if b, err := os.ReadFile(path); err == nil {
-		sc := bufio.NewScanner(bytes.NewReader(b))
-		sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(line) == 0 {
-				continue
-			}
-			var rec cacheRecord
-			if json.Unmarshal(line, &rec) != nil || rec.Key == "" || rec.Entry.Benchmark == "" {
-				corrupt++
-				continue
-			}
-			// Revision scoping happens here, once: records from other
-			// binaries (or with a key that no longer matches their content)
-			// stay in the file but never become resident, so Load serves the
-			// map as-is with no per-job hashing.
-			if rec.CodeRev != codeRev || rec.Key != c.key(rec.Entry) {
-				continue
-			}
+	corrupt, err = jsonl.Scan(path, func(line []byte) bool {
+		var rec cacheRecord
+		if json.Unmarshal(line, &rec) != nil || rec.Key == "" || rec.Entry.Benchmark == "" {
+			return false
+		}
+		// Revision scoping happens here, once: records from other binaries
+		// (or with a key that no longer matches their content) stay in the
+		// file but never become resident, so Load serves the map as-is with
+		// no per-job hashing.
+		if rec.CodeRev == codeRev && rec.Key == c.key(rec.Entry) {
 			c.entries[rec.Key] = rec.Entry
 		}
-		if err := sc.Err(); err != nil {
-			// A scan failure (e.g. a line past the buffer cap) would silently
-			// drop every entry after it; surface it instead of re-simulating
-			// persisted work without explanation.
-			return nil, corrupt, fmt.Errorf("simserver: reading result cache: %w", err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, 0, fmt.Errorf("simserver: reading result cache: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+		return true
+	})
 	if err != nil {
+		return nil, corrupt, fmt.Errorf("simserver: reading result cache: %w", err)
+	}
+	if c.log, err = jsonl.Open(path, jsonl.Hooks{}); err != nil {
 		return nil, corrupt, fmt.Errorf("simserver: opening result cache: %w", err)
 	}
-	c.f = f
 	return c, corrupt, nil
 }
 
@@ -147,15 +126,14 @@ func (c *ResultCache) Append(e experiments.CheckpointEntry) error {
 		return nil
 	}
 	c.entries[k] = e
-	if c.f == nil {
+	if c.log == nil {
 		return nil
 	}
 	b, err := json.Marshal(cacheRecord{Key: k, CodeRev: c.rev, Entry: e})
 	if err != nil {
 		return err
 	}
-	_, err = c.f.Write(append(b, '\n'))
-	return err
+	return c.log.Append(b)
 }
 
 // Len returns the number of resident entries (current revision only).
@@ -187,13 +165,10 @@ func (c *ResultCache) HitRate() float64 {
 func (c *ResultCache) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.f == nil {
+	if c.log == nil {
 		return nil
 	}
-	err := c.f.Sync()
-	if cerr := c.f.Close(); err == nil {
-		err = cerr
-	}
-	c.f = nil
+	err := c.log.Close()
+	c.log = nil
 	return err
 }

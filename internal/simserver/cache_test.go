@@ -72,11 +72,14 @@ func TestResultCacheScopedByCodeRevision(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b, _, err := OpenResultCache(path, "rev-b")
+	b, corrupt, err := OpenResultCache(path, "rev-b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
+	if corrupt != 0 {
+		t.Fatalf("rev-b counted %d of rev-a's lines as corrupt; stale lines are valid records", corrupt)
+	}
 	entries, _, err := b.Load()
 	if err != nil {
 		t.Fatal(err)
@@ -142,5 +145,49 @@ func TestResultCacheHitAccounting(t *testing.T) {
 	}
 	if got := c.HitRate(); got != 0.75 {
 		t.Fatalf("hit rate = %v, want 0.75", got)
+	}
+}
+
+// TestResultCacheTornTailAppend: after a crash tore the final line, the
+// first entry appended by the restarted server must land on its own line
+// instead of concatenating onto the fragment and being lost with it.
+func TestResultCacheTornTailAppend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cache.jsonl")
+	c, _, err := OpenResultCache(path, "rev-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Append(entry("gzip", "nosq-delay", 100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"key":"abc","entry":{"benchmark":"tru`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	c, _, err = OpenResultCache(path, "rev-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Append(entry("applu", "nosq-delay", 200)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, corrupt, err := OpenResultCache(path, "rev-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if corrupt != 1 || re.Len() != 2 {
+		t.Fatalf("reopen = %d entries, %d corrupt; want 2 entries, 1 corrupt (the fragment)", re.Len(), corrupt)
 	}
 }

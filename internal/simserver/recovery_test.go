@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/jsonl"
 	"repro/internal/simapi"
 	"repro/internal/simclient"
+	"repro/internal/simstore"
 )
 
 // crash abandons a server without the graceful-shutdown work. As far as the
@@ -198,7 +200,7 @@ func TestServerRecovery(t *testing.T) {
 // retained job — and the rewritten log still replays.
 func TestServerWALCompaction(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Workers: 1, CodeRev: "test-rev", StateDir: dir, WALCompactEvery: 1}
+	cfg := Config{Workers: 1, CodeRev: "test-rev", StateDir: dir}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -209,6 +211,7 @@ func TestServerWALCompaction(t *testing.T) {
 	if corrupt != 0 {
 		t.Fatalf("corrupt = %d", corrupt)
 	}
+	srv.walCompactEvery = 1
 	hs := httptest.NewServer(srv.Handler())
 	cl := simclient.New(hs.URL, nil)
 	srv.Start()
@@ -311,5 +314,57 @@ func TestServerRecoveryTolerantOfCorruptTail(t *testing.T) {
 	defer scancel()
 	if err := srv2.Shutdown(sctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServerRecoveryLargeCompletedRecord: a completed record carries the
+// report rendered in every format, so a big sweep's record passes 1 MiB
+// (about 815 bytes per row). Replay must restore such a job, reports and
+// all, instead of failing the restart on the record's length.
+func TestServerRecoveryLargeCompletedRecord(t *testing.T) {
+	dir := t.TempDir()
+	wal, _, _, err := simstore.Open(filepath.Join(dir, "wal.jsonl"), jsonl.Hooks{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := simapi.JobSpec{Experiment: "sweep", Benchmarks: []string{"gzip"}, Iterations: 10}
+	now := time.Now().UTC()
+	csv := "benchmark,config,cycles\n" + strings.Repeat("gzip,nosq-delay,12345\n", 64<<10)
+	for _, rec := range []simstore.Record{
+		{Type: simstore.RecSubmitted, Time: now, JobID: "job-000001", Seq: 1, Client: "alice", SpecHash: "h", Spec: &spec},
+		{Type: simstore.RecCompleted, Time: now, JobID: "job-000001", State: simapi.StateDone,
+			Pairs: &simstore.PairCounts{Total: 1, Executed: 1}, Reports: map[string]string{"csv": csv}},
+	} {
+		if err := wal.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, corrupt, err := New(Config{Workers: 1, CodeRev: "test-rev", StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Error(err)
+		}
+	}()
+	if corrupt != 0 {
+		t.Fatalf("corrupt = %d, want 0", corrupt)
+	}
+	if restored, requeued := srv.RecoveryStats(); restored != 1 || requeued != 0 {
+		t.Fatalf("recovery = %d restored / %d requeued, want 1/0", restored, requeued)
+	}
+	j, ok := srv.jobs["job-000001"]
+	if !ok {
+		t.Fatal("large completed job did not replay")
+	}
+	if got, _ := j.rendered("csv"); got != csv {
+		t.Fatalf("restored csv report is %d bytes, want %d", len(got), len(csv))
 	}
 }

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/jsonl"
 	"repro/internal/obs"
 	"repro/internal/simapi"
 	"repro/internal/simstore"
@@ -89,10 +90,6 @@ type Config struct {
 	// already-finished pairs from the result cache. "" = memory-only (a
 	// restart loses all jobs, exactly as before).
 	StateDir string
-	// WALCompactEvery compacts the write-ahead log down to a snapshot of the
-	// retained jobs after N appends (0 = 512), so the log does not grow
-	// without bound.
-	WALCompactEvery int
 	// MaxQueuedJobs bounds the global job queue: submissions beyond it are
 	// refused with a retryable QuotaError (HTTP 429 + Retry-After) instead
 	// of queuing without bound (0 = unlimited).
@@ -127,6 +124,9 @@ type Server struct {
 	dispatch *dispatcher
 	wal      *simstore.WAL // nil unless cfg.StateDir is set
 	mux      *http.ServeMux
+	// walCompactEvery compacts the WAL down to a snapshot of the retained
+	// jobs after this many appends, so the log does not grow without bound.
+	walCompactEvery int
 
 	baseCtx context.Context
 	stop    context.CancelFunc
@@ -171,9 +171,6 @@ func New(cfg Config) (s *Server, corrupt int, err error) {
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 500 * time.Millisecond
 	}
-	if cfg.WALCompactEvery <= 0 {
-		cfg.WALCompactEvery = 512
-	}
 	if cfg.KeepAliveInterval == 0 {
 		cfg.KeepAliveInterval = 15 * time.Second
 	}
@@ -205,6 +202,8 @@ func New(cfg Config) (s *Server, corrupt int, err error) {
 		jobs:    make(map[string]*job),
 		active:  make(map[string]string),
 		tenants: newTenantRegistry(cfg.QuotaMaxActive, cfg.QuotaRate, cfg.QuotaBurst),
+
+		walCompactEvery: 512,
 	}
 	s.dispatch = newDispatcher(cfg.LeaseTTL, cfg.WorkerTTL, cfg.PollInterval, s.logf)
 	s.dispatch.walLog = s.walAppend
@@ -212,9 +211,8 @@ func New(cfg Config) (s *Server, corrupt int, err error) {
 	s.dispatch.spanLog = s.jobSpan
 	s.dispatch.pairTime = func(d time.Duration) { s.prom.pairLatency.Observe(d.Seconds()) }
 	if cfg.StateDir != "" {
-		wal, records, walCorrupt, werr := simstore.Open(filepath.Join(cfg.StateDir, "wal.jsonl"), simstore.Hooks{
-			AppendDone: func(d time.Duration) { s.prom.walAppend.Observe(d.Seconds()) },
-		})
+		wal, records, walCorrupt, werr := simstore.Open(filepath.Join(cfg.StateDir, "wal.jsonl"), jsonl.Hooks{},
+			func(d time.Duration) { s.prom.walAppend.Observe(d.Seconds()) })
 		if werr != nil {
 			cache.Close()
 			cancel()
@@ -634,7 +632,7 @@ func (s *Server) finishAccounting(j *job, state string) {
 			}
 		}
 	}
-	if s.wal != nil && s.wal.AppendsSinceCompact() >= s.cfg.WALCompactEvery {
+	if s.wal != nil && s.wal.AppendsSinceCompact() >= s.walCompactEvery {
 		if err := s.wal.Compact(s.walSnapshotLocked()); err != nil {
 			s.logf("wal: compaction: %v", err)
 		}

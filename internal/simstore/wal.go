@@ -1,32 +1,24 @@
 // Package simstore is the durability layer of the simulation service: a
-// write-ahead log of job state transitions, persisted as JSONL in the same
-// spirit as the sweep engine's checkpoint files (internal/experiments) and
-// the server's result cache (internal/simserver). Every record is fsynced on
+// write-ahead log of job state transitions. Every record is fsynced on
 // append, so a SIGKILLed nosq-server replays the log on restart and rebuilds
 // its queue, job registry and per-client accounting without losing a job.
+// The file's crash rules (torn tails, corrupt-line counting, atomic
+// compaction) are internal/jsonl's.
 //
 // The log is the job-level truth; the pair-level truth is the result cache.
 // Replay re-queues every job that was not terminal at the crash, and the
 // re-run resumes already-finished pairs from the cache — which is what makes
 // "no pair executed twice" hold without logging individual pairs here.
-//
-// Like every JSONL store in this repo, replay tolerates a torn or corrupt
-// tail: undecodable lines are skipped and counted, never fatal (a crash
-// mid-append must not brick the server). Compact rewrites the log to a
-// snapshot of live records via the usual tmp-file-then-rename dance, so the
-// log does not grow without bound.
 package simstore
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
+	"repro/internal/jsonl"
 	"repro/internal/simapi"
 )
 
@@ -79,95 +71,42 @@ type PairCounts struct {
 	Executed int `json:"executed"`
 }
 
-// Hooks intercepts the WAL's file writes and fsyncs — the fault-injection
-// seam the durability tests use to tear an append at a chosen point. A nil
-// hook falls back to the real operation.
-type Hooks struct {
-	Write func(f *os.File, b []byte) (int, error)
-	Sync  func(f *os.File) error
-	// AppendDone, if set, observes the wall-clock duration of each successful
-	// Append (marshal + write + fsync) — the server feeds it into its WAL
-	// latency histogram. Called with the WAL lock held; keep it quick.
-	AppendDone func(time.Duration)
-}
-
-func (h Hooks) write(f *os.File, b []byte) (int, error) {
-	if h.Write != nil {
-		return h.Write(f, b)
-	}
-	return f.Write(b)
-}
-
-func (h Hooks) sync(f *os.File) error {
-	if h.Sync != nil {
-		return h.Sync(f)
-	}
-	return f.Sync()
-}
-
 // WAL is an append-only, fsync-per-append record log. All methods are safe
 // for concurrent use.
 type WAL struct {
-	path  string
-	hooks Hooks
+	log        *jsonl.Log
+	appendDone func(time.Duration)
 
 	mu      sync.Mutex
-	f       *os.File
 	appends int // since the last compaction (or open)
 }
-
-var errClosed = errors.New("simstore: WAL is closed")
 
 // Open opens (or creates) the WAL at path, replays every decodable record,
 // and leaves the file open for appends. corrupt counts undecodable lines
 // skipped — a torn tail from a crash mid-append lands here, never as an
-// error. hooks may be zero (real writes and fsyncs).
-func Open(path string, hooks Hooks) (w *WAL, records []Record, corrupt int, err error) {
+// error. hooks may be zero (real writes and fsyncs). appendDone, if set,
+// observes the wall-clock duration of each successful Append (marshal +
+// write + fsync) — the server feeds it into its WAL latency histogram. It is
+// called with the WAL lock held; keep it quick.
+func Open(path string, hooks jsonl.Hooks, appendDone func(time.Duration)) (w *WAL, records []Record, corrupt int, err error) {
 	if path == "" {
 		return nil, nil, 0, errors.New("simstore: WAL path is required")
 	}
-	tornTail := false
-	if b, rerr := os.ReadFile(path); rerr == nil {
-		tornTail = len(b) > 0 && b[len(b)-1] != '\n'
-		sc := bufio.NewScanner(bytes.NewReader(b))
-		sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(bytes.TrimSpace(line)) == 0 {
-				continue
-			}
-			rec, derr := DecodeRecord(line)
-			if derr != nil {
-				corrupt++
-				continue
-			}
+	corrupt, err = jsonl.Scan(path, func(line []byte) bool {
+		rec, derr := DecodeRecord(line)
+		if derr == nil {
 			records = append(records, rec)
 		}
-		if serr := sc.Err(); serr != nil {
-			return nil, nil, corrupt, fmt.Errorf("simstore: reading WAL: %w", serr)
-		}
-	} else if !errors.Is(rerr, os.ErrNotExist) {
-		return nil, nil, 0, fmt.Errorf("simstore: reading WAL: %w", rerr)
+		return derr == nil
+	})
+	if err != nil {
+		return nil, nil, corrupt, fmt.Errorf("simstore: reading WAL: %w", err)
 	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	log, err := jsonl.Open(path, hooks)
 	if err != nil {
 		return nil, nil, corrupt, fmt.Errorf("simstore: opening WAL: %w", err)
 	}
-	// A crash mid-append can leave a torn final line with no newline; left
-	// alone, the next append would concatenate onto it and corrupt itself.
-	// Terminate the torn line so new records land on their own lines (the
-	// torn fragment stays counted as corrupt until compaction rewrites it).
-	if tornTail {
-		_, werr := f.WriteString("\n")
-		if werr == nil {
-			werr = f.Sync()
-		}
-		if werr != nil {
-			f.Close()
-			return nil, nil, corrupt, fmt.Errorf("simstore: repairing WAL tail: %w", werr)
-		}
-	}
-	return &WAL{path: path, hooks: hooks, f: f}, records, corrupt, nil
+	return &WAL{log: log, appendDone: appendDone}, records, corrupt, nil
 }
 
 // Append durably logs one record: marshal, write, fsync. An error means the
@@ -180,21 +119,17 @@ func (w *WAL) Append(rec Record) error {
 	if err != nil {
 		return fmt.Errorf("simstore: encoding WAL record: %w", err)
 	}
-	b = append(b, '\n')
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.f == nil {
-		return errClosed
-	}
-	if _, err := w.hooks.write(w.f, b); err != nil {
+	if err := w.log.Append(b); err != nil {
 		return fmt.Errorf("simstore: appending WAL record: %w", err)
 	}
-	if err := w.hooks.sync(w.f); err != nil {
+	if err := w.log.Sync(); err != nil {
 		return fmt.Errorf("simstore: syncing WAL: %w", err)
 	}
 	w.appends++
-	if w.hooks.AppendDone != nil {
-		w.hooks.AppendDone(time.Since(start))
+	if w.appendDone != nil {
+		w.appendDone(time.Since(start))
 	}
 	return nil
 }
@@ -208,67 +143,30 @@ func (w *WAL) AppendsSinceCompact() int {
 	return w.appends
 }
 
-// Compact atomically replaces the log with the given snapshot: write to a
-// temp file, fsync, rename over the log, reopen for appends. On error the
-// original log is left in place (the rename is the commit point).
+// Compact atomically replaces the log with the given snapshot (see
+// jsonl.Log.Rewrite). On error before the commit point the original log is
+// left in place.
 func (w *WAL) Compact(snapshot []Record) error {
-	var buf bytes.Buffer
-	for _, rec := range snapshot {
+	lines := make([][]byte, len(snapshot))
+	for i, rec := range snapshot {
 		b, err := json.Marshal(rec)
 		if err != nil {
 			return fmt.Errorf("simstore: encoding snapshot record: %w", err)
 		}
-		buf.Write(b)
-		buf.WriteByte('\n')
+		lines[i] = b
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.f == nil {
-		return errClosed
+	if err := w.log.Rewrite(lines); err != nil {
+		return fmt.Errorf("simstore: compacting WAL: %w", err)
 	}
-	tmp := w.path + ".compact"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("simstore: creating compaction file: %w", err)
-	}
-	if _, err := f.Write(buf.Bytes()); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("simstore: writing compaction file: %w", err)
-	}
-	if err := os.Rename(tmp, w.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("simstore: committing compaction: %w", err)
-	}
-	w.f.Close()
-	nf, err := os.OpenFile(w.path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		w.f = nil
-		return fmt.Errorf("simstore: reopening WAL after compaction: %w", err)
-	}
-	w.f = nf
 	w.appends = 0
 	return nil
 }
 
 // Close fsyncs and closes the log file. Further appends fail.
 func (w *WAL) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return nil
-	}
-	err := w.f.Sync()
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
-	}
-	w.f = nil
-	return err
+	return w.log.Close()
 }
 
 // DecodeRecord parses and validates one WAL line. It is the single gate

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/jsonl"
 	"repro/internal/simapi"
 )
 
@@ -24,9 +25,9 @@ func testRecord(i int) Record {
 	}
 }
 
-func openOrDie(t *testing.T, path string, hooks Hooks) (*WAL, []Record, int) {
+func openOrDie(t *testing.T, path string, hooks jsonl.Hooks) (*WAL, []Record, int) {
 	t.Helper()
-	w, recs, corrupt, err := Open(path, hooks)
+	w, recs, corrupt, err := Open(path, hooks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func openOrDie(t *testing.T, path string, hooks Hooks) (*WAL, []Record, int) {
 
 func TestWALRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.jsonl")
-	w, recs, corrupt := openOrDie(t, path, Hooks{})
+	w, recs, corrupt := openOrDie(t, path, jsonl.Hooks{})
 	if len(recs) != 0 || corrupt != 0 {
 		t.Fatalf("fresh WAL replayed %d records, %d corrupt", len(recs), corrupt)
 	}
@@ -61,7 +62,7 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2, got, corrupt := openOrDie(t, path, Hooks{})
+	w2, got, corrupt := openOrDie(t, path, jsonl.Hooks{})
 	defer w2.Close()
 	if corrupt != 0 {
 		t.Fatalf("clean log replayed %d corrupt lines", corrupt)
@@ -95,7 +96,7 @@ func TestWALFaultInjection(t *testing.T) {
 	cases := []struct {
 		name string
 		// breakAt returns hooks that disrupt the (n+1)th append.
-		hooks func(fail *bool) Hooks
+		hooks func(fail *bool) jsonl.Hooks
 		// mangle post-processes the file after the crash, simulating what
 		// the kernel left behind.
 		mangle      func(t *testing.T, path string)
@@ -105,8 +106,8 @@ func TestWALFaultInjection(t *testing.T) {
 	}{
 		{
 			name: "sync fails",
-			hooks: func(fail *bool) Hooks {
-				return Hooks{Sync: func(f *os.File) error {
+			hooks: func(fail *bool) jsonl.Hooks {
+				return jsonl.Hooks{Sync: func(f *os.File) error {
 					if *fail {
 						return errors.New("injected: fsync lost")
 					}
@@ -123,8 +124,8 @@ func TestWALFaultInjection(t *testing.T) {
 		},
 		{
 			name: "torn write",
-			hooks: func(fail *bool) Hooks {
-				return Hooks{Write: func(f *os.File, b []byte) (int, error) {
+			hooks: func(fail *bool) jsonl.Hooks {
+				return jsonl.Hooks{Write: func(f *os.File, b []byte) (int, error) {
 					if *fail {
 						// Half the record reaches the disk, no newline.
 						k, _ := f.Write(b[:len(b)/2])
@@ -139,14 +140,14 @@ func TestWALFaultInjection(t *testing.T) {
 		},
 		{
 			name:        "truncated tail",
-			hooks:       func(fail *bool) Hooks { return Hooks{} },
+			hooks:       func(fail *bool) jsonl.Hooks { return jsonl.Hooks{} },
 			mangle:      func(t *testing.T, path string) { truncateTail(t, path, 7) },
 			wantRecs:    n, // the (n+1)th append succeeded, then truncation tore it
 			wantCorrupt: 1,
 		},
 		{
 			name:  "garbage tail",
-			hooks: func(fail *bool) Hooks { return Hooks{} },
+			hooks: func(fail *bool) jsonl.Hooks { return jsonl.Hooks{} },
 			mangle: func(t *testing.T, path string) {
 				f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 				if err != nil {
@@ -181,7 +182,7 @@ func TestWALFaultInjection(t *testing.T) {
 				tc.mangle(t, path)
 			}
 
-			w2, recs, corrupt := openOrDie(t, path, Hooks{})
+			w2, recs, corrupt := openOrDie(t, path, jsonl.Hooks{})
 			defer w2.Close()
 			if corrupt != tc.wantCorrupt {
 				t.Errorf("corrupt = %d, want %d", corrupt, tc.wantCorrupt)
@@ -202,7 +203,7 @@ func TestWALFaultInjection(t *testing.T) {
 			if err := w2.Close(); err != nil {
 				t.Fatal(err)
 			}
-			_, recs3, _ := openOrDie(t, path, Hooks{})
+			_, recs3, _ := openOrDie(t, path, jsonl.Hooks{})
 			found := false
 			for _, rec := range recs3 {
 				if rec.JobID == fmt.Sprintf("job-%06d", n+2) {
@@ -254,12 +255,12 @@ func truncateTail(t *testing.T, path string, k int64) {
 // in append order, so the terminal record is seen — is the WAL's to keep.
 func TestWALReplayNeverDuplicatesCompleted(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.jsonl")
-	w, _, _ := openOrDie(t, path, Hooks{})
+	w, _, _ := openOrDie(t, path, jsonl.Hooks{})
 	w.Append(testRecord(0))
 	w.Append(Record{Type: RecCompleted, Time: time.Now(), JobID: "job-000001", State: simapi.StateDone})
 	w.Append(Record{Type: RecStarted, Time: time.Now(), JobID: "job-000001"})
 	w.Close()
-	_, recs, corrupt := openOrDie(t, path, Hooks{})
+	_, recs, corrupt := openOrDie(t, path, jsonl.Hooks{})
 	if corrupt != 0 {
 		t.Fatalf("corrupt = %d", corrupt)
 	}
@@ -273,7 +274,7 @@ func TestWALReplayNeverDuplicatesCompleted(t *testing.T) {
 
 func TestWALCompact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.jsonl")
-	w, _, _ := openOrDie(t, path, Hooks{})
+	w, _, _ := openOrDie(t, path, jsonl.Hooks{})
 	for i := 0; i < 10; i++ {
 		if err := w.Append(testRecord(i)); err != nil {
 			t.Fatal(err)
@@ -293,7 +294,7 @@ func TestWALCompact(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w2, recs, corrupt := openOrDie(t, path, Hooks{})
+	w2, recs, corrupt := openOrDie(t, path, jsonl.Hooks{})
 	defer w2.Close()
 	if corrupt != 0 {
 		t.Fatalf("corrupt = %d", corrupt)
@@ -311,7 +312,7 @@ func TestWALCompact(t *testing.T) {
 
 func TestWALClosedAppendFails(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.jsonl")
-	w, _, _ := openOrDie(t, path, Hooks{})
+	w, _, _ := openOrDie(t, path, jsonl.Hooks{})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
