@@ -285,6 +285,24 @@ func BenchmarkEmulator(b *testing.B) {
 	}
 }
 
+// BenchmarkRecordTrace measures trace recording: the same functional
+// emulation as BenchmarkEmulator, with every dynamic record stored, as a
+// sweep or a solo simulation pays once per (benchmark, length).
+func BenchmarkRecordTrace(b *testing.B) {
+	prog := workload.MustGenerate("gzip", workload.Options{Iterations: 100})
+	b.ReportAllocs()
+	b.ResetTimer()
+	var insts uint64
+	for i := 0; i < b.N; i++ {
+		tr, err := emu.RecordTrace(prog, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		insts += tr.Len()
+	}
+	b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "Minsts/s")
+}
+
 // BenchmarkBypassPredictor measures predict+train throughput of the
 // bypassing predictor.
 func BenchmarkBypassPredictor(b *testing.B) {

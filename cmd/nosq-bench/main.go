@@ -2,11 +2,14 @@
 // and writes a BENCH_<revision>.json measurement document.
 //
 // With -baseline it also gates the run against a committed measurement,
-// exiting non-zero when any configuration's geometric-mean throughput drops
-// by more than -max-regression percent. This is the command CI's bench job
+// exiting non-zero when any configuration's geometric-mean throughput — or
+// trace recording's — drops by more than -max-regression percent, or when
+// allocations per simulated instruction or recording's bytes per instruction
+// grow past the fixed allocation limit. This is the command CI's bench job
 // runs on every push. With -summary it appends a Markdown geomean-delta
-// table (per configuration kind, plus the config-parallel batch measurement)
-// to the given file — CI points it at $GITHUB_STEP_SUMMARY.
+// table (per configuration kind, plus the config-parallel batch and the
+// recording measurements) to the given file — CI points it at
+// $GITHUB_STEP_SUMMARY.
 //
 // Examples:
 //

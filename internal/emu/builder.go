@@ -53,7 +53,8 @@ func (b *TraceBuilder) Append(in *isa.Inst, effAddr uint64, taken bool, retPC ui
 			b.seq+1, in.PC, b.lastPC)
 	}
 	b.seq++
-	d := DynInst{
+	d := b.t.recs.add()
+	*d = DynInst{
 		Seq:       b.seq,
 		Static:    in,
 		PC:        in.PC,
@@ -87,7 +88,6 @@ func (b *TraceBuilder) Append(in *isa.Inst, effAddr uint64, taken bool, retPC ui
 		b.halted = true
 	}
 	b.lastPC = d.NextPC
-	b.t.insts = append(b.t.insts, d)
 	return nil
 }
 
@@ -100,7 +100,7 @@ func (b *TraceBuilder) Trace() (*Trace, error) {
 	if b.t == nil {
 		return nil, fmt.Errorf("emu: TraceBuilder.Trace called twice")
 	}
-	if len(b.t.insts) == 0 {
+	if b.t.recs.n == 0 {
 		return nil, fmt.Errorf("emu: empty trace")
 	}
 	t := b.t

@@ -31,6 +31,12 @@ import (
 )
 
 // DynInst is one dynamic (executed) instruction.
+//
+// Field order: every 8-byte field comes first and the narrow fields last, so
+// the struct carries no interior padding — 112 bytes on 64-bit hosts, where
+// interleaving the narrow fields with the wide ones would pad it to 136. A
+// trace holds one record per dynamic instruction, so keep the order when
+// adding a field; TestRecordSize pins the size.
 type DynInst struct {
 	// Seq is the 1-based dynamic sequence number.
 	Seq uint64
@@ -40,13 +46,9 @@ type DynInst struct {
 	PC uint64
 	// NextPC is the architecturally correct next PC (branch outcome applied).
 	NextPC uint64
-	// Taken reports whether a control-flow instruction was taken.
-	Taken bool
 
 	// EffAddr is the effective address for memory operations.
 	EffAddr uint64
-	// MemSize is the access width in bytes for memory operations.
-	MemSize uint8
 	// Value is the load result or store data (post size/sign handling).
 	Value uint64
 
@@ -58,25 +60,35 @@ type DynInst struct {
 
 	// Dep describes the load's oracle memory dependence (loads only).
 	Dep Dependence
+
+	// Taken reports whether a control-flow instruction was taken.
+	Taken bool
+	// MemSize is the access width in bytes for memory operations.
+	MemSize uint8
 }
 
 // Dependence is the oracle description of where a load's bytes come from.
+// Its fields follow DynInst's order rule — 8-byte fields first, flags and
+// byte-sized fields last — which keeps it at 40 bytes rather than 56.
 type Dependence struct {
-	// Exists reports whether any older store wrote any byte the load reads.
-	Exists bool
-	// SSN is the SSN of the youngest such store.
+	// SSN is the SSN of the youngest older store that wrote any byte the
+	// load reads (see Exists).
 	SSN uint64
 	// Seq is the dynamic sequence number of that store.
 	Seq uint64
 	// StorePC is the communicating store's program counter (used to train
 	// store-PC based predictors such as StoreSets).
 	StorePC uint64
+	// StoreAddr is the communicating store's effective address.
+	StoreAddr uint64
+
+	// Exists reports whether any older store wrote any byte the load reads;
+	// the other fields are meaningful only when it is set.
+	Exists bool
 	// MultiSource reports that the load's bytes do not all come from that
 	// single store (they come from several stores, or partly from memory
 	// never written by a tracked store). SMB cannot bypass these.
 	MultiSource bool
-	// StoreAddr is the communicating store's effective address.
-	StoreAddr uint64
 	// StoreSize is the communicating store's width in bytes.
 	StoreSize uint8
 	// StoreFPConv reports whether the communicating store used the

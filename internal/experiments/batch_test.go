@@ -166,7 +166,7 @@ func TestRunGroupValidatesMembers(t *testing.T) {
 		{index: 0, benchmark: "gzip", key: "ok", cfg: cfg},
 		{index: 1, benchmark: "gzip", key: "bad", cfg: bad},
 	}
-	traces := newTraceCache(map[string]*program.Program{"gzip": prog}, nil, pending)
+	traces := newTraceCache(map[string]*program.Program{"gzip": prog}, nil, pending, 0)
 	results := runGroup(sweepGroup{benchmark: "gzip", jobs: pending}, traces, Options{})
 	if len(results) != 2 {
 		t.Fatalf("got %d results, want 2", len(results))

@@ -71,8 +71,10 @@ type Options struct {
 	Executor Executor
 
 	// MaxInsts bounds each simulation to N committed instructions
-	// (0 = unbounded). It is part of a run's identity in the result store: a
-	// resume under a different bound re-runs rather than serving stale rows.
+	// (0 = unbounded), and each program's recording to N dynamic
+	// instructions, as pipeline.New does. It is part of a run's identity in
+	// the result store: a resume under a different bound re-runs rather than
+	// serving stale rows.
 	MaxInsts uint64
 
 	// Checkpoint names a JSONL file recording every finished

@@ -45,7 +45,11 @@ type traceEntry struct {
 	metaErr  error
 }
 
-func newTraceCache(progs map[string]*program.Program, loaders map[string]func() (*emu.Trace, error), pending []sweepJob) *traceCache {
+// newTraceCache builds the cache for a sweep's pending jobs. Programs are
+// recorded for at most limit instructions (0 = to completion): the sweep's
+// MaxInsts bounds every pair, so nothing past it is ever replayed — the same
+// bound pipeline.New records under.
+func newTraceCache(progs map[string]*program.Program, loaders map[string]func() (*emu.Trace, error), pending []sweepJob, limit uint64) *traceCache {
 	c := &traceCache{
 		entries: make(map[string]*traceEntry, len(progs)+len(loaders)),
 		left:    make(map[string]int, len(progs)+len(loaders)),
@@ -56,7 +60,7 @@ func newTraceCache(progs map[string]*program.Program, loaders map[string]func() 
 		// The record closure runs inside once.Do on first use, so workers
 		// that share a benchmark block until its trace exists and record it
 		// exactly once.
-		e.record = func() { e.trace, e.err = emu.RecordTrace(prog, 0) }
+		e.record = func() { e.trace, e.err = emu.RecordTrace(prog, limit) }
 		c.entries[b] = e
 	}
 	// Trace-backed benchmarks (the trace experiment) have no program: their
@@ -500,7 +504,7 @@ func runSweep(ctx context.Context, benchmarks []string, cfgs map[string]pipeline
 		}
 		progs[j.benchmark] = p
 	}
-	traces := newTraceCache(progs, loaders, pending)
+	traces := newTraceCache(progs, loaders, pending, opts.MaxInsts)
 
 	// Partition the pending pairs into execution groups: same-benchmark,
 	// same-geometry pairs run config-parallel as one batch over the shared

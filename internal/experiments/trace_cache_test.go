@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/emu"
+	"repro/internal/pipeline"
 	"repro/internal/program"
 	"repro/internal/workload"
 )
@@ -24,7 +29,7 @@ func TestTraceCacheConcurrentGetRelease(t *testing.T) {
 	for i := range pending {
 		pending[i] = sweepJob{index: i, benchmark: "gzip"}
 	}
-	c := newTraceCache(map[string]*program.Program{"gzip": prog}, nil, pending)
+	c := newTraceCache(map[string]*program.Program{"gzip": prog}, nil, pending, 0)
 
 	traces := make([]interface{}, jobs)
 	var wg sync.WaitGroup
@@ -115,7 +120,7 @@ func TestTraceCacheConcurrentMetaSharing(t *testing.T) {
 	for i := range pending {
 		pending[i] = sweepJob{index: i, benchmark: "gzip"}
 	}
-	c := newTraceCache(map[string]*program.Program{"gzip": prog}, nil, pending)
+	c := newTraceCache(map[string]*program.Program{"gzip": prog}, nil, pending, 0)
 
 	metas := make([]interface{}, jobs)
 	var wg sync.WaitGroup
@@ -171,7 +176,7 @@ func TestTraceCacheMetaPropagatesRecordError(t *testing.T) {
 // TestTraceCacheUnknownBenchmark: a benchmark with no entry is an error, not
 // a panic — the sweep engine treats it as a failed job.
 func TestTraceCacheUnknownBenchmark(t *testing.T) {
-	c := newTraceCache(nil, nil, nil)
+	c := newTraceCache(nil, nil, nil, 0)
 	if _, err := c.get("nonesuch"); err == nil {
 		t.Fatal("get of unknown benchmark should error")
 	}
@@ -186,7 +191,7 @@ func TestTraceCacheReleaseKeepsSharedEntryAlive(t *testing.T) {
 		t.Fatal(err)
 	}
 	pending := []sweepJob{{index: 0, benchmark: "gzip"}, {index: 1, benchmark: "gzip"}}
-	c := newTraceCache(map[string]*program.Program{"gzip": prog}, nil, pending)
+	c := newTraceCache(map[string]*program.Program{"gzip": prog}, nil, pending, 0)
 	first, err := c.get("gzip")
 	if err != nil {
 		t.Fatal(err)
@@ -202,5 +207,67 @@ func TestTraceCacheReleaseKeepsSharedEntryAlive(t *testing.T) {
 	c.release("gzip")
 	if _, err := c.get("gzip"); err == nil {
 		t.Fatal("trace still served after the last pending job released it")
+	}
+}
+
+// TestSweepRecordsOnlyMaxInsts: when Options.MaxInsts bounds every pair, a
+// sweep records each benchmark only up to that bound, and every run still
+// equals pipeline.New on the program, which records under the same bound.
+func TestSweepRecordsOnlyMaxInsts(t *testing.T) {
+	const bound = 3000
+	benchmarks := []string{"gzip", "applu"}
+	cfgs := kindConfigs([]core.ConfigKind{core.Baseline, core.NoSQDelay}, 0)
+	opts := Options{Iterations: 200, MaxInsts: bound, Parallelism: 2}
+
+	progs := make(map[string]*program.Program, len(benchmarks))
+	var pending []sweepJob
+	for _, b := range benchmarks {
+		p, err := opts.generateProgram(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, err := emu.RecordTrace(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if whole.Len() <= bound {
+			t.Fatalf("%s runs %d instructions; the test needs more than %d", b, whole.Len(), bound)
+		}
+		progs[b] = p
+		pending = append(pending, sweepJob{index: len(pending), benchmark: b})
+	}
+	c := newTraceCache(progs, nil, pending, opts.MaxInsts)
+	for _, b := range benchmarks {
+		tr, err := c.get(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Len() != bound {
+			t.Errorf("%s: cached trace holds %d instructions, want the bound %d", b, tr.Len(), bound)
+		}
+	}
+
+	runs, sum, err := runSweep(context.Background(), benchmarks, cfgs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Failed != 0 {
+		t.Fatalf("%d pairs failed", sum.Failed)
+	}
+	for _, b := range benchmarks {
+		for key, cfg := range cfgs {
+			cfg.MaxInsts = bound
+			sim, err := pipeline.New(progs[b], cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sim.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := runs[b][key]; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: sweep run differs from pipeline.New:\n got %+v\nwant %+v", b, key, got, want)
+			}
+		}
 	}
 }

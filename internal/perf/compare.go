@@ -39,7 +39,8 @@ func ReadFile(path string) (*Result, error) {
 type Regression struct {
 	// Config is the configuration kind ("overall" for the whole-suite mean).
 	Config string
-	// Metric names the gated measurement: "insts/sec" or "allocs/kinst".
+	// Metric names the gated measurement: "insts/sec", "allocs/kinst" or,
+	// for recording, "bytes/inst".
 	Metric string
 	// Baseline and Current are the metric's values in the two results.
 	Baseline float64
@@ -55,7 +56,8 @@ func (r Regression) String() string {
 // Alloc gating policy: allocations per simulated instruction are a property
 // of the code, not of the machine the baseline was recorded on, so they get
 // a fixed, tight gate — a regression is a >50% increase with one
-// alloc/kinst of slack for measurement fuzz on near-zero counts.
+// alloc/kinst of slack for measurement fuzz on near-zero counts. Recording's
+// bytes per instruction are gated by the same limit.
 const (
 	allocIncreaseLimitPct = 50
 	allocSlackPerKInst    = 1.0
@@ -98,11 +100,13 @@ func Comparable(baseline, current *Result) error {
 // configuration kind (and the overall mean) whose geometric-mean throughput
 // dropped by more than maxDropPct percent, and per configuration kind whose
 // allocations per 1000 simulated instructions grew beyond the fixed alloc
-// policy. Per-configuration geometric means are compared — rather than
-// individual (benchmark, configuration) cells — so single-cell timer noise
-// cannot fail the build; the wall-clock threshold is additionally coarse
-// because the committed baseline may have been recorded on different
-// hardware, while the allocation gate is hardware-independent.
+// policy. Trace recording is gated the same way — its throughput against
+// maxDropPct, its bytes per instruction against the alloc policy — when
+// both results carry it. Per-configuration geometric means are compared —
+// rather than individual (benchmark, configuration) cells — so single-cell
+// timer noise cannot fail the build; the wall-clock threshold is
+// additionally coarse because the committed baseline may have been recorded
+// on different hardware, while the allocation gate is hardware-independent.
 // Configurations absent from either result are skipped.
 func Compare(baseline, current *Result, maxDropPct float64) []Regression {
 	var regs []Regression
@@ -115,7 +119,7 @@ func Compare(baseline, current *Result, maxDropPct float64) []Regression {
 			regs = append(regs, Regression{Config: name, Metric: "insts/sec", Baseline: base, Current: cur, WorsePct: drop})
 		}
 	}
-	checkAllocs := func(name string, base, cur float64) {
+	checkAllocs := func(name, metric string, base, cur float64) {
 		if cur <= base*(1+allocIncreaseLimitPct/100.0)+allocSlackPerKInst {
 			return
 		}
@@ -123,7 +127,7 @@ func Compare(baseline, current *Result, maxDropPct float64) []Regression {
 		if base > 0 {
 			worse = 100 * (cur - base) / base
 		}
-		regs = append(regs, Regression{Config: name, Metric: "allocs/kinst", Baseline: base, Current: cur, WorsePct: worse})
+		regs = append(regs, Regression{Config: name, Metric: metric, Baseline: base, Current: cur, WorsePct: worse})
 	}
 	curByCfg := make(map[string]ConfigSummary, len(current.Configs))
 	for _, c := range current.Configs {
@@ -132,7 +136,7 @@ func Compare(baseline, current *Result, maxDropPct float64) []Regression {
 	for _, b := range baseline.Configs {
 		if c, ok := curByCfg[b.Config]; ok {
 			checkSpeed(b.Config, b.InstsPerSec, c.InstsPerSec)
-			checkAllocs(b.Config, b.AllocsPerKInst, c.AllocsPerKInst)
+			checkAllocs(b.Config, "allocs/kinst", b.AllocsPerKInst, c.AllocsPerKInst)
 		}
 	}
 	checkSpeed("overall", baseline.OverallInstsPerSec, current.OverallInstsPerSec)
@@ -141,6 +145,12 @@ func Compare(baseline, current *Result, maxDropPct float64) []Regression {
 	// the config-parallel engine existed must still gate the scalar numbers.
 	if baseline.BatchWidth == current.BatchWidth {
 		checkSpeed("batch", baseline.BatchInstsPerSec, current.BatchInstsPerSec)
+	}
+	// Recording likewise: a baseline from before nosq-bench timed
+	// RecordTrace has neither field, and checkSpeed skips the zero.
+	checkSpeed("record", baseline.RecordInstsPerSec, current.RecordInstsPerSec)
+	if baseline.RecordBytesPerInst > 0 && current.RecordBytesPerInst > 0 {
+		checkAllocs("record", "bytes/inst", baseline.RecordBytesPerInst, current.RecordBytesPerInst)
 	}
 	return regs
 }
@@ -158,6 +168,10 @@ func Summarize(r *Result) string {
 	if r.BatchWidth > 0 {
 		fmt.Fprintf(&sb, "  %-22s %12.0f insts/sec  %7.2fx vs scalar\n",
 			fmt.Sprintf("batch (width %d)", r.BatchWidth), r.BatchInstsPerSec, r.BatchSpeedup)
+	}
+	if r.RecordInstsPerSec > 0 {
+		fmt.Fprintf(&sb, "  %-22s %12.0f insts/sec  %8.1f bytes/inst\n",
+			"record (geomean)", r.RecordInstsPerSec, r.RecordBytesPerInst)
 	}
 	return sb.String()
 }

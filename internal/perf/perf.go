@@ -8,10 +8,12 @@
 // the document as an artifact, and fails the build when throughput regresses
 // by more than a threshold against the committed baseline (see Compare).
 //
-// Each benchmark's dynamic instruction trace is recorded once, outside the
-// timed region, and shared by the per-configuration simulations — the same
-// arrangement the experiment sweep engine uses — so the numbers measure
-// exactly the per-simulation hot path a sweep pays.
+// Each benchmark's dynamic instruction trace is recorded in a timed region of
+// its own (record_insts_per_sec, record_bytes_per_inst) and then shared by
+// the per-configuration simulations — the same arrangement the experiment
+// sweep engine uses — so the simulation numbers measure exactly the
+// per-simulation hot path a sweep pays, and recording, which a sweep pays
+// once per benchmark, is measured and gated beside them.
 package perf
 
 import (
@@ -23,6 +25,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/pipeline"
+	"repro/internal/program"
 	"repro/internal/workload"
 )
 
@@ -149,6 +152,19 @@ type Result struct {
 	// BatchSpeedup is the geometric-mean per-benchmark speedup of the batch
 	// over one-at-a-time scalar simulation of the same configuration set.
 	BatchSpeedup float64 `json:"batch_speedup,omitempty"`
+
+	// Recording measurement (emu.RecordTrace of each benchmark, Repeats
+	// times, best kept). The fields are additive like the batch fields:
+	// documents recorded before recording was timed carry zero values, and
+	// Compare gates each only when both results have it.
+	//
+	// RecordInstsPerSec is the geometric mean, over benchmarks, of the best
+	// repeat's recorded instructions per second.
+	RecordInstsPerSec float64 `json:"record_insts_per_sec,omitempty"`
+	// RecordBytesPerInst is the heap bytes RecordTrace allocates per
+	// recorded instruction over the whole benchmark set, taking each
+	// benchmark's lowest repeat.
+	RecordBytesPerInst float64 `json:"record_bytes_per_inst,omitempty"`
 }
 
 // Run executes the harness and returns the measurements.
@@ -171,16 +187,21 @@ func Run(opts Options) (*Result, error) {
 		allocs, insts uint64
 	}
 	byCfg := make(map[string]*agg, len(opts.Kinds))
+	var recIPS []float64
+	var recBytes, recInsts uint64
 
 	for _, b := range opts.Benchmarks {
 		prog, err := workload.Generate(b, workload.Options{Iterations: opts.Iterations})
 		if err != nil {
 			return nil, err
 		}
-		trace, err := emu.RecordTrace(prog, 0)
+		trace, ips, bytes, err := measureRecord(prog, opts.Repeats)
 		if err != nil {
 			return nil, fmt.Errorf("perf: recording %s: %w", b, err)
 		}
+		recIPS = append(recIPS, ips)
+		recBytes += bytes
+		recInsts += trace.Len()
 		// gridWalls[r] accumulates repeat r's wall time across every kind:
 		// one full scalar pass over the configuration grid, one configuration
 		// at a time. The batch speedup denominator is the fastest
@@ -262,7 +283,38 @@ func Run(opts Options) (*Result, error) {
 		res.BatchInstsPerSec = geomean(ips)
 		res.BatchSpeedup = geomean(sp)
 	}
+	res.RecordInstsPerSec = geomean(recIPS)
+	if recInsts > 0 {
+		res.RecordBytesPerInst = float64(recBytes) / float64(recInsts)
+	}
 	return res, nil
+}
+
+// measureRecord times Repeats recordings of the program's whole dynamic
+// stream, keeping the best throughput and the lowest allocated bytes like
+// measure, and returns the last recording for the simulations to share.
+func measureRecord(prog *program.Program, repeats int) (trace *emu.Trace, bestIPS float64, leastBytes uint64, err error) {
+	for r := 0; r < repeats; r++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		start := time.Now()
+		trace, err = emu.RecordTrace(prog, 0)
+		wall := time.Since(start)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		if wall <= 0 {
+			wall = time.Nanosecond
+		}
+		if ips := float64(trace.Len()) / wall.Seconds(); ips > bestIPS {
+			bestIPS = ips
+		}
+		if bytes := m1.TotalAlloc - m0.TotalAlloc; r == 0 || bytes < leastBytes {
+			leastBytes = bytes
+		}
+	}
+	return trace, bestIPS, leastBytes, nil
 }
 
 // measure times Repeats simulations of one configuration over a shared

@@ -4,8 +4,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/emu"
 )
 
 // tinyRun measures a minimal grid quickly for tests.
@@ -94,16 +96,66 @@ func TestCompareGatesBatchOnlyWhenBothHaveIt(t *testing.T) {
 	}
 }
 
+func TestRunMeasuresRecord(t *testing.T) {
+	res := tinyRun(t)
+	if res.RecordInstsPerSec <= 0 {
+		t.Errorf("record throughput = %v, want > 0", res.RecordInstsPerSec)
+	}
+	// Every recorded instruction occupies at least one record.
+	if min := float64(unsafe.Sizeof(emu.DynInst{})); res.RecordBytesPerInst < min {
+		t.Errorf("record bytes/inst = %v, want at least the record size %v", res.RecordBytesPerInst, min)
+	}
+	if s := Summarize(res); !strings.Contains(s, "record (geomean)") {
+		t.Errorf("summary has no recording row:\n%s", s)
+	}
+}
+
+func TestCompareGatesRecordOnlyWhenBothHaveIt(t *testing.T) {
+	base := &Result{Schema: Schema, OverallInstsPerSec: 1000,
+		RecordInstsPerSec: 10000, RecordBytesPerInst: 120}
+	cur := &Result{Schema: Schema, OverallInstsPerSec: 1000,
+		RecordInstsPerSec: 7000, RecordBytesPerInst: 200}
+	regs := Compare(base, cur, 20)
+	got := map[string]bool{}
+	for _, r := range regs {
+		if r.Config != "record" {
+			t.Errorf("unexpected regression %v", r)
+		}
+		got[r.Metric] = true
+	}
+	if len(regs) != 2 || !got["insts/sec"] || !got["bytes/inst"] {
+		t.Fatalf("regressions = %v, want the record throughput drop and the bytes/inst growth", regs)
+	}
+	// Within the limits: a 10% slowdown and 40% more bytes pass.
+	near := &Result{Schema: Schema, OverallInstsPerSec: 1000,
+		RecordInstsPerSec: 9000, RecordBytesPerInst: 168}
+	if regs := Compare(base, near, 20); len(regs) != 0 {
+		t.Fatalf("within-limit recording change gated: %v", regs)
+	}
+	// A baseline recorded before recording was timed has neither field, and
+	// a current result without them is not gated against the baseline's.
+	old := &Result{Schema: Schema, OverallInstsPerSec: 1000}
+	if regs := Compare(old, cur, 20); len(regs) != 0 {
+		t.Fatalf("recordless baseline produced regressions: %v", regs)
+	}
+	if regs := Compare(base, old, 20); len(regs) != 0 {
+		t.Fatalf("recordless current result produced regressions: %v", regs)
+	}
+}
+
 func TestMarkdownSummaryDeltasAndImprovementFlag(t *testing.T) {
 	base := &Result{Schema: Schema, Revision: "base",
 		Configs:            []ConfigSummary{{Config: "a", InstsPerSec: 1000, AllocsPerKInst: 10}},
-		OverallInstsPerSec: 1000, BatchWidth: 5, BatchInstsPerSec: 4000, BatchSpeedup: 1.3}
+		OverallInstsPerSec: 1000, BatchWidth: 5, BatchInstsPerSec: 4000, BatchSpeedup: 1.3,
+		RecordInstsPerSec: 2000, RecordBytesPerInst: 200}
 	cur := &Result{Schema: Schema, Revision: "cur",
 		Configs:            []ConfigSummary{{Config: "a", InstsPerSec: 1500, AllocsPerKInst: 10}},
-		OverallInstsPerSec: 1500, BatchWidth: 5, BatchInstsPerSec: 6000, BatchSpeedup: 1.6}
+		OverallInstsPerSec: 1500, BatchWidth: 5, BatchInstsPerSec: 6000, BatchSpeedup: 1.6,
+		RecordInstsPerSec: 4000, RecordBytesPerInst: 120}
 	md := MarkdownSummary(base, cur, 20)
 	for _, want := range []string{"| a | 1500 | +50.0% |", "batch (width 5)", "1.60x vs scalar",
-		"BENCH_baseline.json", "a, overall, batch"} {
+		"| **record (emu.RecordTrace)** | 4000 | +100.0% | 120.0 bytes/inst | -40.0% |",
+		"BENCH_baseline.json", "a, overall, batch, record"} {
 		if !strings.Contains(md, want) {
 			t.Errorf("summary missing %q:\n%s", want, md)
 		}

@@ -8,8 +8,8 @@ import (
 // MarkdownSummary renders a GitHub-flavoured Markdown comparison of current
 // against baseline, written by CI's bench job to the step summary: one
 // geomean-delta row per configuration kind (throughput and allocs/kinst),
-// the overall mean, and the batch measurement with its width and speedup
-// over scalar simulation.
+// the overall mean, the batch measurement with its width and speedup over
+// scalar simulation, and trace recording (throughput and bytes/inst).
 //
 // Improvements larger than improveFlagPct percent are called out with a
 // reminder to refresh the committed baseline: the regression gate compares
@@ -75,6 +75,17 @@ func MarkdownSummary(baseline, current *Result, improveFlagPct float64) string {
 			current.BatchWidth, current.BatchInstsPerSec,
 			delta(baseBatch, current.BatchInstsPerSec), current.BatchSpeedup)
 		flagImprovement("batch", baseBatch, current.BatchInstsPerSec)
+	}
+
+	if current.RecordInstsPerSec > 0 {
+		var baseIPS, baseBytes float64
+		if baseline != nil {
+			baseIPS, baseBytes = baseline.RecordInstsPerSec, baseline.RecordBytesPerInst
+		}
+		fmt.Fprintf(&sb, "| **record (emu.RecordTrace)** | %.0f | %s | %.1f bytes/inst | %s |\n",
+			current.RecordInstsPerSec, delta(baseIPS, current.RecordInstsPerSec),
+			current.RecordBytesPerInst, delta(baseBytes, current.RecordBytesPerInst))
+		flagImprovement("record", baseIPS, current.RecordInstsPerSec)
 	}
 
 	if len(improved) > 0 {

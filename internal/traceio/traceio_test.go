@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/emu"
 	"repro/internal/workload"
@@ -36,14 +38,31 @@ func encode(t *testing.T, tr *emu.Trace) ([]byte, Summary) {
 	return buf.Bytes(), sum
 }
 
+// traceBlock is the number of records in one block of emu's trace store.
+// Tests size their traces in blocks so that decoding crosses block
+// boundaries.
+const traceBlock = 4096
+
 // TestRoundTrip is the format's core property: encode → decode → re-encode
 // is byte-identical, the decoder's content hash matches the encoder's, and
 // the rebuilt dynamic stream is field-for-field equal to the recorded one
 // everywhere the timing model looks (Value is deliberately not carried).
 func TestRoundTrip(t *testing.T) {
-	for _, name := range []string{"gzip", "mesa.o", "applu"} {
-		t.Run(name, func(t *testing.T) {
-			orig := testTrace(t, name, 40)
+	for _, tc := range []struct {
+		name, bench string
+		iters       int
+		blocks      uint64 // the trace must hold more than this many blocks
+	}{
+		{"gzip", "gzip", 40, 1},
+		{"mesa.o", "mesa.o", 40, 1},
+		{"applu", "applu", 40, 1},
+		{"gzip-multiblock", "gzip", 120, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			orig := testTrace(t, tc.bench, tc.iters)
+			if orig.Len() <= tc.blocks*traceBlock {
+				t.Fatalf("trace holds %d records; the case needs more than %d blocks", orig.Len(), tc.blocks)
+			}
 			data, sum := encode(t, orig)
 			if sum.Insts != orig.Len() {
 				t.Fatalf("summary counts %d insts, trace has %d", sum.Insts, orig.Len())
@@ -84,6 +103,32 @@ func TestRoundTrip(t *testing.T) {
 				t.Fatalf("re-encode hash %s, want %s", resum.Hash, sum.Hash)
 			}
 		})
+	}
+}
+
+// TestDecodeAllocations guards the decoder's record storage: rebuilding a
+// trace of more than ten blocks allocates about the bytes its records
+// occupy, not a multiple of them from regrowing one slice.
+func TestDecodeAllocations(t *testing.T) {
+	const recSize = uint64(unsafe.Sizeof(emu.DynInst{}))
+	orig := testTrace(t, "gzip", 300)
+	if orig.Len() <= 10*traceBlock {
+		t.Fatalf("trace holds %d records; the guard needs more than 10 blocks", orig.Len())
+	}
+	data, _ := encode(t, orig)
+	var decoded *emu.Trace
+	var err error
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	decoded, _, err = Decode(bytes.NewReader(data))
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := m1.TotalAlloc - m0.TotalAlloc
+	if bound := decoded.Len()*recSize + 3*traceBlock*recSize; got > bound {
+		t.Errorf("decoding %d records allocated %d bytes, %.1fx their size; want at most %d",
+			decoded.Len(), got, float64(got)/float64(decoded.Len()*recSize), bound)
 	}
 }
 
