@@ -8,9 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pipeline"
-	"repro/internal/program"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 func groupShape(groups []sweepGroup) [][]int {
@@ -109,7 +107,7 @@ func TestSweepGroupWidthDoesNotChangeRows(t *testing.T) {
 func TestSweepSliceSplitsBatchGroup(t *testing.T) {
 	benchmarks := []string{"gzip"}
 	cfgs := kindConfigs(core.Kinds(), 0) // 5 pairs, one batchable group
-	full, fullSum, err := runSweep(context.Background(), benchmarks, cfgs,
+	full, fullSum, err := runSweep(context.Background(), benchmarkSource("", benchmarks), cfgs,
 		Options{Iterations: 25, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +119,7 @@ func TestSweepSliceSplitsBatchGroup(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "ck.jsonl")
 	for _, sl := range []PairSlice{{Start: 0, End: 2}, {Start: 2, End: 5}} {
 		sl := sl
-		_, sum, err := runSweep(context.Background(), benchmarks, cfgs,
+		_, sum, err := runSweep(context.Background(), benchmarkSource("", benchmarks), cfgs,
 			Options{Iterations: 25, Parallelism: 2, Checkpoint: ck, Slice: &sl})
 		if err != nil {
 			t.Fatalf("slice %+v: %v", sl, err)
@@ -134,7 +132,7 @@ func TestSweepSliceSplitsBatchGroup(t *testing.T) {
 		}
 	}
 
-	merged, sum, err := runSweep(context.Background(), benchmarks, cfgs,
+	merged, sum, err := runSweep(context.Background(), benchmarkSource("", benchmarks), cfgs,
 		Options{Iterations: 25, Checkpoint: ck})
 	if err != nil {
 		t.Fatal(err)
@@ -151,10 +149,6 @@ func TestSweepSliceSplitsBatchGroup(t *testing.T) {
 // configuration, the valid pair still runs and the invalid pair reports its
 // Config.Validate error.
 func TestRunGroupValidatesMembers(t *testing.T) {
-	prog, err := workload.Generate("gzip", workload.Options{Iterations: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := core.ConfigFor(core.Baseline, 0)
 	bad := cfg
 	bad.IssueWidth = 0
@@ -166,7 +160,10 @@ func TestRunGroupValidatesMembers(t *testing.T) {
 		{index: 0, benchmark: "gzip", key: "ok", cfg: cfg},
 		{index: 1, benchmark: "gzip", key: "bad", cfg: bad},
 	}
-	traces := newTraceCache(map[string]*program.Program{"gzip": prog}, nil, pending, 0)
+	traces, err := newTraceCache(benchmarkSource("", []string{"gzip"}), pending, Options{Iterations: 25})
+	if err != nil {
+		t.Fatal(err)
+	}
 	results := runGroup(sweepGroup{benchmark: "gzip", jobs: pending}, traces, Options{})
 	if len(results) != 2 {
 		t.Fatalf("got %d results, want 2", len(results))

@@ -83,7 +83,7 @@ func TestCorpusExperimentScopeMatchesSingleScenarioReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantScope := scenarioScope(corpus.Scenarios(entries))
+	wantScope := scenarioSource(corpus.Scenarios(entries)).scope
 
 	exp, _ := Lookup("corpus")
 	rep, err := exp.Run(context.Background(), Options{

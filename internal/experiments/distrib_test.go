@@ -38,7 +38,7 @@ func TestSweepSliceSelectsContiguousRange(t *testing.T) {
 	cfgs := kindConfigs([]core.ConfigKind{core.Baseline, core.NoSQDelay}, 0)
 	opts := Options{Iterations: 25, Parallelism: 2, Slice: &PairSlice{Start: 2, End: 5}}
 
-	runs, sum, err := runSweep(context.Background(), benchmarks, cfgs, opts)
+	runs, sum, err := runSweep(context.Background(), benchmarkSource("", benchmarks), cfgs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestSweepSliceInvalid(t *testing.T) {
 	cfgs := kindConfigs([]core.ConfigKind{core.Baseline}, 0)
 	for _, s := range []PairSlice{{Start: -1, End: 2}, {Start: 3, End: 1}} {
 		sl := s
-		_, _, err := runSweep(context.Background(), benchmarks, cfgs, Options{Iterations: 5, Slice: &sl})
+		_, _, err := runSweep(context.Background(), benchmarkSource("", benchmarks), cfgs, Options{Iterations: 5, Slice: &sl})
 		if err == nil {
 			t.Errorf("slice %+v accepted, want error", s)
 		}
@@ -226,7 +226,7 @@ func TestExecutorPartialFailure(t *testing.T) {
 		col := &entryCollector{}
 		wopts := Options{Iterations: opts.Iterations, Parallelism: 1,
 			Slice: &PairSlice{Start: pj.Index, End: pj.Index + 1}, Progress: col}
-		if _, _, err := runSweep(ctx, benchmarks, cfgs, wopts); err != nil {
+		if _, _, err := runSweep(ctx, benchmarkSource("", benchmarks), cfgs, wopts); err != nil {
 			return err
 		}
 		for i := 0; i < 2; i++ {
@@ -234,7 +234,7 @@ func TestExecutorPartialFailure(t *testing.T) {
 		}
 		return boom
 	}
-	_, sum, err := runSweep(context.Background(), benchmarks, cfgs, opts)
+	_, sum, err := runSweep(context.Background(), benchmarkSource("", benchmarks), cfgs, opts)
 	if !errors.Is(err, boom) {
 		t.Fatalf("error = %v, want the executor's", err)
 	}
@@ -242,7 +242,7 @@ func TestExecutorPartialFailure(t *testing.T) {
 		t.Fatalf("summary = %+v, want 1 executed (duplicate ignored), 3 failed", sum)
 	}
 
-	_, sum2, err := runSweep(context.Background(), benchmarks, cfgs, Options{Iterations: 25, Checkpoint: ck})
+	_, sum2, err := runSweep(context.Background(), benchmarkSource("", benchmarks), cfgs, Options{Iterations: 25, Checkpoint: ck})
 	if err != nil {
 		t.Fatal(err)
 	}

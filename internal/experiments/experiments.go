@@ -5,13 +5,15 @@
 // window), Figure 4 (data-cache read bandwidth), and Figure 5
 // (bypassing-predictor sensitivity to capacity and history length) — plus a
 // free-form sweep over arbitrary configuration × window × benchmark grids,
-// a scenario experiment for declarative adversarial workloads, and a corpus
+// a scenario experiment for declarative adversarial workloads, a corpus
 // experiment replaying the committed pathological scenarios under
-// bench/corpus/.
+// bench/corpus/, and a trace experiment replaying the recorded traces under
+// bench/traces/. The four grid experiments differ only in where their
+// workloads come from (a source) and the identity columns of their rows.
 //
 // Every experiment implements the Experiment interface and is registered by
 // name (table5, fig2, fig3, fig4, fig5cap, fig5hist, sweep, scenario,
-// corpus); Lookup, Names and All expose the registry to the CLI tools.
+// corpus, trace); Lookup, Names and All expose the registry to the CLI tools.
 // A run produces a Report —
 // one set of structured rows renderable as paper-style text, Markdown, JSON,
 // or CSV — and the classic per-experiment functions (Table5, Figure2, ...)
@@ -29,9 +31,7 @@ import (
 	"runtime"
 
 	"repro/internal/core"
-	"repro/internal/emu"
 	"repro/internal/pipeline"
-	"repro/internal/program"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -42,7 +42,7 @@ type Options struct {
 	// workload default, a few hundred thousand dynamic instructions).
 	Iterations int
 	// Benchmarks restricts the experiment to a subset of benchmark names
-	// (nil = the experiment's own default set).
+	// (nil = the experiment's own default set); a repeated name counts once.
 	Benchmarks []string
 	// Parallelism is the number of concurrent simulations (0 = GOMAXPROCS).
 	Parallelism int
@@ -99,9 +99,10 @@ type Options struct {
 	// to stream per-pair progress events to HTTP clients.
 	Progress ProgressSink
 
-	// Configs and Windows define the sweep experiment's grid: configuration
-	// kind names (see core.Kinds; nil = all five) and instruction-window
-	// sizes (nil = 128). Other experiments ignore them.
+	// Configs and Windows define the grid of the sweep, scenario, corpus and
+	// trace experiments: configuration kind names (see core.Kinds; nil = all
+	// five) and instruction-window sizes (nil = 128), each kept at its first
+	// occurrence. The table and figure experiments ignore them.
 	Configs []string
 	Windows []int
 
@@ -131,25 +132,6 @@ type Options struct {
 	// experiments ignore it.
 	Scenario *workload.Scenario
 
-	// scenarios maps workload names to scenario specs for program
-	// generation. The scenario experiment populates it (from Scenario or the
-	// built-in stress suite) before entering the sweep engine; it is not
-	// caller-configurable.
-	scenarios map[string]workload.Scenario
-
-	// traceLoaders maps benchmark names to recorded-trace loaders. The trace
-	// experiment populates it before entering the sweep engine: a benchmark
-	// with a loader skips program generation and live emulation entirely —
-	// its shared trace comes from decoding the recorded file instead of
-	// RecordTrace. Not caller-configurable.
-	traceLoaders map[string]func() (*emu.Trace, error)
-
-	// scope namespaces checkpoint entries by experiment, so one checkpoint
-	// file shared across experiments (sequential runs, -exp all) can never
-	// serve one experiment's runs to another. Each experiment sets it on
-	// entry; it is not caller-configurable.
-	scope string
-
 	// afterCheckpoint, if set, is called after the n-th checkpoint append
 	// (1-based). Test hook: lets the interrupted-resume test cancel its
 	// context at a deterministic point instead of racing a timer.
@@ -161,17 +143,6 @@ func (o Options) workers() int {
 		return o.Parallelism
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// generateProgram builds the named workload: a scenario when the name is in
-// the run's scenario set, a Table 5 benchmark otherwise. Both paths are
-// deterministic in (name, options), which is what lets distributed workers
-// regenerate exactly the program the coordinator planned.
-func (o Options) generateProgram(name string) (*program.Program, error) {
-	if s, ok := o.scenarios[name]; ok {
-		return workload.GenerateScenario(s, workload.Options{Iterations: o.Iterations})
-	}
-	return workload.Generate(name, workload.Options{Iterations: o.Iterations})
 }
 
 // completeOnly filters benchmarks down to those with a run for every
@@ -213,10 +184,11 @@ func orderedBySuite(benchmarks []string) map[workload.Suite][]string {
 
 var suiteOrder = []workload.Suite{workload.MediaBench, workload.SPECint, workload.SPECfp}
 
-// defaultBenchmarks resolves the benchmark list for an experiment.
+// defaultBenchmarks resolves the benchmark list for an experiment, keeping
+// only the first of a repeated name.
 func defaultBenchmarks(opts Options, selected bool) []string {
 	if len(opts.Benchmarks) > 0 {
-		return opts.Benchmarks
+		return dedup(opts.Benchmarks)
 	}
 	if selected {
 		return core.SelectedBenchmarks()

@@ -145,12 +145,12 @@ func TestRunSweepErrorPropagation(t *testing.T) {
 	cfg := core.ConfigFor(core.Baseline, 0)
 	cfg.ROBSize = 0 // invalid: pipeline.New must reject it
 	opts := Options{Iterations: 5, Parallelism: 1}
-	_, _, err := runSweep(context.Background(), []string{"gzip"}, map[string]pipeline.Config{"bad": cfg}, opts)
+	_, _, err := runSweep(context.Background(), benchmarkSource("", []string{"gzip"}), map[string]pipeline.Config{"bad": cfg}, opts)
 	if err == nil {
 		t.Fatal("invalid configuration should surface as an error")
 	}
 	// Unknown benchmark fails during program generation.
-	if _, _, err := runSweep(context.Background(), []string{"nope"}, kindConfigs([]core.ConfigKind{core.Baseline}, 0), opts); err == nil {
+	if _, _, err := runSweep(context.Background(), benchmarkSource("", []string{"nope"}), kindConfigs([]core.ConfigKind{core.Baseline}, 0), opts); err == nil {
 		t.Fatal("unknown benchmark should surface as an error")
 	}
 }

@@ -61,11 +61,10 @@ func figure3(ctx context.Context, opts Options) (*stats.Table, []RelTimeRow, Sum
 }
 
 func relativeTimeFigure(ctx context.Context, title string, opts Options, selected bool, window int) (*stats.Table, []RelTimeRow, Summary, error) {
-	opts.scope = fmt.Sprintf("figure-w%d", window)
 	benchmarks := defaultBenchmarks(opts, selected)
 	kinds := append([]core.ConfigKind{core.IdealBaseline}, figureKinds...)
 	cfgs := kindConfigs(kinds, window)
-	runs, sum, err := runSweep(ctx, benchmarks, cfgs, opts)
+	runs, sum, err := runSweep(ctx, benchmarkSource(fmt.Sprintf("figure-w%d", window), benchmarks), cfgs, opts)
 	if err != nil {
 		return nil, nil, sum, err
 	}
@@ -160,10 +159,9 @@ func Figure4(opts Options) (*stats.Table, []Figure4Row, error) {
 }
 
 func figure4(ctx context.Context, opts Options) (*stats.Table, []Figure4Row, Summary, error) {
-	opts.scope = "fig4"
 	benchmarks := defaultBenchmarks(opts, true)
 	cfgs := kindConfigs([]core.ConfigKind{core.Baseline, core.NoSQDelay}, 0)
-	runs, sum, err := runSweep(ctx, benchmarks, cfgs, opts)
+	runs, sum, err := runSweep(ctx, benchmarkSource("fig4", benchmarks), cfgs, opts)
 	if err != nil {
 		return nil, nil, sum, err
 	}
@@ -233,7 +231,6 @@ func Figure5Capacity(opts Options) (*stats.Table, []SensitivityRow, error) {
 }
 
 func figure5Capacity(ctx context.Context, opts Options) (*stats.Table, []SensitivityRow, Summary, error) {
-	opts.scope = "fig5cap"
 	variants := []struct {
 		label   string
 		entries int
@@ -250,7 +247,7 @@ func figure5Capacity(ctx context.Context, opts Options) (*stats.Table, []Sensiti
 		cfgs[label] = cfg
 		labels = append(labels, label)
 	}
-	return sensitivity(ctx, "Figure 5 (top): bypassing predictor capacity sensitivity", opts, cfgs, labels)
+	return sensitivity(ctx, "fig5cap", "Figure 5 (top): bypassing predictor capacity sensitivity", opts, cfgs, labels)
 }
 
 // Figure5History reproduces the bottom half of Figure 5: sensitivity to the
@@ -262,7 +259,6 @@ func Figure5History(opts Options) (*stats.Table, []SensitivityRow, error) {
 }
 
 func figure5History(ctx context.Context, opts Options) (*stats.Table, []SensitivityRow, Summary, error) {
-	opts.scope = "fig5hist"
 	bits := []int{4, 6, 8, 10, 12}
 	cfgs := kindConfigs([]core.ConfigKind{core.IdealBaseline}, 0)
 	var labels []string
@@ -282,15 +278,15 @@ func figure5History(ctx context.Context, opts Options) (*stats.Table, []Sensitiv
 		cfgs[labelInf] = unb
 		labels = append(labels, labelInf)
 	}
-	return sensitivity(ctx, "Figure 5 (bottom): path-history length sensitivity", opts, cfgs, labels)
+	return sensitivity(ctx, "fig5hist", "Figure 5 (bottom): path-history length sensitivity", opts, cfgs, labels)
 }
 
 // sensitivity runs the ideal baseline plus a set of NoSQ variants on the
 // selected benchmarks and reports execution time relative to the ideal
-// baseline, with per-suite geometric means.
-func sensitivity(ctx context.Context, title string, opts Options, cfgs map[string]pipeline.Config, labels []string) (*stats.Table, []SensitivityRow, Summary, error) {
+// baseline, with per-suite geometric means; scope namespaces its results.
+func sensitivity(ctx context.Context, scope, title string, opts Options, cfgs map[string]pipeline.Config, labels []string) (*stats.Table, []SensitivityRow, Summary, error) {
 	benchmarks := defaultBenchmarks(opts, true)
-	runs, sum, err := runSweep(ctx, benchmarks, cfgs, opts)
+	runs, sum, err := runSweep(ctx, benchmarkSource(scope, benchmarks), cfgs, opts)
 	if err != nil {
 		return nil, nil, sum, err
 	}

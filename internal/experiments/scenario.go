@@ -2,16 +2,7 @@ package experiments
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-	"strconv"
 	"strings"
-
-	"repro/internal/core"
-	"repro/internal/pipeline"
-	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // The scenario experiment runs declarative workload scenarios — an inline
@@ -21,12 +12,12 @@ import (
 // row per (scenario, configuration, window) cell.
 //
 // Result identity: the experiment scope embeds a hash over the canonical
-// content of every scenario in the run, so the sweep engine's pair keys (and
-// the simulation server's content-addressed cache keys derived from them)
-// distinguish scenarios by what they *are*, not what they are called. Two
-// specs sharing a name but differing in any knob can never serve each
-// other's cached measurements; re-running an identical spec resumes from
-// cache as usual.
+// content of every scenario in the run (see scenarioSource), so the sweep
+// engine's pair keys (and the simulation server's content-addressed cache
+// keys derived from them) distinguish scenarios by what they *are*, not what
+// they are called. Two specs sharing a name but differing in any knob can
+// never serve each other's cached measurements; re-running an identical spec
+// resumes from cache as usual.
 
 func init() {
 	Register(funcExperiment{
@@ -37,145 +28,17 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			scope := scenarioScope(scns)
-			tbl, rows, sum, err := scenarioExperiment(ctx, opts, scns, scope)
+			src := scenarioSource(scns)
+			rep, g, err := runGrid(ctx, "scenario", src, scenarioLayout(scns), opts)
 			if err != nil {
 				return nil, err
 			}
-			rep := report("scenario", tbl, rows, sum)
-			names := make([]string, len(scns))
-			for i, s := range scns {
-				names[i] = s.Name
-			}
-			rep.AddMeta("scenarios", strings.Join(names, ","))
-			rep.AddMeta("scenario-scope", scope)
+			rep.AddMeta("scenarios", strings.Join(src.names, ","))
+			rep.AddMeta("scenario-scope", src.scope)
 			if len(opts.Windows) > 0 {
-				ws := make([]string, len(opts.Windows))
-				for i, w := range opts.Windows {
-					ws[i] = strconv.Itoa(w)
-				}
-				rep.AddMeta("windows", strings.Join(ws, ","))
+				rep.AddMeta("windows", commaList(g.windows))
 			}
 			return rep, nil
 		},
 	})
-}
-
-// scenarioSet resolves the scenarios of a run: the inline spec when present,
-// otherwise the built-in stress suite (optionally filtered to the names in
-// opts.Benchmarks).
-func scenarioSet(opts Options) ([]workload.Scenario, error) {
-	if opts.Scenario != nil {
-		s := *opts.Scenario
-		if err := s.Validate(); err != nil {
-			return nil, err
-		}
-		return []workload.Scenario{s}, nil
-	}
-	all := workload.StressScenarios()
-	if len(opts.Benchmarks) == 0 {
-		return all, nil
-	}
-	var out []workload.Scenario
-	for _, name := range opts.Benchmarks {
-		s, ok := workload.StressScenarioByName(name)
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown stress scenario %q (known: %s)",
-				name, strings.Join(workload.StressScenarioNames(), ", "))
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-// scenarioScope derives the experiment scope from the run's scenario
-// contents: "scenario:" plus a hash over every canonicalized spec. Any knob
-// change in any scenario changes the scope, which changes every pair key.
-func scenarioScope(scns []workload.Scenario) string {
-	h := sha256.New()
-	for _, s := range scns {
-		h.Write(s.Canonical())
-		h.Write([]byte{0})
-	}
-	return "scenario:" + hex.EncodeToString(h.Sum(nil))[:16]
-}
-
-func scenarioExperiment(ctx context.Context, opts Options, scns []workload.Scenario, scope string) (*stats.Table, []SweepRow, Summary, error) {
-	names := make([]string, len(scns))
-	opts.scenarios = make(map[string]workload.Scenario, len(scns))
-	for i, s := range scns {
-		if _, dup := opts.scenarios[s.Name]; dup {
-			return nil, nil, Summary{}, fmt.Errorf("experiments: duplicate scenario name %q", s.Name)
-		}
-		opts.scenarios[s.Name] = s
-		names[i] = s.Name
-	}
-	opts.scope = scope
-
-	kinds, err := sweepKinds(opts.Configs)
-	if err != nil {
-		return nil, nil, Summary{}, err
-	}
-	kinds = dedup(kinds)
-	windows := dedup(opts.Windows)
-	if len(windows) == 0 {
-		windows = []int{128}
-	}
-	for _, w := range windows {
-		if w <= 0 {
-			return nil, nil, Summary{}, fmt.Errorf("experiments: invalid window size %d", w)
-		}
-	}
-	cfgs := make(map[string]pipeline.Config, len(kinds)*len(windows))
-	for _, k := range kinds {
-		for _, w := range windows {
-			cfgs[sweepKey(k, w)] = core.ConfigFor(k, w)
-		}
-	}
-
-	runs, sum, err := runSweep(ctx, names, cfgs, opts)
-	if err != nil {
-		return nil, nil, sum, err
-	}
-
-	var rows []SweepRow
-	for _, s := range scns {
-		for _, k := range kinds {
-			for _, w := range windows {
-				run, ok := runs[s.Name][sweepKey(k, w)]
-				if !ok {
-					continue // another shard's pair
-				}
-				rows = append(rows, SweepRow{
-					Benchmark:    s.Name,
-					Suite:        workload.Custom,
-					Config:       k.String(),
-					Window:       w,
-					Cycles:       run.Cycles,
-					Committed:    run.Committed,
-					IPC:          run.IPC(),
-					CommPct:      run.PctInWindowComm(),
-					Bypassed:     run.BypassedLoads,
-					Delayed:      run.DelayedLoads,
-					MisPer10k:    run.MispredictsPer10kLoads(),
-					Flushes:      run.Flushes,
-					DCacheReads:  run.TotalDCacheReads(),
-					Reexecutions: run.Reexecutions,
-				})
-			}
-		}
-	}
-
-	tbl := stats.NewTable("Scenario: raw measurements per (scenario, configuration, window)",
-		"scenario", "pattern", "config", "window", "cycles", "committed", "IPC",
-		"comm%", "bypassed", "delayed", "mispred/10k", "flushes", "D$ reads", "reexec")
-	for _, r := range rows {
-		pattern := opts.scenarios[r.Benchmark].Pattern
-		if pattern == "" {
-			pattern = workload.PatternProfile
-		}
-		tbl.AddRow(r.Benchmark, pattern, r.Config, r.Window, r.Cycles, r.Committed,
-			r.IPC, r.CommPct, r.Bypassed, r.Delayed, r.MisPer10k, r.Flushes, r.DCacheReads, r.Reexecutions)
-	}
-	return tbl, rows, sum, nil
 }

@@ -1,11 +1,9 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
-	"fmt"
 	"strings"
-
-	"repro/internal/corpus"
 )
 
 // The corpus experiment replays the committed pathological-scenario corpus
@@ -32,57 +30,20 @@ func init() {
 		name: "corpus",
 		desc: "committed pathological-scenario corpus (bench/corpus) replayed as regression workloads",
 		run: func(ctx context.Context, opts Options) (*Report, error) {
-			dir := opts.CorpusDir
-			if dir == "" {
-				dir = DefaultCorpusDir
-			}
-			entries, err := corpus.LoadDir(dir)
+			dir := cmp.Or(opts.CorpusDir, DefaultCorpusDir)
+			scns, err := corpusSet(dir, opts.Benchmarks)
 			if err != nil {
 				return nil, err
 			}
-			entries, err = filterEntries(entries, opts.Benchmarks)
+			src := scenarioSource(scns)
+			rep, _, err := runGrid(ctx, "corpus", src, scenarioLayout(scns), opts)
 			if err != nil {
 				return nil, err
-			}
-			scns := corpus.Scenarios(entries)
-			scope := scenarioScope(scns)
-			tbl, rows, sum, err := scenarioExperiment(ctx, opts, scns, scope)
-			if err != nil {
-				return nil, err
-			}
-			rep := report("corpus", tbl, rows, sum)
-			names := make([]string, len(entries))
-			for i, e := range entries {
-				names[i] = e.Name
 			}
 			rep.AddMeta("corpus-dir", dir)
-			rep.AddMeta("scenarios", strings.Join(names, ","))
-			rep.AddMeta("scenario-scope", scope)
+			rep.AddMeta("scenarios", strings.Join(src.names, ","))
+			rep.AddMeta("scenario-scope", src.scope)
 			return rep, nil
 		},
 	})
-}
-
-// filterEntries restricts the corpus to the named scenarios (nil = all),
-// preserving corpus order.
-func filterEntries(entries []corpus.Entry, names []string) ([]corpus.Entry, error) {
-	if len(names) == 0 {
-		return entries, nil
-	}
-	byName := make(map[string]corpus.Entry, len(entries))
-	known := make([]string, len(entries))
-	for i, e := range entries {
-		byName[e.Name] = e
-		known[i] = e.Name
-	}
-	out := make([]corpus.Entry, 0, len(names))
-	for _, n := range names {
-		e, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("experiments: no corpus entry named %q (known: %s)",
-				n, strings.Join(known, ", "))
-		}
-		out = append(out, e)
-	}
-	return out, nil
 }

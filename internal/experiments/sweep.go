@@ -6,18 +6,13 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/jsonl"
 	"repro/internal/pipeline"
-	"repro/internal/program"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // traceCache hands out each benchmark's recorded dynamic instruction trace.
@@ -45,38 +40,28 @@ type traceEntry struct {
 	metaErr  error
 }
 
-// newTraceCache builds the cache for a sweep's pending jobs. Programs are
-// recorded for at most limit instructions (0 = to completion): the sweep's
-// MaxInsts bounds every pair, so nothing past it is ever replayed — the same
-// bound pipeline.New records under.
-func newTraceCache(progs map[string]*program.Program, loaders map[string]func() (*emu.Trace, error), pending []sweepJob, limit uint64) *traceCache {
-	c := &traceCache{
-		entries: make(map[string]*traceEntry, len(progs)+len(loaders)),
-		left:    make(map[string]int, len(progs)+len(loaders)),
-	}
-	for b := range progs {
-		prog := progs[b]
-		e := &traceEntry{}
-		// The record closure runs inside once.Do on first use, so workers
-		// that share a benchmark block until its trace exists and record it
-		// exactly once.
-		e.record = func() { e.trace, e.err = emu.RecordTrace(prog, limit) }
-		c.entries[b] = e
-	}
-	// Trace-backed benchmarks (the trace experiment) have no program: their
-	// shared trace comes from decoding a recorded file, under the same
-	// once.Do so concurrent configurations of one trace decode it exactly
-	// once.
-	for b := range loaders {
-		load := loaders[b]
-		e := &traceEntry{}
-		e.record = func() { e.trace, e.err = load() }
-		c.entries[b] = e
-	}
+// newTraceCache opens, through src, every workload with a pending job, and
+// counts each workload's pending jobs. It runs before any pair does, so a bad
+// name fails the sweep up front.
+func newTraceCache(src source, pending []sweepJob, opts Options) (*traceCache, error) {
+	c := &traceCache{entries: make(map[string]*traceEntry), left: make(map[string]int)}
 	for _, j := range pending {
 		c.left[j.benchmark]++
+		if c.entries[j.benchmark] != nil {
+			continue
+		}
+		rec, err := src.open(j.benchmark, opts)
+		if err != nil {
+			return nil, err
+		}
+		e := &traceEntry{}
+		// The record closure runs inside once.Do on first use, so workers
+		// that share a workload block until its trace exists and record or
+		// decode it exactly once.
+		e.record = func() { e.trace, e.err = rec() }
+		c.entries[j.benchmark] = e
 	}
-	return c
+	return c, nil
 }
 
 // get returns the benchmark's shared trace, recording it on first use.
@@ -316,22 +301,22 @@ func (s *checkpointFileStore) Append(e CheckpointEntry) error {
 }
 
 // runSweep is the sweep engine behind every experiment: it runs each
-// (benchmark, configuration) pair through the simulator using a worker pool,
-// generating each benchmark's program once. Locally executed pairs of the
+// (workload, configuration) pair of src × cfgs through the simulator using a
+// worker pool, opening each workload once. Locally executed pairs of the
 // same benchmark and window geometry run config-parallel — one batch
 // simulation over the benchmark's shared trace (see pipeline.Batch and
 // planGroups); every pair's measurements are bit-identical whatever the
 // group widths, so grouping is invisible in every output.
 //
-// The job list is deterministic — benchmarks in the given order, configuration
-// keys sorted — which makes two things possible. First, sharding: with
+// The job list is deterministic — src.names in order, configuration keys
+// sorted — which makes two things possible. First, sharding: with
 // opts.Shards > 1, only jobs whose list position i satisfies
 // i % Shards == ShardIndex are run, so independent processes (or machines) can
 // split one sweep without coordination (opts.Slice selects a contiguous
-// position range instead — the coordinated, leased variant of the same idea). Second, resumption: every finished
-// job is appended to the configured ResultStore (by default a JSONL
+// position range instead — the coordinated, leased variant of the same idea).
+// Second, resumption: every finished job is appended to the configured ResultStore (by default a JSONL
 // checkpoint file, Options.Checkpoint), and pairs already present in the
-// store are loaded instead of re-run. Entries are keyed by (experiment scope,
+// store are loaded instead of re-run. Entries are keyed by (src.scope,
 // iterations, max-insts, benchmark, configuration), so a shared store never
 // serves runs across experiments or across workload lengths; shards pointed
 // at a shared file (or at per-shard files later concatenated) merge into one
@@ -344,7 +329,7 @@ func (s *checkpointFileStore) Append(e CheckpointEntry) error {
 //
 // Cancelling ctx stops dispatching new jobs; in-flight simulations finish,
 // are recorded in the store, and runSweep returns ctx.Err().
-func runSweep(ctx context.Context, benchmarks []string, cfgs map[string]pipeline.Config, opts Options) (map[string]map[string]stats.Run, Summary, error) {
+func runSweep(ctx context.Context, src source, cfgs map[string]pipeline.Config, opts Options) (map[string]map[string]stats.Run, Summary, error) {
 	var sum Summary
 	if opts.Shards > 1 && (opts.ShardIndex < 0 || opts.ShardIndex >= opts.Shards) {
 		return nil, sum, fmt.Errorf("experiments: shard index %d outside [0,%d)", opts.ShardIndex, opts.Shards)
@@ -359,16 +344,16 @@ func runSweep(ctx context.Context, benchmarks []string, cfgs map[string]pipeline
 	}
 	sort.Strings(keys)
 
-	jobs := make([]sweepJob, 0, len(benchmarks)*len(keys))
-	for _, b := range benchmarks {
+	jobs := make([]sweepJob, 0, len(src.names)*len(keys))
+	for _, b := range src.names {
 		for _, k := range keys {
 			jobs = append(jobs, sweepJob{index: len(jobs), benchmark: b, key: k, cfg: cfgs[k]})
 		}
 	}
 	sum.Total = len(jobs)
 
-	out := make(map[string]map[string]stats.Run, len(benchmarks))
-	for _, b := range benchmarks {
+	out := make(map[string]map[string]stats.Run, len(src.names))
+	for _, b := range src.names {
 		out[b] = make(map[string]stats.Run, len(keys))
 	}
 
@@ -400,7 +385,7 @@ func runSweep(ctx context.Context, benchmarks []string, cfgs map[string]pipeline
 	var pending []sweepJob
 	resumed := make(map[int]CheckpointEntry)
 	for _, j := range jobs {
-		if e, ok := done[pairKey(opts.scope, opts.Iterations, opts.MaxInsts, j.benchmark, j.key)]; ok {
+		if e, ok := done[pairKey(src.scope, opts.Iterations, opts.MaxInsts, j.benchmark, j.key)]; ok {
 			out[j.benchmark][j.key] = e.Run
 			resumed[j.index] = e
 			sum.Resumed++
@@ -431,13 +416,33 @@ func runSweep(ctx context.Context, benchmarks []string, cfgs map[string]pipeline
 		defer fileStore.log.Close()
 	}
 
+	// land records one executed pair — in the results, the store and the
+	// progress feed — wherever it ran; a store error becomes firstErr.
+	var firstErr error
+	land := func(benchmark, key string, run stats.Run) {
+		out[benchmark][key] = run
+		sum.Executed++
+		e := CheckpointEntry{Experiment: src.scope, Iterations: opts.Iterations, MaxInsts: opts.MaxInsts,
+			Benchmark: benchmark, Config: key, Run: run}
+		if store != nil {
+			if werr := store.Append(e); werr != nil && firstErr == nil {
+				firstErr = werr
+			}
+			if opts.afterCheckpoint != nil {
+				opts.afterCheckpoint(sum.Executed)
+			}
+		}
+		if opts.Progress != nil {
+			opts.Progress.PairDone(e)
+		}
+	}
+
 	// A configured Executor takes over raw pair execution (the distributed
 	// coordinator leases pair slices to remote workers); the engine keeps
 	// planning, the store, progress events, and result assembly, so reports
 	// merge byte-identically to a locally executed run.
 	if opts.Executor != nil {
 		var mu sync.Mutex
-		var firstErr error
 		req := ExecRequest{
 			Pending: make([]PairJob, len(pending)),
 			Resumed: resumed,
@@ -448,20 +453,8 @@ func runSweep(ctx context.Context, benchmarks []string, cfgs map[string]pipeline
 		req.Emit = func(pj PairJob, run stats.Run) {
 			mu.Lock()
 			defer mu.Unlock()
-			if _, dup := out[pj.Benchmark][pj.Config]; dup {
-				return
-			}
-			out[pj.Benchmark][pj.Config] = run
-			sum.Executed++
-			e := CheckpointEntry{Experiment: opts.scope, Iterations: opts.Iterations, MaxInsts: opts.MaxInsts,
-				Benchmark: pj.Benchmark, Config: pj.Config, Run: run}
-			if store != nil {
-				if werr := store.Append(e); werr != nil && firstErr == nil {
-					firstErr = werr
-				}
-			}
-			if opts.Progress != nil {
-				opts.Progress.PairDone(e)
+			if _, dup := out[pj.Benchmark][pj.Config]; !dup {
+				land(pj.Benchmark, pj.Config, run)
 			}
 		}
 		execErr := opts.Executor(ctx, req)
@@ -479,32 +472,12 @@ func runSweep(ctx context.Context, benchmarks []string, cfgs map[string]pipeline
 		return out, sum, execErr
 	}
 
-	// Generate programs up front (cheap, single-threaded, deterministic),
-	// only for benchmarks that still have pending work. Each benchmark's
-	// dynamic instruction trace is then recorded once, on first use, and
-	// shared read-only by every simulation of that benchmark. Trace-backed
-	// benchmarks have no program to generate — their recorded file is the
-	// trace — so they only contribute loaders.
-	progs := make(map[string]*program.Program, len(benchmarks))
-	loaders := make(map[string]func() (*emu.Trace, error), len(opts.traceLoaders))
-	for _, j := range pending {
-		if _, ok := progs[j.benchmark]; ok {
-			continue
-		}
-		if _, ok := loaders[j.benchmark]; ok {
-			continue
-		}
-		if load, ok := opts.traceLoaders[j.benchmark]; ok {
-			loaders[j.benchmark] = load
-			continue
-		}
-		p, err := opts.generateProgram(j.benchmark)
-		if err != nil {
-			return nil, sum, err
-		}
-		progs[j.benchmark] = p
+	// Each workload's trace is recorded (or decoded) once, on first use, and
+	// shared read-only by every simulation of that workload.
+	traces, err := newTraceCache(src, pending, opts)
+	if err != nil {
+		return nil, sum, err
 	}
-	traces := newTraceCache(progs, loaders, pending, opts.MaxInsts)
 
 	// Partition the pending pairs into execution groups: same-benchmark,
 	// same-geometry pairs run config-parallel as one batch over the shared
@@ -562,7 +535,6 @@ func runSweep(ctx context.Context, benchmarks []string, cfgs map[string]pipeline
 		close(resCh)
 	}()
 
-	var firstErr error
 	for r := range resCh {
 		if r.err != nil {
 			sum.Failed++
@@ -571,86 +543,12 @@ func runSweep(ctx context.Context, benchmarks []string, cfgs map[string]pipeline
 			}
 			continue
 		}
-		out[r.job.benchmark][r.job.key] = r.run
-		sum.Executed++
-		e := CheckpointEntry{Experiment: opts.scope, Iterations: opts.Iterations, MaxInsts: opts.MaxInsts,
-			Benchmark: r.job.benchmark, Config: r.job.key, Run: r.run}
-		if store != nil {
-			if werr := store.Append(e); werr != nil && firstErr == nil {
-				firstErr = werr
-			}
-			if opts.afterCheckpoint != nil {
-				opts.afterCheckpoint(sum.Executed)
-			}
-		}
-		if opts.Progress != nil {
-			opts.Progress.PairDone(e)
-		}
+		land(r.job.benchmark, r.job.key, r.run)
 	}
 	if firstErr == nil {
 		firstErr = ctx.Err()
 	}
 	return out, sum, firstErr
-}
-
-// SweepRow is one (benchmark, configuration, window) cell of the free-form
-// sweep experiment.
-type SweepRow struct {
-	Benchmark string
-	Suite     workload.Suite
-	Config    string
-	Window    int
-	Cycles    uint64
-	Committed uint64
-	IPC       float64
-	// CommPct is the percentage of committed loads with in-window
-	// store-load communication.
-	CommPct float64
-	// Bypassed / Delayed count speculatively bypassed and delay-held loads.
-	Bypassed uint64
-	Delayed  uint64
-	// MisPer10k is bypassing mis-predictions per 10,000 committed loads.
-	MisPer10k float64
-	Flushes   uint64
-	// DCacheReads is total (core + back-end) data-cache reads.
-	DCacheReads  uint64
-	Reexecutions uint64
-}
-
-// dedup removes repeated grid values, keeping first-occurrence order, so a
-// duplicated -windows/-configs entry cannot yield duplicate rows.
-func dedup[T comparable](xs []T) []T {
-	seen := make(map[T]bool, len(xs))
-	out := xs[:0:0]
-	for _, x := range xs {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// sweepKinds resolves the sweep grid's configuration kinds (nil = all five).
-func sweepKinds(names []string) ([]core.ConfigKind, error) {
-	if len(names) == 0 {
-		return core.Kinds(), nil
-	}
-	kinds := make([]core.ConfigKind, 0, len(names))
-	for _, n := range names {
-		k, err := core.KindByName(strings.TrimSpace(n))
-		if err != nil {
-			return nil, err
-		}
-		kinds = append(kinds, k)
-	}
-	return kinds, nil
-}
-
-// sweepKey names one grid cell; sorting these keys preserves the
-// configuration-major, window-minor grid order within a benchmark.
-func sweepKey(kind core.ConfigKind, window int) string {
-	return fmt.Sprintf("%s@w%04d", kind, window)
 }
 
 // Sweep runs the free-form sweep experiment: every combination of
@@ -660,86 +558,14 @@ func sweepKey(kind core.ConfigKind, window int) string {
 // fixed presentation — it reports the raw per-run measurements, one row per
 // grid cell, and is the intended vehicle for sharded and resumable bulk runs.
 func Sweep(ctx context.Context, opts Options) (*Report, error) {
-	opts.scope = "sweep"
-	kinds, err := sweepKinds(opts.Configs)
+	src := benchmarkSource("sweep", defaultBenchmarks(opts, true))
+	rep, g, err := runGrid(ctx, "sweep", src, sweepLayout, opts)
 	if err != nil {
 		return nil, err
 	}
-	kinds = dedup(kinds)
-	windows := opts.Windows
-	if len(windows) == 0 {
-		windows = []int{128}
-	}
-	windows = dedup(windows)
-	for _, w := range windows {
-		if w <= 0 {
-			return nil, fmt.Errorf("experiments: invalid window size %d", w)
-		}
-	}
-	benchmarks := defaultBenchmarks(opts, true)
-
-	cfgs := make(map[string]pipeline.Config, len(kinds)*len(windows))
-	for _, k := range kinds {
-		for _, w := range windows {
-			cfgs[sweepKey(k, w)] = core.ConfigFor(k, w)
-		}
-	}
-	runs, sum, err := runSweep(ctx, benchmarks, cfgs, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	var rows []SweepRow
-	bySuite := orderedBySuite(benchmarks)
-	for _, suite := range suiteOrder {
-		for _, b := range bySuite[suite] {
-			for _, k := range kinds {
-				for _, w := range windows {
-					run, ok := runs[b][sweepKey(k, w)]
-					if !ok {
-						continue // another shard's job
-					}
-					rows = append(rows, SweepRow{
-						Benchmark:    b,
-						Suite:        suite,
-						Config:       k.String(),
-						Window:       w,
-						Cycles:       run.Cycles,
-						Committed:    run.Committed,
-						IPC:          run.IPC(),
-						CommPct:      run.PctInWindowComm(),
-						Bypassed:     run.BypassedLoads,
-						Delayed:      run.DelayedLoads,
-						MisPer10k:    run.MispredictsPer10kLoads(),
-						Flushes:      run.Flushes,
-						DCacheReads:  run.TotalDCacheReads(),
-						Reexecutions: run.Reexecutions,
-					})
-				}
-			}
-		}
-	}
-
-	tbl := stats.NewTable("Sweep: raw measurements per (benchmark, configuration, window)",
-		"benchmark", "suite", "config", "window", "cycles", "committed", "IPC",
-		"comm%", "bypassed", "delayed", "mispred/10k", "flushes", "D$ reads", "reexec")
-	for _, r := range rows {
-		tbl.AddRow(r.Benchmark, r.Suite.String(), r.Config, r.Window, r.Cycles, r.Committed,
-			r.IPC, r.CommPct, r.Bypassed, r.Delayed, r.MisPer10k, r.Flushes, r.DCacheReads, r.Reexecutions)
-	}
-
-	rep := report("sweep", tbl, rows, sum)
-	kindNames := make([]string, len(kinds))
-	for i, k := range kinds {
-		kindNames[i] = k.String()
-	}
-	windowNames := make([]string, len(windows))
-	for i, w := range windows {
-		windowNames[i] = strconv.Itoa(w)
-	}
-	rep.AddMeta("configs", strings.Join(kindNames, ","))
-	rep.AddMeta("windows", strings.Join(windowNames, ","))
-	rep.AddMeta("benchmarks", len(benchmarks))
+	rep.AddMeta("configs", commaList(g.kinds))
+	rep.AddMeta("windows", commaList(g.windows))
+	rep.AddMeta("benchmarks", len(src.names))
 	if opts.Shards > 1 {
 		rep.AddMeta("shard", fmt.Sprintf("%d/%d", opts.ShardIndex, opts.Shards))
 	}

@@ -41,7 +41,7 @@ func TestSweepCheckpointResume(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "ck.jsonl")
 	opts := Options{Iterations: 25, Parallelism: 2, Checkpoint: ck}
 
-	first, sum1, err := runSweep(context.Background(), benchmarks, cfgs, opts)
+	first, sum1, err := runSweep(context.Background(), benchmarkSource("", benchmarks), cfgs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestSweepCheckpointResume(t *testing.T) {
 		t.Fatalf("first run summary = %+v", sum1)
 	}
 
-	second, sum2, err := runSweep(context.Background(), benchmarks, cfgs, opts)
+	second, sum2, err := runSweep(context.Background(), benchmarkSource("", benchmarks), cfgs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestSweepInterruptedResume(t *testing.T) {
 			}
 		}}
 
-	_, sum1, err := runSweep(ctx, benchmarks, cfgs, opts)
+	_, sum1, err := runSweep(ctx, benchmarkSource("", benchmarks), cfgs, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted sweep error = %v, want context.Canceled", err)
 	}
@@ -93,7 +93,7 @@ func TestSweepInterruptedResume(t *testing.T) {
 	}
 	opts.afterCheckpoint = nil
 
-	res, sum2, err := runSweep(context.Background(), benchmarks, cfgs, opts)
+	res, sum2, err := runSweep(context.Background(), benchmarkSource("", benchmarks), cfgs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestSweepShardsPartitionJobs(t *testing.T) {
 		ck := filepath.Join(dir, "shard.jsonl")
 		os.Remove(ck)
 		opts := Options{Iterations: 25, Parallelism: 2, Shards: 3, ShardIndex: shard, Checkpoint: ck}
-		_, sum, err := runSweep(context.Background(), benchmarks, cfgs, opts)
+		_, sum, err := runSweep(context.Background(), benchmarkSource("", benchmarks), cfgs, opts)
 		if err != nil {
 			t.Fatalf("shard %d: %v", shard, err)
 		}
@@ -152,7 +152,7 @@ func TestSweepShardsPartitionJobs(t *testing.T) {
 	}
 
 	// The merged checkpoint replays the full grid with zero execution.
-	res, sum, err := runSweep(context.Background(), benchmarks, cfgs,
+	res, sum, err := runSweep(context.Background(), benchmarkSource("", benchmarks), cfgs,
 		Options{Iterations: 25, Checkpoint: merged})
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +253,7 @@ func TestCheckpointScopedByIterations(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "ck.jsonl")
 	cfgs := kindConfigs([]core.ConfigKind{core.Baseline}, 0)
 	run := func(iters int) Summary {
-		_, sum, err := runSweep(context.Background(), []string{"gzip"}, cfgs,
+		_, sum, err := runSweep(context.Background(), benchmarkSource("", []string{"gzip"}), cfgs,
 			Options{Iterations: iters, Checkpoint: ck})
 		if err != nil {
 			t.Fatal(err)
@@ -274,7 +274,7 @@ func TestCheckpointScopedByIterations(t *testing.T) {
 func TestSweepShardValidation(t *testing.T) {
 	cfgs := kindConfigs([]core.ConfigKind{core.Baseline}, 0)
 	for _, idx := range []int{-1, 2, 7} {
-		_, _, err := runSweep(context.Background(), []string{"gzip"}, cfgs,
+		_, _, err := runSweep(context.Background(), benchmarkSource("", []string{"gzip"}), cfgs,
 			Options{Iterations: 5, Shards: 2, ShardIndex: idx})
 		if err == nil {
 			t.Errorf("shard index %d of 2 should be rejected", idx)
@@ -289,7 +289,7 @@ func TestSweepToleratesCorruptCheckpointLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgs := kindConfigs([]core.ConfigKind{core.Baseline}, 0)
-	_, sum, err := runSweep(context.Background(), []string{"gzip"}, cfgs,
+	_, sum, err := runSweep(context.Background(), benchmarkSource("", []string{"gzip"}), cfgs,
 		Options{Iterations: 5, Checkpoint: ck})
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +343,7 @@ func TestSweepDeterministicOrdering(t *testing.T) {
 	var pairSets []map[string]int
 	for trial := 0; trial < 3; trial++ {
 		ck := filepath.Join(t.TempDir(), "ck.jsonl")
-		_, sum, err := runSweep(context.Background(), benchmarks, cfgs,
+		_, sum, err := runSweep(context.Background(), benchmarkSource("", benchmarks), cfgs,
 			Options{Iterations: 10, Parallelism: 2, Shards: 3, ShardIndex: 1, Checkpoint: ck})
 		if err != nil {
 			t.Fatal(err)
@@ -368,7 +368,7 @@ func TestSweepCorruptCheckpointLines(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "ck.jsonl")
 	opts := Options{Iterations: 25, Parallelism: 2, Checkpoint: ck}
 
-	first, sum1, err := runSweep(context.Background(), benchmarks, cfgs, opts)
+	first, sum1, err := runSweep(context.Background(), benchmarkSource("", benchmarks), cfgs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestSweepCorruptCheckpointLines(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	second, sum2, err := runSweep(context.Background(), benchmarks, cfgs, opts)
+	second, sum2, err := runSweep(context.Background(), benchmarkSource("", benchmarks), cfgs, opts)
 	if err != nil {
 		t.Fatalf("resume over corrupt checkpoint failed: %v", err)
 	}

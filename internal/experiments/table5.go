@@ -37,10 +37,9 @@ func Table5(opts Options) (*stats.Table, []Table5Row, error) {
 }
 
 func table5(ctx context.Context, opts Options) (*stats.Table, []Table5Row, Summary, error) {
-	opts.scope = "table5"
 	benchmarks := defaultBenchmarks(opts, false)
 	cfgs := kindConfigs([]core.ConfigKind{core.NoSQNoDelay, core.NoSQDelay}, 0)
-	runs, sum, err := runSweep(ctx, benchmarks, cfgs, opts)
+	runs, sum, err := runSweep(ctx, benchmarkSource("table5", benchmarks), cfgs, opts)
 	if err != nil {
 		return nil, nil, sum, err
 	}

@@ -1,19 +1,9 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-	"strconv"
 	"strings"
-
-	"repro/internal/core"
-	"repro/internal/emu"
-	"repro/internal/pipeline"
-	"repro/internal/stats"
-	"repro/internal/traceio"
-	"repro/internal/workload"
 )
 
 // The trace experiment replays recorded program traces — *.nsqt files with
@@ -26,11 +16,11 @@ import (
 // regenerated from a workload profile on every node.
 //
 // Result identity: the experiment scope embeds a hash over every trace
-// file's content hash, so the sweep engine's pair keys (and the simulation
-// server's content-addressed cache keys derived from them) distinguish
-// traces by what they contain, not what they are named. Each trace's ref
-// name — slug plus sixteen hash digits — is its benchmark name in rows,
-// job specs and logs, so a one-byte change to a trace changes both the
+// file's content hash (see traceSource), so the sweep engine's pair keys (and
+// the simulation server's content-addressed cache keys derived from them)
+// distinguish traces by what they contain, not what they are named. Each
+// trace's ref name — slug plus sixteen hash digits — is its benchmark name in
+// rows, job specs and logs, so a one-byte change to a trace changes both the
 // scope and the name.
 
 // DefaultTraceDir is where the committed trace corpus lives, relative to
@@ -42,156 +32,23 @@ func init() {
 		name: "trace",
 		desc: "recorded program traces (bench/traces, or -trace-dir) replayed against the paper configurations",
 		run: func(ctx context.Context, opts Options) (*Report, error) {
-			dir := opts.TraceDir
-			if dir == "" {
-				dir = DefaultTraceDir
-			}
-			entries, err := traceio.LoadDir(dir)
+			dir := cmp.Or(opts.TraceDir, DefaultTraceDir)
+			entries, err := traceSet(dir, opts.Benchmarks)
 			if err != nil {
 				return nil, err
 			}
-			entries, err = filterTraceEntries(entries, opts.Benchmarks)
+			src := traceSource(entries)
+			rep, g, err := runGrid(ctx, "trace", src, traceLayout, opts)
 			if err != nil {
 				return nil, err
-			}
-			tbl, rows, sum, err := traceExperiment(ctx, opts, entries)
-			if err != nil {
-				return nil, err
-			}
-			rep := report("trace", tbl, rows, sum)
-			names := make([]string, len(entries))
-			for i, e := range entries {
-				names[i] = e.RefName()
 			}
 			rep.AddMeta("trace-dir", dir)
-			rep.AddMeta("traces", strings.Join(names, ","))
-			rep.AddMeta("trace-scope", traceScope(entries))
+			rep.AddMeta("traces", strings.Join(src.names, ","))
+			rep.AddMeta("trace-scope", src.scope)
 			if len(opts.Windows) > 0 {
-				ws := make([]string, len(opts.Windows))
-				for i, w := range opts.Windows {
-					ws[i] = strconv.Itoa(w)
-				}
-				rep.AddMeta("windows", strings.Join(ws, ","))
+				rep.AddMeta("windows", commaList(g.windows))
 			}
 			return rep, nil
 		},
 	})
-}
-
-// filterTraceEntries restricts the corpus to the named traces (nil = all),
-// preserving directory order. Names are entry ref names — the
-// content-addressed identity a job spec carries — so a spec recorded
-// against one trace revision fails loudly against another instead of
-// silently replaying different bytes under the same human name.
-func filterTraceEntries(entries []traceio.Entry, names []string) ([]traceio.Entry, error) {
-	if len(names) == 0 {
-		return entries, nil
-	}
-	byRef := make(map[string]traceio.Entry, len(entries))
-	known := make([]string, len(entries))
-	for i, e := range entries {
-		byRef[e.RefName()] = e
-		known[i] = e.RefName()
-	}
-	out := make([]traceio.Entry, 0, len(names))
-	for _, n := range names {
-		e, ok := byRef[n]
-		if !ok {
-			return nil, fmt.Errorf("experiments: no trace named %q (known: %s)",
-				n, strings.Join(known, ", "))
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
-
-// traceScope derives the experiment scope from the run's trace contents:
-// "trace:" plus a hash over every entry's content hash. Any byte change in
-// any trace changes the scope, which changes every pair key — exactly the
-// scenario experiment's content-identity rule, with the file hash standing
-// in for the canonical spec.
-func traceScope(entries []traceio.Entry) string {
-	h := sha256.New()
-	for _, e := range entries {
-		h.Write([]byte(e.TraceHash))
-		h.Write([]byte{0})
-	}
-	return "trace:" + hex.EncodeToString(h.Sum(nil))[:16]
-}
-
-func traceExperiment(ctx context.Context, opts Options, entries []traceio.Entry) (*stats.Table, []SweepRow, Summary, error) {
-	names := make([]string, len(entries))
-	opts.traceLoaders = make(map[string]func() (*emu.Trace, error), len(entries))
-	for i, e := range entries {
-		path := e.Path
-		names[i] = e.RefName()
-		opts.traceLoaders[e.RefName()] = func() (*emu.Trace, error) {
-			t, _, err := traceio.ReadFile(path)
-			return t, err
-		}
-	}
-	opts.scope = traceScope(entries)
-
-	kinds, err := sweepKinds(opts.Configs)
-	if err != nil {
-		return nil, nil, Summary{}, err
-	}
-	kinds = dedup(kinds)
-	windows := dedup(opts.Windows)
-	if len(windows) == 0 {
-		windows = []int{128}
-	}
-	for _, w := range windows {
-		if w <= 0 {
-			return nil, nil, Summary{}, fmt.Errorf("experiments: invalid window size %d", w)
-		}
-	}
-	cfgs := make(map[string]pipeline.Config, len(kinds)*len(windows))
-	for _, k := range kinds {
-		for _, w := range windows {
-			cfgs[sweepKey(k, w)] = core.ConfigFor(k, w)
-		}
-	}
-
-	runs, sum, err := runSweep(ctx, names, cfgs, opts)
-	if err != nil {
-		return nil, nil, sum, err
-	}
-
-	var rows []SweepRow
-	for _, name := range names {
-		for _, k := range kinds {
-			for _, w := range windows {
-				run, ok := runs[name][sweepKey(k, w)]
-				if !ok {
-					continue // another shard's pair
-				}
-				rows = append(rows, SweepRow{
-					Benchmark:    name,
-					Suite:        workload.Custom,
-					Config:       k.String(),
-					Window:       w,
-					Cycles:       run.Cycles,
-					Committed:    run.Committed,
-					IPC:          run.IPC(),
-					CommPct:      run.PctInWindowComm(),
-					Bypassed:     run.BypassedLoads,
-					Delayed:      run.DelayedLoads,
-					MisPer10k:    run.MispredictsPer10kLoads(),
-					Flushes:      run.Flushes,
-					DCacheReads:  run.TotalDCacheReads(),
-					Reexecutions: run.Reexecutions,
-				})
-			}
-		}
-	}
-
-	tbl := stats.NewTable("Trace: raw measurements per (trace, configuration, window)",
-		"trace", "config", "window", "cycles", "committed", "IPC",
-		"comm%", "bypassed", "delayed", "mispred/10k", "flushes", "D$ reads", "reexec")
-	for _, r := range rows {
-		tbl.AddRow(r.Benchmark, r.Config, r.Window, r.Cycles, r.Committed,
-			r.IPC, r.CommPct, r.Bypassed, r.Delayed, r.MisPer10k, r.Flushes, r.DCacheReads, r.Reexecutions)
-	}
-	return tbl, rows, sum, nil
 }

@@ -20,16 +20,15 @@ import (
 // the one shared trace, and the entry must be dropped exactly when the last
 // pending job releases it.
 func TestTraceCacheConcurrentGetRelease(t *testing.T) {
-	prog, err := workload.Generate("gzip", workload.Options{Iterations: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const jobs = 32
 	pending := make([]sweepJob, jobs)
 	for i := range pending {
 		pending[i] = sweepJob{index: i, benchmark: "gzip"}
 	}
-	c := newTraceCache(map[string]*program.Program{"gzip": prog}, nil, pending, 0)
+	c, err := newTraceCache(benchmarkSource("", []string{"gzip"}), pending, Options{Iterations: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	traces := make([]interface{}, jobs)
 	var wg sync.WaitGroup
@@ -111,16 +110,15 @@ func TestTraceCacheRecordErrorShared(t *testing.T) {
 // same pre-decoded TraceMeta instance (built exactly once), interleaved
 // arbitrarily with plain get calls (run with -race in CI).
 func TestTraceCacheConcurrentMetaSharing(t *testing.T) {
-	prog, err := workload.Generate("gzip", workload.Options{Iterations: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const jobs = 32
 	pending := make([]sweepJob, jobs)
 	for i := range pending {
 		pending[i] = sweepJob{index: i, benchmark: "gzip"}
 	}
-	c := newTraceCache(map[string]*program.Program{"gzip": prog}, nil, pending, 0)
+	c, err := newTraceCache(benchmarkSource("", []string{"gzip"}), pending, Options{Iterations: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	metas := make([]interface{}, jobs)
 	var wg sync.WaitGroup
@@ -176,7 +174,10 @@ func TestTraceCacheMetaPropagatesRecordError(t *testing.T) {
 // TestTraceCacheUnknownBenchmark: a benchmark with no entry is an error, not
 // a panic — the sweep engine treats it as a failed job.
 func TestTraceCacheUnknownBenchmark(t *testing.T) {
-	c := newTraceCache(nil, nil, nil, 0)
+	c, err := newTraceCache(source{}, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := c.get("nonesuch"); err == nil {
 		t.Fatal("get of unknown benchmark should error")
 	}
@@ -186,12 +187,11 @@ func TestTraceCacheUnknownBenchmark(t *testing.T) {
 // benchmark's jobs must not drop the trace while other jobs still hold
 // pending references.
 func TestTraceCacheReleaseKeepsSharedEntryAlive(t *testing.T) {
-	prog, err := workload.Generate("gzip", workload.Options{Iterations: 10})
+	pending := []sweepJob{{index: 0, benchmark: "gzip"}, {index: 1, benchmark: "gzip"}}
+	c, err := newTraceCache(benchmarkSource("", []string{"gzip"}), pending, Options{Iterations: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pending := []sweepJob{{index: 0, benchmark: "gzip"}, {index: 1, benchmark: "gzip"}}
-	c := newTraceCache(map[string]*program.Program{"gzip": prog}, nil, pending, 0)
 	first, err := c.get("gzip")
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestSweepRecordsOnlyMaxInsts(t *testing.T) {
 	progs := make(map[string]*program.Program, len(benchmarks))
 	var pending []sweepJob
 	for _, b := range benchmarks {
-		p, err := opts.generateProgram(b)
+		p, err := workload.Generate(b, workload.Options{Iterations: opts.Iterations})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,10 @@ func TestSweepRecordsOnlyMaxInsts(t *testing.T) {
 		progs[b] = p
 		pending = append(pending, sweepJob{index: len(pending), benchmark: b})
 	}
-	c := newTraceCache(progs, nil, pending, opts.MaxInsts)
+	c, err := newTraceCache(benchmarkSource("", benchmarks), pending, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, b := range benchmarks {
 		tr, err := c.get(b)
 		if err != nil {
@@ -247,7 +250,7 @@ func TestSweepRecordsOnlyMaxInsts(t *testing.T) {
 		}
 	}
 
-	runs, sum, err := runSweep(context.Background(), benchmarks, cfgs, opts)
+	runs, sum, err := runSweep(context.Background(), benchmarkSource("", benchmarks), cfgs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,7 +159,7 @@ func TestTraceScopeTracksContent(t *testing.T) {
 		}
 		return entries
 	}
-	a, b := traceScope(load(dirA)), traceScope(load(dirB))
+	a, b := traceSource(load(dirA)).scope, traceSource(load(dirB)).scope
 	if a == b {
 		t.Fatalf("different trace contents share scope %s", a)
 	}

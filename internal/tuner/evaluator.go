@@ -2,7 +2,6 @@ package tuner
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/experiments"
@@ -165,46 +164,14 @@ func (e ServerEvaluator) Evaluate(ctx context.Context, s workload.Scenario, sett
 	return measurementFromReportJSON(raw, settings)
 }
 
-// measurementFromReportJSON reduces a scenario job's JSON report document
-// ({"experiment":..., "meta":..., "report":{"columns":..., "rows":[...]}})
-// to a Measurement. Cached pairs emit no per-pair progress events, so the
+// measurementFromReportJSON reduces a scenario job's JSON report document to
+// a Measurement. Cached pairs emit no per-pair progress events, so the
 // report document — which is identical for cached and fresh runs — is the
 // only channel that always carries the measurements.
 func measurementFromReportJSON(raw []byte, settings EvalSettings) (Measurement, error) {
-	var doc struct {
-		Report struct {
-			Rows []map[string]interface{} `json:"rows"`
-		} `json:"report"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return Measurement{}, fmt.Errorf("tuner: decoding report: %w", err)
-	}
-	rows := make([]experiments.SweepRow, 0, len(doc.Report.Rows))
-	for _, cells := range doc.Report.Rows {
-		rows = append(rows, experiments.SweepRow{
-			Config:       str(cells["config"]),
-			Window:       int(num(cells["window"])),
-			Cycles:       uint64(num(cells["cycles"])),
-			Committed:    uint64(num(cells["committed"])),
-			IPC:          num(cells["IPC"]),
-			CommPct:      num(cells["comm%"]),
-			Bypassed:     uint64(num(cells["bypassed"])),
-			Delayed:      uint64(num(cells["delayed"])),
-			MisPer10k:    num(cells["mispred/10k"]),
-			Flushes:      uint64(num(cells["flushes"])),
-			DCacheReads:  uint64(num(cells["D$ reads"])),
-			Reexecutions: uint64(num(cells["reexec"])),
-		})
+	rows, err := experiments.DecodeSweepRows(raw)
+	if err != nil {
+		return Measurement{}, fmt.Errorf("tuner: %w", err)
 	}
 	return measurementFromRows(rows, settings)
-}
-
-func num(v interface{}) float64 {
-	f, _ := v.(float64)
-	return f
-}
-
-func str(v interface{}) string {
-	s, _ := v.(string)
-	return s
 }

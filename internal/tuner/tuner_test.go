@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // tinyConfig is a search budget small enough for unit tests (a couple of
@@ -146,31 +147,38 @@ func TestObjectiveScores(t *testing.T) {
 	}
 }
 
-// TestMeasurementFromReportJSON feeds the exact JSON document a scenario job
-// report renders (via the real Report path) into the server evaluator's
-// parser and checks the round-trip, including the baseline row.
+// TestMeasurementFromReportJSON renders a real scenario report as JSON — the
+// document a server job returns — and checks that the server evaluator reads
+// from it exactly the measurement the local evaluator reads from the report's
+// rows, baseline included.
 func TestMeasurementFromReportJSON(t *testing.T) {
-	tbl := stats.NewTable("Scenario: raw measurements per (scenario, configuration, window)",
-		"scenario", "pattern", "config", "window", "cycles", "committed", "IPC",
-		"comm%", "bypassed", "delayed", "mispred/10k", "flushes", "D$ reads", "reexec")
-	tbl.AddRow("s", "profile", "nosq-delay", 128, uint64(1000), uint64(800), 0.8, 25.0,
-		uint64(10), uint64(2), 50.0, uint64(7), uint64(900), uint64(3))
-	tbl.AddRow("s", "profile", "assoc-sq-storesets", 128, uint64(900), uint64(800), 0.9, 25.0,
-		uint64(0), uint64(0), 0.0, uint64(0), uint64(880), uint64(0))
-	rep := &experiments.Report{Experiment: "scenario", Table: tbl}
-	doc, err := rep.Render(stats.FormatJSON)
+	exp, err := experiments.Lookup("scenario")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := measurementFromReportJSON([]byte(doc), EvalSettings{
-		Config: "nosq-delay", BaselineConfig: "assoc-sq-storesets", Window: 128,
+	settings := EvalSettings{Config: "nosq-delay", BaselineConfig: "assoc-sq-storesets", Window: 128}
+	rep, err := exp.Run(context.Background(), experiments.Options{
+		Scenario:    &workload.Scenario{Name: "tuner/report", Iterations: 20},
+		Configs:     settings.configs(),
+		Windows:     []int{settings.Window},
+		Parallelism: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Measurement{Cycles: 1000, Committed: 800, IPC: 0.8, CommPct: 25, Bypassed: 10,
-		Delayed: 2, MisPer10k: 50, Flushes: 7, DCacheReads: 900, Reexecutions: 3, BaselineIPC: 0.9}
-	if m != want {
+	doc, err := rep.Render(stats.FormatJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := measurementFromReportJSON([]byte(doc), settings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := measurementFromRows(rep.Rows.([]experiments.SweepRow), settings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m != want || m.Cycles == 0 || m.BaselineIPC == 0 {
 		t.Errorf("parsed measurement %+v, want %+v", m, want)
 	}
 
