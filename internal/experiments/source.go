@@ -44,7 +44,9 @@ func scenarioSource(scns []workload.Scenario) source {
 	names := make([]string, len(scns))
 	specs := make([][]byte, len(scns))
 	for i, s := range scns {
-		byName[s.Name], names[i], specs[i] = s, s.Name, s.Canonical()
+		byName[s.Name] = s
+		names[i] = s.Name
+		specs[i] = s.Canonical()
 	}
 	return source{
 		names: names,
@@ -64,7 +66,8 @@ func traceSource(entries []traceio.Entry) source {
 	names := make([]string, len(entries))
 	hashes := make([][]byte, len(entries))
 	for i, e := range entries {
-		names[i], hashes[i] = e.RefName(), []byte(e.TraceHash)
+		names[i] = e.RefName()
+		hashes[i] = []byte(e.TraceHash)
 		paths[names[i]] = e.Path
 	}
 	return source{
@@ -82,7 +85,7 @@ func traceSource(entries []traceio.Entry) source {
 
 func customSuite(string) workload.Suite { return workload.Custom }
 
-// generated opens a name by generating its program at once — cheap and
+// generated opens a name by generating its program up front — cheap and
 // deterministic in (name, iterations), which is what lets distributed
 // workers regenerate exactly the program the coordinator planned — and
 // records its trace on first use, up to opts.MaxInsts as pipeline.New does.

@@ -314,13 +314,13 @@ func (s *checkpointFileStore) Append(e CheckpointEntry) error {
 // i % Shards == ShardIndex are run, so independent processes (or machines) can
 // split one sweep without coordination (opts.Slice selects a contiguous
 // position range instead — the coordinated, leased variant of the same idea).
-// Second, resumption: every finished job is appended to the configured ResultStore (by default a JSONL
-// checkpoint file, Options.Checkpoint), and pairs already present in the
-// store are loaded instead of re-run. Entries are keyed by (src.scope,
-// iterations, max-insts, benchmark, configuration), so a shared store never
-// serves runs across experiments or across workload lengths; shards pointed
-// at a shared file (or at per-shard files later concatenated) merge into one
-// result set.
+// Second, resumption: every finished job is appended to the configured
+// ResultStore (by default a JSONL checkpoint file, Options.Checkpoint), and
+// pairs already present in the store are loaded instead of re-run. Entries
+// are keyed by (src.scope, iterations, max-insts, benchmark, configuration),
+// so a shared store never serves runs across experiments or across workload
+// lengths; shards pointed at a shared file (or at per-shard files later
+// concatenated) merge into one result set.
 //
 // Planning and completion are observable through Options.Progress, and the
 // store is injectable through Options.Store — the simulation server uses both
