@@ -21,7 +21,7 @@ type gridCase struct {
 }
 
 // gridGoldenCases cover the grid experiments (sweep, scenario, corpus,
-// trace) and two table/figure experiments that share their engine, at
+// trace) and every table and figure of the paper, one of them sharded, at
 // lengths small enough to run in well under a second.
 func gridGoldenCases() []gridCase {
 	inline := &workload.Scenario{
@@ -50,6 +50,12 @@ func gridGoldenCases() []gridCase {
 			Configs: []string{"nosq-delay", "assoc-sq-storesets"}, Windows: []int{128, 256}}},
 		{"fig4", "fig4", Options{Iterations: 20, Benchmarks: []string{"gzip", "applu", "g721.e"}}},
 		{"table5", "table5", Options{Iterations: 20, Benchmarks: []string{"gzip", "mesa.o"}}},
+		{"table5-shard", "table5", Options{Iterations: 20, Benchmarks: []string{"gzip", "mesa.o", "applu"},
+			Shards: 2, ShardIndex: 1}},
+		{"fig2", "fig2", Options{Iterations: 20, Benchmarks: []string{"gzip", "mesa.o", "applu"}}},
+		{"fig3", "fig3", Options{Iterations: 20, Benchmarks: []string{"gap", "applu"}}},
+		{"fig5cap", "fig5cap", Options{Iterations: 20, Benchmarks: []string{"gs.d", "vpr.p"}}},
+		{"fig5hist", "fig5hist", Options{Iterations: 20, Benchmarks: []string{"eon.k", "g721.e"}}},
 	}
 }
 
