@@ -12,6 +12,7 @@ package repro
 // paper's headline numbers are visible directly in the benchmark output.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bypass"
@@ -33,15 +34,30 @@ func benchOpts(benchmarks []string) experiments.Options {
 	return experiments.Options{Iterations: 120, Benchmarks: benchmarks}
 }
 
+// runRows runs the named experiment and returns its typed rows.
+func runRows[R any](b *testing.B, name string, opts experiments.Options) []R {
+	b.Helper()
+	exp, err := experiments.Lookup(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := exp.Run(context.Background(), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows, ok := rep.Rows.([]R)
+	if !ok {
+		b.Fatalf("%s rows are %T, want %T", name, rep.Rows, rows)
+	}
+	return rows
+}
+
 // BenchmarkTable5 regenerates Table 5 (communication behaviour and bypassing
 // predictor accuracy) on the selected benchmark subset and reports the
 // average misprediction rates with and without delay.
 func BenchmarkTable5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, rows, err := experiments.Table5(benchOpts(benchSubset))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runRows[experiments.Table5Row](b, "table5", benchOpts(benchSubset))
 		var noDelay, withDelay, comm []float64
 		for _, r := range rows {
 			if r.IsMean {
@@ -62,11 +78,7 @@ func BenchmarkTable5(b *testing.B) {
 // configuration relative to the ideal baseline.
 func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, rows, err := experiments.Figure2(benchOpts(benchSubset))
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportRelativeMeans(b, rows)
+		reportRelativeMeans(b, runRows[experiments.RelTimeRow](b, "fig2", benchOpts(benchSubset)))
 	}
 }
 
@@ -74,14 +86,12 @@ func BenchmarkFigure2(b *testing.B) {
 // window) on the paper's selected benchmarks.
 func BenchmarkFigure3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, rows, err := experiments.Figure3(benchOpts(nil))
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportRelativeMeans(b, rows)
+		reportRelativeMeans(b, runRows[experiments.RelTimeRow](b, "fig3", benchOpts(nil)))
 	}
 }
 
+// reportRelativeMeans reports, per configuration label, the geometric mean
+// of the benchmarks' relative execution times.
 func reportRelativeMeans(b *testing.B, rows []experiments.RelTimeRow) {
 	b.Helper()
 	agg := map[string][]float64{}
@@ -102,10 +112,7 @@ func reportRelativeMeans(b *testing.B, rows []experiments.RelTimeRow) {
 // the baseline) and reports the mean relative read count.
 func BenchmarkFigure4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, rows, err := experiments.Figure4(benchOpts(nil))
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runRows[experiments.Figure4Row](b, "fig4", benchOpts(nil))
 		var totals, backend []float64
 		for _, r := range rows {
 			if r.IsMean {
@@ -124,39 +131,15 @@ func BenchmarkFigure4(b *testing.B) {
 // capacity.
 func BenchmarkFigure5Capacity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, rows, err := experiments.Figure5Capacity(benchOpts(nil))
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSensitivity(b, rows, []string{"cap-512", "cap-1k", "cap-2k", "cap-4k", "cap-inf"})
+		reportRelativeMeans(b, runRows[experiments.RelTimeRow](b, "fig5cap", benchOpts(nil)))
 	}
 }
 
 // BenchmarkFigure5History regenerates the bottom half of Figure 5 (path
-// history length sensitivity).
+// history length sensitivity, for the default and an unbounded predictor).
 func BenchmarkFigure5History(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, rows, err := experiments.Figure5History(benchOpts(nil))
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSensitivity(b, rows, []string{"hist-4", "hist-6", "hist-8", "hist-10", "hist-12"})
-	}
-}
-
-func reportSensitivity(b *testing.B, rows []experiments.SensitivityRow, labels []string) {
-	b.Helper()
-	for _, label := range labels {
-		var vals []float64
-		for _, r := range rows {
-			if r.IsMean {
-				continue
-			}
-			if v, ok := r.Relative[label]; ok {
-				vals = append(vals, v)
-			}
-		}
-		b.ReportMetric(stats.GeoMean(vals), "rel_time_"+label)
+		reportRelativeMeans(b, runRows[experiments.RelTimeRow](b, "fig5hist", benchOpts(nil)))
 	}
 }
 

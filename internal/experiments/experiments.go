@@ -16,8 +16,7 @@
 // corpus, trace); Lookup, Names and All expose the registry to the CLI tools.
 // A run produces a Report —
 // one set of structured rows renderable as paper-style text, Markdown, JSON,
-// or CSV — and the classic per-experiment functions (Table5, Figure2, ...)
-// remain as thin wrappers returning the typed rows directly.
+// or CSV — whose Rows field holds the experiment's typed rows.
 //
 // Simulations are farmed out to a worker pool by the sweep engine
 // (one simulation per benchmark/configuration pair), which also provides
@@ -32,7 +31,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pipeline"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -145,24 +143,6 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// completeOnly filters benchmarks down to those with a run for every
-// configuration key, recording the number dropped in sum.Incomplete. The
-// table and figure experiments derive every row from the full configuration
-// set, so a benchmark whose cells were skipped by shard selection must be
-// dropped rather than rendered with zero-value runs; the full table comes
-// from replaying the merged checkpoints.
-func completeOnly(benchmarks []string, runs map[string]map[string]stats.Run, nCfgs int, sum *Summary) []string {
-	out := benchmarks[:0:0]
-	for _, b := range benchmarks {
-		if len(runs[b]) == nCfgs {
-			out = append(out, b)
-		} else {
-			sum.Incomplete++
-		}
-	}
-	return out
-}
-
 // suiteOf returns the suite a benchmark belongs to.
 func suiteOf(benchmark string) workload.Suite {
 	p, err := workload.ProfileByName(benchmark)
@@ -172,16 +152,7 @@ func suiteOf(benchmark string) workload.Suite {
 	return p.Suite
 }
 
-// orderedBySuite returns the benchmarks grouped in the paper's suite order.
-func orderedBySuite(benchmarks []string) map[workload.Suite][]string {
-	out := make(map[workload.Suite][]string)
-	for _, b := range benchmarks {
-		s := suiteOf(b)
-		out[s] = append(out[s], b)
-	}
-	return out
-}
-
+// suiteOrder is the order in which the paper presents its suites.
 var suiteOrder = []workload.Suite{workload.MediaBench, workload.SPECint, workload.SPECfp}
 
 // defaultBenchmarks resolves the benchmark list for an experiment, keeping

@@ -15,11 +15,27 @@ func quickOpts(benchmarks ...string) Options {
 	return Options{Iterations: 25, Benchmarks: benchmarks, Parallelism: 4}
 }
 
-func TestTable5Quick(t *testing.T) {
-	tbl, rows, err := Table5(quickOpts("gzip", "g721.e", "applu"))
+// runRows runs the named experiment and returns its report and typed rows.
+func runRows[R any](t *testing.T, name string, opts Options) (*Report, []R) {
+	t.Helper()
+	exp, err := Lookup(name)
 	if err != nil {
-		t.Fatalf("Table5: %v", err)
+		t.Fatal(err)
 	}
+	rep, err := exp.Run(context.Background(), opts)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	rows, ok := rep.Rows.([]R)
+	if !ok {
+		t.Fatalf("%s rows are %T, want %T", name, rep.Rows, rows)
+	}
+	return rep, rows
+}
+
+func TestTable5Quick(t *testing.T) {
+	rep, rows := runRows[Table5Row](t, "table5", quickOpts("gzip", "g721.e", "applu"))
+	tbl := rep.Table
 	// 3 benchmarks + 3 suite means (one per suite represented).
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(rows))
@@ -53,10 +69,7 @@ func TestTable5Quick(t *testing.T) {
 }
 
 func TestFigure2Quick(t *testing.T) {
-	tbl, rows, err := Figure2(quickOpts("gzip", "mesa.o", "wupwise"))
-	if err != nil {
-		t.Fatalf("Figure2: %v", err)
-	}
+	rep, rows := runRows[RelTimeRow](t, "fig2", quickOpts("gzip", "mesa.o", "wupwise"))
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(rows))
 	}
@@ -70,7 +83,7 @@ func TestFigure2Quick(t *testing.T) {
 			t.Errorf("%s: missing baseline IPC", r.Benchmark)
 		}
 	}
-	if tbl.NumRows() == 0 {
+	if rep.Table.NumRows() == 0 {
 		t.Error("empty table")
 	}
 }
@@ -78,20 +91,14 @@ func TestFigure2Quick(t *testing.T) {
 func TestFigure3UsesSelectedBenchmarksByDefault(t *testing.T) {
 	// Don't run the full selected set; just verify the default selection and
 	// window plumb-through using a restricted benchmark list.
-	_, rows, err := Figure3(quickOpts("gap", "applu"))
-	if err != nil {
-		t.Fatalf("Figure3: %v", err)
-	}
+	_, rows := runRows[RelTimeRow](t, "fig3", quickOpts("gap", "applu"))
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(rows))
 	}
 }
 
 func TestFigure4Quick(t *testing.T) {
-	_, rows, err := Figure4(quickOpts("mesa.o", "gzip"))
-	if err != nil {
-		t.Fatalf("Figure4: %v", err)
-	}
+	_, rows := runRows[Figure4Row](t, "fig4", quickOpts("mesa.o", "gzip"))
 	for _, r := range rows {
 		if r.Total() <= 0 || r.Total() > 1.6 {
 			t.Errorf("%s: relative reads %.2f implausible", r.Benchmark, r.Total())
@@ -110,10 +117,7 @@ func TestFigure4Quick(t *testing.T) {
 }
 
 func TestFigure5CapacityQuick(t *testing.T) {
-	_, rows, err := Figure5Capacity(quickOpts("gs.d", "vpr.p"))
-	if err != nil {
-		t.Fatalf("Figure5Capacity: %v", err)
-	}
+	_, rows := runRows[RelTimeRow](t, "fig5cap", quickOpts("gs.d", "vpr.p"))
 	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -127,10 +131,7 @@ func TestFigure5CapacityQuick(t *testing.T) {
 }
 
 func TestFigure5HistoryQuick(t *testing.T) {
-	_, rows, err := Figure5History(quickOpts("eon.k"))
-	if err != nil {
-		t.Fatalf("Figure5History: %v", err)
-	}
+	_, rows := runRows[RelTimeRow](t, "fig5hist", quickOpts("eon.k"))
 	want := []string{"hist-4", "hist-8", "hist-12", "hist-8-inf"}
 	for _, r := range rows {
 		for _, label := range want {
@@ -174,9 +175,15 @@ func TestSuiteHelpers(t *testing.T) {
 	if suiteOf("unknown-name") != workload.SPECint {
 		t.Error("unknown benchmark should default to SPECint")
 	}
-	groups := orderedBySuite([]string{"gzip", "applu", "gs.d"})
-	if len(groups[workload.MediaBench]) != 1 || len(groups[workload.SPECint]) != 1 || len(groups[workload.SPECfp]) != 1 {
-		t.Errorf("grouping = %v", groups)
+	// The paper's tables group benchmarks by suite, MediaBench first.
+	_, rows := runRows[Table5Row](t, "table5", Options{Iterations: 5, Benchmarks: []string{"gzip", "applu", "gs.d"}})
+	var got []string
+	for _, r := range rows {
+		got = append(got, r.Benchmark)
+	}
+	want := "gs.d MediaBench.avg gzip SPECint.avg applu SPECfp.avg"
+	if strings.Join(got, " ") != want {
+		t.Errorf("grouping = %v, want %s", got, want)
 	}
 }
 

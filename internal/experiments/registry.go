@@ -218,35 +218,10 @@ func report(name string, tbl *stats.Table, rows interface{}, sum Summary) *Repor
 	return r
 }
 
-// registerRows registers an experiment implemented as a (table, typed rows,
-// summary) function, wrapping its result into a Report.
-func registerRows[R any](name, desc string, run func(context.Context, Options) (*stats.Table, []R, Summary, error)) {
-	Register(funcExperiment{
-		name: name,
-		desc: desc,
-		run: func(ctx context.Context, opts Options) (*Report, error) {
-			tbl, rows, sum, err := run(ctx, opts)
-			if err != nil {
-				return nil, err
-			}
-			return report(name, tbl, rows, sum), nil
-		},
-	})
-}
-
 func init() {
-	registerRows("table5",
-		"Table 5: store-load communication behaviour and bypassing-predictor accuracy", table5)
-	registerRows("fig2",
-		"Figure 2: relative execution time, 128-entry window, all benchmarks", figure2)
-	registerRows("fig3",
-		"Figure 3: relative execution time, 256-entry window, selected benchmarks", figure3)
-	registerRows("fig4",
-		"Figure 4: data-cache read bandwidth of NoSQ relative to the baseline", figure4)
-	registerRows("fig5cap",
-		"Figure 5 (top): bypassing-predictor capacity sensitivity", figure5Capacity)
-	registerRows("fig5hist",
-		"Figure 5 (bottom): bypassing-predictor path-history-length sensitivity", figure5History)
+	for _, e := range paperExperiments {
+		Register(e)
+	}
 	Register(funcExperiment{
 		name: "sweep",
 		desc: "free-form sweep over a configuration × window × benchmark grid",

@@ -178,10 +178,8 @@ func TestShardedFigureDropsIncompleteBenchmarks(t *testing.T) {
 	for shard := 0; shard < 2; shard++ {
 		opts := Options{Iterations: 10, Benchmarks: benchmarks, Parallelism: 2,
 			Shards: 2, ShardIndex: shard, Checkpoint: merged}
-		_, rows, sum, err := relativeTimeFigure(context.Background(), "t", opts, false, 128)
-		if err != nil {
-			t.Fatalf("shard %d: %v", shard, err)
-		}
+		rep, rows := runRows[RelTimeRow](t, "fig2", opts)
+		sum := rep.Summary
 		for _, r := range rows {
 			if !r.IsMean && r.BaselineIPC <= 0 {
 				t.Errorf("shard %d rendered %s from zero-value runs", shard, r.Benchmark)
@@ -193,11 +191,8 @@ func TestShardedFigureDropsIncompleteBenchmarks(t *testing.T) {
 	}
 	// The second shard resumed the first's pairs from the shared checkpoint,
 	// so it already rendered the full table; a plain replay must too.
-	_, rows, sum, err := relativeTimeFigure(context.Background(), "t",
-		Options{Iterations: 10, Benchmarks: benchmarks, Checkpoint: merged}, false, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, rows := runRows[RelTimeRow](t, "fig2", Options{Iterations: 10, Benchmarks: benchmarks, Checkpoint: merged})
+	sum := rep.Summary
 	if sum.Executed != 0 || sum.Incomplete != 0 {
 		t.Errorf("merged replay summary = %+v, want fully resumed and complete", sum)
 	}
@@ -220,17 +215,13 @@ func TestCheckpointScopedPerExperiment(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "shared.jsonl")
 	opts := Options{Iterations: 10, Benchmarks: []string{"gzip"}, Parallelism: 2, Checkpoint: ck}
 
-	_, _, sum2, err := relativeTimeFigure(context.Background(), "f2", opts, false, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, _ := runRows[RelTimeRow](t, "fig2", opts)
+	sum2 := rep.Summary
 	if sum2.Executed == 0 || sum2.Resumed != 0 {
 		t.Fatalf("fig2 summary = %+v", sum2)
 	}
-	_, _, sum3, err := relativeTimeFigure(context.Background(), "f3", opts, true, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, _ = runRows[RelTimeRow](t, "fig3", opts)
+	sum3 := rep.Summary
 	if sum3.Resumed != 0 {
 		t.Fatalf("fig3 resumed %d of fig2's runs from the shared checkpoint", sum3.Resumed)
 	}
@@ -238,10 +229,8 @@ func TestCheckpointScopedPerExperiment(t *testing.T) {
 		t.Fatalf("fig3 summary = %+v, want all %d jobs executed", sum3, sum2.Executed)
 	}
 	// Re-running each experiment resumes only its own scope.
-	_, _, again, err := relativeTimeFigure(context.Background(), "f2", opts, false, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, _ = runRows[RelTimeRow](t, "fig2", opts)
+	again := rep.Summary
 	if again.Executed != 0 || again.Resumed != sum2.Executed {
 		t.Fatalf("fig2 re-run summary = %+v, want fully resumed", again)
 	}
