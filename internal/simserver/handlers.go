@@ -355,31 +355,18 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	info := j.info()
-	rep := j.result()
-	if rep == nil {
-		// A job restored from the WAL after a restart has no in-memory
-		// report, but its pre-rendered formats replayed with it.
-		if text, ok := j.rendered(format); ok {
-			writeReport(w, format, text)
-			return
-		}
-		switch {
-		case info.State == simapi.StateFailed:
-			writeErr(w, http.StatusConflict, "job %s failed: %s", info.ID, info.Error)
-		case simapi.TerminalState(info.State):
-			writeErr(w, http.StatusConflict, "job %s was %s; no report", info.ID, info.State)
-		default:
-			writeErr(w, http.StatusConflict, "job %s is %s; report not ready", info.ID, info.State)
-		}
+	if text, ok := j.rendered(format); ok {
+		writeReport(w, format, text)
 		return
 	}
-	text, err := rep.Render(format)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "%v", err)
-		return
+	switch info := j.info(); {
+	case info.State == simapi.StateFailed:
+		writeErr(w, http.StatusConflict, "job %s failed: %s", info.ID, info.Error)
+	case simapi.TerminalState(info.State):
+		writeErr(w, http.StatusConflict, "job %s was %s; no report", info.ID, info.State)
+	default:
+		writeErr(w, http.StatusConflict, "job %s is %s; report not ready", info.ID, info.State)
 	}
-	writeReport(w, format, text)
 }
 
 func writeReport(w http.ResponseWriter, format, text string) {

@@ -12,7 +12,7 @@ import (
 
 // job is the server-side state of one submitted experiment run: the spec, the
 // lifecycle state machine, the append-only progress event log that streaming
-// clients follow, and (once done) the report.
+// clients follow, and (once done) the rendered report.
 //
 // All mutable fields are guarded by mu. The event log is append-only;
 // followers snapshot a suffix under the lock and then wait on the notify
@@ -38,11 +38,11 @@ type job struct {
 	cached   int
 	executed int
 
-	report *experiments.Report
-	// renders holds a recovered job's report pre-rendered per format: the
-	// in-memory report does not survive a WAL round trip, so a restarted
-	// server serves these instead.
-	renders map[string]string
+	// reports holds a done job's report rendered once per format, when it
+	// finishes or when it is replayed from the WAL: the typed report does
+	// not survive a WAL round trip, so live and restored jobs alike serve
+	// these texts.
+	reports map[string]string
 	events  []simapi.Event
 	notify  chan struct{}
 
@@ -93,8 +93,9 @@ func (j *job) start(cancel context.CancelFunc, now time.Time) bool {
 	return true
 }
 
-// finish transitions running → a terminal state.
-func (j *job) finish(state, errMsg string, rep *experiments.Report, now time.Time) {
+// finish transitions running → a terminal state; a done job carries its
+// rendered reports.
+func (j *job) finish(state, errMsg string, reports map[string]string, now time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if simapi.TerminalState(j.state) {
@@ -108,7 +109,7 @@ func (j *job) finish(state, errMsg string, rep *experiments.Report, now time.Tim
 	j.appendEventLocked(spanEvent(obs.SpanAt("total", j.submitted).EndAt(now), now))
 	j.state = state
 	j.errMsg = errMsg
-	j.report = rep
+	j.reports = reports
 	j.finished = now
 	j.cancel = nil
 	j.appendEventLocked(simapi.Event{Type: simapi.EventState, State: state, Error: errMsg, Time: now})
@@ -225,19 +226,11 @@ func (j *job) eventsSince(from int) (evs []simapi.Event, state string, notify <-
 	return evs, j.state, j.notify
 }
 
-// result returns the finished job's report (nil unless state is done).
-func (j *job) result() *experiments.Report {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.report
-}
-
-// rendered returns a recovered job's pre-rendered report in the given
-// format, if one was replayed from the WAL.
+// rendered returns a done job's report in the given format.
 func (j *job) rendered(format string) (string, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	text, ok := j.renders[format]
+	text, ok := j.reports[format]
 	return text, ok
 }
 

@@ -118,7 +118,7 @@ func restoreJob(p *replayedJob) *job {
 	j.errMsg = term.Error
 	j.started = p.started
 	j.finished = term.Time
-	j.renders = term.Reports
+	j.reports = term.Reports
 	if term.Pairs != nil {
 		j.total = term.Pairs.Total
 		j.cached = term.Pairs.Cached
@@ -157,17 +157,25 @@ func (j *job) walRecords() []simstore.Record {
 	if !simapi.TerminalState(j.state) {
 		return recs
 	}
+	return append(recs, j.terminalRecordLocked())
+}
+
+// terminalRecord renders a finished job's terminal WAL record, reports
+// included.
+func (j *job) terminalRecord() simstore.Record {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.terminalRecordLocked()
+}
+
+func (j *job) terminalRecordLocked() simstore.Record {
 	rec := simstore.Record{
 		Type: simstore.RecCompleted, Time: j.finished, JobID: j.id,
-		State: j.state, Error: j.errMsg,
+		State: j.state, Error: j.errMsg, Reports: j.reports,
 		Pairs: &simstore.PairCounts{Total: j.total, Cached: j.cached, Executed: j.executed},
 	}
 	if j.state == simapi.StateCanceled {
 		rec.Type = simstore.RecCanceled
 	}
-	rec.Reports = j.renders
-	if rec.Reports == nil && j.report != nil {
-		rec.Reports = renderAll(j.report)
-	}
-	return append(recs, rec)
+	return rec
 }

@@ -9,10 +9,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/jsonl"
 	"repro/internal/simapi"
 	"repro/internal/simclient"
 	"repro/internal/simstore"
+	"repro/internal/stats"
 )
 
 // crash abandons a server without the graceful-shutdown work. As far as the
@@ -268,6 +270,91 @@ func TestServerWALCompaction(t *testing.T) {
 	defer scancel2()
 	if err := srv2.Shutdown(sctx2); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReportFormatsSurviveRestart: a finished job serves its report in all
+// four formats exactly as the library renders it, and the same job restored
+// from the WAL serves the same four texts byte for byte.
+func TestReportFormatsSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Workers: 1, CodeRev: "test-rev", StateDir: dir}
+	spec := simapi.JobSpec{Experiment: "fig5cap", Benchmarks: []string{"gzip", "applu"}, Iterations: 10}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	exp, err := experiments.Lookup(spec.Experiment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := exp.Run(ctx, spec.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// reports fetches every format of job id from a server's API.
+	var id string
+	reports := func(srv *Server) map[string]string {
+		hs := httptest.NewServer(srv.Handler())
+		defer hs.Close()
+		cl := simclient.New(hs.URL, nil)
+		out := make(map[string]string)
+		for _, format := range stats.Formats() {
+			text, err := cl.Report(ctx, id, format)
+			if err != nil {
+				t.Fatalf("%s report: %v", format, err)
+			}
+			out[format] = string(text)
+		}
+		return out
+	}
+	shutdown := func(srv *Server) {
+		sctx, scancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer scancel()
+		if err := srv.Shutdown(sctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv1, _, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv1.Start()
+	info, err := srv1.Submit(spec, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id = info.ID
+	hs := httptest.NewServer(srv1.Handler())
+	final, err := simclient.New(hs.URL, nil).Wait(ctx, id)
+	hs.Close()
+	if err != nil || final.State != simapi.StateDone {
+		t.Fatalf("job = %+v, %v; want done", final, err)
+	}
+	live := reports(srv1)
+	for format, text := range live {
+		want, err := rep.Render(format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if text != want {
+			t.Errorf("live %s report differs from the library render:\n got: %q\nwant: %q", format, text, want)
+		}
+	}
+	shutdown(srv1)
+
+	srv2, _, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(srv2)
+	if restored, _ := srv2.RecoveryStats(); restored != 1 {
+		t.Fatalf("restored %d jobs, want 1", restored)
+	}
+	for format, text := range reports(srv2) {
+		if text != live[format] {
+			t.Errorf("restored %s report differs from the live one:\n got: %q\nwant: %q", format, text, live[format])
+		}
 	}
 }
 

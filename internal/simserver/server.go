@@ -572,7 +572,7 @@ func (s *Server) runJob(j *job) {
 	}
 	switch {
 	case err == nil:
-		j.finish(simapi.StateDone, "", rep, time.Now())
+		j.finish(simapi.StateDone, "", renderAll(rep), time.Now())
 		s.finishAccounting(j, simapi.StateDone)
 		s.logf("finished %s in %v", j.id, time.Since(startT).Round(time.Millisecond))
 	case errors.Is(err, context.Canceled):
@@ -600,23 +600,10 @@ func (s *Server) finishAccounting(j *job, state string) {
 	case simapi.StateCanceled:
 		s.metrics.canceled.Add(1)
 	}
-	info := j.info()
-	rec := simstore.Record{
-		Type: simstore.RecCompleted, Time: info.Finished, JobID: j.id,
-		State: state, Error: info.Error,
-		Pairs: &simstore.PairCounts{
-			Total: info.TotalPairs, Cached: info.CachedPairs, Executed: info.ExecutedPairs,
-		},
-	}
-	if state == simapi.StateCanceled {
-		rec.Type = simstore.RecCanceled
-	}
-	if state == simapi.StateDone {
-		rec.Reports = renderAll(j.result())
-	}
-	s.walAppend(rec)
+	started := !j.info().Started.IsZero()
+	s.walAppend(j.terminalRecord())
 	s.mu.Lock()
-	s.tenants.jobFinished(j.client, !info.Started.IsZero())
+	s.tenants.jobFinished(j.client, started)
 	if s.active[j.specHash] == j.id {
 		delete(s.active, j.specHash)
 	}
@@ -653,13 +640,10 @@ func (s *Server) walAppend(rec simstore.Record) {
 	}
 }
 
-// renderAll pre-renders a finished report in every format for the WAL: the
-// in-memory report's rows are experiment-specific and do not survive a JSON
-// round trip, so a restarted server serves these instead.
+// renderAll renders a finished report once in every format: the job serves
+// these texts and the WAL persists them, since the report's rows are
+// experiment-specific and do not survive a JSON round trip.
 func renderAll(rep *experiments.Report) map[string]string {
-	if rep == nil {
-		return nil
-	}
 	out := make(map[string]string, 4)
 	for _, format := range stats.Formats() {
 		text, err := rep.Render(format)
