@@ -101,16 +101,10 @@ func measurementFromRows(rows []experiments.SweepRow, settings EvalSettings) (Me
 		}
 		switch r.Config {
 		case settings.Config:
-			m.Cycles = r.Cycles
-			m.Committed = r.Committed
-			m.IPC = r.IPC
-			m.CommPct = r.CommPct
-			m.Bypassed = r.Bypassed
-			m.Delayed = r.Delayed
-			m.MisPer10k = r.MisPer10k
-			m.Flushes = r.Flushes
-			m.DCacheReads = r.DCacheReads
-			m.Reexecutions = r.Reexecutions
+			// A decoded report has no identity columns, so neither does a
+			// measurement: both evaluators yield the same struct.
+			m.SweepRow = r
+			m.Benchmark, m.Suite = "", 0
 			found = true
 		case settings.BaselineConfig:
 			m.BaselineIPC = r.IPC

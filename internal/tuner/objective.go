@@ -3,25 +3,17 @@ package tuner
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/experiments"
 )
 
 // Measurement is the reduced per-evaluation result an objective scores: the
-// scenario experiment's raw per-run measurements for one
-// (scenario, configuration, window) cell, plus the baseline configuration's
-// IPC when the objective is relative. Both the local and the server evaluator
-// produce exactly this struct, so a search can move between them without
-// changing scores.
+// scenario experiment's row for one (scenario, configuration, window) cell,
+// plus the baseline configuration's IPC when the objective is relative. Both
+// the local and the server evaluator produce exactly this struct, so a search
+// can move between them without changing scores.
 type Measurement struct {
-	Cycles       uint64
-	Committed    uint64
-	IPC          float64
-	CommPct      float64
-	Bypassed     uint64
-	Delayed      uint64
-	MisPer10k    float64
-	Flushes      uint64
-	DCacheReads  uint64
-	Reexecutions uint64
+	experiments.SweepRow
 	// BaselineIPC is the comparison configuration's IPC for the same
 	// scenario and window; zero unless the objective needs a baseline.
 	BaselineIPC float64

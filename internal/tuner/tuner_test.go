@@ -122,7 +122,8 @@ func TestRunConfigErrors(t *testing.T) {
 }
 
 func TestObjectiveScores(t *testing.T) {
-	m := Measurement{Committed: 10000, Flushes: 75, Reexecutions: 30, MisPer10k: 123.5, IPC: 0.6, BaselineIPC: 0.8}
+	m := Measurement{SweepRow: experiments.SweepRow{Committed: 10000, Flushes: 75, Reexecutions: 30, MisPer10k: 123.5, IPC: 0.6},
+		BaselineIPC: 0.8}
 	cases := map[string]float64{
 		"flush-rate": 7.5,
 		"svw-miss":   3,
