@@ -36,35 +36,6 @@ func TestConfigForWindow(t *testing.T) {
 	}
 }
 
-func TestSimulateBenchmark(t *testing.T) {
-	run, err := Simulate("gsm.e", NoSQDelay, Options{Iterations: 20})
-	if err != nil {
-		t.Fatalf("Simulate: %v", err)
-	}
-	if run.Committed == 0 || run.Cycles == 0 {
-		t.Errorf("empty run: %+v", run)
-	}
-	if run.Benchmark != "gsm.e" || run.Config != "nosq-delay" {
-		t.Errorf("metadata: %q/%q", run.Benchmark, run.Config)
-	}
-}
-
-func TestSimulateUnknownBenchmark(t *testing.T) {
-	if _, err := Simulate("nope", Baseline, Options{}); err == nil {
-		t.Error("unknown benchmark accepted")
-	}
-}
-
-func TestSimulateMaxInsts(t *testing.T) {
-	run, err := Simulate("gzip", Baseline, Options{Iterations: 200, MaxInsts: 500})
-	if err != nil {
-		t.Fatalf("Simulate: %v", err)
-	}
-	if run.Committed != 500 {
-		t.Errorf("committed %d, want 500", run.Committed)
-	}
-}
-
 func TestSimulateProgramCustom(t *testing.T) {
 	b := program.NewBuilder("tiny")
 	r1, r2 := isa.IntReg(1), isa.IntReg(2)

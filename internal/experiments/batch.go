@@ -84,11 +84,7 @@ func runGroup(g sweepGroup, traces *traceCache, opts Options) []sweepResult {
 			traces.release(g.benchmark)
 		}
 	}()
-	tr, err := traces.get(g.benchmark)
-	var meta *pipeline.TraceMeta
-	if err == nil {
-		meta, err = traces.getMeta(g.benchmark)
-	}
+	tr, meta, err := traces.get(g.benchmark)
 	if err != nil {
 		for i := range out {
 			out[i].err = err

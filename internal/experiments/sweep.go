@@ -31,13 +31,11 @@ type traceEntry struct {
 	once   sync.Once
 	record func()
 	trace  *emu.Trace
-	err    error
 	// The pre-decoded TraceMeta is cached alongside the trace: it is pure
 	// configuration-independent preprocessing, so every config-parallel batch
 	// of the benchmark shares one pre-decode exactly as it shares one trace.
-	metaOnce sync.Once
-	meta     *pipeline.TraceMeta
-	metaErr  error
+	meta *pipeline.TraceMeta
+	err  error
 }
 
 // newTraceCache opens, through src, every workload with a pending job, and
@@ -56,41 +54,30 @@ func newTraceCache(src source, pending []sweepJob, opts Options) (*traceCache, e
 		}
 		e := &traceEntry{}
 		// The record closure runs inside once.Do on first use, so workers
-		// that share a workload block until its trace exists and record or
-		// decode it exactly once.
-		e.record = func() { e.trace, e.err = rec() }
+		// that share a workload block until its trace and TraceMeta exist,
+		// and record or decode the trace and pre-decode its meta exactly
+		// once.
+		e.record = func() {
+			if e.trace, e.err = rec(); e.err == nil {
+				e.meta, e.err = pipeline.NewTraceMeta(e.trace)
+			}
+		}
 		c.entries[j.benchmark] = e
 	}
 	return c, nil
 }
 
-// get returns the benchmark's shared trace, recording it on first use.
-func (c *traceCache) get(benchmark string) (*emu.Trace, error) {
+// get returns the benchmark's shared trace and TraceMeta, recording the
+// trace and pre-decoding its meta on first use.
+func (c *traceCache) get(benchmark string) (*emu.Trace, *pipeline.TraceMeta, error) {
 	c.mu.Lock()
 	e := c.entries[benchmark]
 	c.mu.Unlock()
 	if e == nil {
-		return nil, fmt.Errorf("experiments: no trace entry for benchmark %q", benchmark)
+		return nil, nil, fmt.Errorf("experiments: no trace entry for benchmark %q", benchmark)
 	}
 	e.once.Do(e.record)
-	return e.trace, e.err
-}
-
-// getMeta returns the benchmark's shared TraceMeta, pre-decoding it on first
-// use (which records the trace first if needed).
-func (c *traceCache) getMeta(benchmark string) (*pipeline.TraceMeta, error) {
-	c.mu.Lock()
-	e := c.entries[benchmark]
-	c.mu.Unlock()
-	if e == nil {
-		return nil, fmt.Errorf("experiments: no trace entry for benchmark %q", benchmark)
-	}
-	e.once.Do(e.record)
-	if e.err != nil {
-		return nil, e.err
-	}
-	e.metaOnce.Do(func() { e.meta, e.metaErr = pipeline.NewTraceMeta(e.trace) })
-	return e.meta, e.metaErr
+	return e.trace, e.meta, e.err
 }
 
 // release notes that one of the benchmark's jobs finished, dropping the

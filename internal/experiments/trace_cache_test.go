@@ -37,7 +37,7 @@ func TestTraceCacheConcurrentGetRelease(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			defer c.release("gzip")
-			tr, err := c.get("gzip")
+			tr, _, err := c.get("gzip")
 			if err != nil {
 				t.Errorf("get: %v", err)
 				return
@@ -85,7 +85,7 @@ func TestTraceCacheRecordErrorShared(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			defer c.release("broken")
-			tr, err := c.get("broken")
+			tr, _, err := c.get("broken")
 			if !errors.Is(err, recordErr) {
 				t.Errorf("get error = %v, want the recording failure", err)
 			}
@@ -105,10 +105,10 @@ func TestTraceCacheRecordErrorShared(t *testing.T) {
 	}
 }
 
-// TestTraceCacheConcurrentMetaSharing drives getMeta the way concurrent
+// TestTraceCacheConcurrentMetaSharing drives get the way concurrent
 // config-parallel batch groups of one benchmark do: every group must see the
-// same pre-decoded TraceMeta instance (built exactly once), interleaved
-// arbitrarily with plain get calls (run with -race in CI).
+// same pre-decoded TraceMeta instance, built exactly once (run with -race in
+// CI).
 func TestTraceCacheConcurrentMetaSharing(t *testing.T) {
 	const jobs = 32
 	pending := make([]sweepJob, jobs)
@@ -127,15 +127,9 @@ func TestTraceCacheConcurrentMetaSharing(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			defer c.release("gzip")
-			if i%2 == 0 {
-				if _, err := c.get("gzip"); err != nil {
-					t.Errorf("get: %v", err)
-					return
-				}
-			}
-			m, err := c.getMeta("gzip")
-			if err != nil {
-				t.Errorf("getMeta: %v", err)
+			_, m, err := c.get("gzip")
+			if err != nil || m == nil {
+				t.Errorf("get: meta %v, error %v", m, err)
 				return
 			}
 			metas[i] = m
@@ -155,8 +149,8 @@ func TestTraceCacheConcurrentMetaSharing(t *testing.T) {
 	}
 }
 
-// TestTraceCacheMetaPropagatesRecordError: when trace recording fails,
-// getMeta must surface that error rather than pre-decoding a nil trace.
+// TestTraceCacheMetaPropagatesRecordError: when trace recording fails, get
+// must surface that error rather than pre-decoding a nil trace.
 func TestTraceCacheMetaPropagatesRecordError(t *testing.T) {
 	recordErr := errors.New("synthetic trace-recording failure")
 	c := &traceCache{
@@ -166,8 +160,8 @@ func TestTraceCacheMetaPropagatesRecordError(t *testing.T) {
 	e := &traceEntry{}
 	e.record = func() { e.err = recordErr }
 	c.entries["broken"] = e
-	if _, err := c.getMeta("broken"); !errors.Is(err, recordErr) {
-		t.Errorf("getMeta error = %v, want the recording failure", err)
+	if _, m, err := c.get("broken"); !errors.Is(err, recordErr) || m != nil {
+		t.Errorf("get = meta %v, error %v; want no meta and the recording failure", m, err)
 	}
 }
 
@@ -178,7 +172,7 @@ func TestTraceCacheUnknownBenchmark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.get("nonesuch"); err == nil {
+	if _, _, err := c.get("nonesuch"); err == nil {
 		t.Fatal("get of unknown benchmark should error")
 	}
 }
@@ -192,12 +186,12 @@ func TestTraceCacheReleaseKeepsSharedEntryAlive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := c.get("gzip")
+	first, _, err := c.get("gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.release("gzip")
-	second, err := c.get("gzip")
+	second, _, err := c.get("gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +199,7 @@ func TestTraceCacheReleaseKeepsSharedEntryAlive(t *testing.T) {
 		t.Fatal("trace dropped while a job was still pending")
 	}
 	c.release("gzip")
-	if _, err := c.get("gzip"); err == nil {
+	if _, _, err := c.get("gzip"); err == nil {
 		t.Fatal("trace still served after the last pending job released it")
 	}
 }
@@ -241,7 +235,7 @@ func TestSweepRecordsOnlyMaxInsts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range benchmarks {
-		tr, err := c.get(b)
+		tr, _, err := c.get(b)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -258,15 +258,10 @@ func (c *Client) TaskProgress(ctx context.Context, taskID, workerID string, entr
 
 // CompleteTask finishes a leased task, delivering every executed entry
 // (the coordinator deduplicates against earlier progress posts). A
-// non-empty errMsg reports a simulation failure, failing the job.
-func (c *Client) CompleteTask(ctx context.Context, taskID, workerID string, entries []experiments.CheckpointEntry, errMsg string) (simwire.CompleteResponse, error) {
-	return c.CompleteTaskTimed(ctx, taskID, workerID, entries, errMsg, 0)
-}
-
-// CompleteTaskTimed is CompleteTask carrying the worker-measured wall-clock
-// time of the whole task (0 = unmeasured), which the coordinator folds into
-// its pair latency accounting.
-func (c *Client) CompleteTaskTimed(ctx context.Context, taskID, workerID string, entries []experiments.CheckpointEntry, errMsg string, wall time.Duration) (simwire.CompleteResponse, error) {
+// non-empty errMsg reports a simulation failure, failing the job. wall is
+// the worker-measured wall-clock time of the whole task (0 = unmeasured),
+// which the coordinator folds into its pair latency accounting.
+func (c *Client) CompleteTask(ctx context.Context, taskID, workerID string, entries []experiments.CheckpointEntry, errMsg string, wall time.Duration) (simwire.CompleteResponse, error) {
 	var resp simwire.CompleteResponse
 	err := c.do(ctx, http.MethodPost, "/api/v1/worker/tasks/"+url.PathEscape(taskID)+"/complete",
 		simwire.CompleteRequest{WorkerID: workerID, Entries: entries, Error: errMsg,

@@ -394,7 +394,7 @@ func TestStaleWorkerFailureDoesNotFailJob(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	resp, err := raw.CompleteTask(ctx, task.ID, reg.WorkerID, nil, "simulated stall-induced failure")
+	resp, err := raw.CompleteTask(ctx, task.ID, reg.WorkerID, nil, "simulated stall-induced failure", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestLateIncompleteCompleteDoesNotDuplicateTask(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	// The late, incomplete completion: entries missing, lease long gone.
-	resp, err := raw.CompleteTask(ctx, task.ID, reg.WorkerID, nil, "")
+	resp, err := raw.CompleteTask(ctx, task.ID, reg.WorkerID, nil, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +510,7 @@ func TestCompleteAfterStreamedFinishObservesPairLatency(t *testing.T) {
 		{Benchmark: "gzip", Config: "nosq-delay@w0128"},
 		{Benchmark: "applu", Config: "nosq-delay@w0128"},
 	}
-	resp, err := c.CompleteTaskTimed(ctx, "task-gone", reg.WorkerID, entries, "", 80*time.Millisecond)
+	resp, err := c.CompleteTask(ctx, "task-gone", reg.WorkerID, entries, "", 80*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

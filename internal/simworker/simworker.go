@@ -310,7 +310,7 @@ func (a *Agent) heartbeat(tctx context.Context, cancel context.CancelFunc, task 
 func (a *Agent) complete(task *simwire.Task, entries []experiments.CheckpointEntry, errMsg string, wall time.Duration) {
 	for attempt := 0; attempt < 3; attempt++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		_, err := a.client.CompleteTaskTimed(ctx, task.ID, a.workerID, entries, errMsg, wall)
+		_, err := a.client.CompleteTask(ctx, task.ID, a.workerID, entries, errMsg, wall)
 		cancel()
 		if err == nil {
 			a.logf("task %s complete (%d pairs, err=%q)", task.ID, len(entries), errMsg)
