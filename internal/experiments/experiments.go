@@ -9,7 +9,9 @@
 // experiment replaying the committed pathological scenarios under
 // bench/corpus/, and a trace experiment replaying the recorded traces under
 // bench/traces/. The four grid experiments differ only in where their
-// workloads come from (a source) and the identity columns of their rows.
+// workloads come from (a source) and the identity columns of their rows;
+// the six paper experiments differ only in their configurations and in how
+// a benchmark's runs become a row and a suite's rows a mean.
 //
 // Every experiment implements the Experiment interface and is registered by
 // name (table5, fig2, fig3, fig4, fig5cap, fig5hist, sweep, scenario,

@@ -80,7 +80,7 @@ func meanOf[R any](mean func([]float64) float64, rows []R, field func(R) float64
 // paperExperiments are the paper's tables and figures, in its presentation
 // order.
 var paperExperiments = []Experiment{
-	table5,
+	table5Exp,
 	relTime(paperExp[RelTimeRow]{
 		name:  "fig2",
 		desc:  "Figure 2: relative execution time, 128-entry window, all benchmarks",
@@ -94,7 +94,7 @@ var paperExperiments = []Experiment{
 		scope:    "figure-w256",
 		selected: true,
 	}, 256, kindVariants(256), true),
-	fig4,
+	fig4Exp,
 	relTime(paperExp[RelTimeRow]{
 		name:     "fig5cap",
 		desc:     "Figure 5 (top): bypassing-predictor capacity sensitivity",
@@ -132,9 +132,9 @@ type Table5Row struct {
 	IsMean bool
 }
 
-// table5 reproduces Table 5: store-load communication behaviour and
+// table5Exp reproduces Table 5: store-load communication behaviour and
 // bypassing-predictor accuracy, per benchmark plus per-suite averages.
-var table5 = paperExp[Table5Row]{
+var table5Exp = paperExp[Table5Row]{
 	name:  "table5",
 	desc:  "Table 5: store-load communication behaviour and bypassing-predictor accuracy",
 	title: "Table 5: communication behaviour and prediction accuracy",
@@ -305,10 +305,10 @@ type Figure4Row struct {
 // Total returns the total relative data-cache reads.
 func (r Figure4Row) Total() float64 { return r.CoreReads + r.BackendReads }
 
-// fig4 reproduces Figure 4: data-cache reads of NoSQ (with delay) relative to
-// the associative-store-queue baseline, on the paper's selected benchmarks
+// fig4Exp reproduces Figure 4: data-cache reads of NoSQ (with delay) relative
+// to the associative-store-queue baseline, on the paper's selected benchmarks
 // plus suite means.
-var fig4 = paperExp[Figure4Row]{
+var fig4Exp = paperExp[Figure4Row]{
 	name:     "fig4",
 	desc:     "Figure 4: data-cache read bandwidth of NoSQ relative to the baseline",
 	title:    "Figure 4: data-cache reads relative to baseline (NoSQ with delay)",

@@ -160,8 +160,8 @@ func (j *job) walRecords() []simstore.Record {
 	return append(recs, j.terminalRecordLocked())
 }
 
-// terminalRecord renders a finished job's terminal WAL record, reports
-// included.
+// terminalRecord returns a finished job's terminal WAL record, its rendered
+// reports included.
 func (j *job) terminalRecord() simstore.Record {
 	j.mu.Lock()
 	defer j.mu.Unlock()
