@@ -210,16 +210,17 @@ func BenchmarkAblationStoreSets(b *testing.B) {
 // equality tests require tags; untagged filters also re-execute more).
 func BenchmarkAblationTaggedSSBF(b *testing.B) {
 	prog := workload.MustGenerate("gzip", workload.Options{Iterations: 150})
+	trace, err := emu.RecordTrace(prog, 2_000_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		machine := emu.New(prog)
-		machine.MaxInsts = 2_000_000
 		tagged := svw.NewTSSBF(128, 4)
 		untagged := svw.NewSSBF(128)
-		for {
-			d, err := machine.Step()
-			if err != nil {
-				break
-			}
+		cursor := trace.Cursor(0)
+		for seq := uint64(1); seq <= trace.Len(); seq++ {
+			d, _ := cursor.Get(seq)
 			switch {
 			case d.IsStore():
 				tagged.StoreCommit(d.EffAddr, d.StoreSSN, d.MemSize)
@@ -228,9 +229,6 @@ func BenchmarkAblationTaggedSSBF(b *testing.B) {
 				// Equivalent inequality tests against both organisations.
 				tagged.TestNonBypassed(d.EffAddr, d.Dep.SSN)
 				untagged.TestLoad(d.EffAddr, d.Dep.SSN)
-			}
-			if machine.Halted() {
-				break
 			}
 		}
 		b.ReportMetric(100*tagged.Counters().ReexecRate(), "tagged_reexec_%")

@@ -1,9 +1,9 @@
 // Predictor: use the NoSQ building blocks directly, without the timing
-// simulator. The example runs the functional emulator over a synthetic
-// workload, drives the distance-based bypassing predictor with the oracle
-// dependences of every dynamic load, and measures (a) the predictor's
-// accuracy and (b) how many re-executions the tagged SVW filter (T-SSBF)
-// would screen out.
+// simulator. The example records a synthetic workload with the functional
+// emulator, replays the trace through the distance-based bypassing predictor
+// with the oracle dependences of every dynamic load, and measures (a) the
+// predictor's accuracy and (b) how many re-executions the tagged SVW filter
+// (T-SSBF) would screen out.
 //
 // This mirrors how the decode-stage predictor and the commit-stage filter are
 // used inside the full NoSQ pipeline, but at trace level, so it is a good
@@ -29,8 +29,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	machine := emu.New(prog)
-	machine.MaxInsts = 2_000_000
+	trace, err := emu.RecordTrace(prog, 2_000_000)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cursor := trace.Cursor(0)
 
 	predictor := bypass.New(bypass.DefaultConfig())
 	filter := svw.NewTSSBF(128, 4)
@@ -38,11 +41,8 @@ func main() {
 
 	var loads, communicating, correct, mispredicted, filtered uint64
 
-	for {
-		d, err := machine.Step()
-		if err != nil {
-			break
-		}
+	for seq := uint64(1); seq <= trace.Len(); seq++ {
+		d, _ := cursor.Get(seq)
 		st := d.Static
 		switch {
 		case st.IsCondBranch():
@@ -95,9 +95,6 @@ func main() {
 			if !reexec {
 				filtered++
 			}
-		}
-		if machine.Halted() {
-			break
 		}
 	}
 

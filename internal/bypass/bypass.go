@@ -291,9 +291,6 @@ func New(cfg Config) *Predictor {
 	return p
 }
 
-// Config returns the predictor's configuration.
-func (p *Predictor) Config() Config { return p.cfg }
-
 // Stats returns a snapshot of the counters.
 func (p *Predictor) Stats() Stats { return p.stats }
 

@@ -116,9 +116,6 @@ func log2(v uint64) uint {
 	return n
 }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Stats returns a snapshot of the cache's counters.
 func (c *Cache) Stats() Stats { return c.stats }
 

@@ -6,18 +6,14 @@ import (
 	"repro/internal/isa"
 )
 
-// TraceBuilder reconstructs a Trace from a recorded instruction stream —
-// per-record static instructions plus the dynamic facts an encoder cannot
-// derive (effective addresses, branch outcomes, indirect-jump targets).
-// Everything else a DynInst carries is *replayed*, not stored: sequence
-// numbers, store sequence numbers, and the per-load oracle Dependence are
-// recomputed with the same per-byte last-writer table the live emulator
-// uses, so a decoded trace is indistinguishable from a freshly recorded one
-// to the timing model.
-//
-// Architectural values (DynInst.Value) are the one exception: the timing
-// model never reads them, so recorded traces do not carry them and a rebuilt
-// DynInst leaves Value zero.
+// TraceBuilder builds a Trace from an executed instruction stream — each
+// record's static instruction plus the dynamic facts only execution knows
+// (effective addresses, branch outcomes, return targets). It is the only
+// code that fills in a DynInst: RecordTrace feeds it the live emulator's
+// steps and the .nsqt decoder feeds it decoded records. Everything else a
+// DynInst carries is derived here: sequence numbers, store sequence
+// numbers, and the per-load oracle Dependence from a per-byte last-writer
+// table, so a decoded trace equals the recording it came from.
 type TraceBuilder struct {
 	t          *Trace
 	seq        uint64
@@ -72,7 +68,7 @@ func (b *TraceBuilder) Append(in *isa.Inst, effAddr uint64, taken bool, retPC ui
 		b.ssn++
 		d.StoreSSN = b.ssn
 		b.lastWriter.record(effAddr, in.MemSize,
-			byteSource{ssn: b.ssn, seq: b.seq, pc: in.PC, addr: effAddr, size: in.MemSize, fp: in.FPConv})
+			byteSource{ssn: b.ssn, seq: b.seq, pc: in.PC, addr: effAddr, size: in.MemSize})
 	case isa.OpBranch:
 		d.Taken = taken
 		if taken {

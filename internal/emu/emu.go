@@ -1,18 +1,26 @@
-// Package emu implements the SimISA functional emulator.
+// Package emu implements the SimISA functional emulator and the dynamic
+// instruction records the timing model replays.
 //
-// The emulator executes a program architecturally (in program order) and
-// produces a stream of dynamic instructions annotated with everything the
-// timing model and the NoSQ experiments need:
+// The emulator executes a program architecturally (in program order).
+// RecordTrace hands each executed instruction — its static instruction,
+// effective address, branch outcome and next PC — to a TraceBuilder, the one
+// place a record (DynInst) is filled in. The builder annotates every record
+// with everything the timing model and the NoSQ experiments need:
 //
-//   - effective addresses, access sizes and values for memory operations;
+//   - effective addresses and access sizes for memory operations;
 //   - branch outcomes and actual next PCs;
 //   - store sequence numbers (SSNs), the naming scheme the SVW and NoSQ
 //     mechanisms are built on; and
 //   - oracle memory-dependence information for every load: the SSN of the
 //     youngest older store that wrote any of the load's bytes, whether the
 //     load's bytes come from more than one source (the multi-source /
-//     partial-store case SMB cannot bypass), the communicating store's size
-//     and address, and the byte shift between them.
+//     partial-store case SMB cannot bypass), the communicating store's PC
+//     and size, and the byte shift between them.
+//
+// Architectural values and the communicating store's address are not
+// recorded: nothing reads them. The .nsqt decoder (internal/traceio) feeds
+// the same builder, so a decoded trace equals the recording it came from
+// field for field.
 //
 // The oracle annotations let the timing model decide exactly when a
 // speculative choice (a bypass, or a load issued past an un-committed older
@@ -33,8 +41,8 @@ import (
 // DynInst is one dynamic (executed) instruction.
 //
 // Field order: every 8-byte field comes first and the narrow fields last, so
-// the struct carries no interior padding — 112 bytes on 64-bit hosts, where
-// interleaving the narrow fields with the wide ones would pad it to 136. A
+// the struct carries no interior padding — 96 bytes on 64-bit hosts, where
+// interleaving the narrow fields with the wide ones would pad it to 112. A
 // trace holds one record per dynamic instruction, so keep the order when
 // adding a field; TestRecordSize pins the size.
 type DynInst struct {
@@ -49,8 +57,6 @@ type DynInst struct {
 
 	// EffAddr is the effective address for memory operations.
 	EffAddr uint64
-	// Value is the load result or store data (post size/sign handling).
-	Value uint64
 
 	// StoreSSN is this store's 1-based store sequence number (stores only).
 	StoreSSN uint64
@@ -69,7 +75,7 @@ type DynInst struct {
 
 // Dependence is the oracle description of where a load's bytes come from.
 // Its fields follow DynInst's order rule — 8-byte fields first, flags and
-// byte-sized fields last — which keeps it at 40 bytes rather than 56.
+// byte-sized fields last — which keeps it at 32 bytes rather than 40.
 type Dependence struct {
 	// SSN is the SSN of the youngest older store that wrote any byte the
 	// load reads (see Exists).
@@ -79,8 +85,6 @@ type Dependence struct {
 	// StorePC is the communicating store's program counter (used to train
 	// store-PC based predictors such as StoreSets).
 	StorePC uint64
-	// StoreAddr is the communicating store's effective address.
-	StoreAddr uint64
 
 	// Exists reports whether any older store wrote any byte the load reads;
 	// the other fields are meaningful only when it is set.
@@ -91,9 +95,6 @@ type Dependence struct {
 	MultiSource bool
 	// StoreSize is the communicating store's width in bytes.
 	StoreSize uint8
-	// StoreFPConv reports whether the communicating store used the
-	// single-precision FP conversion (sts).
-	StoreFPConv bool
 	// Shift is the byte offset of the load's address within the store's
 	// written bytes (load addr - store addr), the shift amount partial-word
 	// SMB must learn.
@@ -128,7 +129,6 @@ type byteSource struct {
 	pc   uint64
 	addr uint64
 	size uint8
-	fp   bool
 }
 
 // writerTable is the paged per-byte last-writer map backing the dependence
@@ -162,10 +162,7 @@ func (t *writerTable) lookup(addr uint64) *byteSource {
 }
 
 // resolve computes the oracle dependence of a load at addr/size on older
-// stores by inspecting the per-byte last-writer map. It is shared by the
-// live emulator and by TraceBuilder, which replays recorded instruction
-// streams — both must derive identical Dependence records from the same
-// store history.
+// stores by inspecting the per-byte last-writer map.
 func (t *writerTable) resolve(addr uint64, size uint8) Dependence {
 	var dep Dependence
 	var youngest byteSource
@@ -202,9 +199,7 @@ func (t *writerTable) resolve(addr uint64, size uint8) Dependence {
 	dep.SSN = youngest.ssn
 	dep.Seq = youngest.seq
 	dep.StorePC = youngest.pc
-	dep.StoreAddr = youngest.addr
 	dep.StoreSize = youngest.size
-	dep.StoreFPConv = youngest.fp
 	dep.MultiSource = sources > 1 || uncovered
 	if addr >= youngest.addr {
 		dep.Shift = uint8(addr - youngest.addr)
@@ -216,34 +211,25 @@ func (t *writerTable) resolve(addr uint64, size uint8) Dependence {
 	return dep
 }
 
-// Emulator executes a program in program order.
+// Emulator executes a program in program order. It keeps architectural
+// state only; RecordTrace turns its execution into a Trace.
 type Emulator struct {
 	prog   *program.Program
 	mem    *mem.Memory
 	regs   [isa.NumArchRegs]uint64
 	pc     uint64
-	seq    uint64
-	ssn    uint64
+	insts  uint64
 	halted bool
-	// lastWriter tracks, per byte address, the most recent store to write it.
-	lastWriter writerTable
 
-	// dynChunk amortises DynInst allocation for Step: records are carved out
-	// of fixed-size blocks instead of being heap-allocated one by one.
-	dynChunk []DynInst
-
-	// MaxInsts bounds execution; Step returns ErrLimit beyond it.
+	// MaxInsts bounds execution; Run returns ErrLimit beyond it.
 	MaxInsts uint64
 }
 
-// dynChunkSize is the number of DynInst records allocated at once by Step.
-const dynChunkSize = 1024
-
-// ErrLimit is returned by Step when the instruction limit is exceeded,
-// protecting against runaway programs.
+// ErrLimit is returned when the instruction limit is exceeded, protecting
+// against runaway programs.
 var ErrLimit = errors.New("emu: instruction limit exceeded")
 
-// ErrHalted is returned by Step after the program has executed OpHalt.
+// ErrHalted is returned by a step after the program has executed OpHalt.
 var ErrHalted = errors.New("emu: program halted")
 
 // New creates an emulator for the program with a fresh memory image. Initial
@@ -273,25 +259,8 @@ func (e *Emulator) Reg(r isa.Reg) uint64 {
 	return e.regs[r]
 }
 
-// SetReg sets the architectural value of r (used by tests and workloads).
-func (e *Emulator) SetReg(r isa.Reg, v uint64) {
-	if r.Valid() && r != isa.RegZero {
-		e.regs[r] = v
-	}
-}
-
-// PC returns the current program counter.
-func (e *Emulator) PC() uint64 { return e.pc }
-
 // Halted reports whether the program has executed OpHalt.
 func (e *Emulator) Halted() bool { return e.halted }
-
-// InstCount returns the number of dynamic instructions executed so far.
-func (e *Emulator) InstCount() uint64 { return e.seq }
-
-// StoreCount returns the number of dynamic stores executed so far (the
-// current architectural SSN).
-func (e *Emulator) StoreCount() uint64 { return e.ssn }
 
 func (e *Emulator) readReg(r isa.Reg) uint64 {
 	if !r.Valid() || r == isa.RegZero {
@@ -306,43 +275,23 @@ func (e *Emulator) writeReg(r isa.Reg, v uint64) {
 	}
 }
 
-// Step executes one instruction and returns its dynamic record. Records are
-// carved out of chunked backing arrays, so a chunk is released to the garbage
-// collector only once every record in it is unreachable.
-func (e *Emulator) Step() (*DynInst, error) {
-	if len(e.dynChunk) == 0 {
-		e.dynChunk = make([]DynInst, dynChunkSize)
-	}
-	d := &e.dynChunk[0]
-	if err := e.StepInto(d); err != nil {
-		return nil, err
-	}
-	e.dynChunk = e.dynChunk[1:]
-	return d, nil
-}
-
-// StepInto executes one instruction, writing its dynamic record into d. It is
-// the allocation-free core of Step, used by trace recording and by consumers
-// that reuse a scratch record.
-func (e *Emulator) StepInto(d *DynInst) error {
+// exec executes one instruction, updating architectural state, and returns
+// what a TraceBuilder records of it: the static instruction, the effective
+// address of a memory operation, whether a control transfer was taken, and
+// the architectural next PC.
+func (e *Emulator) exec() (in *isa.Inst, effAddr uint64, taken bool, nextPC uint64, err error) {
 	if e.halted {
-		return ErrHalted
+		return nil, 0, false, 0, ErrHalted
 	}
-	if e.seq >= e.MaxInsts {
-		return ErrLimit
+	if e.insts >= e.MaxInsts {
+		return nil, 0, false, 0, ErrLimit
 	}
-	in := e.prog.At(e.pc)
+	in = e.prog.At(e.pc)
 	if in == nil {
-		return fmt.Errorf("emu: pc %#x outside program %q", e.pc, e.prog.Name)
+		return nil, 0, false, 0, fmt.Errorf("emu: pc %#x outside program %q", e.pc, e.prog.Name)
 	}
-	e.seq++
-	*d = DynInst{
-		Seq:       e.seq,
-		Static:    in,
-		PC:        in.PC,
-		NextPC:    in.NextPC(),
-		SSNBefore: e.ssn,
-	}
+	e.insts++
+	nextPC = in.NextPC()
 
 	switch in.Op {
 	case isa.OpNop:
@@ -352,82 +301,51 @@ func (e *Emulator) StepInto(d *DynInst) error {
 		e.halted = true
 
 	case isa.OpALU, isa.OpMul, isa.OpFPU:
-		v := e.execALU(in)
-		e.writeReg(in.Dst, v)
-		d.Value = v
+		e.writeReg(in.Dst, e.execALU(in))
 
 	case isa.OpLoad:
-		addr := e.readReg(in.Src1) + uint64(in.Imm)
-		d.EffAddr = addr
-		d.MemSize = in.MemSize
-		d.Dep = e.resolveDependence(addr, in.MemSize)
-		raw := e.mem.Read(addr, int(in.MemSize))
-		v := e.convertLoad(in, raw)
-		e.writeReg(in.Dst, v)
-		d.Value = v
+		effAddr = e.readReg(in.Src1) + uint64(in.Imm)
+		raw := e.mem.Read(effAddr, int(in.MemSize))
+		e.writeReg(in.Dst, e.convertLoad(in, raw))
 
 	case isa.OpStore:
-		addr := e.readReg(in.Src1) + uint64(in.Imm)
-		data := e.readReg(in.Src2)
-		stored := e.convertStore(in, data)
-		d.EffAddr = addr
-		d.MemSize = in.MemSize
-		d.Value = stored
-		e.ssn++
-		d.StoreSSN = e.ssn
-		e.mem.Write(addr, int(in.MemSize), stored)
-		e.lastWriter.record(addr, in.MemSize,
-			byteSource{ssn: e.ssn, seq: e.seq, pc: in.PC, addr: addr, size: in.MemSize, fp: in.FPConv})
+		effAddr = e.readReg(in.Src1) + uint64(in.Imm)
+		e.mem.Write(effAddr, int(in.MemSize), e.convertStore(in, e.readReg(in.Src2)))
 
 	case isa.OpBranch:
-		v := e.readReg(in.Src1)
-		taken := evalBranch(in.Br, v)
-		d.Taken = taken
+		taken = evalBranch(in.Br, e.readReg(in.Src1))
 		if taken {
-			d.NextPC = in.Target
+			nextPC = in.Target
 		}
 
 	case isa.OpJump:
-		d.Taken = true
-		d.NextPC = in.Target
+		taken, nextPC = true, in.Target
 
 	case isa.OpCall:
 		e.writeReg(in.Dst, in.NextPC())
-		d.Taken = true
-		d.NextPC = in.Target
-		d.Value = in.NextPC()
+		taken, nextPC = true, in.Target
 
 	case isa.OpRet:
-		target := e.readReg(in.Src1)
-		d.Taken = true
-		d.NextPC = target
+		taken, nextPC = true, e.readReg(in.Src1)
 
 	default:
-		return fmt.Errorf("emu: unknown op %v at pc %#x", in.Op, in.PC)
+		return nil, 0, false, 0, fmt.Errorf("emu: unknown op %v at pc %#x", in.Op, in.PC)
 	}
 
-	e.pc = d.NextPC
-	return nil
+	e.pc = nextPC
+	return in, effAddr, taken, nextPC, nil
 }
 
 // Run executes until halt, error, or limit instructions (whichever is first),
-// discarding the dynamic records, and returns the number executed. Useful for
-// fast functional warm-up and for tests that only care about final state.
+// recording nothing, and returns the number executed. Useful for fast
+// functional warm-up and for tests that only care about final state.
 func (e *Emulator) Run(limit uint64) (uint64, error) {
 	var n uint64
-	var scratch DynInst
-	for n < limit {
-		err := e.StepInto(&scratch)
-		if errors.Is(err, ErrHalted) {
-			return n, nil
-		}
-		if err != nil {
+	for n < limit && !e.halted {
+		if _, _, _, _, err := e.exec(); err != nil {
 			return n, err
 		}
 		n++
-		if e.halted {
-			return n, nil
-		}
 	}
 	return n, nil
 }
@@ -507,10 +425,4 @@ func evalBranch(fn isa.BrFn, v uint64) bool {
 	default:
 		return false
 	}
-}
-
-// resolveDependence computes the oracle dependence of a load on older stores
-// by inspecting the per-byte last-writer map.
-func (e *Emulator) resolveDependence(addr uint64, size uint8) Dependence {
-	return e.lastWriter.resolve(addr, size)
 }

@@ -10,25 +10,25 @@ import (
 	"repro/internal/program"
 )
 
+// run executes p to its halt for the final architectural state and records
+// it for the dynamic records.
 func run(t *testing.T, p *program.Program) (*Emulator, []*DynInst) {
 	t.Helper()
 	e := New(p)
-	var ds []*DynInst
-	for {
-		d, err := e.Step()
-		if errors.Is(err, ErrHalted) {
-			break
-		}
-		if err != nil {
-			t.Fatalf("Step: %v", err)
-		}
-		ds = append(ds, d)
-		if e.Halted() {
-			break
-		}
-		if len(ds) > 1_000_000 {
-			t.Fatal("runaway program")
-		}
+	if _, err := e.Run(1_000_000); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !e.Halted() {
+		t.Fatal("runaway program")
+	}
+	tr, err := RecordTrace(p, 0)
+	if err != nil {
+		t.Fatalf("RecordTrace: %v", err)
+	}
+	c := tr.Cursor(0)
+	ds := make([]*DynInst, tr.Len())
+	for i := range ds {
+		ds[i], _ = c.Get(uint64(i) + 1)
 	}
 	return e, ds
 }
@@ -141,18 +141,26 @@ func TestBranchLoopAndCalls(t *testing.T) {
 	if got := e.Reg(r2); got != 10 {
 		t.Errorf("sum = %d, want 10", got)
 	}
-	// Every call must record a correct return address and every return must
-	// go back to the instruction after its call.
-	for i, d := range ds {
-		if d.Static.IsCall() {
-			if d.Value != d.PC+isa.InstBytes {
-				t.Errorf("call at seq %d stored RA %#x", d.Seq, d.Value)
+	// Every call must store a correct return address: every return goes
+	// back to the instruction after its call.
+	var calls []uint64
+	for _, d := range ds {
+		switch {
+		case d.Static.IsCall():
+			calls = append(calls, d.PC)
+		case d.Static.IsReturn():
+			if len(calls) == 0 {
+				t.Fatalf("return at seq %d without a call", d.Seq)
 			}
-			_ = i
+			want := calls[len(calls)-1] + isa.InstBytes
+			calls = calls[:len(calls)-1]
+			if d.NextPC != want {
+				t.Errorf("return at seq %d goes to %#x, want %#x", d.Seq, d.NextPC, want)
+			}
 		}
-		if d.Static.IsReturn() && d.NextPC == 0 {
-			t.Errorf("return at seq %d has no target", d.Seq)
-		}
+	}
+	if len(calls) != 0 {
+		t.Errorf("%d calls never returned", len(calls))
 	}
 }
 
@@ -341,11 +349,14 @@ func TestStepAfterHalt(t *testing.T) {
 	b := program.NewBuilder("halt")
 	b.Halt()
 	e := New(b.MustBuild())
-	if _, err := e.Step(); err != nil {
+	if _, _, _, _, err := e.exec(); err != nil {
 		t.Fatalf("first step: %v", err)
 	}
-	if _, err := e.Step(); !errors.Is(err, ErrHalted) {
+	if _, _, _, _, err := e.exec(); !errors.Is(err, ErrHalted) {
 		t.Fatalf("expected ErrHalted, got %v", err)
+	}
+	if n, err := e.Run(10); n != 0 || err != nil {
+		t.Fatalf("Run after halt = %d, %v; want 0, nil", n, err)
 	}
 }
 
@@ -354,14 +365,9 @@ func TestInstLimit(t *testing.T) {
 	b.Label("top").Jump("top")
 	e := New(b.MustBuild())
 	e.MaxInsts = 100
-	var err error
-	for i := 0; i < 200; i++ {
-		if _, err = e.Step(); err != nil {
-			break
-		}
-	}
-	if !errors.Is(err, ErrLimit) {
-		t.Fatalf("expected ErrLimit, got %v", err)
+	n, err := e.Run(200)
+	if !errors.Is(err, ErrLimit) || n != 100 {
+		t.Fatalf("Run = %d, %v; want 100, ErrLimit", n, err)
 	}
 }
 
@@ -431,27 +437,24 @@ func TestDependenceDistanceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		e := New(p)
-		var ok = true
-		for {
-			d, err := e.Step()
-			if err != nil {
-				break
-			}
+		tr, err := RecordTrace(p, 0)
+		if err != nil {
+			return false
+		}
+		c := tr.Cursor(0)
+		for seq := uint64(1); seq <= tr.Len(); seq++ {
+			d, _ := c.Get(seq)
 			if d.IsLoad() && d.Dep.Exists {
 				if d.Dep.SSN > d.SSNBefore {
-					ok = false
+					return false
 				}
 				dist, has := d.Distance()
 				if !has || dist != d.SSNBefore-d.Dep.SSN {
-					ok = false
+					return false
 				}
 			}
-			if e.Halted() {
-				break
-			}
 		}
-		return ok
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

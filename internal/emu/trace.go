@@ -23,7 +23,7 @@ type Trace struct {
 }
 
 // blockShift sets the record store's block size: blockLen records of
-// 112 bytes each, 448 KiB per block.
+// 96 bytes each, 384 KiB per block.
 const (
 	blockShift = 12
 	blockLen   = 1 << blockShift
@@ -31,8 +31,8 @@ const (
 )
 
 // records is a trace's append-only record store: fixed-size blocks of
-// blockLen DynInsts. It is the only code that knows the layout; RecordTrace
-// and TraceBuilder write through add, TraceCursor reads through at.
+// blockLen DynInsts. It is the only code that knows the layout;
+// TraceBuilder writes through add, TraceCursor reads through at.
 //
 // A block is never reallocated once it is full, so growing the store copies
 // nothing but the first block and the small block index, and a pointer
@@ -46,7 +46,7 @@ type records struct {
 }
 
 // add appends a zero record and returns it for the caller to fill in. The
-// pointer is valid until the next add or drop.
+// pointer is valid until the next add.
 func (r *records) add() *DynInst {
 	if r.n&blockMask == 0 {
 		var b []DynInst
@@ -65,48 +65,34 @@ func (r *records) add() *DynInst {
 	return &(*b)[len(*b)-1]
 }
 
-// drop removes the last record, and its block when it was the block's only
-// record, so a failed write leaves nothing behind. The freed slot is zeroed
-// so the next add hands out a zero record again.
-func (r *records) drop() {
-	r.n--
-	last := len(r.blocks) - 1
-	if r.n&blockMask == 0 {
-		r.blocks[last] = nil
-		r.blocks = r.blocks[:last]
-		return
-	}
-	b := r.blocks[last]
-	b[len(b)-1] = DynInst{}
-	r.blocks[last] = b[:len(b)-1]
-}
-
 // at returns the record at 0-based index i < n.
 func (r *records) at(i uint64) *DynInst {
 	return &r.blocks[i>>blockShift][i&blockMask]
 }
 
 // RecordTrace executes the program to completion (or for limit dynamic
-// instructions, when limit > 0) and records its dynamic stream. Each step
-// writes straight into the trace's next record slot.
+// instructions, when limit > 0) and records its dynamic stream: each
+// executed instruction goes to a TraceBuilder, exactly as a decoded .nsqt
+// record does.
 func RecordTrace(p *program.Program, limit uint64) (*Trace, error) {
 	e := New(p)
-	t := &Trace{name: p.Name}
 	if limit > 0 && limit < e.MaxInsts {
 		e.MaxInsts = limit
 	}
-	for {
-		if err := e.StepInto(t.recs.add()); err != nil {
-			t.recs.drop()
-			if errors.Is(err, ErrHalted) || errors.Is(err, ErrLimit) {
-				return t, nil
-			}
+	b := NewTraceBuilder(p.Name)
+	for !e.halted {
+		in, effAddr, taken, nextPC, err := e.exec()
+		if errors.Is(err, ErrLimit) {
+			break
+		}
+		if err != nil {
 			return nil, err
 		}
-		if e.Halted() {
-			return t, nil
+		if err := b.Append(in, effAddr, taken, nextPC); err != nil {
+			return nil, err
 		}
 	}
+	return b.Trace()
 }
 
 // Name returns the traced program's name.

@@ -147,8 +147,9 @@ func memStraight(n int, halt bool) *program.Program {
 // TestRecordTraceBlockBoundaries records streams ending just before, on and
 // just past a block boundary, and on the second one, both through a limit
 // and with a program that halts on its last record. The store must serve
-// exactly the records the emulator produces, end where the stream ends, and
-// hand out one stable pointer per record.
+// exactly the records the builder wrote — each copied as it was appended,
+// before the first block's regrowth or a new block could disturb it — end
+// where the stream ends, and hand out one stable pointer per record.
 func TestRecordTraceBlockBoundaries(t *testing.T) {
 	for _, n := range []int{blockLen - 1, blockLen, blockLen + 1, 2 * blockLen} {
 		for _, src := range []struct {
@@ -167,20 +168,24 @@ func TestRecordTraceBlockBoundaries(t *testing.T) {
 				if want := (n + blockLen - 1) / blockLen; len(tr.recs.blocks) != want {
 					t.Errorf("store holds %d blocks, want %d", len(tr.recs.blocks), want)
 				}
-				e := New(src.p)
+				e, b := New(src.p), NewTraceBuilder(src.p.Name)
 				c := tr.Cursor(0)
 				ptrs := make([]*DynInst, n+1)
 				for seq := 1; seq <= n; seq++ {
-					want, err := e.Step()
+					in, effAddr, taken, nextPC, err := e.exec()
 					if err != nil {
-						t.Fatalf("Step %d: %v", seq, err)
+						t.Fatalf("step %d: %v", seq, err)
 					}
+					if err := b.Append(in, effAddr, taken, nextPC); err != nil {
+						t.Fatalf("Append %d: %v", seq, err)
+					}
+					want := *b.t.recs.at(uint64(seq) - 1)
 					got, err := c.Get(uint64(seq))
 					if err != nil {
 						t.Fatalf("Get(%d): %v", seq, err)
 					}
-					if *got != *want {
-						t.Fatalf("Get(%d) = %+v, emulator produced %+v", seq, *got, *want)
+					if *got != want {
+						t.Fatalf("Get(%d) = %+v, builder wrote %+v", seq, *got, want)
 					}
 					ptrs[seq] = got
 				}
@@ -204,9 +209,9 @@ func TestRecordTraceBlockBoundaries(t *testing.T) {
 	}
 }
 
-// TestRecordTraceNoPhantomRecord: a recording whose last step fails leaves
-// no record — and no freshly opened block — behind, whether the step fails
-// on the instruction limit or on an emulator fault.
+// TestRecordTraceNoPhantomRecord: a recording that stops on its limit right
+// at a block boundary opens no block it does not fill, and one whose last
+// step faults fails instead of returning a short trace.
 func TestRecordTraceNoPhantomRecord(t *testing.T) {
 	tr := mustRecord(t, memLoop(), blockLen)
 	if tr.Len() != blockLen || len(tr.recs.blocks) != 1 {
@@ -216,28 +221,10 @@ func TestRecordTraceNoPhantomRecord(t *testing.T) {
 		t.Errorf("Get(Len+1) = %v, want ErrEndOfStream", err)
 	}
 
-	// Step blockLen+1 runs off the end of the program: the recording fails,
-	// and the slot that step opened in a new block is given back.
+	// Step blockLen+1 runs off the end of the program.
 	p := memStraight(blockLen, false)
 	if _, err := RecordTrace(p, 0); err == nil || !strings.Contains(err.Error(), "outside program") {
 		t.Fatalf("RecordTrace past the program's end = %v, want an emulator fault", err)
-	}
-	var r records
-	e := New(p)
-	for i := 0; i < blockLen; i++ {
-		if err := e.StepInto(r.add()); err != nil {
-			t.Fatalf("step %d: %v", i+1, err)
-		}
-	}
-	if err := e.StepInto(r.add()); err == nil {
-		t.Fatal("step past the end of the program succeeded")
-	}
-	r.drop()
-	if r.n != blockLen || len(r.blocks) != 1 {
-		t.Fatalf("after the failed step: %d records in %d blocks, want %d in 1", r.n, len(r.blocks), blockLen)
-	}
-	if *r.add() != (DynInst{}) || r.n != blockLen+1 || len(r.blocks) != 2 {
-		t.Errorf("the store did not reopen a clean block after the drop")
 	}
 }
 
@@ -247,11 +234,11 @@ func TestRecordSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit hosts")
 	}
-	if got := unsafe.Sizeof(DynInst{}); got != 112 {
-		t.Errorf("DynInst is %d bytes, want 112: keep the field order its doc comment describes (8-byte fields first, narrow fields last)", got)
+	if got := unsafe.Sizeof(DynInst{}); got != 96 {
+		t.Errorf("DynInst is %d bytes, want 96: keep the field order its doc comment describes (8-byte fields first, narrow fields last)", got)
 	}
-	if got := unsafe.Sizeof(Dependence{}); got != 40 {
-		t.Errorf("Dependence is %d bytes, want 40: keep the field order its doc comment describes (8-byte fields first, narrow fields last)", got)
+	if got := unsafe.Sizeof(Dependence{}); got != 32 {
+		t.Errorf("Dependence is %d bytes, want 32: keep the field order its doc comment describes (8-byte fields first, narrow fields last)", got)
 	}
 }
 

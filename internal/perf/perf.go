@@ -18,14 +18,16 @@ package perf
 
 import (
 	"fmt"
-	"math"
+	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/pipeline"
 	"repro/internal/program"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -165,6 +167,15 @@ type Result struct {
 	// recorded instruction over the whole benchmark set, taking each
 	// benchmark's lowest repeat.
 	RecordBytesPerInst float64 `json:"record_bytes_per_inst,omitempty"`
+
+	// Host provenance: the CPU model, runtime.NumCPU and GOMAXPROCS of the
+	// machine the run measured on. Throughput follows the host, so the
+	// Markdown summary names both sides'. The fields are additive like the
+	// batch fields: documents recorded before they existed lack them and
+	// still load and compare.
+	CPUModel   string `json:"cpu_model,omitempty"`
+	NProc      int    `json:"nproc,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
 }
 
 // Run executes the harness and returns the measurements.
@@ -176,6 +187,9 @@ func Run(opts Options) (*Result, error) {
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
+		CPUModel:   cpuModel(),
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Iterations: opts.Iterations,
 		Repeats:    opts.Repeats,
 		Window:     opts.Window,
@@ -266,13 +280,13 @@ func Run(opts Options) (*Result, error) {
 		}
 		res.Configs = append(res.Configs, ConfigSummary{
 			Config:         k.String(),
-			InstsPerSec:    geomean(a.ips),
-			NsPerCycle:     mean(a.nspc),
+			InstsPerSec:    stats.GeoMean(a.ips),
+			NsPerCycle:     stats.Mean(a.nspc),
 			AllocsPerKInst: 1000 * float64(a.allocs) / float64(a.insts),
 		})
 		all = append(all, a.ips...)
 	}
-	res.OverallInstsPerSec = geomean(all)
+	res.OverallInstsPerSec = stats.GeoMean(all)
 	if len(res.BatchEntries) > 0 {
 		res.BatchWidth = len(opts.Kinds)
 		var ips, sp []float64
@@ -280,10 +294,10 @@ func Run(opts Options) (*Result, error) {
 			ips = append(ips, be.InstsPerSec)
 			sp = append(sp, be.Speedup)
 		}
-		res.BatchInstsPerSec = geomean(ips)
-		res.BatchSpeedup = geomean(sp)
+		res.BatchInstsPerSec = stats.GeoMean(ips)
+		res.BatchSpeedup = stats.GeoMean(sp)
 	}
-	res.RecordInstsPerSec = geomean(recIPS)
+	res.RecordInstsPerSec = stats.GeoMean(recIPS)
 	if recInsts > 0 {
 		res.RecordBytesPerInst = float64(recBytes) / float64(recInsts)
 	}
@@ -431,24 +445,16 @@ func measureBatch(trace *emu.Trace, meta *pipeline.TraceMeta, cfgs []pipeline.Co
 	return best, nil
 }
 
-func geomean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
+// cpuModel returns the first "model name" in /proc/cpuinfo, or "unknown".
+func cpuModel() string {
+	b, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
 	}
-	s := 0.0
-	for _, x := range xs {
-		s += math.Log(x)
+	for _, line := range strings.Split(string(b), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
 	}
-	return math.Exp(s / float64(len(xs)))
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
+	return "unknown"
 }

@@ -2,6 +2,7 @@ package perf
 
 import (
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -183,6 +184,54 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	if got.Revision != res.Revision || len(got.Entries) != len(res.Entries) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", got, res)
+	}
+}
+
+// TestHostFields: a run records its host and the fields survive a write and
+// read, while documents without them, such as the committed baseline, still
+// load, compare either way round, and render in the Markdown summary.
+func TestHostFields(t *testing.T) {
+	res := tinyRun(t)
+	if res.CPUModel == "" || res.NProc != runtime.NumCPU() || res.GOMAXPROCS != runtime.GOMAXPROCS(0) {
+		t.Fatalf("host fields = %q, %d, %d; want the CPU model, %d, %d",
+			res.CPUModel, res.NProc, res.GOMAXPROCS, runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	}
+	path := filepath.Join(t.TempDir(), FileName(res.Revision))
+	if err := WriteFile(path, res); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.CPUModel != res.CPUModel || got.NProc != res.NProc || got.GOMAXPROCS != res.GOMAXPROCS {
+		t.Fatalf("host fields after a round trip = %q, %d, %d", got.CPUModel, got.NProc, got.GOMAXPROCS)
+	}
+
+	base, err := ReadFile(filepath.Join("..", "..", "bench", "BENCH_baseline.json"))
+	if err != nil {
+		t.Fatalf("committed baseline: %v", err)
+	}
+	hostless, hosted := *base, *base
+	hostless.CPUModel, hostless.NProc, hostless.GOMAXPROCS = "", 0, 0
+	hosted.CPUModel, hosted.NProc, hosted.GOMAXPROCS = "Test CPU", 2, 1
+	for _, c := range []struct {
+		base, cur         *Result
+		curHost, baseHost string
+	}{
+		{&hostless, &hosted, "Host: Test CPU, 2 CPUs, GOMAXPROCS 1", "host: not recorded"},
+		{&hosted, &hostless, "Host: not recorded", "host: Test CPU, 2 CPUs, GOMAXPROCS 1"},
+	} {
+		if err := Comparable(c.base, c.cur); err != nil {
+			t.Errorf("host fields made results incomparable: %v", err)
+		}
+		if regs := Compare(c.base, c.cur, 20); len(regs) != 0 {
+			t.Errorf("host fields alone produced regressions: %v", regs)
+		}
+		md := MarkdownSummary(c.base, c.cur, 20)
+		if !strings.Contains(md, c.curHost) || !strings.Contains(md, c.baseHost) {
+			t.Errorf("summary lacks %q or %q:\n%s", c.curHost, c.baseHost, md)
+		}
 	}
 }
 

@@ -21,8 +21,9 @@ import (
 func MarkdownSummary(baseline, current *Result, improveFlagPct float64) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "### Simulator throughput (revision %s)\n\n", current.Revision)
+	fmt.Fprintf(&sb, "Host: %s\n\n", current.host())
 	if baseline != nil {
-		fmt.Fprintf(&sb, "Baseline: revision %s\n\n", baseline.Revision)
+		fmt.Fprintf(&sb, "Baseline: revision %s, host: %s\n\n", baseline.Revision, baseline.host())
 	}
 	sb.WriteString("| config | insts/sec | Δ vs baseline | allocs/kinst | Δ vs baseline |\n")
 	sb.WriteString("|---|---:|---:|---:|---:|\n")
@@ -95,4 +96,12 @@ func MarkdownSummary(baseline, current *Result, improveFlagPct float64) string {
 			improveFlagPct, strings.Join(improved, ", "))
 	}
 	return sb.String()
+}
+
+// host describes the machine a result was measured on.
+func (r *Result) host() string {
+	if r.CPUModel == "" {
+		return "not recorded"
+	}
+	return fmt.Sprintf("%s, %d CPUs, GOMAXPROCS %d", r.CPUModel, r.NProc, r.GOMAXPROCS)
 }

@@ -66,9 +66,6 @@ func NewBatchWithMeta(t *emu.Trace, meta *TraceMeta, cfgs []Config) (*Batch, err
 	return b, nil
 }
 
-// Width returns the number of member simulations.
-func (b *Batch) Width() int { return len(b.sims) }
-
 // Run advances all members round-robin in instruction quanta until every
 // member completes, and returns each member's statistics and error in
 // configuration order. A member that fails (cycle limit) reports its partial

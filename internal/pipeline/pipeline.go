@@ -244,12 +244,6 @@ func MustNew(p *program.Program, cfg Config) *Simulator {
 	return s
 }
 
-// Result returns the statistics accumulated so far.
-func (s *Simulator) Result() stats.Run { return s.res }
-
-// Cycles returns the current cycle count.
-func (s *Simulator) Cycles() uint64 { return s.now }
-
 // ErrCycleLimit is returned by Run when MaxCycles elapses before the workload
 // completes (usually indicating a deadlocked model — a bug).
 var ErrCycleLimit = errors.New("pipeline: cycle limit exceeded")

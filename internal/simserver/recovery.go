@@ -84,17 +84,7 @@ func (s *Server) recover(records []simstore.Record) {
 	for _, id := range termOrder {
 		s.finished = append(s.finished, byID[id].j)
 	}
-	for len(s.finished) > s.cfg.MaxFinishedJobs {
-		old := s.finished[0]
-		s.finished = s.finished[1:]
-		delete(s.jobs, old.id)
-		for i, oj := range s.order {
-			if oj == old {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
-		}
-	}
+	s.evictFinishedLocked()
 }
 
 // restoreJob reconstructs one job from its replayed records, event log

@@ -32,9 +32,11 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/jsonl"
 	"repro/internal/obs"
@@ -357,6 +359,11 @@ func (s *Server) Submit(spec simapi.JobSpec, client string) (simapi.JobInfo, err
 			return simapi.JobInfo{}, fmt.Errorf("simserver: invalid window size %d", w)
 		}
 	}
+	for _, name := range spec.Configs {
+		if _, err := core.KindByName(strings.TrimSpace(name)); err != nil {
+			return simapi.JobInfo{}, err
+		}
+	}
 	if src := spec.Source; src != nil {
 		switch src.Kind {
 		case simapi.SourceScenario:
@@ -608,6 +615,18 @@ func (s *Server) finishAccounting(j *job, state string) {
 		delete(s.active, j.specHash)
 	}
 	s.finished = append(s.finished, j)
+	s.evictFinishedLocked()
+	if s.wal != nil && s.wal.AppendsSinceCompact() >= s.walCompactEvery {
+		if err := s.wal.Compact(s.walSnapshotLocked()); err != nil {
+			s.logf("wal: compaction: %v", err)
+		}
+	}
+	s.mu.Unlock()
+}
+
+// evictFinishedLocked drops the oldest terminal jobs past the retention cap
+// from the registry. Callers hold s.mu, or own the server alone (recover).
+func (s *Server) evictFinishedLocked() {
 	for len(s.finished) > s.cfg.MaxFinishedJobs {
 		old := s.finished[0]
 		s.finished = s.finished[1:]
@@ -619,12 +638,6 @@ func (s *Server) finishAccounting(j *job, state string) {
 			}
 		}
 	}
-	if s.wal != nil && s.wal.AppendsSinceCompact() >= s.walCompactEvery {
-		if err := s.wal.Compact(s.walSnapshotLocked()); err != nil {
-			s.logf("wal: compaction: %v", err)
-		}
-	}
-	s.mu.Unlock()
 }
 
 // walAppend logs one record when durability is enabled. Append failures on

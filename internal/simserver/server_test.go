@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -341,6 +342,7 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 		{Experiment: ""},
 		{Experiment: "sweep", Iterations: -1},
 		{Experiment: "sweep", Windows: []int{0}},
+		{Experiment: "sweep", Configs: []string{"bogus"}},
 		{Experiment: "fig2", Iterations: 100}, // over the server cap
 	}
 	for _, spec := range cases {
@@ -362,6 +364,24 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 	}
 	if _, err := c.Report(ctx, "job-999999", "json"); err == nil {
 		t.Error("report of unknown job should 404")
+	}
+}
+
+// TestSubmitRejectsUnknownConfig: a configuration name the sweep grid
+// cannot resolve is a submission error, not a job that fails in a worker;
+// names are trimmed as the grid trims them.
+func TestSubmitRejectsUnknownConfig(t *testing.T) {
+	srv, _ := rawTestServer(t, Config{Workers: 1})
+	_, err := srv.Submit(simapi.JobSpec{Experiment: "sweep", Configs: []string{"nosq-delay", "bogus"}}, "")
+	if err == nil || !strings.Contains(err.Error(), `unknown configuration "bogus"`) {
+		t.Fatalf("Submit with an unknown configuration = %v, want an unknown-configuration error", err)
+	}
+	if jobs := srv.Jobs(""); len(jobs) != 0 {
+		t.Fatalf("rejected submission left %d jobs", len(jobs))
+	}
+	if _, err := srv.Submit(simapi.JobSpec{Experiment: "sweep", Benchmarks: []string{"gzip"},
+		Iterations: 10, Configs: []string{" nosq-delay "}}, ""); err != nil {
+		t.Fatalf("Submit with a padded configuration name: %v", err)
 	}
 }
 

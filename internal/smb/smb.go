@@ -54,9 +54,6 @@ func NewSRQ(entries int) *SRQ {
 	return &SRQ{entries: make([]SRQEntry, entries)}
 }
 
-// Size returns the number of entries.
-func (q *SRQ) Size() int { return len(q.entries) }
-
 func (q *SRQ) index(ssn uint64) int { return int(ssn % uint64(len(q.entries))) }
 
 // Insert records a renamed store.

@@ -13,12 +13,13 @@
 // address for memory operations, the outcome for conditional branches, and
 // the architectural target for indirect returns. Sequence numbers, store
 // sequence numbers, and the per-load oracle memory dependence are *not*
-// stored — the decoder replays them through emu.TraceBuilder, which shares
-// the live emulator's per-byte last-writer table, so a decoded trace is
-// bit-equivalent to a freshly recorded one everywhere the timing model
-// looks. A footer closes the file with the record count and a SHA-256
-// checksum over everything before it, so truncation and corruption fail
-// loudly instead of replaying a wrong workload.
+// stored — the decoder replays them through emu.TraceBuilder, the same
+// builder emu.RecordTrace records through, so a decoded trace equals a
+// freshly recorded one field for field. Architectural values and the
+// communicating store's address are in neither: no record carries them. A
+// footer closes the file with the record count and a SHA-256 checksum over
+// everything before it, so truncation and corruption fail loudly instead of
+// replaying a wrong workload.
 //
 // Content identity is the hex SHA-256 of the whole file. It appears in
 // committed-corpus filenames (see Manifest), in the trace experiment's

@@ -10,6 +10,7 @@ import (
 	"unsafe"
 
 	"repro/internal/emu"
+	"repro/internal/program"
 	"repro/internal/workload"
 )
 
@@ -21,9 +22,14 @@ func testTrace(t *testing.T, name string, iters int) *emu.Trace {
 	if err != nil {
 		t.Fatalf("generate %s: %v", name, err)
 	}
+	return record(t, p)
+}
+
+func record(t *testing.T, p *program.Program) *emu.Trace {
+	t.Helper()
 	tr, err := emu.RecordTrace(p, 0)
 	if err != nil {
-		t.Fatalf("record %s: %v", name, err)
+		t.Fatalf("record %s: %v", p.Name, err)
 	}
 	return tr
 }
@@ -45,21 +51,32 @@ const traceBlock = 4096
 
 // TestRoundTrip is the format's core property: encode → decode → re-encode
 // is byte-identical, the decoder's content hash matches the encoder's, and
-// the rebuilt dynamic stream is field-for-field equal to the recorded one
-// everywhere the timing model looks (Value is deliberately not carried).
+// the rebuilt dynamic stream equals the recorded one field for field, its
+// static instructions compared by value. The inputs are every Table 5
+// benchmark, a gzip trace of more than three blocks, and every stress
+// scenario at 64 iterations: two of phase-flip's 32-iteration phases and
+// four of burst-partial's 16-iteration bursts.
 func TestRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		name, bench string
-		iters       int
-		blocks      uint64 // the trace must hold more than this many blocks
-	}{
-		{"gzip", "gzip", 40, 1},
-		{"mesa.o", "mesa.o", 40, 1},
-		{"applu", "applu", 40, 1},
-		{"gzip-multiblock", "gzip", 120, 3},
-	} {
+	type input struct {
+		name   string
+		prog   *program.Program
+		blocks uint64 // the trace must hold more than this many blocks
+	}
+	var inputs []input
+	for _, name := range workload.Names() {
+		inputs = append(inputs, input{name, workload.MustGenerate(name, workload.Options{Iterations: 40}), 1})
+	}
+	inputs = append(inputs, input{"gzip-multiblock", workload.MustGenerate("gzip", workload.Options{Iterations: 120}), 3})
+	for _, s := range workload.StressScenarios() {
+		p, err := workload.GenerateScenario(s, workload.Options{Iterations: 64})
+		if err != nil {
+			t.Fatalf("generate %s: %v", s.Name, err)
+		}
+		inputs = append(inputs, input{s.Name, p, 0})
+	}
+	for _, tc := range inputs {
 		t.Run(tc.name, func(t *testing.T) {
-			orig := testTrace(t, tc.bench, tc.iters)
+			orig := record(t, tc.prog)
 			if orig.Len() <= tc.blocks*traceBlock {
 				t.Fatalf("trace holds %d records; the case needs more than %d blocks", orig.Len(), tc.blocks)
 			}
@@ -79,7 +96,7 @@ func TestRoundTrip(t *testing.T) {
 				t.Fatalf("decoded %s/%d, want %s/%d", decoded.Name(), decoded.Len(), orig.Name(), orig.Len())
 			}
 
-			// Stream equivalence: every field the pipeline consumes.
+			// Stream equivalence: every field of every record.
 			oc, dc := orig.Cursor(0), decoded.Cursor(0)
 			for seq := uint64(1); seq <= orig.Len(); seq++ {
 				od, _ := oc.Get(seq)
@@ -89,7 +106,6 @@ func TestRoundTrip(t *testing.T) {
 				}
 				a, b := *od, *dd
 				a.Static, b.Static = nil, nil
-				a.Value, b.Value = 0, 0 // not carried by the format
 				if a != b {
 					t.Fatalf("seq %d: dynamic record differs:\n got %+v\nwant %+v", seq, b, a)
 				}

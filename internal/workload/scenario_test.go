@@ -300,14 +300,14 @@ func TestScenarioDistanceKnob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := emu.New(p)
-	e.MaxInsts = 3_000_000
+	tr, err := emu.RecordTrace(p, 3_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := tr.Cursor(0)
 	var beyond, within uint64
-	for {
-		d, err := e.Step()
-		if err != nil || e.Halted() {
-			break
-		}
+	for seq := uint64(1); seq <= tr.Len(); seq++ {
+		d, _ := c.Get(seq)
 		if d.IsLoad() && d.Dep.Exists && d.Seq-d.Dep.Seq <= 128 {
 			if dist, ok := d.Distance(); ok && dist > 63 {
 				beyond++

@@ -112,13 +112,13 @@ func TestGenerateDeterministic(t *testing.T) {
 // communication statistics (independent of any timing model).
 func runFunctional(t *testing.T, p *program.Program) (loads, comm, partial, multi uint64) {
 	t.Helper()
-	e := emu.New(p)
-	e.MaxInsts = 5_000_000
-	for {
-		d, err := e.Step()
-		if err != nil {
-			break
-		}
+	tr, err := emu.RecordTrace(p, 5_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := tr.Cursor(0)
+	for seq := uint64(1); seq <= tr.Len(); seq++ {
+		d, _ := c.Get(seq)
 		if d.IsLoad() {
 			loads++
 			if d.Dep.Exists && d.Seq-d.Dep.Seq <= 128 {
@@ -130,9 +130,6 @@ func runFunctional(t *testing.T, p *program.Program) (loads, comm, partial, mult
 					multi++
 				}
 			}
-		}
-		if e.Halted() {
-			break
 		}
 	}
 	return
