@@ -221,14 +221,14 @@ func BenchmarkAblationTaggedSSBF(b *testing.B) {
 		cursor := trace.Cursor(0)
 		for seq := uint64(1); seq <= trace.Len(); seq++ {
 			d, _ := cursor.Get(seq)
-			switch {
-			case d.IsStore():
-				tagged.StoreCommit(d.EffAddr, d.StoreSSN, d.MemSize)
-				untagged.StoreCommit(d.EffAddr, d.StoreSSN)
-			case d.IsLoad():
+			switch st := cursor.Static(d); {
+			case st.IsStore():
+				tagged.StoreCommit(d.EffAddr(), d.StoreSSN(), st.MemSize)
+				untagged.StoreCommit(d.EffAddr(), d.StoreSSN())
+			case st.IsLoad():
 				// Equivalent inequality tests against both organisations.
-				tagged.TestNonBypassed(d.EffAddr, d.Dep.SSN)
-				untagged.TestLoad(d.EffAddr, d.Dep.SSN)
+				tagged.TestNonBypassed(d.EffAddr(), d.Dep().SSN)
+				untagged.TestLoad(d.EffAddr(), d.Dep().SSN)
 			}
 		}
 		b.ReportMetric(100*tagged.Counters().ReexecRate(), "tagged_reexec_%")

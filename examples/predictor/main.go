@@ -43,15 +43,16 @@ func main() {
 
 	for seq := uint64(1); seq <= trace.Len(); seq++ {
 		d, _ := cursor.Get(seq)
-		st := d.Static
+		st := cursor.Static(d)
+		dep := d.Dep()
 		switch {
 		case st.IsCondBranch():
-			hist = hist.PushBranch(d.Taken)
+			hist = hist.PushBranch(d.Taken())
 		case st.IsCall():
 			hist = hist.PushCall(st.PC)
-		case d.IsStore():
-			filter.StoreCommit(d.EffAddr, d.StoreSSN, d.MemSize)
-		case d.IsLoad():
+		case st.IsStore():
+			filter.StoreCommit(d.EffAddr(), d.StoreSSN(), st.MemSize)
+		case st.IsLoad():
 			loads++
 			pred := predictor.Predict(st.PC, hist.Value())
 			dist, hasDep := d.Distance()
@@ -66,7 +67,7 @@ func main() {
 			case !predictedBypass && !hasDep:
 				ok = true
 			case predictedBypass && hasDep && predictedDist == dist &&
-				pred.Shift == d.Dep.Shift && !d.Dep.MultiSource:
+				pred.Shift == dep.Shift && !dep.MultiSource:
 				ok = true
 			}
 			if ok {
@@ -77,10 +78,10 @@ func main() {
 				out := bypass.Outcome{}
 				if hasDep {
 					out = bypass.Outcome{
-						Bypassable: !d.Dep.MultiSource,
+						Bypassable: !dep.MultiSource,
 						Distance:   dist,
-						Shift:      d.Dep.Shift,
-						StoreSize:  d.Dep.StoreSize,
+						Shift:      dep.Shift,
+						StoreSize:  cursor.DepStore(dep).MemSize,
 					}
 				}
 				predictor.Train(st.PC, hist.Value(), out, pred.FromPathTable)
@@ -88,9 +89,9 @@ func main() {
 			// Commit-time SVW filter test: would this load have re-executed?
 			var reexec bool
 			if predictedBypass && hasDep {
-				reexec = filter.TestBypassed(d.EffAddr, d.MemSize, d.Dep.SSN, pred.Shift)
+				reexec = filter.TestBypassed(d.EffAddr(), st.MemSize, dep.SSN, pred.Shift)
 			} else {
-				reexec = filter.TestNonBypassed(d.EffAddr, d.Dep.SSN)
+				reexec = filter.TestNonBypassed(d.EffAddr(), dep.SSN)
 			}
 			if !reexec {
 				filtered++

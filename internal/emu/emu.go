@@ -4,23 +4,28 @@
 // The emulator executes a program architecturally (in program order).
 // RecordTrace hands each executed instruction — its static instruction,
 // effective address, branch outcome and next PC — to a TraceBuilder, the one
-// place a record (DynInst) is filled in. The builder annotates every record
-// with everything the timing model and the NoSQ experiments need:
+// place a Record is filled in. A trace keeps its static instructions once,
+// in a table in first-execution order, and each record names its static by
+// table index. The builder annotates every record with everything the timing
+// model and the NoSQ experiments need:
 //
-//   - effective addresses and access sizes for memory operations;
+//   - effective addresses for memory operations (their access sizes are in
+//     the static);
 //   - branch outcomes and actual next PCs;
 //   - store sequence numbers (SSNs), the naming scheme the SVW and NoSQ
 //     mechanisms are built on; and
-//   - oracle memory-dependence information for every load: the SSN of the
-//     youngest older store that wrote any of the load's bytes, whether the
-//     load's bytes come from more than one source (the multi-source /
-//     partial-store case SMB cannot bypass), the communicating store's PC
-//     and size, and the byte shift between them.
+//   - oracle memory-dependence information for every load: the SSN and
+//     sequence number of the youngest older store that wrote any of the
+//     load's bytes, whether the load's bytes come from more than one source
+//     (the multi-source / partial-store case SMB cannot bypass), whether the
+//     communication is partial-word, and the byte shift between load and
+//     store. The communicating store's PC and size are read from that
+//     store's own record.
 //
 // Architectural values and the communicating store's address are not
 // recorded: nothing reads them. The .nsqt decoder (internal/traceio) feeds
-// the same builder, so a decoded trace equals the recording it came from
-// field for field.
+// the same builder with the file's static table, so a decoded trace equals
+// the recording it came from record for record, static index included.
 //
 // The oracle annotations let the timing model decide exactly when a
 // speculative choice (a bypass, or a load issued past an un-committed older
@@ -38,53 +43,88 @@ import (
 	"repro/internal/program"
 )
 
-// DynInst is one dynamic (executed) instruction.
+// Record is one dynamic (executed) instruction as a trace stores it: the
+// facts only execution knows plus the oracle annotations TraceBuilder
+// derives from them. A trace holds one record per dynamic instruction, so a
+// record is 48 bytes and holds no pointer, and the collector never scans
+// the blocks that hold them. Everything else is derived:
 //
-// Field order: every 8-byte field comes first and the narrow fields last, so
-// the struct carries no interior padding — 96 bytes on 64-bit hosts, where
-// interleaving the narrow fields with the wide ones would pad it to 112. A
-// trace holds one record per dynamic instruction, so keep the order when
-// adding a field; TestRecordSize pins the size.
-type DynInst struct {
-	// Seq is the 1-based dynamic sequence number.
-	Seq uint64
-	// Static points at the static instruction.
-	Static *isa.Inst
-	// PC is the instruction's address.
-	PC uint64
-	// NextPC is the architecturally correct next PC (branch outcome applied).
-	NextPC uint64
+//   - the sequence number is the record's position in its trace (the seq
+//     TraceCursor.Get serves it under);
+//   - the PC, op and access width come from its static instruction, an
+//     index into the trace's static table (TraceCursor.Static);
+//   - a store's SSN is one more than the SSN before it (StoreSSN);
+//   - a load's communicating store's PC and width come from that store's
+//     own record, which precedes the load and so is always in the trace
+//     (TraceCursor.DepStore).
+//
+// Its fields are unexported: TraceBuilder.Append is the only code that
+// writes one. TestRecordSize pins the size and TestRecordHasNoPointers the
+// layout.
+type Record struct {
+	nextPC  uint64
+	effAddr uint64
+	// ssnBefore is the SSN of the youngest store preceding this instruction
+	// in program order (0 if none); for a store, it excludes the store.
+	ssnBefore uint64
+	depSSN    uint64
+	depSeq    uint64
+	static    uint32 // index into the trace's static table
+	bits      uint32 // recTaken, the dep* flags, and the dependence shift
+}
 
-	// EffAddr is the effective address for memory operations.
-	EffAddr uint64
+// Record.bits layout: four flags in the low bits, the dependence's byte
+// shift (always below 8) in bits depShiftPos and up.
+const (
+	recTaken = 1 << iota
+	depExists
+	depMultiSource
+	depPartialWord
 
-	// StoreSSN is this store's 1-based store sequence number (stores only).
-	StoreSSN uint64
-	// SSNBefore is the SSN of the youngest store preceding this instruction
-	// in program order (0 if none). For a store, this excludes itself.
-	SSNBefore uint64
+	depShiftPos = 8
+)
 
-	// Dep describes the load's oracle memory dependence (loads only).
-	Dep Dependence
+// NextPC returns the architecturally correct next PC (branch outcome
+// applied).
+func (r *Record) NextPC() uint64 { return r.nextPC }
 
-	// Taken reports whether a control-flow instruction was taken.
-	Taken bool
-	// MemSize is the access width in bytes for memory operations.
-	MemSize uint8
+// EffAddr returns the effective address of a memory operation (0 for any
+// other instruction).
+func (r *Record) EffAddr() uint64 { return r.effAddr }
+
+// StoreSSN returns a store's own 1-based store sequence number. It is
+// meaningful for stores only.
+func (r *Record) StoreSSN() uint64 { return r.ssnBefore + 1 }
+
+// Taken reports whether a control-flow instruction was taken.
+func (r *Record) Taken() bool { return r.bits&recTaken != 0 }
+
+// StaticIndex returns the index of the record's static instruction in its
+// trace's static table.
+func (r *Record) StaticIndex() uint32 { return r.static }
+
+// Dep returns the load's oracle memory dependence (the zero Dependence for
+// any other instruction).
+func (r *Record) Dep() Dependence {
+	return Dependence{
+		SSN:         r.depSSN,
+		Seq:         r.depSeq,
+		Exists:      r.bits&depExists != 0,
+		MultiSource: r.bits&depMultiSource != 0,
+		Shift:       uint8(r.bits >> depShiftPos),
+		PartialWord: r.bits&depPartialWord != 0,
+	}
 }
 
 // Dependence is the oracle description of where a load's bytes come from.
-// Its fields follow DynInst's order rule — 8-byte fields first, flags and
-// byte-sized fields last — which keeps it at 32 bytes rather than 40.
+// The communicating store's PC and width are not part of it: they are in
+// that store's own record (TraceCursor.DepStore).
 type Dependence struct {
 	// SSN is the SSN of the youngest older store that wrote any byte the
 	// load reads (see Exists).
 	SSN uint64
 	// Seq is the dynamic sequence number of that store.
 	Seq uint64
-	// StorePC is the communicating store's program counter (used to train
-	// store-PC based predictors such as StoreSets).
-	StorePC uint64
 
 	// Exists reports whether any older store wrote any byte the load reads;
 	// the other fields are meaningful only when it is set.
@@ -93,8 +133,6 @@ type Dependence struct {
 	// single store (they come from several stores, or partly from memory
 	// never written by a tracked store). SMB cannot bypass these.
 	MultiSource bool
-	// StoreSize is the communicating store's width in bytes.
-	StoreSize uint8
 	// Shift is the byte offset of the load's address within the store's
 	// written bytes (load addr - store addr), the shift amount partial-word
 	// SMB must learn.
@@ -109,106 +147,44 @@ type Dependence struct {
 // the load: the number of stores renamed after the communicating store but
 // before the load. Returns 0 if the dependence is on the immediately
 // preceding store; ok is false when the load has no dependence.
-func (ld *DynInst) Distance() (dist uint64, ok bool) {
-	if !ld.Dep.Exists {
+func (r *Record) Distance() (dist uint64, ok bool) {
+	if r.bits&depExists == 0 {
 		return 0, false
 	}
-	return ld.SSNBefore - ld.Dep.SSN, true
-}
-
-// IsLoad reports whether the dynamic instruction is a load.
-func (d *DynInst) IsLoad() bool { return d.Static.IsLoad() }
-
-// IsStore reports whether the dynamic instruction is a store.
-func (d *DynInst) IsStore() bool { return d.Static.IsStore() }
-
-// byteSource remembers which store last wrote a byte.
-type byteSource struct {
-	ssn  uint64
-	seq  uint64
-	pc   uint64
-	addr uint64
-	size uint8
+	return r.ssnBefore - r.depSSN, true
 }
 
 // writerTable is the paged per-byte last-writer map backing the dependence
-// oracle. Its paged layout (mem.PagedTable) makes the per-byte updates and
-// lookups on the emulation hot path cost one page probe per page crossing
-// instead of one map probe per byte.
+// oracle: for each byte a store has written, the sequence number of the
+// store that wrote it last (0 for a byte no store wrote). The store's SSN,
+// address and width are in its own record, so an entry is 8 bytes and a
+// page holds no pointer. The paged layout (mem.PagedTable) makes the
+// per-byte updates and lookups on the emulation hot path cost one page
+// probe per page crossing instead of one map probe per byte.
 type writerTable struct {
-	pages mem.PagedTable[[mem.PageSize]byteSource]
+	pages mem.PagedTable[writerPage]
 }
 
-// record marks src as the last writer of size bytes starting at addr.
-func (t *writerTable) record(addr uint64, size uint8, src byteSource) {
+// writerPage is one page of the last-writer table.
+type writerPage [mem.PageSize]uint64
+
+// record marks the store with sequence number seq as the last writer of
+// size bytes starting at addr.
+func (t *writerTable) record(addr uint64, size uint8, seq uint64) {
 	for i := uint64(0); i < uint64(size); i++ {
 		a := addr + i
-		t.pages.Page(a, true)[a&(mem.PageSize-1)] = src
+		t.pages.Page(a, true)[a&(mem.PageSize-1)] = seq
 	}
 }
 
-// lookup returns the last writer of addr, or nil if the byte was never
-// written by a tracked store.
-func (t *writerTable) lookup(addr uint64) *byteSource {
+// lookup returns the sequence number of the last store to write addr, or 0
+// if no store wrote it.
+func (t *writerTable) lookup(addr uint64) uint64 {
 	p := t.pages.Page(addr, false)
 	if p == nil {
-		return nil
+		return 0
 	}
-	src := &p[addr&(mem.PageSize-1)]
-	if src.ssn == 0 {
-		return nil
-	}
-	return src
-}
-
-// resolve computes the oracle dependence of a load at addr/size on older
-// stores by inspecting the per-byte last-writer map.
-func (t *writerTable) resolve(addr uint64, size uint8) Dependence {
-	var dep Dependence
-	var youngest byteSource
-	sources := 0
-	uncovered := false
-	// Accesses are at most 8 bytes, so the distinct source SSNs fit in a
-	// fixed array; no per-load allocation.
-	var seen [8]uint64
-	for i := uint64(0); i < uint64(size); i++ {
-		src := t.lookup(addr + i)
-		if src == nil {
-			uncovered = true
-			continue
-		}
-		known := false
-		for j := 0; j < sources; j++ {
-			if seen[j] == src.ssn {
-				known = true
-				break
-			}
-		}
-		if !known {
-			seen[sources] = src.ssn
-			sources++
-		}
-		if src.ssn > youngest.ssn {
-			youngest = *src
-		}
-	}
-	if sources == 0 {
-		return dep
-	}
-	dep.Exists = true
-	dep.SSN = youngest.ssn
-	dep.Seq = youngest.seq
-	dep.StorePC = youngest.pc
-	dep.StoreSize = youngest.size
-	dep.MultiSource = sources > 1 || uncovered
-	if addr >= youngest.addr {
-		dep.Shift = uint8(addr - youngest.addr)
-	} else {
-		// Load starts before the store's first byte: necessarily multi-source.
-		dep.MultiSource = true
-	}
-	dep.PartialWord = size < 8 || youngest.size < 8
-	return dep
+	return p[addr&(mem.PageSize-1)]
 }
 
 // Emulator executes a program in program order. It keeps architectural
@@ -276,20 +252,21 @@ func (e *Emulator) writeReg(r isa.Reg, v uint64) {
 }
 
 // exec executes one instruction, updating architectural state, and returns
-// what a TraceBuilder records of it: the static instruction, the effective
-// address of a memory operation, whether a control transfer was taken, and
-// the architectural next PC.
-func (e *Emulator) exec() (in *isa.Inst, effAddr uint64, taken bool, nextPC uint64, err error) {
+// what a TraceBuilder records of it: the instruction's index in the
+// program, the effective address of a memory operation, whether a control
+// transfer was taken, and the architectural next PC.
+func (e *Emulator) exec() (k int, effAddr uint64, taken bool, nextPC uint64, err error) {
 	if e.halted {
-		return nil, 0, false, 0, ErrHalted
+		return 0, 0, false, 0, ErrHalted
 	}
 	if e.insts >= e.MaxInsts {
-		return nil, 0, false, 0, ErrLimit
+		return 0, 0, false, 0, ErrLimit
 	}
-	in = e.prog.At(e.pc)
-	if in == nil {
-		return nil, 0, false, 0, fmt.Errorf("emu: pc %#x outside program %q", e.pc, e.prog.Name)
+	k, ok := e.prog.Index(e.pc)
+	if !ok {
+		return 0, 0, false, 0, fmt.Errorf("emu: pc %#x outside program %q", e.pc, e.prog.Name)
 	}
+	in := &e.prog.Insts[k]
 	e.insts++
 	nextPC = in.NextPC()
 
@@ -329,11 +306,11 @@ func (e *Emulator) exec() (in *isa.Inst, effAddr uint64, taken bool, nextPC uint
 		taken, nextPC = true, e.readReg(in.Src1)
 
 	default:
-		return nil, 0, false, 0, fmt.Errorf("emu: unknown op %v at pc %#x", in.Op, in.PC)
+		return 0, 0, false, 0, fmt.Errorf("emu: unknown op %v at pc %#x", in.Op, in.PC)
 	}
 
 	e.pc = nextPC
-	return in, effAddr, taken, nextPC, nil
+	return k, effAddr, taken, nextPC, nil
 }
 
 // Run executes until halt, error, or limit instructions (whichever is first),

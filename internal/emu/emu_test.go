@@ -10,9 +10,29 @@ import (
 	"repro/internal/program"
 )
 
+// dyn is one record of a recorded trace together with what its accessors
+// need: its sequence number, its static instruction and a cursor.
+type dyn struct {
+	*Record
+	seq uint64
+	st  *isa.Inst
+	c   *TraceCursor
+}
+
+// recordsOf returns every record of tr in order.
+func recordsOf(tr *Trace) []dyn {
+	c := tr.Cursor(0)
+	ds := make([]dyn, tr.Len())
+	for i := range ds {
+		r, _ := c.Get(uint64(i) + 1)
+		ds[i] = dyn{Record: r, seq: uint64(i) + 1, st: c.Static(r), c: c}
+	}
+	return ds
+}
+
 // run executes p to its halt for the final architectural state and records
 // it for the dynamic records.
-func run(t *testing.T, p *program.Program) (*Emulator, []*DynInst) {
+func run(t *testing.T, p *program.Program) (*Emulator, []dyn) {
 	t.Helper()
 	e := New(p)
 	if _, err := e.Run(1_000_000); err != nil {
@@ -25,12 +45,7 @@ func run(t *testing.T, p *program.Program) (*Emulator, []*DynInst) {
 	if err != nil {
 		t.Fatalf("RecordTrace: %v", err)
 	}
-	c := tr.Cursor(0)
-	ds := make([]*DynInst, tr.Len())
-	for i := range ds {
-		ds[i], _ = c.Get(uint64(i) + 1)
-	}
-	return e, ds
+	return e, recordsOf(tr)
 }
 
 func TestALUArithmetic(t *testing.T) {
@@ -146,16 +161,16 @@ func TestBranchLoopAndCalls(t *testing.T) {
 	var calls []uint64
 	for _, d := range ds {
 		switch {
-		case d.Static.IsCall():
-			calls = append(calls, d.PC)
-		case d.Static.IsReturn():
+		case d.st.IsCall():
+			calls = append(calls, d.st.PC)
+		case d.st.IsReturn():
 			if len(calls) == 0 {
-				t.Fatalf("return at seq %d without a call", d.Seq)
+				t.Fatalf("return at seq %d without a call", d.seq)
 			}
 			want := calls[len(calls)-1] + isa.InstBytes
 			calls = calls[:len(calls)-1]
-			if d.NextPC != want {
-				t.Errorf("return at seq %d goes to %#x, want %#x", d.Seq, d.NextPC, want)
+			if d.NextPC() != want {
+				t.Errorf("return at seq %d goes to %#x, want %#x", d.seq, d.NextPC(), want)
 			}
 		}
 	}
@@ -195,14 +210,14 @@ func TestStoreSSNsMonotonic(t *testing.T) {
 	_, ds := run(t, b.MustBuild())
 	var prev uint64
 	for _, d := range ds {
-		if d.IsStore() {
-			if d.StoreSSN != prev+1 {
-				t.Errorf("store SSN %d after %d", d.StoreSSN, prev)
+		if d.st.IsStore() {
+			if d.StoreSSN() != prev+1 {
+				t.Errorf("store SSN %d after %d", d.StoreSSN(), prev)
 			}
-			if d.SSNBefore != prev {
-				t.Errorf("store SSNBefore = %d, want %d", d.SSNBefore, prev)
+			if d.ssnBefore != prev {
+				t.Errorf("store SSNBefore = %d, want %d", d.ssnBefore, prev)
 			}
-			prev = d.StoreSSN
+			prev = d.StoreSSN()
 		}
 	}
 	if prev != 3 {
@@ -211,10 +226,10 @@ func TestStoreSSNsMonotonic(t *testing.T) {
 }
 
 // findLoads returns the dynamic loads in order.
-func findLoads(ds []*DynInst) []*DynInst {
-	var out []*DynInst
+func findLoads(ds []dyn) []dyn {
+	var out []dyn
 	for _, d := range ds {
-		if d.IsLoad() {
+		if d.st.IsLoad() {
 			out = append(out, d)
 		}
 	}
@@ -235,7 +250,7 @@ func TestOracleDependenceSameWordStore(t *testing.T) {
 	if len(lds) != 1 {
 		t.Fatalf("want 1 load, got %d", len(lds))
 	}
-	d := lds[0].Dep
+	d := lds[0].Dep()
 	if !d.Exists || d.SSN != 1 || d.MultiSource || d.PartialWord || d.Shift != 0 {
 		t.Errorf("dependence = %+v, want simple full-word dep on SSN 1", d)
 	}
@@ -253,8 +268,8 @@ func TestOracleDependenceNone(t *testing.T) {
 		Halt()
 	_, ds := run(t, b.MustBuild())
 	ld := findLoads(ds)[0]
-	if ld.Dep.Exists {
-		t.Errorf("expected no dependence, got %+v", ld.Dep)
+	if ld.Dep().Exists {
+		t.Errorf("expected no dependence, got %+v", ld.Dep())
 	}
 	if _, ok := ld.Distance(); ok {
 		t.Error("Distance should report not-ok with no dependence")
@@ -271,17 +286,26 @@ func TestOracleDependencePartialWordShift(t *testing.T) {
 		Halt()
 	e, ds := run(t, b.MustBuild())
 	ld := findLoads(ds)[0]
-	if !ld.Dep.Exists || ld.Dep.SSN != 1 {
-		t.Fatalf("dependence = %+v", ld.Dep)
+	dep := ld.Dep()
+	if !dep.Exists || dep.SSN != 1 {
+		t.Fatalf("dependence = %+v", dep)
 	}
-	if !ld.Dep.PartialWord {
+	if !dep.PartialWord {
 		t.Error("narrow load of wide store should be partial-word")
 	}
-	if ld.Dep.MultiSource {
+	if dep.MultiSource {
 		t.Error("single wide store source should not be multi-source")
 	}
-	if ld.Dep.Shift != 4 {
-		t.Errorf("shift = %d, want 4", ld.Dep.Shift)
+	if dep.Shift != 4 {
+		t.Errorf("shift = %d, want 4", dep.Shift)
+	}
+	// The communicating store's PC and width come from its own record.
+	st := ds[dep.Seq-1].st
+	if !st.IsStore() || st.PC != ds[2].st.PC || st.MemSize != 8 {
+		t.Errorf("dependence names %v, want the 8-byte store at seq 3", st)
+	}
+	if got := ld.c.DepStore(dep); got != st {
+		t.Errorf("DepStore = %v, want %v", got, st)
 	}
 	if got := e.Reg(isa.IntReg(3)); got != 0x3344 {
 		t.Errorf("loaded value = %#x, want 0x3344", got)
@@ -298,14 +322,14 @@ func TestOracleDependenceMultiSource(t *testing.T) {
 		Load(isa.IntReg(3), r1, 0, 2). // reads both: two 1-byte stores feed a 2-byte load
 		Halt()
 	_, ds := run(t, b.MustBuild())
-	ld := findLoads(ds)[0]
-	if !ld.Dep.Exists || !ld.Dep.MultiSource {
-		t.Errorf("two-source load should be MultiSource, got %+v", ld.Dep)
+	dep := findLoads(ds)[0].Dep()
+	if !dep.Exists || !dep.MultiSource {
+		t.Errorf("two-source load should be MultiSource, got %+v", dep)
 	}
-	if ld.Dep.SSN != 2 {
-		t.Errorf("youngest source SSN = %d, want 2", ld.Dep.SSN)
+	if dep.SSN != 2 {
+		t.Errorf("youngest source SSN = %d, want 2", dep.SSN)
 	}
-	if !ld.Dep.PartialWord {
+	if !dep.PartialWord {
 		t.Error("1-byte stores feeding a load must be partial-word")
 	}
 }
@@ -319,9 +343,8 @@ func TestOracleDependencePartiallyUncovered(t *testing.T) {
 		Load(isa.IntReg(3), r1, 0, 8). // reads bytes 0..7, 4..7 never written
 		Halt()
 	_, ds := run(t, b.MustBuild())
-	ld := findLoads(ds)[0]
-	if !ld.Dep.Exists || !ld.Dep.MultiSource {
-		t.Errorf("partially uncovered load should be MultiSource, got %+v", ld.Dep)
+	if dep := findLoads(ds)[0].Dep(); !dep.Exists || !dep.MultiSource {
+		t.Errorf("partially uncovered load should be MultiSource, got %+v", dep)
 	}
 }
 
@@ -336,9 +359,8 @@ func TestOracleDependenceOverwrite(t *testing.T) {
 		Load(isa.IntReg(4), r1, 0, 8).
 		Halt()
 	e, ds := run(t, b.MustBuild())
-	ld := findLoads(ds)[0]
-	if ld.Dep.SSN != 2 || ld.Dep.MultiSource {
-		t.Errorf("dependence should be on SSN 2 only, got %+v", ld.Dep)
+	if dep := findLoads(ds)[0].Dep(); dep.SSN != 2 || dep.MultiSource {
+		t.Errorf("dependence should be on SSN 2 only, got %+v", dep)
 	}
 	if e.Reg(isa.IntReg(4)) != 2 {
 		t.Errorf("loaded %d, want 2", e.Reg(isa.IntReg(4)))
@@ -441,15 +463,13 @@ func TestDependenceDistanceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		c := tr.Cursor(0)
-		for seq := uint64(1); seq <= tr.Len(); seq++ {
-			d, _ := c.Get(seq)
-			if d.IsLoad() && d.Dep.Exists {
-				if d.Dep.SSN > d.SSNBefore {
+		for _, d := range recordsOf(tr) {
+			if dep := d.Dep(); d.st.IsLoad() && dep.Exists {
+				if dep.SSN > d.ssnBefore {
 					return false
 				}
 				dist, has := d.Distance()
-				if !has || dist != d.SSNBefore-d.Dep.SSN {
+				if !has || dist != d.ssnBefore-dep.SSN {
 					return false
 				}
 			}

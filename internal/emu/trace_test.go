@@ -3,6 +3,7 @@ package emu
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -38,8 +39,8 @@ func TestStreamSequentialGet(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Get(%d): %v", seq, err)
 		}
-		if d.Seq != seq {
-			t.Errorf("Get(%d).Seq = %d", seq, d.Seq)
+		if pc := c.Static(d).PC; pc != program.CodeBase+(seq-1)*isa.InstBytes {
+			t.Errorf("Get(%d) serves the record at pc %#x", seq, pc)
 		}
 	}
 	if _, err := c.Get(12); !errors.Is(err, ErrEndOfStream) {
@@ -49,7 +50,7 @@ func TestStreamSequentialGet(t *testing.T) {
 
 func TestStreamRewind(t *testing.T) {
 	c := mustRecord(t, countedProgram(20), 0).Cursor(0)
-	first := make([]*DynInst, 0, 10)
+	first := make([]*Record, 0, 10)
 	for seq := uint64(1); seq <= 10; seq++ {
 		d, err := c.Get(seq)
 		if err != nil {
@@ -168,18 +169,14 @@ func TestRecordTraceBlockBoundaries(t *testing.T) {
 				if want := (n + blockLen - 1) / blockLen; len(tr.recs.blocks) != want {
 					t.Errorf("store holds %d blocks, want %d", len(tr.recs.blocks), want)
 				}
-				e, b := New(src.p), NewTraceBuilder(src.p.Name)
+				r := newRecorder(src.p, 0)
 				c := tr.Cursor(0)
-				ptrs := make([]*DynInst, n+1)
+				ptrs := make([]*Record, n+1)
 				for seq := 1; seq <= n; seq++ {
-					in, effAddr, taken, nextPC, err := e.exec()
-					if err != nil {
+					if err := r.step(); err != nil {
 						t.Fatalf("step %d: %v", seq, err)
 					}
-					if err := b.Append(in, effAddr, taken, nextPC); err != nil {
-						t.Fatalf("Append %d: %v", seq, err)
-					}
-					want := *b.t.recs.at(uint64(seq) - 1)
+					want := *r.b.t.recs.at(uint64(seq) - 1)
 					got, err := c.Get(uint64(seq))
 					if err != nil {
 						t.Fatalf("Get(%d): %v", seq, err)
@@ -228,17 +225,51 @@ func TestRecordTraceNoPhantomRecord(t *testing.T) {
 	}
 }
 
-// TestRecordSize pins the record layout a trace stores one of per dynamic
-// instruction.
+// TestRecordSize pins the record a trace stores one of per dynamic
+// instruction at 48 bytes.
 func TestRecordSize(t *testing.T) {
-	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("sizes pinned for 64-bit hosts")
+	if got := unsafe.Sizeof(Record{}); got != 48 {
+		t.Errorf("Record is %d bytes, want 48: five 8-byte fields, the static index and the packed flags", got)
 	}
-	if got := unsafe.Sizeof(DynInst{}); got != 96 {
-		t.Errorf("DynInst is %d bytes, want 96: keep the field order its doc comment describes (8-byte fields first, narrow fields last)", got)
+}
+
+// TestRecordHasNoPointers walks the types a trace stores per dynamic
+// instruction and per written byte — the record and the last-writer table's
+// page — and finds no pointer, so their blocks and pages are allocated
+// without pointers and the collector never scans them.
+func TestRecordHasNoPointers(t *testing.T) {
+	for _, typ := range []reflect.Type{reflect.TypeFor[Record](), reflect.TypeFor[writerPage]()} {
+		if path := pointerPath(typ); path != "" {
+			t.Errorf("%v holds a pointer at %s", typ, path)
+		}
 	}
-	if got := unsafe.Sizeof(Dependence{}); got != 32 {
-		t.Errorf("Dependence is %d bytes, want 32: keep the field order its doc comment describes (8-byte fields first, narrow fields last)", got)
+}
+
+// pointerPath returns where typ holds a pointer the collector would scan,
+// or "" if it holds none.
+func pointerPath(typ reflect.Type) string {
+	switch typ.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return ""
+	case reflect.Array:
+		if typ.Len() == 0 {
+			return ""
+		}
+		if p := pointerPath(typ.Elem()); p != "" {
+			return "[0]" + p
+		}
+		return ""
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if p := pointerPath(typ.Field(i).Type); p != "" {
+				return "." + typ.Field(i).Name + p
+			}
+		}
+		return ""
+	default: // pointers, slices, strings, maps, channels, funcs, interfaces
+		return " (" + typ.Kind().String() + ")"
 	}
 }
 
@@ -278,7 +309,7 @@ func recordingOverhead(t *testing.T, p *program.Program, limit uint64) (uint64, 
 // allocates about the bytes its records occupy, not a multiple of them from
 // regrowing one slice, and a tiny trace does not pay for a whole block.
 func TestRecordTraceAllocations(t *testing.T) {
-	const recSize = uint64(unsafe.Sizeof(DynInst{}))
+	const recSize = uint64(unsafe.Sizeof(Record{}))
 	extra, tr := recordingOverhead(t, memLoop(), 10*blockLen+100)
 	if bound := tr.Len()*recSize + 3*blockLen*recSize; extra > bound {
 		t.Errorf("recording %d records allocated %d bytes for them, %.1fx their size; want at most %d",
@@ -290,5 +321,33 @@ func TestRecordTraceAllocations(t *testing.T) {
 	}
 	if extra >= 4096 {
 		t.Errorf("a 10-record trace allocated %d bytes of record storage, want under 4096", extra)
+	}
+}
+
+// TestBuilderKeepsTableCanonical: Append refuses a static index outside the
+// table and one that comes before a static no record has executed yet, and
+// Trace refuses a table with a static no record executed. A refused Append
+// leaves the builder as it was.
+func TestBuilderKeepsTableCanonical(t *testing.T) {
+	p := countedProgram(2) // add, add, halt
+	b := NewTraceBuilder(p.Name, append([]isa.Inst(nil), p.Insts...))
+	for _, tc := range []struct {
+		static uint32
+		want   string
+	}{
+		{3, "outside a table of 3"},
+		{1, "not in first-execution order"},
+	} {
+		if err := b.Append(tc.static, 0, false, 0); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Append(%d) = %v, want an error mentioning %q", tc.static, err, tc.want)
+		}
+	}
+	for static := uint32(0); static < 2; static++ {
+		if err := b.Append(static, 0, false, 0); err != nil {
+			t.Fatalf("Append(%d): %v", static, err)
+		}
+	}
+	if _, err := b.Trace(); err == nil || !strings.Contains(err.Error(), "static 2 of 3") {
+		t.Errorf("Trace with the halt never executed = %v, want a never-executed error", err)
 	}
 }

@@ -103,7 +103,7 @@ func TestRunMeasuresRecord(t *testing.T) {
 		t.Errorf("record throughput = %v, want > 0", res.RecordInstsPerSec)
 	}
 	// Every recorded instruction occupies at least one record.
-	if min := float64(unsafe.Sizeof(emu.DynInst{})); res.RecordBytesPerInst < min {
+	if min := float64(unsafe.Sizeof(emu.Record{})); res.RecordBytesPerInst < min {
 		t.Errorf("record bytes/inst = %v, want at least the record size %v", res.RecordBytesPerInst, min)
 	}
 	if s := Summarize(res); !strings.Contains(s, "record (geomean)") {

@@ -36,8 +36,8 @@ func (s *Simulator) enterBackend(in *inflight) {
 
 	switch {
 	case in.isStore():
-		addr := in.dyn.EffAddr
-		s.tssbf.StoreCommit(addr, in.ssn, in.dyn.MemSize)
+		addr := in.dyn.EffAddr()
+		s.tssbf.StoreCommit(addr, in.ssn, in.st.MemSize)
 		// The store's data-cache write shares the single back-end port.
 		dcCycle := s.now + dcStage
 		if dcCycle < s.nextBackendDC {
@@ -50,9 +50,9 @@ func (s *Simulator) enterBackend(in *inflight) {
 		exit = dcCycle + tailStages
 
 	case in.isLoad():
-		addr := in.dyn.EffAddr
+		addr := in.dyn.EffAddr()
 		if in.bypassed {
-			in.reexec = s.tssbf.TestBypassed(addr, in.dyn.MemSize, in.bypassSSN, in.predShift)
+			in.reexec = s.tssbf.TestBypassed(addr, in.st.MemSize, in.bypassSSN, in.predShift)
 		} else {
 			in.reexec = s.tssbf.TestNonBypassed(addr, in.ssnNVul)
 		}
@@ -129,7 +129,7 @@ func (s *Simulator) retire() {
 // mis-prediction classification, predictor training, and the flush decision.
 func (s *Simulator) retireLoad(in *inflight) (flush bool) {
 	s.res.CommittedLoads++
-	dep := in.dyn.Dep
+	dep := in.dyn.Dep()
 
 	// Table 5's communication-behaviour columns: communication with a store
 	// within the last 128 dynamic instructions.
@@ -174,16 +174,21 @@ func (s *Simulator) retireLoad(in *inflight) (flush bool) {
 	}
 
 	// A wrong value is detected by re-execution in the back-end and forces a
-	// pipeline flush. (The SVW filter is constructed so that every wrong
-	// value re-executes; the oracle check is the flush trigger.)
+	// pipeline flush. The SVW filter is constructed so that every wrong value
+	// re-executes, and the oracle check is the flush trigger; a wrong value
+	// that did not re-execute would have escaped the filter, so count it
+	// (tests assert there are none).
+	if in.valueWrong && !in.reexec {
+		s.escapes++
+	}
 	return in.valueWrong
 }
 
 // trainBypassPredictor applies the commit-time predictor update rules of
 // Section 3.3.
 func (s *Simulator) trainBypassPredictor(in *inflight) {
-	st := in.dyn.Static
-	dep := in.dyn.Dep
+	st := in.st
+	dep := in.dyn.Dep()
 	if in.mispredict == mispredictNone {
 		if in.bypassPred.Hit {
 			s.byp.Reward(st.PC, in.histAtDec)
@@ -200,7 +205,7 @@ func (s *Simulator) trainBypassPredictor(in *inflight) {
 			Bypassable: dep.SSN > in.renSSNCommitted,
 			Distance:   dist,
 			Shift:      dep.Shift,
-			StoreSize:  dep.StoreSize,
+			StoreSize:  s.cursor.DepStore(dep).MemSize,
 		}
 	}
 	s.byp.Train(st.PC, in.histAtDec, outcome, in.bypassPred.FromPathTable)
@@ -208,10 +213,10 @@ func (s *Simulator) trainBypassPredictor(in *inflight) {
 
 // trainStoreSets applies the baseline's violation-driven scheduling training.
 func (s *Simulator) trainStoreSets(in *inflight) {
-	st := in.dyn.Static
-	dep := in.dyn.Dep
+	st := in.st
+	dep := in.dyn.Dep()
 	if in.valueWrong && dep.Exists {
-		s.ss.TrainViolation(st.PC, dep.StorePC)
+		s.ss.TrainViolation(st.PC, s.cursor.DepStore(dep).PC)
 		return
 	}
 	// A load that was held for a predicted store it did not actually forward

@@ -29,7 +29,7 @@ func (s *Simulator) ready(in *inflight) bool {
 		// the store-queue search and hold the load until the stores drain;
 		// this requires the youngest overlapping store to have executed.
 		if s.cfg.LSQ == LSQAssociative {
-			dep := in.dyn.Dep
+			dep := in.dyn.Dep()
 			if dep.Exists && dep.MultiSource && dep.SSN > s.ssnInDCache {
 				depIn := s.find(dep.Seq)
 				if depIn == nil || depIn.storeExecuted {
@@ -55,17 +55,16 @@ func (s *Simulator) doIssue(in *inflight) {
 		s.iqUsed--
 		in.holdsIQ = false
 	}
-	st := in.dyn.Static
 	switch {
 	case in.isLoad():
-		lat := s.loadLatency(in.dyn.EffAddr)
+		lat := s.loadLatency(in.dyn.EffAddr())
 		in.completeCycle = s.now + uint64(lat)
 		s.resolveLoadValue(in)
 	case in.isStore():
 		// Baseline store execution: address generation and store-queue write.
 		in.completeCycle = s.now + 1
 	default:
-		in.completeCycle = s.now + uint64(st.ExecLatency())
+		in.completeCycle = s.now + uint64(in.st.ExecLatency())
 	}
 	s.scheduleCompletion(in)
 }
@@ -74,7 +73,7 @@ func (s *Simulator) doIssue(in *inflight) {
 // whether the value the load obtains in the out-of-order core is correct, and
 // what its SVW non-vulnerability SSN is.
 func (s *Simulator) resolveLoadValue(in *inflight) {
-	dep := in.dyn.Dep
+	dep := in.dyn.Dep()
 	if !dep.Exists || dep.SSN <= s.ssnInDCache {
 		// The communicating store (if any) has already drained to the data
 		// cache: the cache read returns the right value.
@@ -140,7 +139,7 @@ func (s *Simulator) complete() {
 			}
 			in.completed = true
 			s.markCompleted(in)
-			st := in.dyn.Static
+			st := in.st
 			switch {
 			case in.isStore():
 				in.storeExecuted = true
@@ -148,7 +147,7 @@ func (s *Simulator) complete() {
 					s.ss.StoreCompleted(st.PC, in.ssn)
 				}
 			case st.IsBranch():
-				s.bp.Resolve(st, in.dyn.Taken, in.dyn.NextPC, in.bpPred)
+				s.bp.Resolve(st, in.dyn.Taken(), in.dyn.NextPC(), in.bpPred)
 				if in.brMispredicted {
 					s.res.BranchMispredicts++
 					if s.fetchBlockedOn == in.seq {
@@ -174,7 +173,7 @@ func (s *Simulator) complete() {
 			s.markCompleted(in)
 			in.completeCycle = s.now
 			in.storeExecuted = true
-			s.ss.StoreCompleted(in.dyn.Static.PC, in.ssn)
+			s.ss.StoreCompleted(in.st.PC, in.ssn)
 			s.wakeConsumers(in)
 			continue
 		}

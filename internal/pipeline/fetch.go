@@ -29,9 +29,10 @@ func (s *Simulator) fetch() {
 			s.streamEnded = true
 			return
 		}
+		st := s.cursor.Static(d)
 		// Instruction cache: a miss stalls fetch for the miss latency (the
 		// missing line is brought in, so the retry hits).
-		if lat := s.icacheLatency(d.PC); lat > 0 {
+		if lat := s.icacheLatency(st.PC); lat > 0 {
 			s.fetchResumeCycle = s.now + uint64(lat)
 			return
 		}
@@ -41,49 +42,50 @@ func (s *Simulator) fetch() {
 		// squashed previous occupant are recognised by generation mismatch.
 		in := s.newInflight()
 		in.dyn = d
-		in.seq = d.Seq
+		in.st = st
+		in.seq = s.fetchSeq
 		in.fetchCycle = s.now
 		in.renameReady = s.now + uint64(s.cfg.FrontEndDepth)
 		// The port class was pre-decoded once for the whole trace.
-		in.port = portClass(s.meta.class[d.Seq-1])
+		in.port = portClass(s.meta.class[in.seq-1])
 		// The new occupant reuses a window slot; reset its completed bit.
-		s.clearCompletedBit(d.Seq)
+		s.clearCompletedBit(in.seq)
 		in.histAtDec = s.pathHist.Value()
 
-		st := d.Static
+		taken, nextPC := d.Taken(), d.NextPC()
 		shortBubble := false
 		if st.IsBranch() {
 			branches++
 			in.bpPred = s.bp.Predict(st)
 			switch {
 			case st.IsCondBranch():
-				if in.bpPred.Taken != d.Taken {
+				if in.bpPred.Taken != taken {
 					// Wrong direction: the front-end does not know the correct
 					// path until the branch executes.
 					in.brMispredicted = true
-				} else if d.Taken && in.bpPred.Target != d.NextPC {
+				} else if taken && in.bpPred.Target != nextPC {
 					// Correct direction but BTB target miss on a direct
 					// branch: fixed at decode with a short bubble.
 					shortBubble = true
 				}
 			case st.IsReturn():
-				if in.bpPred.Target != d.NextPC {
+				if in.bpPred.Target != nextPC {
 					in.brMispredicted = true
 				}
 			default:
 				// Direct jumps and calls with a BTB miss are repaired at
 				// decode (the target is in the instruction).
-				if in.bpPred.Target != d.NextPC {
+				if in.bpPred.Target != nextPC {
 					shortBubble = true
 				}
 			}
 			// Path history for the bypassing predictor (actual path).
 			if st.IsCondBranch() {
-				s.pathHist = s.pathHist.PushBranch(d.Taken)
+				s.pathHist = s.pathHist.PushBranch(taken)
 			} else if st.IsCall() {
 				s.pathHist = s.pathHist.PushCall(st.PC)
 			}
-			if d.Taken {
+			if taken {
 				takenCrossed++
 			}
 		}

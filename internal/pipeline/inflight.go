@@ -56,7 +56,10 @@ const (
 // inflight is one dynamic instruction in the timing window (from fetch until
 // retirement from the in-order back-end).
 type inflight struct {
-	dyn  *emu.DynInst
+	// dyn is the instruction's trace record and st its static instruction,
+	// looked up once at fetch.
+	dyn  *emu.Record
+	st   *isa.Inst
 	seq  uint64
 	port portClass
 
@@ -134,6 +137,6 @@ type inflight struct {
 
 // isLoad/isStore test the cached port class: classify maps OpLoad and
 // OpStore (and only those) to portLoad/portStore, so the port carries the
-// same information as re-deriving the opcode through dyn.Static.
+// same information as re-deriving the opcode through st.
 func (in *inflight) isLoad() bool  { return in.port == portLoad }
 func (in *inflight) isStore() bool { return in.port == portStore }

@@ -25,6 +25,9 @@ func runGenerated(t *testing.T, name string, iters int, cfg Config) stats.Run {
 	if err != nil {
 		t.Fatalf("run %s/%s: %v", name, cfg.Name, err)
 	}
+	if sim.escapes != 0 {
+		t.Fatalf("run %s/%s: %d SVW escapes (wrong load values that did not re-execute)", name, cfg.Name, sim.escapes)
+	}
 	return r
 }
 

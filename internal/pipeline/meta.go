@@ -39,7 +39,7 @@ func NewTraceMeta(t *emu.Trace) (*TraceMeta, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.class[seq-1] = uint8(classify(d.Static))
+		m.class[seq-1] = uint8(classify(cur.Static(d)))
 	}
 	return m, nil
 }

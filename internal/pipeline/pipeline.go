@@ -48,8 +48,9 @@ type Simulator struct {
 	window       ring
 	renamedCount int
 
-	// pool holds retired/squashed in-flight records for reuse, keeping the
-	// cycle loop free of steady-state allocation.
+	// pool holds the in-flight records not in the window, for reuse. It
+	// starts with every record the window can hold, carved from one block, so
+	// the cycle loop never allocates one.
 	pool []*inflight
 
 	// compBuckets is a cycle-indexed ring of completion events for issued
@@ -101,6 +102,11 @@ type Simulator struct {
 	res       stats.Run
 	committed uint64
 	halted    bool
+	// escapes counts SVW escapes: retired loads whose value was wrong but
+	// that did not re-execute. The T-SSBF is built so that there are none;
+	// tests assert it. Kept out of stats.Run, whose JSON is in every
+	// checkpoint, cache record and golden report.
+	escapes uint64
 }
 
 type pendingWrite struct {
@@ -161,6 +167,11 @@ func newSimulator(t *emu.Trace, meta *TraceMeta, cfg Config) (*Simulator, error)
 	maxInFlight := cfg.ROBSize + 4*cfg.FetchWidth
 	s.window = newRing(maxInFlight)
 	s.backendQ = newRing(maxInFlight)
+	block := make([]inflight, maxInFlight)
+	s.pool = make([]*inflight, maxInFlight)
+	for i := range block {
+		s.pool[i] = &block[i]
+	}
 	// The scheduler's bitmaps are indexed by window-ring slot, seq & seqMask
 	// (the ring's capacity is a power of two).
 	capacity := len(s.window.buf)
@@ -175,7 +186,15 @@ func newSimulator(t *emu.Trace, meta *TraceMeta, cfg Config) (*Simulator, error)
 	for comp < maxLat+1 {
 		comp <<= 1
 	}
+	// Each bucket's first IssueWidth events go to its own slice of one
+	// shared slab; the full slice expression caps it there, so a bucket that
+	// outgrows its slice moves out instead of into its neighbour's.
 	s.compBuckets = make([][]compEvent, comp)
+	slab := make([]compEvent, comp*cfg.IssueWidth)
+	for i := range s.compBuckets {
+		lo := i * cfg.IssueWidth
+		s.compBuckets[i] = slab[lo : lo : lo+cfg.IssueWidth]
+	}
 	s.compMask = uint64(comp - 1)
 	s.pendingStores = make([]*inflight, 0, cfg.SQSize)
 	s.res.Benchmark = t.Name()
@@ -208,17 +227,16 @@ func (s *Simulator) scheduleCompletion(in *inflight) {
 	s.compBuckets[idx] = append(s.compBuckets[idx], compEvent{in: in, seq: in.seq, gen: in.gen})
 }
 
-// newInflight takes a record from the pool (or allocates one when the pool
-// is empty, which only happens before steady state is reached). The record
-// is zeroed except for its generation counter, which monotonically tracks
-// reuse — callers must not reset it.
+// newInflight takes a record from the pool. The pool is never empty here:
+// fetch stops while the window holds maxInFlight records, and every record
+// not in the window is in the pool. The record is zeroed except for its
+// generation counter, which monotonically tracks reuse — callers must not
+// reset it.
 func (s *Simulator) newInflight() *inflight {
-	if n := len(s.pool); n > 0 {
-		in := s.pool[n-1]
-		s.pool = s.pool[:n-1]
-		return in
-	}
-	return new(inflight)
+	n := len(s.pool)
+	in := s.pool[n-1]
+	s.pool = s.pool[:n-1]
+	return in
 }
 
 // recycle clears a record no longer reachable from the window or the
@@ -424,7 +442,7 @@ func (s *Simulator) squash(afterSeq uint64, resumeCycle uint64) {
 		if !in.renamed {
 			continue
 		}
-		st := in.dyn.Static
+		st := in.st
 		if st.HasDst() {
 			if in.bypassed {
 				// The load's consumers track the DEF, not the load.

@@ -49,7 +49,7 @@ func (s *Simulator) oldestUnrenamed() *inflight {
 // renameOne renames a single instruction, returning false (without side
 // effects) if a required resource is unavailable this cycle.
 func (s *Simulator) renameOne(in *inflight) bool {
-	st := in.dyn.Static
+	st := in.st
 
 	// Register source producers.
 	var src1, src2 uint64
@@ -93,7 +93,7 @@ func (s *Simulator) renameOne(in *inflight) bool {
 			needLQ = true
 			switch s.cfg.Sched {
 			case SchedPerfect:
-				dep := in.dyn.Dep
+				dep := in.dyn.Dep()
 				if dep.Exists && dep.SSN > s.ssnCommitted {
 					if dep.MultiSource {
 						waitCommitSSN = dep.SSN
@@ -230,8 +230,8 @@ func (s *Simulator) renameOne(in *inflight) bool {
 // bypassing predictor (or the oracle for the Perfect SMB configuration) and
 // decide between bypassing, delaying, and plain dispatch.
 func (s *Simulator) classifyNoSQLoad(in *inflight) (bypassed, delayed bool, bypassSSN, defSeq uint64, predShift uint8, waitCommitSSN uint64) {
-	st := in.dyn.Static
-	dep := in.dyn.Dep
+	st := in.st
+	dep := in.dyn.Dep()
 
 	if s.cfg.Bypass == BypassPerfect {
 		// Oracle bypassing with idealised partial-word support: every load

@@ -76,7 +76,7 @@ func (s *Simulator) schedDispatch(in *inflight) {
 			s.ssnWaitPush(in.waitCommitSSN, ref)
 		}
 		if s.cfg.LSQ == LSQAssociative {
-			if dep := in.dyn.Dep; dep.Exists && dep.MultiSource {
+			if dep := in.dyn.Dep(); dep.Exists && dep.MultiSource {
 				// The multi-source hold is non-monotone: it can close after
 				// dispatch, so the load is re-verified at selection (msFlip)
 				// and re-polled every cycle while it holds its IQ entry.
@@ -125,7 +125,7 @@ func (s *Simulator) schedRegisterWaits(in *inflight) {
 			s.ssnWaitPush(in.waitCommitSSN, ref)
 		}
 		if s.cfg.LSQ == LSQAssociative {
-			if dep := in.dyn.Dep; dep.Exists && dep.MultiSource && !in.inMSGate {
+			if dep := in.dyn.Dep(); dep.Exists && dep.MultiSource && !in.inMSGate {
 				in.inMSGate = true
 				s.msGate = append(s.msGate, ref)
 			}

@@ -71,7 +71,7 @@ func scanReady(s *Simulator, in *inflight) bool {
 	// Associative multi-source hold: the youngest overlapping store must
 	// not have executed yet while the stores drain.
 	if s.cfg.LSQ == LSQAssociative {
-		dep := in.dyn.Dep
+		dep := in.dyn.Dep()
 		if dep.Exists && dep.MultiSource && dep.SSN > s.ssnInDCache {
 			depIn := s.find(dep.Seq)
 			if depIn == nil || depIn.storeExecuted {
@@ -125,7 +125,8 @@ func oracleStep(s *Simulator) string {
 	return ""
 }
 
-// checkOracle runs one (trace, configuration) pair under the oracle.
+// checkOracle runs one (trace, configuration) pair under the oracle and
+// checks the run had no SVW escape.
 func checkOracle(t *testing.T, tr *emu.Trace, cfg Config) {
 	t.Helper()
 	s, err := NewFromTrace(tr, cfg)
@@ -141,6 +142,10 @@ func checkOracle(t *testing.T, tr *emu.Trace, cfg Config) {
 		}
 	}
 	s.res.Cycles = s.now
+	if s.escapes != 0 {
+		t.Fatalf("%s/%s (window %d): %d SVW escapes (wrong load values that did not re-execute)",
+			tr.Name(), cfg.Name, cfg.ROBSize, s.escapes)
+	}
 	ref, err := NewFromTrace(tr, cfg)
 	if err != nil {
 		t.Fatal(err)

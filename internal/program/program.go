@@ -51,14 +51,23 @@ type DataInit struct {
 // At returns the instruction at the given PC, or nil if the PC is outside the
 // program.
 func (p *Program) At(pc uint64) *isa.Inst {
+	if k, ok := p.Index(pc); ok {
+		return &p.Insts[k]
+	}
+	return nil
+}
+
+// Index returns the index in Insts of the instruction at the given PC, or
+// false if the PC is outside the program.
+func (p *Program) Index(pc uint64) (int, bool) {
 	if pc < CodeBase || (pc-CodeBase)%isa.InstBytes != 0 {
-		return nil
+		return 0, false
 	}
-	idx := (pc - CodeBase) / isa.InstBytes
-	if idx >= uint64(len(p.Insts)) {
-		return nil
+	k := (pc - CodeBase) / isa.InstBytes
+	if k >= uint64(len(p.Insts)) {
+		return 0, false
 	}
-	return &p.Insts[idx]
+	return int(k), true
 }
 
 // Len returns the number of static instructions.

@@ -8,15 +8,17 @@
 // A static-instruction table holds every distinct static instruction the
 // stream executes (full isa.Inst: PC, op class, function selectors,
 // source/dest registers, immediate, target, memory width and conversion
-// flags), deduplicated by PC in first-execution order. Each dynamic record
-// is then a static-table index plus the per-execution facts: the effective
-// address for memory operations, the outcome for conditional branches, and
-// the architectural target for indirect returns. Sequence numbers, store
-// sequence numbers, and the per-load oracle memory dependence are *not*
+// flags), once each, in first-execution order — the trace's own table,
+// written as it stands, and the only order the decoder accepts. Each
+// dynamic record is then a static-table index plus the per-execution facts:
+// the effective address for memory operations, the outcome for conditional
+// branches, and the architectural target for indirect returns. Store
+// sequence numbers and the per-load oracle memory dependence are *not*
 // stored — the decoder replays them through emu.TraceBuilder, the same
 // builder emu.RecordTrace records through, so a decoded trace equals a
-// freshly recorded one field for field. Architectural values and the
-// communicating store's address are in neither: no record carries them. A
+// freshly recorded one record for record, static index included.
+// Architectural values and the communicating store's address are in
+// neither: no record carries them. A
 // footer closes the file with the record count and a SHA-256 checksum over
 // everything before it, so truncation and corruption fail loudly instead of
 // replaying a wrong workload.
@@ -96,8 +98,11 @@ type Summary struct {
 
 // Encode writes the trace to w in the versioned container format and
 // returns a summary whose Hash is the content identity of the bytes
-// written. Encoding is deterministic: the same trace always yields the same
-// bytes, so decode→re-encode round-trips byte-identically.
+// written. It writes the trace's static table as it stands: every trace
+// keeps its table canonical (the statics its records execute, in
+// first-execution order; see emu.TraceBuilder), so encoding is
+// deterministic — the same stream always yields the same bytes, and
+// decode→re-encode round-trips byte-identically.
 func Encode(w io.Writer, t *emu.Trace) (Summary, error) {
 	if t.Len() == 0 {
 		return Summary{}, errors.New("traceio: refusing to encode an empty trace")
@@ -105,124 +110,35 @@ func Encode(w io.Writer, t *emu.Trace) (Summary, error) {
 	if len(t.Name()) == 0 || len(t.Name()) > maxName {
 		return Summary{}, fmt.Errorf("traceio: trace name length %d outside [1,%d]", len(t.Name()), maxName)
 	}
-
-	// Everything funnels through the hasher so the content identity is
-	// computed in the same pass as the write.
-	fileHash := sha256.New()
-	payloadHash := sha256.New()
-	bw := bufio.NewWriter(io.MultiWriter(w, fileHash, payloadHash))
-
-	var scratch []byte
-	emit := func(b []byte) error { _, err := bw.Write(b); return err }
-	uvarint := func(v uint64) error { return emit(binary.AppendUvarint(scratch[:0], v)) }
-	varint := func(v int64) error { return emit(binary.AppendVarint(scratch[:0], v)) }
-	str := func(s string) error {
-		if err := uvarint(uint64(len(s))); err != nil {
-			return err
-		}
-		return emit([]byte(s))
-	}
-
-	// Header.
-	if err := emit([]byte(Magic)); err != nil {
-		return Summary{}, err
-	}
-	if err := uvarint(Version); err != nil {
-		return Summary{}, err
-	}
-	if err := str(ISA); err != nil {
-		return Summary{}, err
-	}
-	if err := uvarint(WordBytes); err != nil {
-		return Summary{}, err
-	}
-	if err := str(t.Name()); err != nil {
-		return Summary{}, err
-	}
-
-	// Static table: distinct statics in first-execution order, deduplicated
-	// by PC. Two statics sharing a PC would make replay ambiguous.
-	cur := t.Cursor(0)
-	index := make(map[uint64]int)
-	var statics []*isa.Inst
-	for seq := uint64(1); seq <= t.Len(); seq++ {
-		d, err := cur.Get(seq)
-		if err != nil {
-			return Summary{}, err
-		}
-		if prev, ok := index[d.Static.PC]; ok {
-			if *statics[prev] != *d.Static {
-				return Summary{}, fmt.Errorf("traceio: two distinct statics at pc %#x", d.Static.PC)
-			}
-			continue
-		}
-		index[d.Static.PC] = len(statics)
-		statics = append(statics, d.Static)
-	}
+	statics := t.Statics()
 	if len(statics) > maxStatics {
 		return Summary{}, fmt.Errorf("traceio: %d static instructions exceed the format bound %d", len(statics), maxStatics)
 	}
-	if err := uvarint(uint64(len(statics))); err != nil {
-		return Summary{}, err
-	}
-	for _, in := range statics {
+	// Two statics sharing a PC would make replay ambiguous.
+	pcs := make(map[uint64]bool, len(statics))
+	for i := range statics {
+		in := &statics[i]
+		if pcs[in.PC] {
+			return Summary{}, fmt.Errorf("traceio: two statics at pc %#x", in.PC)
+		}
+		pcs[in.PC] = true
 		if err := in.Validate(); err != nil {
 			return Summary{}, fmt.Errorf("traceio: %w", err)
 		}
-		var flags byte
-		if in.Signed {
-			flags |= staticSigned
-		}
-		if in.FPConv {
-			flags |= staticFPConv
-		}
-		for _, step := range []error{
-			uvarint(in.PC),
-			emit([]byte{byte(in.Op), byte(in.Fn), byte(in.Br), byte(in.Dst), byte(in.Src1), byte(in.Src2)}),
-			varint(in.Imm),
-			uvarint(in.Target),
-			emit([]byte{in.MemSize, flags}),
-			str(in.Label),
-		} {
-			if step != nil {
-				return Summary{}, step
-			}
-		}
 	}
 
-	// Dynamic records, closed by a zero end marker (live records store
-	// static index + 1).
+	e := newEncoder(w)
+	e.header(t.Name())
+	e.statics(statics)
 	sum := Summary{Name: t.Name(), Statics: len(statics), Insts: t.Len()}
+	cur := t.Cursor(0)
 	for seq := uint64(1); seq <= t.Len(); seq++ {
 		d, err := cur.Get(seq)
 		if err != nil {
 			return Summary{}, err
 		}
-		in := d.Static
-		if err := uvarint(uint64(index[in.PC]) + 1); err != nil {
-			return Summary{}, err
-		}
-		var flags byte
-		var fields []uint64
-		if in.IsMem() {
-			flags |= flagEffAddr
-			fields = append(fields, d.EffAddr)
-		}
-		if in.IsCondBranch() && d.Taken {
-			flags |= flagTaken
-		}
-		if in.IsReturn() {
-			flags |= flagNextPC
-			fields = append(fields, d.NextPC)
-		}
-		if err := emit([]byte{flags}); err != nil {
-			return Summary{}, err
-		}
-		for _, f := range fields {
-			if err := uvarint(f); err != nil {
-				return Summary{}, err
-			}
-		}
+		in := cur.Static(d)
+		e.record(d.StaticIndex(), in, d.EffAddr(), d.Taken(), d.NextPC())
 		switch {
 		case in.IsLoad():
 			sum.Loads++
@@ -230,23 +146,132 @@ func Encode(w io.Writer, t *emu.Trace) (Summary, error) {
 			sum.Stores++
 		}
 	}
-	if err := uvarint(0); err != nil {
+	hash, err := e.finish(t.Len())
+	if err != nil {
 		return Summary{}, err
 	}
-
-	// Footer: record count, then the payload checksum.
-	if err := uvarint(t.Len()); err != nil {
-		return Summary{}, err
-	}
-	if err := bw.Flush(); err != nil {
-		return Summary{}, err
-	}
-	if _, err := w.Write(payloadHash.Sum(nil)); err != nil {
-		return Summary{}, err
-	}
-	fileHash.Write(payloadHash.Sum(nil))
-	sum.Hash = hex.EncodeToString(fileHash.Sum(nil))
+	sum.Hash = hash
 	return sum, nil
+}
+
+// encoder writes the container format. Everything funnels through one
+// buffered writer that also feeds the payload checksum and the content
+// hash, so both are computed in the same pass as the write. The first write
+// error sticks, and finish reports it.
+type encoder struct {
+	w             io.Writer
+	bw            *bufio.Writer
+	file, payload hash.Hash
+	scratch       []byte
+	err           error
+}
+
+func newEncoder(w io.Writer) *encoder {
+	e := &encoder{w: w, file: sha256.New(), payload: sha256.New()}
+	e.bw = bufio.NewWriter(io.MultiWriter(w, e.file, e.payload))
+	return e
+}
+
+func (e *encoder) write(b []byte) {
+	if e.err == nil {
+		_, e.err = e.bw.Write(b)
+	}
+}
+
+func (e *encoder) writeByte(b byte) {
+	if e.err == nil {
+		e.err = e.bw.WriteByte(b)
+	}
+}
+
+func (e *encoder) uvarint(v uint64) {
+	e.scratch = binary.AppendUvarint(e.scratch[:0], v)
+	e.write(e.scratch)
+}
+
+func (e *encoder) varint(v int64) {
+	e.scratch = binary.AppendVarint(e.scratch[:0], v)
+	e.write(e.scratch)
+}
+
+func (e *encoder) str(s string) {
+	e.uvarint(uint64(len(s)))
+	e.write([]byte(s))
+}
+
+// header writes the format identity and the program name.
+func (e *encoder) header(name string) {
+	e.write([]byte(Magic))
+	e.uvarint(Version)
+	e.str(ISA)
+	e.uvarint(WordBytes)
+	e.str(name)
+}
+
+// statics writes the static table.
+func (e *encoder) statics(table []isa.Inst) {
+	e.uvarint(uint64(len(table)))
+	for i := range table {
+		in := &table[i]
+		var flags byte
+		if in.Signed {
+			flags |= staticSigned
+		}
+		if in.FPConv {
+			flags |= staticFPConv
+		}
+		e.uvarint(in.PC)
+		e.write([]byte{byte(in.Op), byte(in.Fn), byte(in.Br), byte(in.Dst), byte(in.Src1), byte(in.Src2)})
+		e.varint(in.Imm)
+		e.uvarint(in.Target)
+		e.write([]byte{in.MemSize, flags})
+		e.str(in.Label)
+	}
+}
+
+// record writes one dynamic record: its static's table index + 1 (the zero
+// index is the end marker), a flag byte, then the facts the static's op
+// needs — the effective address of a memory operation and the target of a
+// return.
+func (e *encoder) record(index uint32, in *isa.Inst, effAddr uint64, taken bool, nextPC uint64) {
+	e.uvarint(uint64(index) + 1)
+	var flags byte
+	if in.IsMem() {
+		flags |= flagEffAddr
+	}
+	if in.IsCondBranch() && taken {
+		flags |= flagTaken
+	}
+	if in.IsReturn() {
+		flags |= flagNextPC
+	}
+	e.writeByte(flags)
+	if in.IsMem() {
+		e.uvarint(effAddr)
+	}
+	if in.IsReturn() {
+		e.uvarint(nextPC)
+	}
+}
+
+// finish closes the records with the end marker and writes the footer —
+// the record count n, then the payload checksum — and returns the content
+// hash of every byte written.
+func (e *encoder) finish(n uint64) (string, error) {
+	e.uvarint(0)
+	e.uvarint(n)
+	if e.err == nil {
+		e.err = e.bw.Flush()
+	}
+	if e.err != nil {
+		return "", e.err
+	}
+	sum := e.payload.Sum(nil)
+	if _, err := e.w.Write(sum); err != nil {
+		return "", err
+	}
+	e.file.Write(sum)
+	return hex.EncodeToString(e.file.Sum(nil)), nil
 }
 
 // hashTee reads from a buffered reader and folds exactly the *consumed*
@@ -323,12 +348,15 @@ func (t *hashTee) fileSum() []byte {
 }
 
 // Decode reads one trace from r, strictly validating structure, control
-// flow, and the checksum, and rebuilds the full dynamic stream (sequence
-// numbers, SSNs, oracle dependences) through emu.TraceBuilder. It returns
-// the trace and a summary whose Hash is the content identity of the bytes
-// consumed. Any deviation — wrong magic, unsupported version, foreign ISA,
-// malformed statics, broken control flow, a record after halt, truncation,
-// checksum mismatch, or trailing bytes — is an error.
+// flow, and the checksum, and rebuilds the full dynamic stream (SSNs,
+// oracle dependences) through emu.TraceBuilder, which takes over the file's
+// static table. It returns the trace and a summary whose Hash is the content
+// identity of the bytes consumed. Any deviation — wrong magic, unsupported
+// version, foreign ISA, malformed statics, a static table that is not in
+// first-execution order or lists a static no record executes, broken
+// control flow, a record after halt, truncation, checksum mismatch, or
+// trailing bytes — is an error. Only the canonical encoding of a stream
+// decodes, so one stream has one content identity.
 func Decode(r io.Reader) (*emu.Trace, Summary, error) {
 	fail := func(format string, args ...interface{}) (*emu.Trace, Summary, error) {
 		return nil, Summary{}, fmt.Errorf("traceio: "+format, args...)
@@ -409,8 +437,8 @@ func Decode(r io.Reader) (*emu.Trace, Summary, error) {
 		return fail("empty program name")
 	}
 
-	// Static table. The backing array is allocated once the count is known
-	// (bounded), so DynInst.Static pointers into it stay stable.
+	// Static table. It is allocated once the count is known (bounded) and
+	// handed to the trace builder whole; records name their static by index.
 	nStatics, err := uvarint()
 	if err != nil {
 		return fail("%v", err)
@@ -470,8 +498,11 @@ func Decode(r io.Reader) (*emu.Trace, Summary, error) {
 		pcs[pc] = true
 	}
 
-	// Dynamic records, replayed through the trace builder.
-	b := emu.NewTraceBuilder(name)
+	// Dynamic records, replayed through the trace builder. The builder
+	// refuses a record whose static comes after one no record has executed
+	// yet and, in Trace below, a static no record executes, so only the
+	// canonical table decodes.
+	b := emu.NewTraceBuilder(name, statics)
 	sum := Summary{Name: name, Statics: int(nStatics)}
 	for {
 		idx, err := uvarint()
@@ -512,7 +543,7 @@ func Decode(r io.Reader) (*emu.Trace, Summary, error) {
 				return fail("record %d: %v", b.Len()+1, err)
 			}
 		}
-		if err := b.Append(in, effAddr, flags&flagTaken != 0, nextPC); err != nil {
+		if err := b.Append(uint32(idx-1), effAddr, flags&flagTaken != 0, nextPC); err != nil {
 			return fail("record %d: %v", b.Len()+1, err)
 		}
 		switch {

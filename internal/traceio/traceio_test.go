@@ -5,11 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
 
 	"repro/internal/emu"
+	"repro/internal/isa"
 	"repro/internal/program"
 	"repro/internal/workload"
 )
@@ -50,9 +52,10 @@ func encode(t *testing.T, tr *emu.Trace) ([]byte, Summary) {
 const traceBlock = 4096
 
 // TestRoundTrip is the format's core property: encode → decode → re-encode
-// is byte-identical, the decoder's content hash matches the encoder's, and
-// the rebuilt dynamic stream equals the recorded one field for field, its
-// static instructions compared by value. The inputs are every Table 5
+// is byte-identical, the decoder's content hash matches the encoder's, the
+// decoded static table equals the recording's, and the rebuilt dynamic
+// stream equals the recorded one record for record, static index included.
+// The inputs are every Table 5
 // benchmark, a gzip trace of more than three blocks, and every stress
 // scenario at 64 iterations: two of phase-flip's 32-iteration phases and
 // four of burst-partial's 16-iteration bursts.
@@ -96,18 +99,17 @@ func TestRoundTrip(t *testing.T) {
 				t.Fatalf("decoded %s/%d, want %s/%d", decoded.Name(), decoded.Len(), orig.Name(), orig.Len())
 			}
 
-			// Stream equivalence: every field of every record.
+			// Stream equivalence: the static table, then every field of
+			// every record.
+			if !slices.Equal(decoded.Statics(), orig.Statics()) {
+				t.Fatalf("decoded static table differs from the recording's")
+			}
 			oc, dc := orig.Cursor(0), decoded.Cursor(0)
 			for seq := uint64(1); seq <= orig.Len(); seq++ {
 				od, _ := oc.Get(seq)
 				dd, _ := dc.Get(seq)
-				if *od.Static != *dd.Static {
-					t.Fatalf("seq %d: static %+v != %+v", seq, *od.Static, *dd.Static)
-				}
-				a, b := *od, *dd
-				a.Static, b.Static = nil, nil
-				if a != b {
-					t.Fatalf("seq %d: dynamic record differs:\n got %+v\nwant %+v", seq, b, a)
+				if *od != *dd {
+					t.Fatalf("seq %d: record differs:\n got %+v\nwant %+v", seq, *dd, *od)
 				}
 			}
 
@@ -126,7 +128,7 @@ func TestRoundTrip(t *testing.T) {
 // trace of more than ten blocks allocates about the bytes its records
 // occupy, not a multiple of them from regrowing one slice.
 func TestDecodeAllocations(t *testing.T) {
-	const recSize = uint64(unsafe.Sizeof(emu.DynInst{}))
+	const recSize = uint64(unsafe.Sizeof(emu.Record{}))
 	orig := testTrace(t, "gzip", 300)
 	if orig.Len() <= 10*traceBlock {
 		t.Fatalf("trace holds %d records; the guard needs more than 10 blocks", orig.Len())
@@ -149,16 +151,61 @@ func TestDecodeAllocations(t *testing.T) {
 }
 
 func TestEncodeRejectsEmptyTrace(t *testing.T) {
-	b := emu.NewTraceBuilder("empty")
+	b := emu.NewTraceBuilder("empty", nil)
 	if _, err := b.Trace(); err == nil {
 		t.Fatalf("TraceBuilder finalized an empty trace")
 	}
 }
 
+// encodeTable encodes tr's records over the given static table, mapping
+// each record's static index through index, with a valid footer and
+// checksum: only the decoder's canonical-table checks can reject it.
+func encodeTable(t *testing.T, tr *emu.Trace, statics []isa.Inst, index func(uint32) uint32) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	e := newEncoder(&buf)
+	e.header(tr.Name())
+	e.statics(statics)
+	c := tr.Cursor(0)
+	for seq := uint64(1); seq <= tr.Len(); seq++ {
+		d, _ := c.Get(seq)
+		e.record(index(d.StaticIndex()), c.Static(d), d.EffAddr(), d.Taken(), d.NextPC())
+	}
+	if _, err := e.finish(tr.Len()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestDecodeErrors drives the strict validator with systematic corruptions
-// of a valid file.
+// of a valid file, and with two files whose checksums are valid but whose
+// static tables are not canonical: one with its first two statics swapped,
+// one with a static no record executes.
 func TestDecodeErrors(t *testing.T) {
-	data, _ := encode(t, testTrace(t, "gzip", 20))
+	tr := testTrace(t, "gzip", 20)
+	data, _ := encode(t, tr)
+
+	canonical := tr.Statics()
+	if !bytes.Equal(encodeTable(t, tr, canonical, func(i uint32) uint32 { return i }), data) {
+		t.Fatal("encodeTable over the trace's own table differs from Encode")
+	}
+	swapped := slices.Clone(canonical)
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	swap := func(i uint32) uint32 {
+		switch i {
+		case 0:
+			return 1
+		case 1:
+			return 0
+		}
+		return i
+	}
+	unused := canonical[len(canonical)-1]
+	for i := range canonical {
+		unused.PC = max(unused.PC, canonical[i].PC+isa.InstBytes)
+	}
+	extended := append(slices.Clone(canonical), unused)
+	same := func(i uint32) uint32 { return i }
 
 	mutate := func(f func([]byte) []byte) []byte {
 		c := append([]byte(nil), data...)
@@ -178,6 +225,8 @@ func TestDecodeErrors(t *testing.T) {
 		{"checksum flip", mutate(func(b []byte) []byte { b[len(b)-1] ^= 1; return b }), "checksum mismatch"},
 		{"payload flip", mutate(func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b }), ""},
 		{"trailing bytes", append(append([]byte(nil), data...), 0), "trailing bytes"},
+		{"statics out of order", encodeTable(t, tr, swapped, swap), "not in first-execution order"},
+		{"unexecuted static", encodeTable(t, tr, extended, same), "is never executed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -308,7 +308,7 @@ func TestScenarioDistanceKnob(t *testing.T) {
 	var beyond, within uint64
 	for seq := uint64(1); seq <= tr.Len(); seq++ {
 		d, _ := c.Get(seq)
-		if d.IsLoad() && d.Dep.Exists && d.Seq-d.Dep.Seq <= 128 {
+		if dep := d.Dep(); c.Static(d).IsLoad() && dep.Exists && seq-dep.Seq <= 128 {
 			if dist, ok := d.Distance(); ok && dist > 63 {
 				beyond++
 			} else {

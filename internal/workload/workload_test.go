@@ -119,14 +119,14 @@ func runFunctional(t *testing.T, p *program.Program) (loads, comm, partial, mult
 	c := tr.Cursor(0)
 	for seq := uint64(1); seq <= tr.Len(); seq++ {
 		d, _ := c.Get(seq)
-		if d.IsLoad() {
+		if c.Static(d).IsLoad() {
 			loads++
-			if d.Dep.Exists && d.Seq-d.Dep.Seq <= 128 {
+			if dep := d.Dep(); dep.Exists && seq-dep.Seq <= 128 {
 				comm++
-				if d.Dep.PartialWord {
+				if dep.PartialWord {
 					partial++
 				}
-				if d.Dep.MultiSource {
+				if dep.MultiSource {
 					multi++
 				}
 			}
