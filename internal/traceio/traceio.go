@@ -9,19 +9,18 @@
 // stream executes (full isa.Inst: PC, op class, function selectors,
 // source/dest registers, immediate, target, memory width and conversion
 // flags), once each, in first-execution order — the trace's own table,
-// written as it stands, and the only order the decoder accepts. Each
-// dynamic record is then a static-table index plus the per-execution facts:
-// the effective address for memory operations, the outcome for conditional
+// written as it stands, and the only order the decoder accepts. Each dynamic
+// record is then a static-table index plus the per-execution facts: the
+// effective address for memory operations, the outcome for conditional
 // branches, and the architectural target for indirect returns. Store
 // sequence numbers and the per-load oracle memory dependence are *not*
 // stored — the decoder replays them through emu.TraceBuilder, the same
 // builder emu.RecordTrace records through, so a decoded trace equals a
 // freshly recorded one record for record, static index included.
-// Architectural values and the communicating store's address are in
-// neither: no record carries them. A
-// footer closes the file with the record count and a SHA-256 checksum over
-// everything before it, so truncation and corruption fail loudly instead of
-// replaying a wrong workload.
+// Architectural values and the communicating store's address are in neither:
+// no record carries them. A footer closes the file with the record count and
+// a SHA-256 checksum over everything before it, so truncation and corruption
+// fail loudly instead of replaying a wrong workload.
 //
 // Content identity is the hex SHA-256 of the whole file. It appears in
 // committed-corpus filenames (see Manifest), in the trace experiment's

@@ -186,7 +186,8 @@ func TestDecodeErrors(t *testing.T) {
 	data, _ := encode(t, tr)
 
 	canonical := tr.Statics()
-	if !bytes.Equal(encodeTable(t, tr, canonical, func(i uint32) uint32 { return i }), data) {
+	same := func(i uint32) uint32 { return i }
+	if !bytes.Equal(encodeTable(t, tr, canonical, same), data) {
 		t.Fatal("encodeTable over the trace's own table differs from Encode")
 	}
 	swapped := slices.Clone(canonical)
@@ -205,7 +206,6 @@ func TestDecodeErrors(t *testing.T) {
 		unused.PC = max(unused.PC, canonical[i].PC+isa.InstBytes)
 	}
 	extended := append(slices.Clone(canonical), unused)
-	same := func(i uint32) uint32 { return i }
 
 	mutate := func(f func([]byte) []byte) []byte {
 		c := append([]byte(nil), data...)
