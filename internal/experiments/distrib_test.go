@@ -17,8 +17,18 @@ import (
 // remote worker's view of a leased task's already-resolved pairs.
 type staticStore struct{ entries []CheckpointEntry }
 
-func (s staticStore) Load() ([]CheckpointEntry, int, error) { return s.entries, 0, nil }
-func (s staticStore) Append(CheckpointEntry) error          { return nil }
+func (s staticStore) Lookup(keys []string) (map[string]CheckpointEntry, int, error) {
+	want := keySet(keys)
+	found := make(map[string]CheckpointEntry)
+	for _, e := range s.entries {
+		if want[e.Key()] {
+			found[e.Key()] = e
+		}
+	}
+	return found, 0, nil
+}
+
+func (s staticStore) Append(CheckpointEntry) error { return nil }
 
 // entryCollector is a ProgressSink that records executed pairs.
 type entryCollector struct {

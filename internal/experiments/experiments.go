@@ -87,10 +87,11 @@ type Options struct {
 	Checkpoint string
 
 	// Store overrides the checkpoint file with an arbitrary ResultStore:
-	// finished pairs are appended to it and its stored entries are resumed
-	// instead of re-run. When set, Checkpoint is ignored. The caller owns the
-	// store's lifecycle (the engine never closes an injected store), so one
-	// store can serve many runs — the simulation server shares one
+	// finished pairs are appended to it, and the run asks it once, with the
+	// pair keys of its whole grid, for the entries to resume instead of
+	// re-run. When set, Checkpoint is ignored. The caller owns the store's
+	// lifecycle (the engine never closes an injected store), so one store
+	// can serve many runs — the simulation server shares one
 	// content-addressed cache across every job it executes.
 	Store ResultStore
 

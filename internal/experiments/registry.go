@@ -110,15 +110,11 @@ func (m metaObject) MarshalJSON() ([]byte, error) {
 }
 
 func (r *Report) renderJSON() (string, error) {
-	tbl, err := r.Table.JSON()
-	if err != nil {
-		return "", err
-	}
 	doc := struct {
-		Experiment string          `json:"experiment"`
-		Meta       metaObject      `json:"meta"`
-		Report     json.RawMessage `json:"report"`
-	}{Experiment: r.Experiment, Meta: metaObject(r.Meta), Report: tbl}
+		Experiment string         `json:"experiment"`
+		Meta       metaObject     `json:"meta"`
+		Report     stats.TableDoc `json:"report"`
+	}{Experiment: r.Experiment, Meta: metaObject(r.Meta), Report: r.Table.Doc()}
 	b, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return "", err

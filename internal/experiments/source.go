@@ -60,24 +60,35 @@ func scenarioSource(scns []workload.Scenario) source {
 
 // traceSource decodes recorded trace files instead of generating programs.
 // Its names are the entries' ref names and its scope hashes every file's
-// content hash, so a one-byte change to a trace changes both.
+// content hash, so a one-byte change to a trace changes both. A file whose
+// decoded content hash is not the one it was listed under (replaced after
+// listing) fails its pairs instead of running under the old content's name
+// and scope.
 func traceSource(entries []traceio.Entry) source {
-	paths := make(map[string]string, len(entries))
+	byName := make(map[string]traceio.Entry, len(entries))
 	names := make([]string, len(entries))
 	hashes := make([][]byte, len(entries))
 	for i, e := range entries {
 		names[i] = e.RefName()
 		hashes[i] = []byte(e.TraceHash)
-		paths[names[i]] = e.Path
+		byName[names[i]] = e
 	}
 	return source{
 		names: names,
 		scope: contentScope("trace", hashes),
 		suite: customSuite,
 		open: func(name string, _ Options) (recorder, error) {
+			e := byName[name]
 			return func() (*emu.Trace, error) {
-				t, _, err := traceio.ReadFile(paths[name])
-				return t, err
+				t, sum, err := traceio.ReadFile(e.Path)
+				if err != nil {
+					return nil, err
+				}
+				if sum.Hash != e.TraceHash {
+					return nil, fmt.Errorf("experiments: trace %s decodes to hash %s, but was listed as %s under %s (replaced after listing?)",
+						e.Path, sum.Hash, name, e.TraceHash)
+				}
+				return t, nil
 			}, nil
 		},
 	}

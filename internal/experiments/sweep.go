@@ -203,16 +203,18 @@ func pairKey(scope string, iterations int, maxInsts uint64, benchmark, config st
 }
 
 // ResultStore abstracts where finished (benchmark, configuration) runs live.
-// The sweep engine loads previously stored entries before executing anything
-// — entries whose Key matches a planned job are served as resumed results —
-// and appends every newly finished run. The default store is a JSONL
+// Before executing anything, the sweep engine looks up the pair keys of its
+// whole grid once — stored entries among them are served as resumed results
+// — and it appends every newly finished run. The default store is a JSONL
 // checkpoint file (Options.Checkpoint); the simulation server injects a
 // content-addressed cache shared across jobs instead (Options.Store).
 // Implementations must be safe for concurrent Append calls.
 type ResultStore interface {
-	// Load returns the stored entries plus a count of corrupt records that
-	// were skipped (e.g. a JSONL line truncated by a crash).
-	Load() ([]CheckpointEntry, int, error)
+	// Lookup returns the stored entries whose Key is among keys, by Key,
+	// plus a count of corrupt records that were skipped (e.g. a JSONL line
+	// truncated by a crash). The engine calls it once per run, with the
+	// pair keys of its whole grid.
+	Lookup(keys []string) (map[string]CheckpointEntry, int, error)
 	// Append durably records one finished run.
 	Append(CheckpointEntry) error
 }
@@ -253,23 +255,37 @@ type checkpointFileStore struct {
 	log  *jsonl.Log // set by open
 }
 
-// Load reads the checkpoint; a missing file is an empty checkpoint. Lines
-// that do not decode or lack their identifying fields (e.g. one truncated
-// when the writing process was killed) are counted as corrupt, so callers can
-// warn instead of silently re-running finished work.
-func (s *checkpointFileStore) Load() (entries []CheckpointEntry, corrupt int, err error) {
-	corrupt, err = jsonl.Scan(s.path, func(line []byte) bool {
+// Lookup scans the checkpoint and keeps the entries whose Key is among
+// keys, a later line replacing an earlier one; a missing file is an empty
+// checkpoint. Lines that do not decode or lack their identifying fields
+// (e.g. one truncated when the writing process was killed) are counted as
+// corrupt, so callers can warn instead of silently re-running finished work.
+func (s *checkpointFileStore) Lookup(keys []string) (map[string]CheckpointEntry, int, error) {
+	found := make(map[string]CheckpointEntry)
+	want := keySet(keys)
+	corrupt, err := jsonl.Scan(s.path, func(line []byte) bool {
 		var e CheckpointEntry
 		if json.Unmarshal(line, &e) != nil || e.Benchmark == "" || e.Config == "" {
 			return false
 		}
-		entries = append(entries, e)
+		if k := e.Key(); want[k] {
+			found[k] = e
+		}
 		return true
 	})
 	if err != nil {
 		return nil, corrupt, fmt.Errorf("experiments: reading checkpoint: %w", err)
 	}
-	return entries, corrupt, nil
+	return found, corrupt, nil
+}
+
+// keySet returns keys as a set.
+func keySet(keys []string) map[string]bool {
+	set := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		set[k] = true
+	}
+	return set
 }
 
 func (s *checkpointFileStore) open() (err error) {
@@ -332,9 +348,11 @@ func runSweep(ctx context.Context, src source, cfgs map[string]pipeline.Config, 
 	sort.Strings(keys)
 
 	jobs := make([]sweepJob, 0, len(src.names)*len(keys))
+	pairs := make([]string, 0, cap(jobs)) // each job's Key in a result store
 	for _, b := range src.names {
 		for _, k := range keys {
 			jobs = append(jobs, sweepJob{index: len(jobs), benchmark: b, key: k, cfg: cfgs[k]})
+			pairs = append(pairs, pairKey(src.scope, opts.Iterations, opts.MaxInsts, b, k))
 		}
 	}
 	sum.Total = len(jobs)
@@ -350,12 +368,13 @@ func runSweep(ctx context.Context, src source, cfgs map[string]pipeline.Config, 
 		fileStore = &checkpointFileStore{path: opts.Checkpoint}
 		store = fileStore
 	}
-	done := make(map[string]CheckpointEntry)
+	var done map[string]CheckpointEntry
 	if store != nil {
-		entries, corrupt, err := store.Load()
+		found, corrupt, err := store.Lookup(pairs)
 		if err != nil {
 			return nil, sum, err
 		}
+		done = found
 		sum.CorruptCheckpoint = corrupt
 		if corrupt > 0 {
 			name := opts.Checkpoint
@@ -365,14 +384,11 @@ func runSweep(ctx context.Context, src source, cfgs map[string]pipeline.Config, 
 			fmt.Fprintf(os.Stderr, "warning: checkpoint %s: skipped %d corrupt line(s); the affected jobs will re-run\n",
 				name, corrupt)
 		}
-		for _, e := range entries {
-			done[e.Key()] = e
-		}
 	}
 	var pending []sweepJob
 	resumed := make(map[int]CheckpointEntry)
 	for _, j := range jobs {
-		if e, ok := done[pairKey(src.scope, opts.Iterations, opts.MaxInsts, j.benchmark, j.key)]; ok {
+		if e, ok := done[pairs[j.index]]; ok {
 			out[j.benchmark][j.key] = e.Run
 			resumed[j.index] = e
 			sum.Resumed++

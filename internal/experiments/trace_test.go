@@ -164,3 +164,51 @@ func TestTraceScopeTracksContent(t *testing.T) {
 		t.Fatalf("different trace contents share scope %s", a)
 	}
 }
+
+// TestTraceSourceRejectsReplacedFile: a trace file replaced by another valid
+// trace after its directory was listed must fail its workload, naming the
+// file and both hashes, instead of simulating the new content under the
+// listed ref name and scope.
+func TestTraceSourceRejectsReplacedFile(t *testing.T) {
+	dir := t.TempDir()
+	gzipRef := writeTrace(t, dir, "gzip", 25)
+	mcfRef := writeTrace(t, dir, "mcf", 25)
+	entries, err := traceio.LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := traceSource(entries)
+	byRef := make(map[string]traceio.Entry)
+	for _, e := range entries {
+		byRef[e.RefName()] = e
+	}
+	gzip, mcf := byRef[gzipRef], byRef[mcfRef]
+	mcfBytes, err := os.ReadFile(mcf.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(gzip.Path, mcfBytes, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rec, err := src.open(gzipRef, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := rec()
+	if err == nil {
+		t.Fatalf("replaced file decoded as program %q for ref %s with no error", tr.Name(), gzipRef)
+	}
+	for _, want := range []string{gzip.Path, gzip.TraceHash, mcf.TraceHash} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	// The untouched file still decodes.
+	if rec, err = src.open(mcfRef, Options{}); err == nil {
+		_, err = rec()
+	}
+	if err != nil {
+		t.Fatalf("untouched trace: %v", err)
+	}
+}

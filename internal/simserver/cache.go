@@ -32,7 +32,7 @@ type cacheRecord struct {
 }
 
 // ResultCache is the server's content-addressed result store, shared by every
-// job as their experiments.ResultStore. An entry is keyed by the hash of
+// job as their experiments.ResultStore. An entry's address is the hash of
 // everything that determines its measurements — experiment scope, iterations,
 // max-insts, benchmark, configuration key, and the code revision — so
 // repeated or overlapping grids from any client hit cache instead of
@@ -44,7 +44,11 @@ type cacheRecord struct {
 type ResultCache struct {
 	rev string
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// entries holds the cache's own revision's entries by pair key
+	// (CheckpointEntry.Key). The revision is fixed per cache, so the pair key
+	// names an entry as uniquely as its content address; the address is
+	// computed only for the file.
 	entries map[string]experiments.CheckpointEntry
 	log     *jsonl.Log // nil for a memory-only (or closed) cache
 
@@ -56,6 +60,13 @@ type ResultCache struct {
 // under the given code revision. An empty path makes a memory-only cache.
 // corrupt counts undecodable lines skipped while warming up (e.g. a line
 // truncated by a crash); their pairs will simply re-simulate.
+//
+// Lines that cannot serve this revision — undecodable, from another
+// revision, or whose key does not match their content — are stale. When
+// stale lines outnumber the resident entries, the file is rewritten down to
+// the resident records, encoded exactly as Append writes them, so a server
+// that changes revision does not re-scan every earlier revision's results
+// at each start.
 func OpenResultCache(path, codeRev string) (c *ResultCache, corrupt int, err error) {
 	c = &ResultCache{
 		rev:     codeRev,
@@ -64,18 +75,25 @@ func OpenResultCache(path, codeRev string) (c *ResultCache, corrupt int, err err
 	if path == "" {
 		return c, 0, nil
 	}
+	var order []string // resident pair keys in file order, for a rewrite
+	stale := 0
 	corrupt, err = jsonl.Scan(path, func(line []byte) bool {
 		var rec cacheRecord
 		if json.Unmarshal(line, &rec) != nil || rec.Key == "" || rec.Entry.Benchmark == "" {
 			return false
 		}
 		// Revision scoping happens here, once: records from other binaries
-		// (or with a key that no longer matches their content) stay in the
-		// file but never become resident, so Load serves the map as-is with
-		// no per-job hashing.
-		if rec.CodeRev == codeRev && rec.Key == c.key(rec.Entry) {
-			c.entries[rec.Key] = rec.Entry
+		// (or with a key that no longer matches their content) never become
+		// resident, so a lookup never hashes.
+		if rec.CodeRev != codeRev || rec.Key != c.address(rec.Entry) {
+			stale++
+			return true
 		}
+		k := rec.Entry.Key()
+		if _, dup := c.entries[k]; !dup {
+			order = append(order, k)
+		}
+		c.entries[k] = rec.Entry
 		return true
 	})
 	if err != nil {
@@ -84,34 +102,56 @@ func OpenResultCache(path, codeRev string) (c *ResultCache, corrupt int, err err
 	if c.log, err = jsonl.Open(path, jsonl.Hooks{}); err != nil {
 		return nil, corrupt, fmt.Errorf("simserver: opening result cache: %w", err)
 	}
+	if stale+corrupt > len(c.entries) {
+		if err := c.compact(order); err != nil {
+			c.log.Close()
+			return nil, corrupt, fmt.Errorf("simserver: compacting result cache: %w", err)
+		}
+	}
 	return c, corrupt, nil
 }
 
-// key content-addresses an entry: the hash of its identity fields plus the
-// code revision.
-func (c *ResultCache) key(e experiments.CheckpointEntry) string {
+// compact rewrites the cache file down to the resident entries, in the
+// given pair-key order.
+func (c *ResultCache) compact(order []string) error {
+	lines := make([][]byte, len(order))
+	for i, k := range order {
+		b, err := c.record(c.entries[k])
+		if err != nil {
+			return err
+		}
+		lines[i] = b
+	}
+	return c.log.Rewrite(lines)
+}
+
+// address content-addresses an entry for the file: the hash of its identity
+// fields plus the code revision.
+func (c *ResultCache) address(e experiments.CheckpointEntry) string {
 	h := sha256.Sum256([]byte(c.rev + "\x00" + e.Key()))
 	return hex.EncodeToString(h[:])
 }
 
-// Load implements experiments.ResultStore: it returns every cached entry.
-// All resident entries belong to the cache's code revision (other
-// revisions' records are filtered out at open time), and corrupt lines were
-// already counted there, so Load always reports zero.
-//
-// The snapshot is O(cache size) per call — each job's sweep planning pays
-// one copy of the resident entries. That is a deliberate trade-off to keep
-// the ResultStore interface identical for the file-checkpoint case; if
-// resident caches grow to the point where this shows up, the next step is a
-// keyed Lookup variant the engine can drive with just its planned grid.
-func (c *ResultCache) Load() ([]experiments.CheckpointEntry, int, error) {
+// record encodes an entry as one line of the cache file.
+func (c *ResultCache) record(e experiments.CheckpointEntry) ([]byte, error) {
+	return json.Marshal(cacheRecord{Key: c.address(e), CodeRev: c.rev, Entry: e})
+}
+
+// Lookup implements experiments.ResultStore: it returns the cached entries
+// among the given pair keys. Every resident entry belongs to the cache's
+// code revision (other revisions' records are filtered out at open time),
+// and corrupt lines were already counted there, so Lookup always reports
+// zero. It costs one map probe per key, however large the cache grows.
+func (c *ResultCache) Lookup(keys []string) (map[string]experiments.CheckpointEntry, int, error) {
+	found := make(map[string]experiments.CheckpointEntry, len(keys))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]experiments.CheckpointEntry, 0, len(c.entries))
-	for _, e := range c.entries {
-		out = append(out, e)
+	for _, k := range keys {
+		if e, ok := c.entries[k]; ok {
+			found[k] = e
+		}
 	}
-	return out, 0, nil
+	return found, 0, nil
 }
 
 // Append implements experiments.ResultStore: it records one finished pair,
@@ -119,7 +159,7 @@ func (c *ResultCache) Load() ([]experiments.CheckpointEntry, int, error) {
 // cached is a no-op, so two overlapping jobs racing on the same pair cannot
 // duplicate records.
 func (c *ResultCache) Append(e experiments.CheckpointEntry) error {
-	k := c.key(e)
+	k := e.Key()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.entries[k]; dup {
@@ -129,7 +169,7 @@ func (c *ResultCache) Append(e experiments.CheckpointEntry) error {
 	if c.log == nil {
 		return nil
 	}
-	b, err := json.Marshal(cacheRecord{Key: k, CodeRev: c.rev, Entry: e})
+	b, err := c.record(e)
 	if err != nil {
 		return err
 	}

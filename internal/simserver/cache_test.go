@@ -1,8 +1,12 @@
 package simserver
 
 import (
+	"bytes"
+	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -47,18 +51,20 @@ func TestResultCachePersistsAcrossReopen(t *testing.T) {
 	if re.Len() != 2 {
 		t.Fatalf("reopened cache has %d entries, want 2", re.Len())
 	}
-	entries, _, err := re.Load()
+	keys := []string{entry("gzip", "nosq-delay", 0).Key(), entry("applu", "nosq-delay", 0).Key(),
+		entry("mesa.o", "nosq-delay", 0).Key()}
+	found, _, err := re.Lookup(keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 2 {
-		t.Fatalf("Load returned %d entries, want 2", len(entries))
+	if len(found) != 2 || found[keys[0]].Run.Cycles != 100 || found[keys[1]].Run.Cycles != 200 {
+		t.Fatalf("Lookup = %+v, want gzip and applu", found)
 	}
 }
 
 // TestResultCacheScopedByCodeRevision: entries persisted by one binary
-// revision stay resident but are never served to another — stale simulator
-// output must re-run, not resurface.
+// revision are never served to another — stale simulator output must re-run,
+// not resurface.
 func TestResultCacheScopedByCodeRevision(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.jsonl")
 	a, _, err := OpenResultCache(path, "rev-a")
@@ -80,23 +86,24 @@ func TestResultCacheScopedByCodeRevision(t *testing.T) {
 	if corrupt != 0 {
 		t.Fatalf("rev-b counted %d of rev-a's lines as corrupt; stale lines are valid records", corrupt)
 	}
-	entries, _, err := b.Load()
+	keys := []string{entry("gzip", "nosq-delay", 0).Key()}
+	found, _, err := b.Lookup(keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 0 {
-		t.Fatalf("rev-b Load served %d rev-a entries", len(entries))
+	if len(found) != 0 {
+		t.Fatalf("rev-b Lookup served %d rev-a entries", len(found))
 	}
-	// The new revision recomputes and stores its own copy alongside.
+	// The new revision recomputes and stores its own copy.
 	if err := b.Append(entry("gzip", "nosq-delay", 101)); err != nil {
 		t.Fatal(err)
 	}
-	entries, _, err = b.Load()
+	found, _, err = b.Lookup(keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Run.Cycles != 101 {
-		t.Fatalf("rev-b Load = %+v, want its own entry", entries)
+	if len(found) != 1 || found[keys[0]].Run.Cycles != 101 {
+		t.Fatalf("rev-b Lookup = %+v, want its own entry", found)
 	}
 }
 
@@ -189,5 +196,165 @@ func TestResultCacheTornTailAppend(t *testing.T) {
 	defer re.Close()
 	if corrupt != 1 || re.Len() != 2 {
 		t.Fatalf("reopen = %d entries, %d corrupt; want 2 entries, 1 corrupt (the fragment)", re.Len(), corrupt)
+	}
+}
+
+// writeLines writes a cache file line by line.
+func writeLines(t *testing.T, path string, lines ...string) {
+	t.Helper()
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// cacheLine is the file line a cache under rev writes for e.
+func cacheLine(t *testing.T, rev string, e experiments.CheckpointEntry) string {
+	t.Helper()
+	c, _, err := OpenResultCache("", rev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.record(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestResultCacheCompactsStaleLines: when stale lines (another revision, a
+// key that does not match its content, or undecodable) outnumber the
+// resident entries, open rewrites the file down to the resident records,
+// byte for byte as Append wrote them, and a reopen serves the same entry.
+func TestResultCacheCompactsStaleLines(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cache.jsonl")
+	current := cacheLine(t, "rev-b", entry("gzip", "nosq-delay", 100))
+	wrongKey := strings.Replace(cacheLine(t, "rev-b", entry("applu", "nosq-delay", 200)), `"key":"`, `"key":"0`, 1)
+	writeLines(t, path,
+		cacheLine(t, "rev-a", entry("gzip", "nosq-delay", 99)),
+		wrongKey,
+		`{"key":"abc","entry":{"bench`,
+		current)
+
+	c, corrupt, err := OpenResultCache(path, "rev-b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if corrupt != 1 || c.Len() != 1 {
+		t.Fatalf("open = %d entries, %d corrupt; want 1, 1", c.Len(), corrupt)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != current+"\n" {
+		t.Fatalf("compacted file = %q, want only the current line %q", got, current)
+	}
+
+	re, corrupt, err := OpenResultCache(path, "rev-b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	key := entry("gzip", "nosq-delay", 0).Key()
+	found, _, err := re.Lookup([]string{key})
+	if err != nil || corrupt != 0 || len(found) != 1 || found[key].Run.Cycles != 100 {
+		t.Fatalf("reopen: Lookup = %+v, %d corrupt, err %v", found, corrupt, err)
+	}
+}
+
+// TestResultCacheKeepsFileWhenStaleAreFew: with no more stale lines than
+// resident entries, open leaves the file byte-identical.
+func TestResultCacheKeepsFileWhenStaleAreFew(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cache.jsonl")
+	writeLines(t, path,
+		cacheLine(t, "rev-b", entry("gzip", "nosq-delay", 100)),
+		cacheLine(t, "rev-a", entry("gzip", "nosq-delay", 99)),
+		cacheLine(t, "rev-b", entry("applu", "nosq-delay", 200)),
+		cacheLine(t, "rev-b", entry("mesa.o", "nosq-delay", 300)))
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, corrupt, err := OpenResultCache(path, "rev-b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if corrupt != 0 || c.Len() != 3 {
+		t.Fatalf("open = %d entries, %d corrupt; want 3, 0", c.Len(), corrupt)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("open rewrote a file with 1 stale line beside 3 resident entries:\n%s\nbecame\n%s", before, after)
+	}
+}
+
+// cachedSweep returns the options of a 10-pair sweep (gzip and applu under
+// the five configuration kinds) whose every pair is already in a
+// memory-only cache, beside `unrelated` entries of other pairs.
+func cachedSweep(tb testing.TB, unrelated int) experiments.Options {
+	tb.Helper()
+	c, _, err := OpenResultCache("", "rev-a")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	opts := experiments.Options{Iterations: 25, Benchmarks: []string{"gzip", "applu"}, Parallelism: 1, Store: c}
+	if _, err := experiments.Sweep(context.Background(), opts); err != nil {
+		tb.Fatal(err)
+	}
+	if c.Len() != 10 {
+		tb.Fatalf("the sweep cached %d pairs, want 10", c.Len())
+	}
+	for i := 0; i < unrelated; i++ {
+		if err := c.Append(entry(fmt.Sprintf("unrelated-%d", i), "nosq-delay", uint64(i))); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return opts
+}
+
+// runCached runs a fully cached sweep, failing unless every pair resumed.
+func runCached(tb testing.TB, opts experiments.Options) {
+	rep, err := experiments.Sweep(context.Background(), opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if rep.Summary.Resumed != 10 || rep.Summary.Executed != 0 {
+		tb.Fatalf("summary = %+v, want 10 resumed", rep.Summary)
+	}
+}
+
+// TestCachedSweepCostIgnoresUnrelatedEntries: a fully cached sweep costs
+// the same whatever else the cache holds — it looks up its own pairs and
+// touches no other entry.
+func TestCachedSweepCostIgnoresUnrelatedEntries(t *testing.T) {
+	alone, beside := cachedSweep(t, 0), cachedSweep(t, 10000)
+	a := testing.AllocsPerRun(5, func() { runCached(t, alone) })
+	b := testing.AllocsPerRun(5, func() { runCached(t, beside) })
+	if b > a+8 {
+		t.Fatalf("a cached 10-pair sweep allocates %.0f times beside 10 000 unrelated entries, %.0f beside none", b, a)
+	}
+}
+
+// BenchmarkCachedSweep times a fully cached 10-pair sweep beside growing
+// numbers of unrelated resident entries; its cost should not grow with them.
+func BenchmarkCachedSweep(b *testing.B) {
+	for _, n := range []int{10, 1000, 10000, 100000} {
+		b.Run(fmt.Sprintf("unrelated=%d", n), func(b *testing.B) {
+			opts := cachedSweep(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				runCached(b, opts)
+			}
+		})
 	}
 }

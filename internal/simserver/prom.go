@@ -23,7 +23,7 @@ type promMetrics struct {
 	queueWait   *obs.Histogram    // job submission → execution start
 	pairLatency *obs.Histogram    // one (benchmark, config) pair's simulation
 	walAppend   *obs.Histogram    // WAL append incl. fsync
-	cacheLookup *obs.Histogram    // result-cache bulk Load at job planning
+	cacheLookup *obs.Histogram    // result-cache lookup of a job's grid at planning
 	leaseRTT    *obs.Histogram    // lease-renewal (progress post) handling
 	httpSeconds *obs.HistogramVec // handler duration per route pattern
 
@@ -108,7 +108,7 @@ func newPromMetrics(s *Server) *promMetrics {
 	p.walAppend = r.Histogram("nosq_wal_append_seconds",
 		"WAL append latency including the fsync.", nil)
 	p.cacheLookup = r.Histogram("nosq_cache_lookup_seconds",
-		"Result-cache bulk lookup (Load) latency at job planning.", nil)
+		"Result-cache lookup latency of a job's planned grid, one per job.", nil)
 	p.leaseRTT = r.Histogram("nosq_lease_renewal_seconds",
 		"Server-side handling time of a lease-renewing worker progress post.", nil)
 	p.httpSeconds = r.HistogramVec("nosq_http_request_seconds",
@@ -146,16 +146,17 @@ func clientSamples(s *Server, value func(simapi.ClientMetrics) float64) []obs.Sa
 	return out
 }
 
-// timedStore wraps a job's ResultStore to observe bulk-lookup (Load) latency;
-// appends pass through untimed (they are covered by WAL/cache write paths).
+// timedStore wraps a job's ResultStore to observe the latency of its one
+// lookup of the planned grid; appends pass through untimed (they are covered
+// by WAL/cache write paths).
 type timedStore struct {
 	store experiments.ResultStore
 	h     *obs.Histogram
 }
 
-func (t timedStore) Load() ([]experiments.CheckpointEntry, int, error) {
+func (t timedStore) Lookup(keys []string) (map[string]experiments.CheckpointEntry, int, error) {
 	defer t.h.ObserveSince(time.Now())
-	return t.store.Load()
+	return t.store.Lookup(keys)
 }
 
 func (t timedStore) Append(e experiments.CheckpointEntry) error { return t.store.Append(e) }

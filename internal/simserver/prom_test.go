@@ -111,6 +111,7 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	// The finished job must have left observations behind.
 	for _, want := range []string{
 		"nosq_job_queue_wait_seconds_count 1",
+		"nosq_cache_lookup_seconds_count 1", // one lookup per job
 		"nosq_jobs_done_total 1",
 		`nosq_sim_flushes_total{config="nosq-delay@w0128"}`,
 		`nosq_sim_bypass_mispredictions_total{config="nosq-delay@w0128"}`,

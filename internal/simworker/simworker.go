@@ -212,8 +212,21 @@ func (s *taskSink) everything() []experiments.CheckpointEntry {
 // delivery happens through the progress stream.
 type seedStore struct{ entries []experiments.CheckpointEntry }
 
-func (s seedStore) Load() ([]experiments.CheckpointEntry, int, error) { return s.entries, 0, nil }
-func (s seedStore) Append(experiments.CheckpointEntry) error          { return nil }
+func (s seedStore) Lookup(keys []string) (map[string]experiments.CheckpointEntry, int, error) {
+	want := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		want[k] = true
+	}
+	found := make(map[string]experiments.CheckpointEntry, len(s.entries))
+	for _, e := range s.entries {
+		if k := e.Key(); want[k] {
+			found[k] = e
+		}
+	}
+	return found, 0, nil
+}
+
+func (s seedStore) Append(experiments.CheckpointEntry) error { return nil }
 
 // runTask executes one leased shard task: the job's experiment restricted
 // to the [Start, End) pair slice, seeded with the coordinator's Done

@@ -385,18 +385,26 @@ func (t *Table) RowMaps() []map[string]interface{} {
 	return out
 }
 
-// JSON renders the table as an indented JSON document:
+// TableDoc is the table's JSON shape:
 //
 //	{"title": ..., "columns": [...], "rows": [{column: value, ...}, ...]}
 //
 // Row objects map column names to the typed cell values (numbers stay
 // numbers), and encoding/json's sorted map keys make the output
-// deterministic.
+// deterministic. A document that embeds a table (an experiment report)
+// embeds this value, so the table is encoded once, with the document.
+type TableDoc struct {
+	Title   string                   `json:"title"`
+	Columns []string                 `json:"columns"`
+	Rows    []map[string]interface{} `json:"rows"`
+}
+
+// Doc returns the table as its JSON document value.
+func (t *Table) Doc() TableDoc {
+	return TableDoc{Title: t.Title, Columns: t.Columns, Rows: t.RowMaps()}
+}
+
+// JSON renders the table as an indented JSON document (see TableDoc).
 func (t *Table) JSON() ([]byte, error) {
-	doc := struct {
-		Title   string                   `json:"title"`
-		Columns []string                 `json:"columns"`
-		Rows    []map[string]interface{} `json:"rows"`
-	}{Title: t.Title, Columns: t.Columns, Rows: t.RowMaps()}
-	return json.MarshalIndent(doc, "", "  ")
+	return json.MarshalIndent(t.Doc(), "", "  ")
 }
