@@ -199,6 +199,38 @@ func TestResultCacheTornTailAppend(t *testing.T) {
 	}
 }
 
+// TestResultCacheRecordBytes pins the cache file's record: the entry's
+// content address, the code revision, then the entry, exactly as earlier
+// builds wrote it, so their files keep serving and open-time compaction
+// re-encodes a record to the bytes it read.
+func TestResultCacheRecordBytes(t *testing.T) {
+	const want = `{"key":"2d2677eb4999fbbe202c987d458f0411a58d5c8f56d43af45bf697152469387b","code_rev":"rev-a",` +
+		`"entry":{"experiment":"sweep","iterations":25,"benchmark":"gzip","config":"nosq-delay",` +
+		`"run":{"Benchmark":"gzip","Config":"nosq-delay","Cycles":100,"Committed":1000,"CommittedLoads":0,` +
+		`"CommittedStores":0,"InWindowComm":0,"InWindowPartial":0,"BypassedLoads":0,"DelayedLoads":0,` +
+		`"BypassMispredictions":0,"Flushes":0,"DCacheCoreReads":0,"DCacheBackendReads":0,"Reexecutions":0,` +
+		`"SQForwards":0,"BranchMispredicts":0,"StallROB":0,"StallIQ":0,"StallPhys":0,"StallLQ":0,"StallSQ":0,` +
+		`"StallFrontend":0,"IdleIssueCycles":0}}}` + "\n"
+	path := filepath.Join(t.TempDir(), "cache.jsonl")
+	c, _, err := OpenResultCache(path, "rev-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Append(entry("gzip", "nosq-delay", 100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Fatalf("cache file =\n%s\nwant\n%s", got, want)
+	}
+}
+
 // writeLines writes a cache file line by line.
 func writeLines(t *testing.T, path string, lines ...string) {
 	t.Helper()
