@@ -87,26 +87,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats holds prediction accuracy counters.
-type Stats struct {
-	// CondBranches is the number of conditional branches predicted.
-	CondBranches uint64
-	// CondMispredicts is the number of conditional direction mispredictions.
-	CondMispredicts uint64
-	// TargetMispredicts counts indirect/return target mispredictions.
-	TargetMispredicts uint64
-	// BTBMisses counts taken branches whose target was absent from the BTB.
-	BTBMisses uint64
-}
-
-// MispredictRate returns direction mispredictions per conditional branch.
-func (s Stats) MispredictRate() float64 {
-	if s.CondBranches == 0 {
-		return 0
-	}
-	return float64(s.CondMispredicts) / float64(s.CondBranches)
-}
-
 type btbEntry struct {
 	valid   bool
 	tag     uint64
@@ -129,8 +109,6 @@ type Predictor struct {
 
 	ras    []uint64
 	rasTop int
-
-	stats Stats
 }
 
 // New creates a predictor; it panics on an invalid configuration.
@@ -168,14 +146,6 @@ func New(cfg Config) *Predictor {
 	}
 	return p
 }
-
-// Stats returns a snapshot of the counters.
-func (p *Predictor) Stats() Stats { return p.stats }
-
-// History returns the current global branch history (exposed so the NoSQ
-// bypassing predictor can be driven by the same notion of path when desired
-// in tests).
-func (p *Predictor) History() uint64 { return p.history }
 
 func pcIndex(pc uint64, size int) int {
 	return int((pc >> 2) & uint64(size-1))
@@ -240,27 +210,16 @@ func (p *Predictor) Predict(in *isa.Inst) Prediction {
 func (p *Predictor) Resolve(in *isa.Inst, taken bool, target uint64, predicted Prediction) {
 	switch in.Op {
 	case isa.OpBranch:
-		p.stats.CondBranches++
 		p.updateDirection(in.PC, predicted.gshareIdx, taken)
 		if taken {
 			p.updateBTB(in.PC, target)
 		}
 		if predicted.Taken != taken {
-			p.stats.CondMispredicts++
 			// Repair history: replace the speculatively-pushed bit.
 			p.history = (p.history >> 1 << 1) | boolBit(taken)
-		} else if taken && predicted.Target != target {
-			p.stats.TargetMispredicts++
 		}
 	case isa.OpJump, isa.OpCall:
 		p.updateBTB(in.PC, target)
-		if predicted.Target != target {
-			p.stats.BTBMisses++
-		}
-	case isa.OpRet:
-		if predicted.Target != target {
-			p.stats.TargetMispredicts++
-		}
 	}
 }
 

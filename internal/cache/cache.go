@@ -2,17 +2,18 @@
 // simple TLB, used for the L1 instruction cache, L1 data cache, unified L2
 // and the instruction/data TLBs of the simulated machine.
 //
-// The caches model hit/miss behaviour and maintain hit/miss statistics; the
-// timing model translates misses into latency using its memory-hierarchy
-// configuration. Write policy is write-back/write-allocate, which is all the
-// timing model needs (writeback traffic is counted but not timed separately).
+// The caches model hit/miss behaviour only; the timing model translates
+// misses into latency using its memory-hierarchy configuration and counts
+// the accesses it cares about itself. A store allocates and updates LRU
+// exactly as a load does (write-allocate); writebacks are neither counted
+// nor timed.
 package cache
 
 import "fmt"
 
 // Config describes one cache.
 type Config struct {
-	// Name identifies the cache in statistics output.
+	// Name identifies the cache in validation errors.
 	Name string
 	// SizeBytes is the total capacity.
 	SizeBytes int
@@ -42,28 +43,9 @@ func (c Config) Validate() error {
 
 type line struct {
 	valid bool
-	dirty bool
 	tag   uint64
 	// lastUse is the access counter value of the most recent touch (LRU).
 	lastUse uint64
-}
-
-// Stats holds access counters for a cache.
-type Stats struct {
-	// Accesses is the total number of lookups (reads + writes).
-	Accesses uint64
-	// Misses is the number of lookups that missed.
-	Misses uint64
-	// Writebacks is the number of dirty lines evicted.
-	Writebacks uint64
-}
-
-// MissRate returns Misses/Accesses, or 0 when there were no accesses.
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
 }
 
 // Cache is a set-associative cache with true-LRU replacement.
@@ -74,12 +56,10 @@ type Cache struct {
 	setBits  uint
 	setMask  uint64
 	counter  uint64
-	stats    Stats
 	// Line buffer: the block, set and way of the most recent access, letting
 	// the extremely common repeat access to the same line (sequential fetch,
 	// stack traffic) skip the set scan. The remembered line was just touched,
-	// so it is MRU and cannot be evicted before a different line is accessed;
-	// lastBlk is invalidated when the line is.
+	// so it is MRU and cannot be evicted before a different line is accessed.
 	lastBlk uint64
 	lastSet uint64
 	lastWay int
@@ -116,31 +96,14 @@ func log2(v uint64) uint {
 	return n
 }
 
-// Stats returns a snapshot of the cache's counters.
-func (c *Cache) Stats() Stats { return c.stats }
-
-// NumSets returns the number of sets.
-func (c *Cache) NumSets() int { return len(c.sets) }
-
-func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
-	blk := addr >> c.lineBits
-	return blk & c.setMask, blk >> c.setBits
-}
-
-// Access performs a lookup for addr. write marks the line dirty on a store.
-// It returns true on a hit. On a miss the line is allocated (evicting the LRU
-// way, counting a writeback if it was dirty).
-func (c *Cache) Access(addr uint64, write bool) bool {
+// Access performs a lookup for addr, a load's or a store's alike. It returns
+// true on a hit. On a miss the line is allocated, evicting the LRU way.
+func (c *Cache) Access(addr uint64) bool {
 	c.counter++
-	c.stats.Accesses++
 	blk := addr >> c.lineBits
 	if blk == c.lastBlk && c.lastWay >= 0 {
-		// Line-buffer hit: exactly the state updates of the scan's hit case.
-		l := &c.sets[c.lastSet][c.lastWay]
-		l.lastUse = c.counter
-		if write {
-			l.dirty = true
-		}
+		// Line-buffer hit: exactly the state update of the scan's hit case.
+		c.sets[c.lastSet][c.lastWay].lastUse = c.counter
 		return true
 	}
 	setIdx, tag := blk&c.setMask, blk>>c.setBits
@@ -148,14 +111,10 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			set[i].lastUse = c.counter
-			if write {
-				set[i].dirty = true
-			}
 			c.lastBlk, c.lastSet, c.lastWay = blk, setIdx, i
 			return true
 		}
 	}
-	c.stats.Misses++
 	// Choose victim: first invalid way, else LRU.
 	victim := 0
 	for i := range set {
@@ -167,51 +126,9 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 			victim = i
 		}
 	}
-	if set[victim].valid && set[victim].dirty {
-		c.stats.Writebacks++
-	}
-	set[victim] = line{valid: true, dirty: write, tag: tag, lastUse: c.counter}
+	set[victim] = line{valid: true, tag: tag, lastUse: c.counter}
 	c.lastBlk, c.lastSet, c.lastWay = blk, setIdx, victim
 	return false
-}
-
-// Probe reports whether addr currently hits, without changing any state or
-// statistics.
-func (c *Cache) Probe(addr uint64) bool {
-	setIdx, tag := c.index(addr)
-	for _, l := range c.sets[setIdx] {
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// Invalidate removes the line containing addr if present.
-func (c *Cache) Invalidate(addr uint64) {
-	setIdx, tag := c.index(addr)
-	if addr>>c.lineBits == c.lastBlk {
-		c.lastWay = -1
-	}
-	set := c.sets[setIdx]
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i] = line{}
-			return
-		}
-	}
-}
-
-// Reset clears all contents and statistics.
-func (c *Cache) Reset() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = line{}
-		}
-	}
-	c.counter = 0
-	c.stats = Stats{}
-	c.lastWay = -1
 }
 
 // TLB is a small fully-set-associative translation lookaside buffer modelled
@@ -219,8 +136,6 @@ func (c *Cache) Reset() {
 // uses flat addresses); the TLB exists to model translation hit/miss costs.
 type TLB struct {
 	cache *Cache
-	// PageBytes is the page size used for indexing.
-	PageBytes int
 }
 
 // NewTLB builds a TLB with the given number of entries and associativity over
@@ -234,15 +149,8 @@ func NewTLB(name string, entries, assoc int) *TLB {
 			LineBytes: page,
 			Assoc:     assoc,
 		}),
-		PageBytes: page,
 	}
 }
 
 // Access looks up the page containing addr, returning true on a TLB hit.
-func (t *TLB) Access(addr uint64) bool { return t.cache.Access(addr, false) }
-
-// Stats returns the TLB's counters.
-func (t *TLB) Stats() Stats { return t.cache.Stats() }
-
-// Reset clears the TLB.
-func (t *TLB) Reset() { t.cache.Reset() }
+func (t *TLB) Access(addr uint64) bool { return t.cache.Access(addr) }

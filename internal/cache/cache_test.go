@@ -44,103 +44,34 @@ func TestNewPanicsOnInvalid(t *testing.T) {
 
 func TestMissThenHit(t *testing.T) {
 	c := small()
-	if c.Access(0x1000, false) {
+	if c.Access(0x1000) {
 		t.Error("first access should miss")
 	}
-	if !c.Access(0x1000, false) {
+	if !c.Access(0x1000) {
 		t.Error("second access should hit")
 	}
-	if !c.Access(0x1030, false) {
+	if !c.Access(0x1030) {
 		t.Error("same-line access should hit")
-	}
-	st := c.Stats()
-	if st.Accesses != 3 || st.Misses != 1 {
-		t.Errorf("stats = %+v", st)
 	}
 }
 
 func TestLRUReplacement(t *testing.T) {
-	c := small() // 2-way, 4 sets, 64B lines: set stride is 256B
-	a := uint64(0x0000)
-	b := uint64(0x0100) // wait, 0x100 = 256 -> same... compute: set = (addr>>6) & 3
-	// Pick three addresses mapping to set 0 with distinct tags:
-	a = 0 << 8          // block 0, set 0
-	b = 1 << 8          // block 4, set 0
-	d := uint64(2 << 8) // block 8, set 0
-	c.Access(a, false)  // miss, installs a
-	c.Access(b, false)  // miss, installs b
-	c.Access(a, false)  // hit, a is MRU
-	c.Access(d, false)  // miss, evicts b (LRU)
-	if !c.Probe(a) {
+	c := small() // 2-way, 4 sets, 64B lines: set = (addr>>6) & 3
+	// Three addresses mapping to set 0 with distinct tags.
+	a, b, d := uint64(0<<8), uint64(1<<8), uint64(2<<8)
+	c.Access(a) // miss, installs a
+	c.Access(b) // miss, installs b
+	c.Access(a) // hit, a is MRU
+	c.Access(d) // miss, evicts b (LRU)
+	// Check the survivors first: hits evict nothing, so b's verdict stands.
+	if !c.Access(a) {
 		t.Error("a should still be cached")
 	}
-	if c.Probe(b) {
-		t.Error("b should have been evicted")
-	}
-	if !c.Probe(d) {
+	if !c.Access(d) {
 		t.Error("d should be cached")
 	}
-}
-
-func TestDirtyEvictionCountsWriteback(t *testing.T) {
-	c := small()
-	a, b, d := uint64(0<<8), uint64(1<<8), uint64(2<<8)
-	c.Access(a, true) // dirty
-	c.Access(b, false)
-	c.Access(d, false) // evicts a (LRU, dirty)
-	if got := c.Stats().Writebacks; got != 1 {
-		t.Errorf("writebacks = %d, want 1", got)
-	}
-}
-
-func TestProbeDoesNotPerturb(t *testing.T) {
-	c := small()
-	c.Access(0x40, false)
-	before := c.Stats()
-	c.Probe(0x40)
-	c.Probe(0x123456)
-	if c.Stats() != before {
-		t.Error("Probe changed statistics")
-	}
-}
-
-func TestInvalidate(t *testing.T) {
-	c := small()
-	c.Access(0x40, false)
-	c.Invalidate(0x40)
-	if c.Probe(0x40) {
-		t.Error("line still present after Invalidate")
-	}
-	// Invalidating a missing line is a no-op.
-	c.Invalidate(0x999940)
-}
-
-func TestReset(t *testing.T) {
-	c := small()
-	c.Access(0x40, true)
-	c.Reset()
-	if c.Probe(0x40) {
-		t.Error("contents survived Reset")
-	}
-	if c.Stats() != (Stats{}) {
-		t.Error("stats survived Reset")
-	}
-}
-
-func TestMissRate(t *testing.T) {
-	var s Stats
-	if s.MissRate() != 0 {
-		t.Error("empty stats miss rate should be 0")
-	}
-	s = Stats{Accesses: 4, Misses: 1}
-	if s.MissRate() != 0.25 {
-		t.Errorf("miss rate = %v, want 0.25", s.MissRate())
-	}
-}
-
-func TestNumSets(t *testing.T) {
-	if got := small().NumSets(); got != 4 {
-		t.Errorf("NumSets = %d, want 4", got)
+	if c.Access(b) {
+		t.Error("b should have been evicted")
 	}
 }
 
@@ -155,13 +86,6 @@ func TestTLB(t *testing.T) {
 	if tlb.Access(0x2000) {
 		t.Error("different page should miss")
 	}
-	if tlb.Stats().Misses != 2 {
-		t.Errorf("TLB misses = %d, want 2", tlb.Stats().Misses)
-	}
-	tlb.Reset()
-	if tlb.Stats().Accesses != 0 {
-		t.Error("TLB stats survived reset")
-	}
 }
 
 // Property: a cache with N= sets*assoc lines never reports more hits than
@@ -174,11 +98,11 @@ func TestSmallWorkingSetAlwaysHitsProperty(t *testing.T) {
 			blocks = blocks[:64]
 		}
 		// Touch two distinct lines, then all further accesses to them hit.
-		c.Access(0, false)
-		c.Access(64, false)
+		c.Access(0)
+		c.Access(64)
 		for _, b := range blocks {
 			addr := uint64(b%2) * 64
-			if !c.Access(addr, false) {
+			if !c.Access(addr) {
 				return false
 			}
 		}
@@ -189,23 +113,47 @@ func TestSmallWorkingSetAlwaysHitsProperty(t *testing.T) {
 	}
 }
 
-// Property: misses never exceed accesses and stats are monotone.
-func TestStatsMonotoneProperty(t *testing.T) {
-	f := func(addrs []uint16, writes []bool) bool {
+// lruModel is a plain true-LRU cache: per set, the resident blocks from
+// least to most recently used.
+type lruModel struct {
+	sets  [][]uint64
+	assoc int
+}
+
+func (m *lruModel) access(blk uint64) bool {
+	si := blk % uint64(len(m.sets))
+	set := m.sets[si]
+	for i, b := range set {
+		if b == blk {
+			m.sets[si] = append(append(set[:i], set[i+1:]...), blk)
+			return true
+		}
+	}
+	if len(set) == m.assoc {
+		set = set[1:]
+	}
+	m.sets[si] = append(set, blk)
+	return false
+}
+
+// Property: every Access result, line-buffer hits included, matches a true-LRU
+// model of the same geometry. Addresses come from seven lines, four of them in
+// set 0 and three in set 1 of the 2-way cache, so repeat accesses to one line
+// and evictions both occur.
+func TestMatchesTrueLRUProperty(t *testing.T) {
+	lines := []uint64{0, 4, 8, 12, 1, 5, 9}
+	f := func(sels []uint16) bool {
 		c := small()
-		var prev Stats
-		for i, a := range addrs {
-			w := i < len(writes) && writes[i]
-			c.Access(uint64(a), w)
-			st := c.Stats()
-			if st.Accesses < prev.Accesses || st.Misses < prev.Misses || st.Misses > st.Accesses {
+		m := &lruModel{sets: make([][]uint64, 4), assoc: 2}
+		for _, sel := range sels {
+			blk := lines[int(sel>>6)%len(lines)]
+			if c.Access(blk<<6|uint64(sel&63)) != m.access(blk) {
 				return false
 			}
-			prev = st
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

@@ -53,9 +53,6 @@ func FPReg(i int) Reg {
 	return FPBase + Reg(i)
 }
 
-// IsFP reports whether r is a floating-point register.
-func (r Reg) IsFP() bool { return r != RegNone && r >= FPBase }
-
 // Valid reports whether r names a real register.
 func (r Reg) Valid() bool { return r != RegNone && int(r) < NumArchRegs }
 

@@ -47,15 +47,6 @@ func TestRegPredicates(t *testing.T) {
 	if !RegZero.Valid() {
 		t.Error("RegZero should be valid")
 	}
-	if RegZero.IsFP() {
-		t.Error("RegZero should not be FP")
-	}
-	if !FPReg(3).IsFP() {
-		t.Error("FPReg(3) should be FP")
-	}
-	if RegNone.IsFP() {
-		t.Error("RegNone should not be FP")
-	}
 }
 
 func TestRegString(t *testing.T) {

@@ -25,9 +25,6 @@ type Memory struct {
 // New returns an empty memory.
 func New() *Memory { return &Memory{} }
 
-// Pages returns the number of pages that have been touched.
-func (m *Memory) Pages() int { return m.pages.Pages() }
-
 func (m *Memory) page(addr uint64, alloc bool) *[PageSize]byte {
 	return m.pages.Page(addr, alloc)
 }
@@ -86,12 +83,6 @@ func (m *Memory) Write(addr uint64, size int, v uint64) {
 	for i := 0; i < size; i++ {
 		m.StoreByte(addr+uint64(i), byte(v>>(8*i)))
 	}
-}
-
-// ReadSigned reads size bytes at addr and sign-extends the value to 64 bits.
-func (m *Memory) ReadSigned(addr uint64, size int) uint64 {
-	v := m.Read(addr, size)
-	return SignExtend(v, size)
 }
 
 // SignExtend sign-extends the low size bytes of v to 64 bits.

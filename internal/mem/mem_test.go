@@ -10,8 +10,8 @@ func TestZeroValueReadable(t *testing.T) {
 	if got := m.Read(0x1000, 8); got != 0 {
 		t.Errorf("untouched memory read = %d, want 0", got)
 	}
-	if m.Pages() != 0 {
-		t.Errorf("reads should not allocate pages, got %d", m.Pages())
+	if n := len(m.pages.pages); n != 0 {
+		t.Errorf("reads should not allocate pages, got %d", n)
 	}
 }
 
@@ -54,8 +54,8 @@ func TestCrossPageAccess(t *testing.T) {
 	if got := m.Read(addr, 8); got != 0x1122334455667788 {
 		t.Errorf("cross-page read = %#x", got)
 	}
-	if m.Pages() != 2 {
-		t.Errorf("expected 2 pages touched, got %d", m.Pages())
+	if n := len(m.pages.pages); n != 2 {
+		t.Errorf("expected 2 pages touched, got %d", n)
 	}
 }
 
@@ -95,14 +95,6 @@ func TestZeroExtend(t *testing.T) {
 	}
 	if got := ZeroExtend(0xAABBCCDDEEFF0011, 8); got != 0xAABBCCDDEEFF0011 {
 		t.Errorf("ZeroExtend size 8 should be identity, got %#x", got)
-	}
-}
-
-func TestReadSigned(t *testing.T) {
-	m := New()
-	m.Write(0x300, 2, 0xFFFE)
-	if got := m.ReadSigned(0x300, 2); int64(got) != -2 {
-		t.Errorf("ReadSigned = %d, want -2", int64(got))
 	}
 }
 

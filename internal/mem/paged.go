@@ -6,9 +6,7 @@ package mem
 // backs both Memory (bytes) and the emulator's last-writer dependence oracle
 // (per-byte store records).
 type PagedTable[T any] struct {
-	pages map[uint64]*T
-	// touched counts pages allocated.
-	touched  int
+	pages    map[uint64]*T
 	lastPN   uint64
 	lastPage *T
 }
@@ -33,11 +31,7 @@ func (t *PagedTable[T]) Page(addr uint64, alloc bool) *T {
 		}
 		p = new(T)
 		t.pages[pn] = p
-		t.touched++
 	}
 	t.lastPN, t.lastPage = pn, p
 	return p
 }
-
-// Pages returns the number of pages that have been touched.
-func (t *PagedTable[T]) Pages() int { return t.touched }

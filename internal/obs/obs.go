@@ -39,7 +39,7 @@ const (
 // DefBuckets is the default histogram bucket layout for latency metrics:
 // upper bounds in seconds, spanning microsecond-scale cache lookups through
 // multi-second job executions. p50/p90/p99 are derivable from any scrape by
-// interpolating within the cumulative bucket counts (see Histogram.Quantile).
+// interpolating within the cumulative bucket counts.
 var DefBuckets = []float64{
 	10e-6, 25e-6, 100e-6, 250e-6,
 	1e-3, 2.5e-3, 10e-3, 25e-3, 100e-3, 250e-3,
@@ -112,21 +112,11 @@ type Counter struct {
 	v atomic.Uint64
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Add adds n.
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Counter registers an unlabeled concrete counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.register(&family{name: name, help: help, typ: typeCounter, counters: []*Counter{c}})
-	return c
-}
 
 // CounterVec is a family of counters distinguished by one label.
 type CounterVec struct{ f *family }
@@ -281,39 +271,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// Quantile estimates the q-quantile (0 < q < 1, e.g. 0.5/0.9/0.99) by linear
-// interpolation within the bucket that contains it — the same estimate a
-// Prometheus histogram_quantile() would compute from one scrape. It returns
-// 0 with no observations; values in the +Inf bucket report the largest
-// finite bound (the estimate cannot exceed what the buckets resolve).
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum uint64
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if c == 0 {
-			continue
-		}
-		if float64(cum)+float64(c) >= rank {
-			if i == len(h.bounds) { // +Inf bucket
-				return h.bounds[len(h.bounds)-1]
-			}
-			lower := 0.0
-			if i > 0 {
-				lower = h.bounds[i-1]
-			}
-			frac := (rank - float64(cum)) / float64(c)
-			return lower + (h.bounds[i]-lower)*frac
-		}
-		cum += c
-	}
-	return h.bounds[len(h.bounds)-1]
-}
 
 // WritePrometheus renders every registered family in the Prometheus text
 // exposition format (version 0.0.4): families in registration order, each

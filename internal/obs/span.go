@@ -24,9 +24,6 @@ type Span struct {
 	start time.Time
 }
 
-// StartSpan begins a phase now.
-func StartSpan(name string) Span { return Span{name: name, start: time.Now()} }
-
 // SpanAt begins a phase at an explicit start time — for phases whose
 // beginning was recorded before the span API got involved (a job's submit
 // time, a shard's first lease).

@@ -44,7 +44,7 @@ func (s *Simulator) enterBackend(in *inflight) {
 			dcCycle = s.nextBackendDC
 		}
 		s.nextBackendDC = dcCycle + 1
-		s.l1d.Access(addr, true)
+		s.l1d.Access(addr)
 		s.dtlb.Access(addr)
 		s.pendingDCWrites = append(s.pendingDCWrites, pendingWrite{ssn: in.ssn, cycle: dcCycle})
 		exit = dcCycle + tailStages
@@ -64,7 +64,7 @@ func (s *Simulator) enterBackend(in *inflight) {
 				dcCycle = s.nextBackendDC
 			}
 			s.nextBackendDC = dcCycle + 1
-			s.l1d.Access(addr, false)
+			s.l1d.Access(addr)
 			s.dtlb.Access(addr)
 			exit = dcCycle + tailStages
 		}

@@ -382,11 +382,11 @@ func (s *Simulator) loadLatency(addr uint64) int {
 	if !s.dtlb.Access(addr) {
 		lat += pageWalkLatency
 	}
-	if s.l1d.Access(addr, false) {
+	if s.l1d.Access(addr) {
 		return lat
 	}
 	lat += s.cfg.L2Latency
-	if s.l2.Access(addr, false) {
+	if s.l2.Access(addr) {
 		return lat
 	}
 	return lat + s.cfg.MemLatency
@@ -394,10 +394,10 @@ func (s *Simulator) loadLatency(addr uint64) int {
 
 // icacheLatency models an instruction fetch; returns 0 on an L1I hit.
 func (s *Simulator) icacheLatency(pc uint64) int {
-	if s.l1i.Access(pc, false) {
+	if s.l1i.Access(pc) {
 		return 0
 	}
-	if s.l2.Access(pc, false) {
+	if s.l2.Access(pc) {
 		return s.cfg.L2Latency
 	}
 	return s.cfg.MemLatency

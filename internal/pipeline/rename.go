@@ -177,7 +177,6 @@ func (s *Simulator) renameOne(in *inflight) bool {
 			s.srq.Insert(smb.SRQEntry{
 				SSN:         in.ssn,
 				ProducerSeq: src2,
-				StoreSeq:    in.seq,
 				Size:        st.MemSize,
 				FPConv:      st.FPConv,
 			})

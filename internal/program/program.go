@@ -9,7 +9,6 @@ package program
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/isa"
 )
@@ -72,28 +71,6 @@ func (p *Program) Index(pc uint64) (int, bool) {
 
 // Len returns the number of static instructions.
 func (p *Program) Len() int { return len(p.Insts) }
-
-// NumStaticLoads returns the number of static load instructions.
-func (p *Program) NumStaticLoads() int {
-	n := 0
-	for i := range p.Insts {
-		if p.Insts[i].IsLoad() {
-			n++
-		}
-	}
-	return n
-}
-
-// NumStaticStores returns the number of static store instructions.
-func (p *Program) NumStaticStores() int {
-	n := 0
-	for i := range p.Insts {
-		if p.Insts[i].IsStore() {
-			n++
-		}
-	}
-	return n
-}
 
 // Validate checks every instruction and all branch targets.
 func (p *Program) Validate() error {
@@ -341,25 +318,4 @@ func (b *Builder) MustBuild() *Program {
 		panic(err)
 	}
 	return p
-}
-
-// Disassemble returns a listing of the whole program, one instruction per
-// line, with label annotations.
-func (p *Program) Disassemble() []string {
-	byPC := make(map[uint64][]string)
-	for name, pc := range p.Labels {
-		byPC[pc] = append(byPC[pc], name)
-	}
-	for _, names := range byPC {
-		sort.Strings(names)
-	}
-	var out []string
-	for i := range p.Insts {
-		in := &p.Insts[i]
-		for _, name := range byPC[in.PC] {
-			out = append(out, name+":")
-		}
-		out = append(out, "  "+in.String())
-	}
-	return out
 }

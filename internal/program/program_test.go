@@ -1,7 +1,6 @@
 package program
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -110,16 +109,6 @@ func TestAt(t *testing.T) {
 	}
 }
 
-func TestStaticCounts(t *testing.T) {
-	p := buildLoop(t)
-	if got := p.NumStaticLoads(); got != 1 {
-		t.Errorf("NumStaticLoads = %d, want 1", got)
-	}
-	if got := p.NumStaticStores(); got != 1 {
-		t.Errorf("NumStaticStores = %d, want 1", got)
-	}
-}
-
 func TestValidateRejectsOutOfRangeTarget(t *testing.T) {
 	p := buildLoop(t)
 	p.Insts[len(p.Insts)-2].Target = CodeBase + 1<<20
@@ -160,22 +149,6 @@ func TestInitData(t *testing.T) {
 	}
 	if len(p.InitData) != 1 || p.InitData[0].Value != 42 {
 		t.Errorf("InitData = %+v", p.InitData)
-	}
-}
-
-func TestDisassemble(t *testing.T) {
-	p := buildLoop(t)
-	lines := p.Disassemble()
-	joined := strings.Join(lines, "\n")
-	if !strings.Contains(joined, "loop:") {
-		t.Error("disassembly missing label")
-	}
-	if !strings.Contains(joined, "ld8") || !strings.Contains(joined, "st8") {
-		t.Error("disassembly missing memory ops")
-	}
-	// One line per instruction plus one per label.
-	if len(lines) != p.Len()+len(p.Labels) {
-		t.Errorf("disassembly has %d lines, want %d", len(lines), p.Len()+len(p.Labels))
 	}
 }
 

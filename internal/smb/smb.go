@@ -4,17 +4,14 @@
 //
 // The SRQ parallels a traditional store queue in structure but is not a
 // datapath element: it holds, per in-flight store (indexed by the low-order
-// bits of the store's SSN), only the identity of the store's data input —
-// enough for a bypassing load's output register mapping to be pointed
-// directly at the DEF instruction's output. It is written at rename when a
-// store is renamed and read at rename when a bypassing load is renamed.
+// bits of the store's SSN), only the identity of the store's data input, the
+// DEF instruction's sequence number — enough for a bypassing load's output
+// register mapping to be pointed directly at the DEF instruction's output. It
+// is written at rename when a store is renamed and read at rename when a
+// bypassing load is renamed.
 package smb
 
-import (
-	"fmt"
-
-	"repro/internal/isa"
-)
+import "fmt"
 
 // SRQEntry describes one in-flight store's data input.
 type SRQEntry struct {
@@ -24,15 +21,10 @@ type SRQEntry struct {
 	// SSN is the full store sequence number, used to detect stale entries
 	// when the queue index wraps.
 	SSN uint64
-	// DataTag is the physical register holding the store's data (the DEF
-	// instruction's output register).
-	DataTag int
 	// ProducerSeq is the dynamic sequence number of the instruction that
 	// produces the store's data (the DEF), used by the timing model to know
 	// when the bypassed value is actually available.
 	ProducerSeq uint64
-	// StoreSeq is the store's own dynamic sequence number.
-	StoreSeq uint64
 	// Size is the store's access width in bytes.
 	Size uint8
 	// FPConv marks an sts-style converting store.
@@ -87,13 +79,6 @@ func (q *SRQ) Release(ssn uint64) {
 	e := &q.entries[q.index(ssn)]
 	if e.Valid && e.SSN == ssn {
 		e.Valid = false
-	}
-}
-
-// Reset invalidates all entries.
-func (q *SRQ) Reset() {
-	for i := range q.entries {
-		q.entries[i].Valid = false
 	}
 }
 
@@ -193,93 +178,4 @@ func ApplyTransform(tr Transform, storeRegValue uint64, convertStore func(uint64
 		v = convertLoad(v)
 	}
 	return v
-}
-
-// RegisterFile is the minimal interface the SRQ consumer (rename) needs from
-// the physical register file when short-circuiting: sharing a register
-// requires reference counting (Section 3.4 footnote).
-type RegisterFile interface {
-	// AddRef increments the reference count of a physical register.
-	AddRef(tag int)
-	// Release decrements the reference count, freeing the register when it
-	// reaches zero.
-	Release(tag int)
-}
-
-var _ RegisterFile = (*CountedRegFile)(nil)
-
-// CountedRegFile is a reference-counted physical register free list. It
-// tracks how many in-flight consumers (renamed outputs) share each physical
-// register; a register returns to the free list only when its count reaches
-// zero. This is the modification SMB requires of register reclamation.
-type CountedRegFile struct {
-	refs  []int
-	free  []int
-	inUse int
-}
-
-// NewCountedRegFile creates a register file with n physical registers, all
-// free.
-func NewCountedRegFile(n int) *CountedRegFile {
-	if n <= 0 {
-		panic(fmt.Sprintf("smb: register file size %d must be positive", n))
-	}
-	rf := &CountedRegFile{refs: make([]int, n), free: make([]int, 0, n)}
-	for i := n - 1; i >= 0; i-- {
-		rf.free = append(rf.free, i)
-	}
-	return rf
-}
-
-// FreeCount returns the number of unallocated physical registers.
-func (rf *CountedRegFile) FreeCount() int { return len(rf.free) }
-
-// InUse returns the number of allocated physical registers.
-func (rf *CountedRegFile) InUse() int { return rf.inUse }
-
-// Alloc takes a free physical register (reference count 1). ok is false when
-// none are free (rename must stall).
-func (rf *CountedRegFile) Alloc() (tag int, ok bool) {
-	if len(rf.free) == 0 {
-		return 0, false
-	}
-	tag = rf.free[len(rf.free)-1]
-	rf.free = rf.free[:len(rf.free)-1]
-	rf.refs[tag] = 1
-	rf.inUse++
-	return tag, true
-}
-
-// AddRef increments the reference count of an allocated register (a bypassed
-// load sharing the DEF's output).
-func (rf *CountedRegFile) AddRef(tag int) {
-	if rf.refs[tag] <= 0 {
-		panic(fmt.Sprintf("smb: AddRef on free register %d", tag))
-	}
-	rf.refs[tag]++
-}
-
-// Release decrements the reference count, returning the register to the free
-// list when it reaches zero.
-func (rf *CountedRegFile) Release(tag int) {
-	if rf.refs[tag] <= 0 {
-		panic(fmt.Sprintf("smb: Release on free register %d", tag))
-	}
-	rf.refs[tag]--
-	if rf.refs[tag] == 0 {
-		rf.free = append(rf.free, tag)
-		rf.inUse--
-	}
-}
-
-// Refs returns the current reference count of a register (for tests).
-func (rf *CountedRegFile) Refs(tag int) int { return rf.refs[tag] }
-
-// PlanForInsts is a convenience wrapper building a Plan from static
-// instructions plus a shift amount.
-func PlanForInsts(st *isa.Inst, ld *isa.Inst, shift uint8) (Transform, bool) {
-	return Plan(
-		StoreDesc{Size: st.MemSize, FPConv: st.FPConv},
-		LoadDesc{Size: ld.MemSize, Signed: ld.Signed, FPConv: ld.FPConv, ShiftBytes: shift},
-	)
 }

@@ -4,15 +4,13 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/isa"
 )
 
 func TestSRQInsertLookupRelease(t *testing.T) {
 	q := NewSRQ(24)
-	q.Insert(SRQEntry{SSN: 5, DataTag: 17, ProducerSeq: 100, StoreSeq: 101, Size: 8})
+	q.Insert(SRQEntry{SSN: 5, ProducerSeq: 100, Size: 8})
 	e, ok := q.Lookup(5)
-	if !ok || e.DataTag != 17 || e.Size != 8 {
+	if !ok || e.ProducerSeq != 100 || e.Size != 8 {
 		t.Fatalf("Lookup(5) = %+v, %v", e, ok)
 	}
 	q.Release(5)
@@ -26,25 +24,20 @@ func TestSRQInsertLookupRelease(t *testing.T) {
 
 func TestSRQWrapAroundStaleDetection(t *testing.T) {
 	q := NewSRQ(4)
-	q.Insert(SRQEntry{SSN: 1, DataTag: 10})
-	q.Insert(SRQEntry{SSN: 5, DataTag: 20}) // same slot as SSN 1
+	q.Insert(SRQEntry{SSN: 1, ProducerSeq: 10})
+	q.Insert(SRQEntry{SSN: 5, ProducerSeq: 20}) // same slot as SSN 1
 	if _, ok := q.Lookup(1); ok {
 		t.Error("stale entry for SSN 1 should not be found after overwrite")
 	}
-	if e, ok := q.Lookup(5); !ok || e.DataTag != 20 {
+	if e, ok := q.Lookup(5); !ok || e.ProducerSeq != 20 {
 		t.Errorf("Lookup(5) = %+v, %v", e, ok)
 	}
 }
 
-func TestSRQLookupZeroAndReset(t *testing.T) {
+func TestSRQLookupZero(t *testing.T) {
 	q := NewSRQ(8)
 	if _, ok := q.Lookup(0); ok {
 		t.Error("SSN 0 must never hit")
-	}
-	q.Insert(SRQEntry{SSN: 3, DataTag: 1})
-	q.Reset()
-	if _, ok := q.Lookup(3); ok {
-		t.Error("entry survived Reset")
 	}
 }
 
@@ -142,74 +135,6 @@ func TestApplyTransformFPConversion(t *testing.T) {
 	}
 }
 
-func TestCountedRegFileAllocRelease(t *testing.T) {
-	rf := NewCountedRegFile(4)
-	if rf.FreeCount() != 4 || rf.InUse() != 0 {
-		t.Fatalf("initial state: free=%d inuse=%d", rf.FreeCount(), rf.InUse())
-	}
-	tags := make([]int, 0, 4)
-	for i := 0; i < 4; i++ {
-		tag, ok := rf.Alloc()
-		if !ok {
-			t.Fatalf("alloc %d failed", i)
-		}
-		tags = append(tags, tag)
-	}
-	if _, ok := rf.Alloc(); ok {
-		t.Error("alloc should fail when empty")
-	}
-	rf.Release(tags[0])
-	if rf.FreeCount() != 1 {
-		t.Errorf("free count after release = %d", rf.FreeCount())
-	}
-}
-
-func TestCountedRegFileSharing(t *testing.T) {
-	rf := NewCountedRegFile(2)
-	tag, _ := rf.Alloc()
-	rf.AddRef(tag) // a bypassed load shares the register
-	rf.Release(tag)
-	if rf.FreeCount() != 1 {
-		t.Error("register freed while still referenced")
-	}
-	if rf.Refs(tag) != 1 {
-		t.Errorf("refs = %d, want 1", rf.Refs(tag))
-	}
-	rf.Release(tag)
-	if rf.FreeCount() != 2 {
-		t.Error("register not freed after last release")
-	}
-}
-
-func TestCountedRegFileMisusePanics(t *testing.T) {
-	rf := NewCountedRegFile(2)
-	tag, _ := rf.Alloc()
-	rf.Release(tag)
-	for _, fn := range []func(){
-		func() { rf.Release(tag) },
-		func() { rf.AddRef(tag) },
-		func() { NewCountedRegFile(0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestPlanForInsts(t *testing.T) {
-	st := &isa.Inst{Op: isa.OpStore, MemSize: 8, Src1: isa.IntReg(1), Src2: isa.IntReg(2)}
-	ld := &isa.Inst{Op: isa.OpLoad, MemSize: 4, Dst: isa.IntReg(3), Src1: isa.IntReg(1), Signed: true}
-	tr, ok := PlanForInsts(st, ld, 4)
-	if !ok || tr.ShiftBytes != 4 || !tr.SignExtend {
-		t.Errorf("PlanForInsts = %+v, %v", tr, ok)
-	}
-}
-
 // Property: whenever Plan accepts a store/load pair, ApplyTransform produces
 // exactly the value the memory round trip would: store the value to memory at
 // the store's address, then load from store address + shift.
@@ -243,30 +168,6 @@ func TestTransformEquivalenceProperty(t *testing.T) {
 		return got == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: the reference-counted register file never leaks or double-frees:
-// after any sequence of balanced AddRef/Release pairs the free count returns
-// to its original value.
-func TestRegFileBalanceProperty(t *testing.T) {
-	f := func(extraRefs uint8) bool {
-		rf := NewCountedRegFile(8)
-		tag, ok := rf.Alloc()
-		if !ok {
-			return false
-		}
-		n := int(extraRefs % 16)
-		for i := 0; i < n; i++ {
-			rf.AddRef(tag)
-		}
-		for i := 0; i < n+1; i++ {
-			rf.Release(tag)
-		}
-		return rf.FreeCount() == 8 && rf.InUse() == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

@@ -98,16 +98,3 @@ func TestMarkdownEscapesPipes(t *testing.T) {
 		t.Errorf("pipe not escaped in Markdown:\n%s", got)
 	}
 }
-
-func TestSortRowsByKeepsRawInSync(t *testing.T) {
-	tbl := NewTable("t", "name", "v")
-	tbl.AddRow("b", 2.0)
-	tbl.AddRow("a", 1.0)
-	tbl.SortRowsBy(0)
-	if tbl.Rows()[0][0] != "a" {
-		t.Fatalf("text rows not sorted: %v", tbl.Rows())
-	}
-	if maps := tbl.RowMaps(); maps[0]["name"] != "a" || maps[0]["v"] != 1.0 {
-		t.Errorf("raw rows out of sync after sort: %v", maps)
-	}
-}

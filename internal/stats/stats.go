@@ -10,9 +10,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Run holds the measurements of one simulation run (one benchmark under one
@@ -224,42 +224,29 @@ func (t *Table) String() string {
 			if i > 0 {
 				b.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
+			// As with fmt's %-*s, the padding counts runes while the
+			// widths count bytes.
+			b.WriteString(cell)
+			for n := utf8.RuneCountInString(cell); n < widths[i]; n++ {
+				b.WriteByte(' ')
+			}
 		}
 		b.WriteString("\n")
 	}
 	writeRow(t.Columns)
-	sep := make([]string, len(t.Columns))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
+	for i, w := range widths {
+		if i > 0 {
+			b.WriteString("  ")
+		}
+		for ; w > 0; w-- {
+			b.WriteByte('-')
+		}
 	}
-	writeRow(sep)
+	b.WriteString("\n")
 	for _, row := range t.rows {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// SortRowsBy sorts the data rows by the given column index (string order).
-func (t *Table) SortRowsBy(col int) {
-	idx := make([]int, len(t.rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(i, j int) bool {
-		ri, rj := t.rows[idx[i]], t.rows[idx[j]]
-		if col >= len(ri) || col >= len(rj) {
-			return false
-		}
-		return ri[col] < rj[col]
-	})
-	rows := make([][]string, len(t.rows))
-	raw := make([][]interface{}, len(t.raw))
-	for i, k := range idx {
-		rows[i] = t.rows[k]
-		raw[i] = t.raw[k]
-	}
-	t.rows, t.raw = rows, raw
 }
 
 // Report formats: the values accepted by Render.

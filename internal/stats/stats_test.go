@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -97,13 +98,47 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestTableSort(t *testing.T) {
-	tbl := NewTable("", "name", "v")
-	tbl.AddRow("zeta", 1)
-	tbl.AddRow("alpha", 2)
-	tbl.SortRowsBy(0)
-	if tbl.Rows()[0][0] != "alpha" {
-		t.Error("sort did not order rows")
+// TestTableStringPadsRunes pins how a non-ASCII cell pads: column widths
+// count bytes, while the padding counts runes, as fmt's %-*s does.
+func TestTableStringPadsRunes(t *testing.T) {
+	tbl := NewTable("t", "name", "v")
+	tbl.AddRow("héllo", 1) // 6 bytes, 5 runes
+	tbl.AddRow("ab", 2)
+	want := "t\n" +
+		"name    v\n" +
+		"------  -\n" +
+		"héllo   1\n" +
+		"ab      2\n"
+	if got := tbl.String(); got != want {
+		t.Errorf("String() =\n%q\nwant\n%q", got, want)
+	}
+}
+
+// sweepTable is shaped like a sweep report: 11 rows of 14 columns, one of
+// them named by a non-ASCII scenario.
+func sweepTable() *Table {
+	cols := []string{"benchmark", "config", "window", "cycles", "insts", "IPC",
+		"rel_time", "bypassed", "delayed", "mispred/10k", "flushes", "reexec",
+		"dcache_reads", "sq_fwd"}
+	tbl := NewTable("Sweep", cols...)
+	for i := 0; i < 11; i++ {
+		name := fmt.Sprintf("bench-%d", i)
+		if i == 5 {
+			name = "scénario/ünïcode-λ"
+		}
+		tbl.AddRow(name, "nosq-delay", 128, uint64(100000+i), uint64(90000+i), 0.9+float64(i)/100,
+			1.0, uint64(i), uint64(2*i), 1.5, uint64(i), uint64(3*i), uint64(5000+i), uint64(0))
+	}
+	return tbl
+}
+
+// TestTableStringAllocs bounds the allocations of rendering a sweep-sized
+// table as text: the column widths and the builder's growth, not one or more
+// per cell (the table has 168 cells, header included).
+func TestTableStringAllocs(t *testing.T) {
+	tbl := sweepTable()
+	if n := testing.AllocsPerRun(20, func() { _ = tbl.String() }); n > 16 {
+		t.Errorf("String() made %v allocations, want at most 16", n)
 	}
 }
 

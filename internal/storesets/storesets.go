@@ -13,9 +13,9 @@
 //
 // The baseline uses the prediction for scheduling only: a load predicted to
 // depend on an in-flight store is held until that store has executed. The
-// LFST is repaired on branch-misprediction recovery by the pipeline (the
-// pipeline re-installs the mappings of squashed stores' predecessors by
-// rewinding; this implementation exposes Snapshot/Restore for that purpose).
+// pipeline does not repair the LFST when it squashes instructions: an entry
+// that names a squashed store stays until a later store overwrites it or a
+// store with its SSN completes.
 package storesets
 
 import "fmt"
@@ -88,18 +88,6 @@ type Predictor struct {
 	ssit    []ssitEntry
 	lfst    []lfstEntry
 	confMax uint8
-
-	stats Stats
-}
-
-// Stats counts predictor activity.
-type Stats struct {
-	// LoadLookups is the number of load decode-time lookups.
-	LoadLookups uint64
-	// Dependences is the number of lookups predicting an in-flight dependence.
-	Dependences uint64
-	// Trainings is the number of violation-driven SSIT updates.
-	Trainings uint64
 }
 
 // New creates a predictor; it panics on an invalid configuration.
@@ -114,9 +102,6 @@ func New(cfg Config) *Predictor {
 		confMax: uint8(1<<uint(cfg.ConfidenceBits)) - 1,
 	}
 }
-
-// Stats returns a snapshot of the counters.
-func (p *Predictor) Stats() Stats { return p.stats }
 
 func (p *Predictor) ssitIndex(pc uint64) int { return int((pc >> 2) & uint64(p.cfg.SSITEntries-1)) }
 func (p *Predictor) lfstIndex(pc uint64) int { return int((pc >> 2) & uint64(p.cfg.LFSTEntries-1)) }
@@ -142,7 +127,6 @@ func (p *Predictor) StoreCompleted(storePC uint64, ssn uint64) {
 
 // PredictLoad performs the decode/rename-time lookup for a load.
 func (p *Predictor) PredictLoad(loadPC uint64) Prediction {
-	p.stats.LoadLookups++
 	e := p.ssit[p.ssitIndex(loadPC)]
 	if !e.valid || e.tag != loadPC || e.conf < uint8(p.cfg.ConfidenceThreshold) {
 		return Prediction{}
@@ -151,7 +135,6 @@ func (p *Predictor) PredictLoad(loadPC uint64) Prediction {
 	if !l.valid {
 		return Prediction{StorePC: e.storePC}
 	}
-	p.stats.Dependences++
 	return Prediction{DependsOnStore: true, StorePC: e.storePC, StoreSSN: l.ssn, StoreSeq: l.seq}
 }
 
@@ -159,7 +142,6 @@ func (p *Predictor) PredictLoad(loadPC uint64) Prediction {
 // executed before the conflicting store at storePC: the pair is entered into
 // the SSIT with full confidence.
 func (p *Predictor) TrainViolation(loadPC, storePC uint64) {
-	p.stats.Trainings++
 	e := &p.ssit[p.ssitIndex(loadPC)]
 	if e.valid && e.tag == loadPC && e.storePC == storePC {
 		if e.conf < p.confMax {
@@ -177,29 +159,5 @@ func (p *Predictor) TrainNoDependence(loadPC uint64) {
 	e := &p.ssit[p.ssitIndex(loadPC)]
 	if e.valid && e.tag == loadPC && e.conf > 0 {
 		e.conf--
-	}
-}
-
-// Snapshot captures the LFST contents for branch-misprediction repair.
-func (p *Predictor) Snapshot() []uint64 {
-	out := make([]uint64, 0, len(p.lfst)*2)
-	for _, e := range p.lfst {
-		if e.valid {
-			out = append(out, e.ssn, e.seq)
-		} else {
-			out = append(out, 0, 0)
-		}
-	}
-	return out
-}
-
-// Restore re-installs an LFST snapshot taken by Snapshot.
-func (p *Predictor) Restore(snap []uint64) {
-	if len(snap) != len(p.lfst)*2 {
-		panic("storesets: snapshot size mismatch")
-	}
-	for i := range p.lfst {
-		ssn, seq := snap[2*i], snap[2*i+1]
-		p.lfst[i] = lfstEntry{valid: ssn != 0, ssn: ssn, seq: seq}
 	}
 }

@@ -32,7 +32,8 @@ import "fmt"
 // counts how often a 20-bit implementation would have wrapped (see Counters).
 type SSN = uint64
 
-// Counters tracks SVW filter behaviour for the statistics output.
+// Counters tracks SVW filter behaviour for trace-level studies; the timing
+// model counts re-executions in stats.Run itself.
 type Counters struct {
 	// StoreUpdates is the number of committed stores written into the filter.
 	StoreUpdates uint64
@@ -84,10 +85,6 @@ func (f *SSBF) StoreCommit(addr uint64, ssn SSN) {
 	f.entries[f.index(addr)] = ssn
 }
 
-// Lookup returns the SSN of the youngest committed store recorded for addr's
-// filter entry (possibly an alias).
-func (f *SSBF) Lookup(addr uint64) SSN { return f.entries[f.index(addr)] }
-
 // TestLoad performs the inequality filter test for a non-bypassed load:
 // the load must re-execute if a store younger than ssnNVul has committed to
 // its (hashed) address.
@@ -102,14 +99,6 @@ func (f *SSBF) TestLoad(addr uint64, ssnNVul SSN) (reexec bool) {
 
 // Counters returns a snapshot of the filter's counters.
 func (f *SSBF) Counters() Counters { return f.ctr }
-
-// Reset clears contents and counters.
-func (f *SSBF) Reset() {
-	for i := range f.entries {
-		f.entries[i] = 0
-	}
-	f.ctr = Counters{}
-}
 
 // TSSBFEntry is one entry of the tagged SSBF.
 type TSSBFEntry struct {
@@ -194,9 +183,6 @@ func (f *TSSBF) StoreCommit(addr uint64, ssn SSN, size uint8) {
 	f.fifo[si] = (w + 1) % f.assoc
 }
 
-// MaxEvicted returns the largest SSN ever evicted from the filter.
-func (f *TSSBF) MaxEvicted() SSN { return f.maxEvicted }
-
 // Lookup returns the entry for addr's doubleword, if present.
 func (f *TSSBF) Lookup(addr uint64) (TSSBFEntry, bool) {
 	si := f.set(addr)
@@ -270,11 +256,3 @@ func (f *TSSBF) TestBypassed(loadAddr uint64, loadSize uint8, ssnByp SSN, predic
 
 // Counters returns a snapshot of the filter's counters.
 func (f *TSSBF) Counters() Counters { return f.ctr }
-
-// Reset clears contents and counters.
-func (f *TSSBF) Reset() {
-	clear(f.entries)
-	clear(f.fifo)
-	f.maxEvicted = 0
-	f.ctr = Counters{}
-}

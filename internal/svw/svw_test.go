@@ -58,16 +58,6 @@ func TestSSBFAliasingIsConservative(t *testing.T) {
 	}
 }
 
-func TestSSBFReset(t *testing.T) {
-	f := NewSSBF(64)
-	f.StoreCommit(0x40, 3)
-	f.TestLoad(0x40, 0)
-	f.Reset()
-	if f.Lookup(0x40) != 0 || f.Counters() != (Counters{}) {
-		t.Error("Reset did not clear state")
-	}
-}
-
 func TestTSSBFGeometryPanics(t *testing.T) {
 	cases := [][2]int{{0, 4}, {128, 0}, {127, 4}, {96, 4}}
 	for _, c := range cases {
@@ -172,19 +162,6 @@ func TestTSSBFFIFOEviction(t *testing.T) {
 	}
 }
 
-func TestTSSBFReset(t *testing.T) {
-	f := newT()
-	f.StoreCommit(0x5000, 3, 8)
-	f.TestNonBypassed(0x5000, 0)
-	f.Reset()
-	if _, ok := f.Lookup(0x5000); ok {
-		t.Error("contents survived Reset")
-	}
-	if f.Counters() != (Counters{}) {
-		t.Error("counters survived Reset")
-	}
-}
-
 func TestReexecRate(t *testing.T) {
 	var c Counters
 	if c.ReexecRate() != 0 {
@@ -264,8 +241,8 @@ func TestTSSBFEvictionSafetyForNonBypassed(t *testing.T) {
 	f.StoreCommit(0x100*8, 5, 8)
 	f.StoreCommit(0x200*8, 6, 8)
 	f.StoreCommit(0x300*8, 7, 8) // evicts SSN 5
-	if f.MaxEvicted() != 5 {
-		t.Fatalf("MaxEvicted = %d, want 5", f.MaxEvicted())
+	if f.maxEvicted != 5 {
+		t.Fatalf("maxEvicted = %d, want 5", f.maxEvicted)
 	}
 	// Load vulnerable to SSN 5 (ssnNVul 4), tag misses: must re-execute.
 	if !f.TestNonBypassed(0x100*8, 4) {

@@ -151,25 +151,6 @@ var profiles = []Profile{
 	{Name: "wupwise", Suite: SPECfp, CommPct: 5.5, PartialPct: 0.8, HardPer10k: 1.8, FootprintKB: 512, FPHeavy: true, BranchEntropy: 0.1},
 }
 
-// Profiles returns the profiles of every benchmark in Table 5, in the
-// paper's order.
-func Profiles() []Profile {
-	out := make([]Profile, len(profiles))
-	copy(out, profiles)
-	return out
-}
-
-// ProfilesBySuite returns the profiles of one suite, in the paper's order.
-func ProfilesBySuite(s Suite) []Profile {
-	var out []Profile
-	for _, p := range profiles {
-		if p.Suite == s {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Names returns all benchmark names in the paper's order.
 func Names() []string {
 	out := make([]string, len(profiles))

@@ -9,11 +9,10 @@ import (
 )
 
 func TestAllProfilesValid(t *testing.T) {
-	ps := Profiles()
-	if len(ps) != 47 {
-		t.Fatalf("Table 5 has 47 benchmarks, profiles has %d", len(ps))
+	if len(profiles) != 47 {
+		t.Fatalf("Table 5 has 47 benchmarks, profiles has %d", len(profiles))
 	}
-	for _, p := range ps {
+	for _, p := range profiles {
 		if err := p.Validate(); err != nil {
 			t.Errorf("%s: %v", p.Name, err)
 		}
@@ -30,14 +29,14 @@ func TestProfileNamesUnique(t *testing.T) {
 }
 
 func TestSuiteCounts(t *testing.T) {
-	if got := len(ProfilesBySuite(MediaBench)); got != 18 {
-		t.Errorf("MediaBench has %d profiles, want 18", got)
+	counts := make(map[Suite]int)
+	for _, p := range profiles {
+		counts[p.Suite]++
 	}
-	if got := len(ProfilesBySuite(SPECint)); got != 16 {
-		t.Errorf("SPECint has %d profiles, want 16", got)
-	}
-	if got := len(ProfilesBySuite(SPECfp)); got != 13 {
-		t.Errorf("SPECfp has %d profiles, want 13", got)
+	for suite, want := range map[Suite]int{MediaBench: 18, SPECint: 16, SPECfp: 13} {
+		if counts[suite] != want {
+			t.Errorf("%s has %d profiles, want %d", suite, counts[suite], want)
+		}
 	}
 }
 
