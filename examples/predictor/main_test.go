@@ -2,22 +2,19 @@ package main
 
 import (
 	"os"
-	"strings"
 	"testing"
 )
 
-// TestExampleRuns runs the walk-through program end to end: the predictor
-// and the T-SSBF report their counts.
+// TestExampleRuns runs the walk-through program end to end and compares its
+// whole output, byte for byte, with testdata/output.golden: the trace-level
+// predictor accuracy and T-SSBF counts are deterministic.
 func TestExampleRuns(t *testing.T) {
-	out := runMain(t)
-	for _, want := range []string{
-		"predictions correct:",
-		"mis-predictions per 10k:",
-		"T-SSBF:",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output lacks %q:\n%s", want, out)
-		}
+	want, err := os.ReadFile("testdata/output.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := runMain(t); out != string(want) {
+		t.Errorf("output differs from testdata/output.golden:\n--- got ---\n%s--- want ---\n%s", out, want)
 	}
 }
 
