@@ -16,36 +16,26 @@ const flushRecoveryBubble = 3
 // back-end data-cache port.
 func (s *Simulator) commitEnter() {
 	for entered := 0; entered < s.cfg.CommitWidth; entered++ {
+		// The back-end queue holds the oldest window records, so the next to
+		// enter is the window record right after it, once renamed (renamed
+		// records are the window's first renamedCount) and completed.
 		idx := s.backendQ.len()
-		if idx >= s.window.len() {
+		if idx >= s.renamedCount || !s.window.at(idx).completed {
 			return
 		}
-		in := s.window.at(idx)
-		if !in.renamed || !in.completed || in.inBackend {
-			return
-		}
-		s.enterBackend(in)
+		s.enterBackend(s.window.at(idx))
 	}
 }
 
 func (s *Simulator) enterBackend(in *inflight) {
-	in.inBackend = true
 	exit := s.now + uint64(s.cfg.BackendDepth)
-	dcStage := uint64(s.cfg.BackendDCacheStage)
 	tailStages := uint64(s.cfg.BackendDepth - s.cfg.BackendDCacheStage)
 
 	switch {
 	case in.isStore():
 		addr := in.dyn.EffAddr()
 		s.tssbf.StoreCommit(addr, in.ssn, in.st.MemSize)
-		// The store's data-cache write shares the single back-end port.
-		dcCycle := s.now + dcStage
-		if dcCycle < s.nextBackendDC {
-			dcCycle = s.nextBackendDC
-		}
-		s.nextBackendDC = dcCycle + 1
-		s.l1d.Access(addr)
-		s.dtlb.Access(addr)
+		dcCycle := s.backendDCache(addr)
 		s.pendingDCWrites = append(s.pendingDCWrites, pendingWrite{ssn: in.ssn, cycle: dcCycle})
 		exit = dcCycle + tailStages
 
@@ -59,14 +49,7 @@ func (s *Simulator) enterBackend(in *inflight) {
 		if in.reexec {
 			s.res.DCacheBackendReads++
 			s.res.Reexecutions++
-			dcCycle := s.now + dcStage
-			if dcCycle < s.nextBackendDC {
-				dcCycle = s.nextBackendDC
-			}
-			s.nextBackendDC = dcCycle + 1
-			s.l1d.Access(addr)
-			s.dtlb.Access(addr)
-			exit = dcCycle + tailStages
+			exit = s.backendDCache(addr) + tailStages
 		}
 	}
 
@@ -76,6 +59,18 @@ func (s *Simulator) enterBackend(in *inflight) {
 	}
 	in.exitCycle = exit
 	s.backendQ.pushBack(in)
+}
+
+// backendDCache books the back-end's single data-cache port, shared by
+// stores' writes and loads' re-executions, for an access to addr, and
+// returns the cycle the access gets: the instruction's data-cache stage, or
+// the port's next free cycle if that is later.
+func (s *Simulator) backendDCache(addr uint64) uint64 {
+	cycle := max(s.now+uint64(s.cfg.BackendDCacheStage), s.nextBackendDC)
+	s.nextBackendDC = cycle + 1
+	s.l1d.Access(addr)
+	s.dtlb.Access(addr)
+	return cycle
 }
 
 // retire removes instructions from the back-end pipeline in order as they
@@ -94,11 +89,10 @@ func (s *Simulator) retire() {
 		}
 		s.window.popFront()
 		s.renamedCount--
-		s.robUsed--
 		s.releaseResources(in)
 		s.histAfterRetired = in.histAfter
-		s.committed++
 		s.res.Committed++
+		s.lastCommit = s.now
 
 		flush := false
 		switch {

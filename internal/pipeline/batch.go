@@ -68,7 +68,7 @@ func NewBatchWithMeta(t *emu.Trace, meta *TraceMeta, cfgs []Config) (*Batch, err
 
 // Run advances all members round-robin in instruction quanta until every
 // member completes, and returns each member's statistics and error in
-// configuration order. A member that fails (cycle limit) reports its partial
+// configuration order. A member that fails (the deadlock watchdog) reports its partial
 // statistics alongside its error, exactly like Simulator.Run; other members
 // are unaffected.
 func (b *Batch) Run() ([]stats.Run, []error) {
@@ -82,7 +82,7 @@ func (b *Batch) Run() ([]stats.Run, []error) {
 			if done[i] {
 				continue
 			}
-			finished, err := s.runQuantum(s.committed + batchQuantum)
+			finished, err := s.runQuantum(s.res.Committed + batchQuantum)
 			if !finished {
 				continue
 			}

@@ -47,18 +47,6 @@ const (
 	LSQNone
 )
 
-// String implements fmt.Stringer.
-func (p LSQPolicy) String() string {
-	switch p {
-	case LSQAssociative:
-		return "associative-sq"
-	case LSQNone:
-		return "nosq"
-	default:
-		return fmt.Sprintf("lsq?%d", int(p))
-	}
-}
-
 // SchedPolicy selects the baseline's load scheduling policy.
 type SchedPolicy int
 
@@ -72,20 +60,6 @@ const (
 	SchedPerfect
 )
 
-// String implements fmt.Stringer.
-func (p SchedPolicy) String() string {
-	switch p {
-	case SchedNaive:
-		return "naive"
-	case SchedStoreSets:
-		return "storesets"
-	case SchedPerfect:
-		return "perfect"
-	default:
-		return fmt.Sprintf("sched?%d", int(p))
-	}
-}
-
 // BypassPolicy selects the speculative-memory-bypassing mode.
 type BypassPolicy int
 
@@ -98,20 +72,6 @@ const (
 	// predictor with idealised partial-word support ("Perfect SMB").
 	BypassPerfect
 )
-
-// String implements fmt.Stringer.
-func (p BypassPolicy) String() string {
-	switch p {
-	case BypassNone:
-		return "none"
-	case BypassPredictor:
-		return "predictor"
-	case BypassPerfect:
-		return "perfect"
-	default:
-		return fmt.Sprintf("bypass?%d", int(p))
-	}
-}
 
 // Config describes one simulated machine.
 type Config struct {
@@ -193,8 +153,6 @@ type Config struct {
 	// MaxInsts bounds the number of committed instructions (0 = run the
 	// workload to completion).
 	MaxInsts uint64
-	// MaxCycles bounds simulation length as a safety net.
-	MaxCycles uint64
 }
 
 // DefaultConfig returns the paper's baseline machine (Section 4.1) with an
@@ -246,8 +204,6 @@ func DefaultConfig() Config {
 		ITLBEntries: 128,
 		DTLBEntries: 128,
 		TLBAssoc:    4,
-
-		MaxCycles: 2_000_000_000,
 	}
 }
 

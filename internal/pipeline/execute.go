@@ -5,47 +5,6 @@ import (
 	"slices"
 )
 
-// ready reports whether an instruction's register inputs and memory-
-// scheduling gates allow it to issue this cycle.
-func (s *Simulator) ready(in *inflight) bool {
-	switch {
-	case in.isLoad():
-		// Loads need only their base address register.
-		if !s.producerDone(in.srcSeqs[0]) {
-			return false
-		}
-		// Scheduling gate: wait for a specific older store to execute
-		// (StoreSets / perfect scheduling). The store has executed once it
-		// completes or leaves the window — exactly producerDone's answer.
-		if in.waitExecSeq != 0 && !s.producerDone(in.waitExecSeq) {
-			return false
-		}
-		// Delay gate / partial-word stall: wait for a store to reach the
-		// data cache.
-		if in.waitCommitSSN != 0 && in.waitCommitSSN > s.ssnInDCache {
-			return false
-		}
-		// Conventional designs detect partial (multi-source) overlaps during
-		// the store-queue search and hold the load until the stores drain;
-		// this requires the youngest overlapping store to have executed.
-		if s.cfg.LSQ == LSQAssociative {
-			dep := in.dyn.Dep()
-			if dep.Exists && dep.MultiSource && dep.SSN > s.ssnInDCache {
-				depIn := s.find(dep.Seq)
-				if depIn == nil || depIn.storeExecuted {
-					return false
-				}
-			}
-		}
-		return true
-	case in.isStore():
-		// Baseline stores need base address and data.
-		return s.producerDone(in.srcSeqs[0]) && s.producerDone(in.srcSeqs[1])
-	default:
-		return s.producerDone(in.srcSeqs[0]) && s.producerDone(in.srcSeqs[1])
-	}
-}
-
 // doIssue starts executing an instruction and schedules its completion.
 // The instruction's issue-queue entry is freed here: selection removes the
 // instruction from the scheduler.
@@ -55,18 +14,18 @@ func (s *Simulator) doIssue(in *inflight) {
 		s.iqUsed--
 		in.holdsIQ = false
 	}
+	var lat int
 	switch {
 	case in.isLoad():
-		lat := s.loadLatency(in.dyn.EffAddr())
-		in.completeCycle = s.now + uint64(lat)
+		lat = s.loadLatency(in.dyn.EffAddr())
 		s.resolveLoadValue(in)
 	case in.isStore():
 		// Baseline store execution: address generation and store-queue write.
-		in.completeCycle = s.now + 1
+		lat = 1
 	default:
-		in.completeCycle = s.now + uint64(in.st.ExecLatency())
+		lat = in.st.ExecLatency()
 	}
-	s.scheduleCompletion(in)
+	s.scheduleCompletion(in, s.now+uint64(lat))
 }
 
 // resolveLoadValue determines, from the oracle dependence information,
@@ -83,19 +42,11 @@ func (s *Simulator) resolveLoadValue(in *inflight) {
 	// The communicating store is still in flight (or at least not yet in the
 	// data cache) at the time of the cache read.
 	if s.cfg.LSQ == LSQAssociative {
-		depIn := s.find(dep.Seq)
-		if depIn != nil && depIn.storeExecuted && !dep.MultiSource {
-			// Conventional forwarding from the store queue.
-			in.forwarded = true
-			in.ssnNVul = dep.SSN
-			s.res.SQForwards++
-			return
-		}
-		if depIn == nil {
-			// The store has retired but its write is still draining through
-			// the back-end data-cache stage; the store queue (which drains at
-			// commit) still provides the value.
-			in.forwarded = true
+		// Conventional forwarding from the store queue: from an executed
+		// store, or from one that has retired while its write still drains
+		// through the back-end data-cache stage (the store queue drains at
+		// commit, so it still holds the value).
+		if depIn := s.find(dep.Seq); depIn == nil || depIn.storeExecuted && !dep.MultiSource {
 			in.ssnNVul = dep.SSN
 			s.res.SQForwards++
 			return
@@ -137,7 +88,6 @@ func (s *Simulator) complete() {
 			if in.gen != ev.gen || !in.issued || in.completed {
 				continue // the occupant was squashed; the event is stale
 			}
-			in.completed = true
 			s.markCompleted(in)
 			st := in.st
 			switch {
@@ -169,9 +119,7 @@ func (s *Simulator) complete() {
 	kept := s.pendingStores[:0]
 	for _, in := range s.pendingStores {
 		if s.producerDone(in.srcSeqs[0]) && s.producerDone(in.srcSeqs[1]) {
-			in.completed = true
 			s.markCompleted(in)
-			in.completeCycle = s.now
 			in.storeExecuted = true
 			s.ss.StoreCompleted(in.st.PC, in.ssn)
 			s.wakeConsumers(in)

@@ -13,15 +13,12 @@ func (s *Simulator) fetch() {
 	if s.streamEnded || s.now < s.fetchResumeCycle || s.fetchBlockedOn != 0 {
 		return
 	}
-	// The window may hold at most ROBSize renamed instructions plus a small
-	// fetch buffer; bound total in-flight (fetched but unretired) records so
-	// buffering cannot grow without limit.
-	maxInFlight := s.cfg.ROBSize + 4*s.cfg.FetchWidth
-
 	branches := 0
 	takenCrossed := 0
 	for fetched := 0; fetched < s.cfg.FetchWidth; fetched++ {
-		if s.window.len() >= maxInFlight {
+		// Every record not in the window is in the pool, so an empty pool is
+		// the in-flight bound (see newSimulator).
+		if len(s.pool) == 0 {
 			return
 		}
 		d, err := s.cursor.Get(s.fetchSeq)
@@ -44,7 +41,6 @@ func (s *Simulator) fetch() {
 		in.dyn = d
 		in.st = st
 		in.seq = s.fetchSeq
-		in.fetchCycle = s.now
 		in.renameReady = s.now + uint64(s.cfg.FrontEndDepth)
 		// The port class was pre-decoded once for the whole trace.
 		in.port = portClass(s.meta.class[in.seq-1])

@@ -22,9 +22,8 @@ const (
 // one renameable physical register), fetch/rename and issue/commit widths
 // of 1 to 8, an issue queue of 1 to 16, load and store queues of 1 to 16, a
 // T-SSBF of 1 to 128 sets of 1 to 8 ways, and a back-end of 2 to 8 stages
-// with its data-cache stage anywhere inside it. maxInsts bounds the cycle
-// count, so a deadlock fails the input instead of hanging it.
-func fuzzConfig(kind, window, width, iq, lsq, tssbf, depth byte, maxInsts uint64) Config {
+// with its data-cache stage anywhere inside it.
+func fuzzConfig(kind, window, width, iq, lsq, tssbf, depth byte) Config {
 	kinds := allConfigs()
 	cfg := kinds[int(kind)%len(kinds)].WithWindow(8 << (window % 6))
 	cfg.PhysRegs = max(cfg.PhysRegs, isa.NumArchRegs+1)
@@ -39,7 +38,6 @@ func fuzzConfig(kind, window, width, iq, lsq, tssbf, depth byte, maxInsts uint64
 	cfg.TSSBFEntries, cfg.TSSBFAssoc = sets*ways, ways
 	cfg.BackendDepth = 2 + int(depth%7)
 	cfg.BackendDCacheStage = 1 + int(depth/8)%(cfg.BackendDepth-1)
-	cfg.MaxCycles = 1000*maxInsts + 10_000
 	return cfg
 }
 
@@ -47,8 +45,8 @@ func fuzzConfig(kind, window, width, iq, lsq, tssbf, depth byte, maxInsts uint64
 // Each accepted spec is generated at fuzzIterations and recorded (at most
 // fuzzMaxInsts instructions), then stepped under the scan oracle
 // (checkOracle): the scheduler must issue what the scan picks every cycle,
-// no load may escape the SVW filter, the run must finish within its cycle
-// bound, and the stepped statistics must equal a plain Run's. A plain Run
+// no load may escape the SVW filter, the deadlock watchdog must not fire,
+// and the stepped statistics must equal a plain Run's. A plain Run
 // must then commit the whole trace. The seeds are the committed scenario
 // corpus (bench/corpus) and the stress suite, as for FuzzParseScenario,
 // with knobs that cycle through the five kinds.
@@ -76,7 +74,7 @@ func FuzzSimulate(f *testing.F) {
 		if err != nil {
 			t.Fatalf("recording %s: %v", sc.Name, err)
 		}
-		cfg := fuzzConfig(kind, window, width, iq, lsq, tssbf, depth, tr.Len())
+		cfg := fuzzConfig(kind, window, width, iq, lsq, tssbf, depth)
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("knobs mapped outside Config.Validate's range: %v", err)
 		}

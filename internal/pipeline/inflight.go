@@ -64,17 +64,11 @@ type inflight struct {
 	port portClass
 
 	// Front-end timing.
-	fetchCycle  uint64
 	renameReady uint64 // cycle at which the instruction may rename
-	renamed     bool
-	renameCycle uint64
 
 	// Out-of-order core state.
 	issued    bool
 	completed bool
-	// completeCycle is valid once issued (or immediately for instructions
-	// completed at rename).
-	completeCycle uint64
 
 	// Resources held (released at retire or squash).
 	holdsPhysReg bool
@@ -93,7 +87,6 @@ type inflight struct {
 	// Load state.
 	bypassed      bool
 	delayed       bool
-	forwarded     bool
 	waitExecSeq   uint64 // issue gate: wait for this dynamic store to execute
 	waitCommitSSN uint64 // issue gate: wait for this SSN to reach the D$
 	ssnNVul       uint64
@@ -112,7 +105,6 @@ type inflight struct {
 	brMispredicted bool
 
 	// Back-end state.
-	inBackend  bool
 	exitCycle  uint64
 	histAtDec  uint64 // path history used for the bypassing prediction
 	histAfter  uint64 // path history after this instruction (for squash repair)
@@ -126,13 +118,13 @@ type inflight struct {
 	// Event-driven scheduler state (see sched.go). wake lists the issue-queue
 	// occupants to re-evaluate when this instruction completes;
 	// inReadyQ/inMSGate guard against duplicate membership in the scheduler's
-	// ready queue and multi-source poll list; msFlip marks loads whose
-	// readiness can be revoked (the associative multi-source hold) and so must
-	// be re-verified at selection.
+	// ready queue and multi-source poll list. A load is on the poll from
+	// dispatch until it issues, exactly while its readiness can be revoked
+	// (the associative multi-source hold), so inMSGate also marks the
+	// candidates that must be re-verified at selection.
 	wake     []schedRef
 	inReadyQ bool
 	inMSGate bool
-	msFlip   bool
 }
 
 // isLoad/isStore test the cached port class: classify maps OpLoad and

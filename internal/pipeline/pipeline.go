@@ -78,7 +78,6 @@ type Simulator struct {
 	// a dense array, indexed by register number, keeps it off the heap.
 	ssnRenamed   uint64
 	ratProducer  [isa.NumArchRegs]uint64
-	robUsed      int
 	physRegsUsed int
 	iqUsed       int
 	lqUsed       int
@@ -99,9 +98,11 @@ type Simulator struct {
 	msGate     []schedRef
 	ssnWaiters []ssnWaiter
 
-	res       stats.Run
-	committed uint64
-	halted    bool
+	res stats.Run
+	// lastCommit is the cycle of the latest commit; the watchdog fails a run
+	// once stallLimit cycles pass without one (see checkProgress).
+	lastCommit uint64
+	stallLimit uint64
 	// escapes counts SVW escapes: retired loads whose value was wrong but
 	// that did not re-execute. The T-SSBF is built so that there are none;
 	// tests assert it. Kept out of stats.Run, whose JSON is in every
@@ -164,6 +165,9 @@ func newSimulator(t *emu.Trace, meta *TraceMeta, cfg Config) (*Simulator, error)
 		dtlb:     cache.NewTLB("dtlb", cfg.DTLBEntries, cfg.TLBAssoc),
 		fetchSeq: 1,
 	}
+	// The window holds at most ROBSize renamed instructions plus a fetch
+	// buffer. The bound is the pool's size: fetch stops when the pool is
+	// empty, so buffering cannot grow without limit.
 	maxInFlight := cfg.ROBSize + 4*cfg.FetchWidth
 	s.window = newRing(maxInFlight)
 	s.backendQ = newRing(maxInFlight)
@@ -188,7 +192,7 @@ func newSimulator(t *emu.Trace, meta *TraceMeta, cfg Config) (*Simulator, error)
 	// The completion ring must cover the longest possible issue-to-complete
 	// distance: a load missing everywhere plus a page-table walk (with slack
 	// for the multi-cycle ALU latencies).
-	maxLat := cfg.DCacheLatency + cfg.L2Latency + cfg.MemLatency + pageWalkLatency + 8
+	maxLat := loadMissLatency(cfg) + 8
 	comp := 1
 	for comp < maxLat+1 {
 		comp <<= 1
@@ -204,6 +208,7 @@ func newSimulator(t *emu.Trace, meta *TraceMeta, cfg Config) (*Simulator, error)
 	}
 	s.compMask = uint64(comp - 1)
 	s.pendingStores = make([]*inflight, 0, cfg.SQSize)
+	s.stallLimit = stallLimit(cfg, maxInFlight)
 	s.res.Benchmark = t.Name()
 	s.res.Config = cfg.Name
 	return s, nil
@@ -219,9 +224,8 @@ type compEvent struct {
 }
 
 // scheduleCompletion registers an issued instruction's completion event for
-// its completeCycle.
-func (s *Simulator) scheduleCompletion(in *inflight) {
-	cycle := in.completeCycle
+// the given cycle.
+func (s *Simulator) scheduleCompletion(in *inflight, cycle uint64) {
 	if cycle <= s.now {
 		// Defensive: a zero-latency completion is observed at the next
 		// complete pass, exactly as the window scan would have observed it.
@@ -235,8 +239,8 @@ func (s *Simulator) scheduleCompletion(in *inflight) {
 }
 
 // newInflight takes a record from the pool. The pool is never empty here:
-// fetch stops while the window holds maxInFlight records, and every record
-// not in the window is in the pool. The record is zeroed except for its
+// every record not in the window is in the pool, and fetch stops when it is
+// empty. The record is zeroed except for its
 // generation counter, which monotonically tracks reuse — callers must not
 // reset it.
 func (s *Simulator) newInflight() *inflight {
@@ -269,9 +273,34 @@ func MustNew(p *program.Program, cfg Config) *Simulator {
 	return s
 }
 
-// ErrCycleLimit is returned by Run when MaxCycles elapses before the workload
-// completes (usually indicating a deadlocked model — a bug).
+// ErrCycleLimit is returned by Run when no instruction commits for longer
+// than any correct model can take to commit one: the model has deadlocked,
+// which is a bug (see stallLimit).
 var ErrCycleLimit = errors.New("pipeline: cycle limit exceeded")
+
+// stallLimit is the watchdog's bound on the cycles that may pass without a
+// commit. The oldest in-flight instruction waits on nothing younger than
+// itself: once the one before it retires, it is at worst fetched after a
+// flush bubble and an instruction-cache miss, renamed, issued, executed as a
+// load missing everywhere after a page walk, and sent down the back-end.
+// The bound allows that path once per in-flight record, which leaves a wide
+// margin for a correct model and still stops a lost wakeup within
+// milliseconds.
+func stallLimit(cfg Config, maxInFlight int) uint64 {
+	path := flushRecoveryBubble + cfg.L2Latency + cfg.MemLatency + cfg.FrontEndDepth +
+		loadMissLatency(cfg) + cfg.BackendDepth
+	return uint64(maxInFlight * path)
+}
+
+// checkProgress is the deadlock watchdog: it returns ErrCycleLimit once
+// stallLimit cycles have passed since the latest commit.
+func (s *Simulator) checkProgress() error {
+	if s.now-s.lastCommit <= s.stallLimit {
+		return nil
+	}
+	return fmt.Errorf("%w: no commit for %d cycles, at cycle %d (%d committed)",
+		ErrCycleLimit, s.now-s.lastCommit, s.now, s.res.Committed)
+}
 
 // Run simulates until the program completes (or MaxInsts instructions commit)
 // and returns the accumulated statistics.
@@ -282,13 +311,13 @@ func (s *Simulator) Run() (stats.Run, error) {
 
 // runQuantum advances the simulation until the committed-instruction count
 // reaches target (math.MaxUint64 = no bound), reporting whether it finished:
-// completed, or failed on the cycle limit.
+// completed, or failed on the watchdog.
 func (s *Simulator) runQuantum(target uint64) (finished bool, err error) {
 	for !s.done() {
-		if s.cfg.MaxCycles > 0 && s.now >= s.cfg.MaxCycles {
-			return true, fmt.Errorf("%w after %d cycles (%d committed)", ErrCycleLimit, s.now, s.committed)
+		if err := s.checkProgress(); err != nil {
+			return true, err
 		}
-		if s.committed >= target {
+		if s.res.Committed >= target {
 			return false, nil
 		}
 		s.step()
@@ -365,9 +394,14 @@ func (s *Simulator) producerDone(seq uint64) bool {
 func (s *Simulator) renameableRegs() int { return s.cfg.PhysRegs - isa.NumArchRegs }
 
 // pageWalkLatency is the cost in cycles of a page-table walk on a DTLB
-// miss. The completion-ring sizing in newSimulator accounts for it; keep
-// the two in sync through this constant.
+// miss.
 const pageWalkLatency = 30
+
+// loadMissLatency is the longest load-to-use latency loadLatency returns: a
+// load missing everywhere after a page-table walk.
+func loadMissLatency(cfg Config) int {
+	return cfg.DCacheLatency + cfg.L2Latency + cfg.MemLatency + pageWalkLatency
+}
 
 // wakeSlab is each in-flight record's first wake-list capacity, taken from
 // newSimulator's shared slab. A solo g721.e nosq-delay run allocates 565
@@ -421,23 +455,21 @@ func (s *Simulator) squash(afterSeq uint64, resumeCycle uint64) {
 	for s.window.len() > 0 && s.window.back().seq > afterSeq {
 		v := s.window.popBack()
 		s.releaseResources(v)
-		if v.renamed {
-			s.robUsed--
-		}
 		if v.isStore() && v.ssn != 0 {
 			s.srq.Release(v.ssn)
 		}
 		s.recycle(v)
 	}
-	if s.renamedCount > s.window.len() {
-		s.renamedCount = s.window.len()
-	}
-	// Rename-time SSN counter rewinds to the youngest surviving store.
+	s.renamedCount = min(s.renamedCount, s.window.len())
+	// Rebuild the producer map from the renamed survivors, and rewind the
+	// rename-time SSN counter to the youngest of their stores.
+	clear(s.ratProducer[:])
 	s.ssnRenamed = s.ssnCommitted
-	for i := 0; i < s.window.len(); i++ {
+	for i := 0; i < s.renamedCount; i++ {
 		in := s.window.at(i)
-		if in.isStore() && in.renamed && in.ssn > s.ssnRenamed {
-			s.ssnRenamed = in.ssn
+		s.mapDst(in)
+		if in.isStore() {
+			s.ssnRenamed = max(s.ssnRenamed, in.ssn)
 		}
 	}
 	kept := s.pendingDCWrites[:0]
@@ -447,23 +479,6 @@ func (s *Simulator) squash(afterSeq uint64, resumeCycle uint64) {
 		}
 	}
 	s.pendingDCWrites = kept
-	// Rebuild the producer map from the survivors.
-	clear(s.ratProducer[:])
-	for i := 0; i < s.window.len(); i++ {
-		in := s.window.at(i)
-		if !in.renamed {
-			continue
-		}
-		st := in.st
-		if st.HasDst() {
-			if in.bypassed {
-				// The load's consumers track the DEF, not the load.
-				s.ratProducer[st.Dst] = in.srcSeqs[1]
-			} else {
-				s.ratProducer[st.Dst] = in.seq
-			}
-		}
-	}
 	// Restore path history and fetch state.
 	if s.window.len() > 0 {
 		s.pathHist = bypass.HistoryFromValue(s.window.back().histAfter)

@@ -25,7 +25,7 @@ func (s *Simulator) rename() {
 			}
 			return
 		}
-		if s.robUsed >= s.cfg.ROBSize {
+		if s.renamedCount >= s.cfg.ROBSize {
 			if n == 0 {
 				s.res.StallROB++
 			}
@@ -141,13 +141,10 @@ func (s *Simulator) renameOne(in *inflight) bool {
 	}
 
 	// Commit the rename.
-	in.renamed = true
-	in.renameCycle = s.now
 	s.renamedCount++
 	in.srcSeqs[0] = src1
 	in.srcSeqs[1] = src2
 	in.renSSNCommitted = s.ssnCommitted
-	s.robUsed++
 
 	if needPhys {
 		s.physRegsUsed++
@@ -182,8 +179,6 @@ func (s *Simulator) renameOne(in *inflight) bool {
 			})
 			// NoSQ stores do not execute in the out-of-order core: they are
 			// marked complete at rename and simply wait to commit.
-			in.completed = true
-			in.completeCycle = s.now
 			s.markCompleted(in)
 		}
 
@@ -199,30 +194,34 @@ func (s *Simulator) renameOne(in *inflight) bool {
 			in.srcSeqs[1] = defSeq // record the DEF for squash repair
 			// The bypassed load never executes; its consumers obtain the
 			// value from the DEF via map-table short-circuiting.
-			in.completed = true
-			in.completeCycle = s.now
 			s.markCompleted(in)
 		}
 	}
+	s.mapDst(in)
 
-	// Map-table update for the destination register. For a bypassed load the
-	// consumers track the DEF (srcSeqs[1]); a zero DEF means the value is
-	// architecturally ready, which is exactly what a zero map entry encodes.
-	if st.HasDst() {
-		if in.bypassed {
-			s.ratProducer[st.Dst] = in.srcSeqs[1]
-		} else {
-			s.ratProducer[st.Dst] = in.seq
-		}
-	}
-
-	// Hand the new issue-queue occupant to the event-driven scheduler (ready
-	// instructions enter the ready queue, blocked ones register wakeups on
-	// their blocking conditions).
-	if in.holdsIQ {
-		s.schedDispatch(in)
+	// Hand the new issue-queue occupant to the event-driven scheduler: ready
+	// instructions become candidates, blocked ones register wakeups on their
+	// closed gates.
+	if in.holdsIQ && s.gate(in, true) {
+		s.pushReady(in)
 	}
 	return true
+}
+
+// mapDst points the map table's entry for a renamed instruction's
+// destination register at its producer: the instruction itself or, for a
+// bypassed load, the DEF its consumers track (srcSeqs[1]; a zero DEF means
+// the value is architecturally ready, which is exactly what a zero map entry
+// encodes).
+func (s *Simulator) mapDst(in *inflight) {
+	if !in.st.HasDst() {
+		return
+	}
+	if in.bypassed {
+		s.ratProducer[in.st.Dst] = in.srcSeqs[1]
+	} else {
+		s.ratProducer[in.st.Dst] = in.seq
+	}
 }
 
 // classifyNoSQLoad applies the NoSQ rename-time load policy: consult the

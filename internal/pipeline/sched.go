@@ -50,107 +50,94 @@ type ssnWaiter struct {
 	ref schedRef
 }
 
-// schedDispatch evaluates a freshly dispatched issue-queue occupant: ready
-// instructions enter the ready queue immediately, blocked ones register
-// wakeups on their blocking conditions. The evaluation fuses ready()'s
-// clauses with the registration pass — each blocking clause is tested once,
-// and registered at the moment it is found to block.
-func (s *Simulator) schedDispatch(in *inflight) {
-	ref := schedRef{in: in, seq: in.seq, gen: in.gen}
-	blocked := false
-	reg := func(seq uint64) {
-		if !s.producerDone(seq) {
-			blocked = true
-			if p := s.find(seq); p != nil {
-				p.wake = append(p.wake, ref)
-			}
-		}
+// ref pins the record's current occupancy.
+func (in *inflight) ref() schedRef { return schedRef{in: in, seq: in.seq, gen: in.gen} }
+
+// gate reports whether every issue gate of an issue-queue occupant is open.
+// Every occupant needs its register sources produced; a load needs only its
+// base address register, plus three memory gates: the store its StoreSets or
+// oracle hold names must have executed, the store its delay or partial-word
+// hold names must have reached the data cache, and the associative store
+// queue's multi-source hold must have cleared.
+//
+// Without wait, gate stops at the first closed gate. With wait, it registers
+// a wakeup on every closed gate — the producer's wake list or the SSN heap —
+// and puts a multi-source load on the msGate poll whether or not its hold is
+// closed now, because that hold is the one gate that can close again after
+// it opens. Every gate tested here therefore has its wakeup registered here,
+// which is what keeps a blocked occupant from sleeping forever.
+func (s *Simulator) gate(in *inflight, wait bool) bool {
+	open := s.produced(in, in.srcSeqs[0], wait)
+	if !open && !wait {
+		return false
 	}
-	if in.port == portLoad {
-		reg(in.srcSeqs[0])
-		if in.waitExecSeq != 0 {
-			reg(in.waitExecSeq)
+	if !in.isLoad() {
+		return s.produced(in, in.srcSeqs[1], wait) && open
+	}
+	// StoreSets or oracle hold: the store has executed once it completes or
+	// leaves the window, exactly produced's answer.
+	if !s.produced(in, in.waitExecSeq, wait) {
+		if !wait {
+			return false
 		}
-		if in.waitCommitSSN != 0 && in.waitCommitSSN > s.ssnInDCache {
-			blocked = true
-			s.ssnWaitPush(in.waitCommitSSN, ref)
+		open = false
+	}
+	// Delay hold or partial-word stall.
+	if in.waitCommitSSN > s.ssnInDCache {
+		if !wait {
+			return false
 		}
-		if s.cfg.LSQ == LSQAssociative {
-			if dep := in.dyn.Dep(); dep.Exists && dep.MultiSource {
-				// The multi-source hold is non-monotone: it can close after
-				// dispatch, so the load is re-verified at selection (msFlip)
-				// and re-polled every cycle while it holds its IQ entry.
-				in.msFlip = true
+		open = false
+		s.ssnWaitPush(in.waitCommitSSN, in.ref())
+	}
+	// The associative store queue finds a partial (multi-source) overlap in
+	// its search and holds the load until the stores drain; the hold is
+	// closed once the youngest overlapping store has executed.
+	if s.cfg.LSQ == LSQAssociative {
+		if dep := in.dyn.Dep(); dep.Exists && dep.MultiSource {
+			if wait && !in.inMSGate {
 				in.inMSGate = true
-				s.msGate = append(s.msGate, ref)
-				if dep.SSN > s.ssnInDCache {
-					depIn := s.find(dep.Seq)
-					if depIn == nil || depIn.storeExecuted {
-						blocked = true
-					}
+				s.msGate = append(s.msGate, in.ref())
+			}
+			if dep.SSN > s.ssnInDCache {
+				if depIn := s.find(dep.Seq); depIn == nil || depIn.storeExecuted {
+					return false
 				}
 			}
 		}
-	} else {
-		reg(in.srcSeqs[0])
-		reg(in.srcSeqs[1])
 	}
-	if !blocked {
+	return open
+}
+
+// produced reports whether the instruction seq (0 = none) has completed or
+// left the window; with wait, an unproduced seq gets in on its wake list.
+func (s *Simulator) produced(in *inflight, seq uint64, wait bool) bool {
+	if s.producerDone(seq) {
+		return true
+	}
+	if wait {
+		if p := s.find(seq); p != nil {
+			p.wake = append(p.wake, in.ref())
+		}
+	}
+	return false
+}
+
+// wake re-evaluates a registered issue-queue occupant's gates and makes it a
+// candidate once they are all open. A stale or already-issued reference is
+// dropped; an occupant still blocked stays registered on its other gates.
+func (s *Simulator) wake(ref schedRef) {
+	in := ref.in
+	if ref.valid() && !in.issued && in.holdsIQ && !in.inReadyQ && s.gate(in, false) {
 		s.pushReady(in)
 	}
 }
 
-// schedRegisterWaits registers in on every condition that currently blocks
-// it. Each condition mirrors one clause of ready(): any clause that can hold
-// an instruction must have a wakeup here, or the instruction would sleep
-// forever. The associative multi-source hold is the one non-monotone clause
-// (a load can turn un-ready when its conflicting store executes), so those
-// loads go to the per-cycle msGate poll instead of a one-shot wakeup.
-func (s *Simulator) schedRegisterWaits(in *inflight) {
-	ref := schedRef{in: in, seq: in.seq, gen: in.gen}
-	reg := func(seq uint64) {
-		if seq == 0 {
-			return
-		}
-		if p := s.find(seq); p != nil && !p.completed {
-			p.wake = append(p.wake, ref)
-		}
-	}
-	if in.isLoad() {
-		reg(in.srcSeqs[0])
-		if in.waitExecSeq != 0 {
-			reg(in.waitExecSeq)
-		}
-		if in.waitCommitSSN != 0 && in.waitCommitSSN > s.ssnInDCache {
-			s.ssnWaitPush(in.waitCommitSSN, ref)
-		}
-		if s.cfg.LSQ == LSQAssociative {
-			if dep := in.dyn.Dep(); dep.Exists && dep.MultiSource && !in.inMSGate {
-				in.inMSGate = true
-				s.msGate = append(s.msGate, ref)
-			}
-		}
-		return
-	}
-	reg(in.srcSeqs[0])
-	reg(in.srcSeqs[1])
-}
-
-// wakeConsumers re-evaluates every instruction registered on p after p
-// completes. An instruction still blocked by another condition stays
-// registered there; the list is one-shot and cleared.
+// wakeConsumers wakes every occupant registered on p after p completes; the
+// list is one-shot and cleared.
 func (s *Simulator) wakeConsumers(p *inflight) {
-	if len(p.wake) == 0 {
-		return
-	}
 	for _, ref := range p.wake {
-		in := ref.in
-		if !ref.valid() || in.issued || !in.holdsIQ || in.inReadyQ {
-			continue
-		}
-		if s.ready(in) {
-			s.pushReady(in)
-		}
+		s.wake(ref)
 	}
 	p.wake = p.wake[:0]
 }
@@ -161,20 +148,14 @@ func (s *Simulator) wakeConsumers(p *inflight) {
 // this cycle is a candidate for this cycle's selection.
 func (s *Simulator) drainSSNWaiters() {
 	for len(s.ssnWaiters) > 0 && s.ssnWaiters[0].ssn <= s.ssnInDCache {
-		ref := s.ssnWaitPop()
-		in := ref.in
-		if !ref.valid() || in.issued || !in.holdsIQ || in.inReadyQ {
-			continue
-		}
-		if s.ready(in) {
-			s.pushReady(in)
-		}
+		s.wake(s.ssnWaitPop())
 	}
 }
 
-// markCompleted mirrors in.completed into the completed bitmap, which gives
-// producerDone a one-load answer.
+// markCompleted marks an instruction completed, in the record and in the
+// completed bitmap, which gives producerDone a one-load answer.
 func (s *Simulator) markCompleted(in *inflight) {
+	in.completed = true
 	idx := in.seq & s.seqMask
 	s.complBits[idx>>6] |= 1 << (idx & 63)
 }
@@ -222,7 +203,7 @@ func (s *Simulator) issueFast() {
 	// candidates this cycle.
 	s.drainSSNWaiters()
 
-	// Multi-source-gated loads re-poll every cycle (see schedRegisterWaits).
+	// Multi-source-gated loads re-poll every cycle (see gate).
 	for i := 0; i < len(s.msGate); {
 		ref := s.msGate[i]
 		in := ref.in
@@ -234,9 +215,7 @@ func (s *Simulator) issueFast() {
 			s.msGate = s.msGate[:len(s.msGate)-1]
 			continue
 		}
-		if !in.inReadyQ && s.ready(in) {
-			s.pushReady(in)
-		}
+		s.wake(ref)
 		i++
 	}
 
@@ -295,12 +274,11 @@ func (s *Simulator) issueReadyWord(word uint64, w int, start uint64, ports *[por
 			continue // port-limited: the bit stays set for next cycle
 		}
 		// Readiness is monotone for everything except multi-source-gated
-		// loads, so only those re-verify at selection. A gate that closed
-		// between wakeup and selection drops the candidate and re-registers
-		// its waits.
-		if in.msFlip && !s.ready(in) {
+		// loads (the msGate poll's members), so only those re-verify at
+		// selection. A gate that closed between wakeup and selection drops
+		// the candidate and re-registers its waits.
+		if in.inMSGate && !s.gate(in, true) {
 			s.clearReady(in)
-			s.schedRegisterWaits(in)
 			continue
 		}
 		s.clearReady(in)

@@ -126,7 +126,8 @@ func oracleStep(s *Simulator) string {
 }
 
 // checkOracle runs one (trace, configuration) pair under the oracle and
-// checks the run had no SVW escape.
+// checks the run had no SVW escape. The stepping loop keeps Run's deadlock
+// watchdog.
 func checkOracle(t *testing.T, tr *emu.Trace, cfg Config) {
 	t.Helper()
 	s, err := NewFromTrace(tr, cfg)
@@ -134,8 +135,8 @@ func checkOracle(t *testing.T, tr *emu.Trace, cfg Config) {
 		t.Fatal(err)
 	}
 	for !s.done() {
-		if s.cfg.MaxCycles > 0 && s.now >= s.cfg.MaxCycles {
-			t.Fatalf("%s/%s: cycle limit", tr.Name(), cfg.Name)
+		if err := s.checkProgress(); err != nil {
+			t.Fatalf("%s/%s (window %d): %v", tr.Name(), cfg.Name, cfg.ROBSize, err)
 		}
 		if diff := oracleStep(s); diff != "" {
 			t.Fatalf("%s/%s (window %d): %s", tr.Name(), cfg.Name, cfg.ROBSize, diff)
