@@ -40,6 +40,7 @@ func main() {
 	var hist bypass.PathHistory
 
 	var loads, communicating, correct, mispredicted, filtered uint64
+	var hits, pathHits, storeUpdates uint64
 
 	for seq := uint64(1); seq <= trace.Len(); seq++ {
 		d, _ := cursor.Get(seq)
@@ -51,10 +52,17 @@ func main() {
 		case st.IsCall():
 			hist = hist.PushCall(st.PC)
 		case st.IsStore():
+			storeUpdates++
 			filter.StoreCommit(d.EffAddr(), d.StoreSSN(), st.MemSize)
 		case st.IsLoad():
 			loads++
 			pred := predictor.Predict(st.PC, hist.Value())
+			if pred.Hit {
+				hits++
+			}
+			if pred.FromPathTable {
+				pathHits++
+			}
 			dist, hasDep := d.Distance()
 			if hasDep {
 				communicating++
@@ -104,12 +112,12 @@ func main() {
 	fmt.Printf("predictions correct:        %d (%.2f%%)\n", correct, pct(correct, loads))
 	fmt.Printf("mis-predictions per 10k:    %.1f\n", 10000*float64(mispredicted)/float64(loads))
 	fmt.Printf("re-executions filtered:     %d (%.1f%% of loads skip the cache at commit)\n", filtered, pct(filtered, loads))
-	s := predictor.Stats()
+	// Every load made one prediction and one filter test, and every
+	// mis-prediction one training.
 	fmt.Printf("predictor: %d lookups, %d hits, %d path-table hits, %d trainings\n",
-		s.Lookups, s.Hits, s.PathHits, s.Trainings)
-	c := filter.Counters()
+		loads, hits, pathHits, mispredicted)
 	fmt.Printf("T-SSBF: %d store updates, %d load tests, re-execution rate %.2f%%\n",
-		c.StoreUpdates, c.LoadTests, 100*c.ReexecRate())
+		storeUpdates, loads, pct(loads-filtered, loads))
 }
 
 func pct(a, b uint64) float64 {

@@ -154,20 +154,6 @@ type Outcome struct {
 	StoreSize uint8
 }
 
-// Stats counts predictor activity.
-type Stats struct {
-	// Lookups is the number of decode-time predictions made.
-	Lookups uint64
-	// Hits is the number of lookups that matched an entry.
-	Hits uint64
-	// PathHits is the number of lookups whose winning entry was path-sensitive.
-	PathHits uint64
-	// Trainings is the number of mis-prediction-driven updates.
-	Trainings uint64
-	// Rewards is the number of correct-prediction confidence increments.
-	Rewards uint64
-}
-
 type entry struct {
 	valid     bool
 	tag       uint64
@@ -259,7 +245,6 @@ type Predictor struct {
 	confMax   uint16
 	confInit  uint16
 	histMask  uint64
-	stats     Stats
 	pathTable bool
 }
 
@@ -291,9 +276,6 @@ func New(cfg Config) *Predictor {
 	return p
 }
 
-// Stats returns a snapshot of the counters.
-func (p *Predictor) Stats() Stats { return p.stats }
-
 func (p *Predictor) plainKey(pc uint64) uint64 { return pc >> 2 }
 
 func (p *Predictor) pathKey(pc, history uint64) uint64 {
@@ -303,7 +285,6 @@ func (p *Predictor) pathKey(pc, history uint64) uint64 {
 // Predict produces the decode-time prediction for the load at pc given the
 // current path history.
 func (p *Predictor) Predict(pc, history uint64) Prediction {
-	p.stats.Lookups++
 	var plainEnt, pathEnt *entry
 	plainEnt = p.plain.lookup(p.plainKey(pc))
 	if p.pathTable {
@@ -317,10 +298,6 @@ func (p *Predictor) Predict(pc, history uint64) Prediction {
 	}
 	if win == nil {
 		return Prediction{}
-	}
-	p.stats.Hits++
-	if fromPath {
-		p.stats.PathHits++
 	}
 	return Prediction{
 		Hit:           true,
@@ -336,7 +313,6 @@ func (p *Predictor) Predict(pc, history uint64) Prediction {
 // Reward records that the load at pc committed without a bypassing
 // mis-prediction; confidence counters of matching entries are incremented.
 func (p *Predictor) Reward(pc, history uint64) {
-	p.stats.Rewards++
 	if e := p.plain.lookup(p.plainKey(pc)); e != nil && e.conf < p.confMax {
 		e.conf++
 	}
@@ -352,7 +328,6 @@ func (p *Predictor) Reward(pc, history uint64) {
 // path-sensitive prediction was available at decode time (the condition under
 // which the confidence counter is decremented rather than incremented).
 func (p *Predictor) Train(pc, history uint64, actual Outcome, pathEntryExisted bool) {
-	p.stats.Trainings++
 	fill := func(e *entry, decay bool) {
 		if actual.Bypassable && actual.Distance <= p.cfg.MaxDistance() {
 			e.noBypass = false

@@ -28,36 +28,16 @@ import "fmt"
 // rename order; 0 means "no store" / "not vulnerable to any in-flight store".
 //
 // The paper uses 20-bit SSNs and drains the pipeline on wrap-around; this
-// implementation uses 64-bit counters, which never wrap in practice, and
-// counts how often a 20-bit implementation would have wrapped (see Counters).
+// implementation uses 64-bit counters, which never wrap in practice.
+//
+// The filters keep no counters: a test's result says whether the load
+// re-executes, and the timing model counts re-executions in stats.Run.
 type SSN = uint64
-
-// Counters tracks SVW filter behaviour for trace-level studies; the timing
-// model counts re-executions in stats.Run itself.
-type Counters struct {
-	// StoreUpdates is the number of committed stores written into the filter.
-	StoreUpdates uint64
-	// LoadTests is the number of load filter tests performed.
-	LoadTests uint64
-	// Reexecutions is the number of loads the filter failed to screen out.
-	Reexecutions uint64
-	// Wrap20 counts events that would have been 20-bit SSN wrap-arounds.
-	Wrap20 uint64
-}
-
-// ReexecRate returns re-executions per load test.
-func (c Counters) ReexecRate() float64 {
-	if c.LoadTests == 0 {
-		return 0
-	}
-	return float64(c.Reexecutions) / float64(c.LoadTests)
-}
 
 // SSBF is the untagged, direct-mapped Store Sequence Bloom Filter.
 type SSBF struct {
 	entries []SSN
 	mask    uint64
-	ctr     Counters
 }
 
 // NewSSBF creates an untagged SSBF with the given number of entries
@@ -78,10 +58,6 @@ func (f *SSBF) index(addr uint64) uint64 {
 
 // StoreCommit records that the store with the given SSN committed to addr.
 func (f *SSBF) StoreCommit(addr uint64, ssn SSN) {
-	f.ctr.StoreUpdates++
-	if ssn != 0 && ssn&0xFFFFF == 0 {
-		f.ctr.Wrap20++
-	}
 	f.entries[f.index(addr)] = ssn
 }
 
@@ -89,16 +65,8 @@ func (f *SSBF) StoreCommit(addr uint64, ssn SSN) {
 // the load must re-execute if a store younger than ssnNVul has committed to
 // its (hashed) address.
 func (f *SSBF) TestLoad(addr uint64, ssnNVul SSN) (reexec bool) {
-	f.ctr.LoadTests++
-	if f.entries[f.index(addr)] > ssnNVul {
-		f.ctr.Reexecutions++
-		return true
-	}
-	return false
+	return f.entries[f.index(addr)] > ssnNVul
 }
-
-// Counters returns a snapshot of the filter's counters.
-func (f *SSBF) Counters() Counters { return f.ctr }
 
 // TSSBFEntry is one entry of the tagged SSBF.
 type TSSBFEntry struct {
@@ -132,7 +100,6 @@ type TSSBF struct {
 	assoc      int
 	mask       uint64
 	maxEvicted SSN
-	ctr        Counters
 }
 
 // NewTSSBF creates a tagged SSBF with the given total entries and
@@ -160,10 +127,6 @@ func (f *TSSBF) set(addr uint64) int {
 // StoreCommit records a committed store: SSN, size, and low-order address
 // bits for the doubleword containing addr.
 func (f *TSSBF) StoreCommit(addr uint64, ssn SSN, size uint8) {
-	f.ctr.StoreUpdates++
-	if ssn != 0 && ssn&0xFFFFF == 0 {
-		f.ctr.Wrap20++
-	}
 	si := f.set(addr)
 	tag := tagAddr(addr)
 	set := f.entries[si*f.assoc : (si+1)*f.assoc]
@@ -200,22 +163,13 @@ func (f *TSSBF) Lookup(addr uint64) (TSSBFEntry, bool) {
 // younger than ssnNVul. A tag miss means no store in the tracked window wrote
 // the address, so the load is safe.
 func (f *TSSBF) TestNonBypassed(addr uint64, ssnNVul SSN) (reexec bool) {
-	f.ctr.LoadTests++
 	e, ok := f.Lookup(addr)
 	if !ok {
 		// A tag miss is only conclusive for stores the filter still covers;
 		// evicted stores must be assumed conflicting.
-		if f.maxEvicted > ssnNVul {
-			f.ctr.Reexecutions++
-			return true
-		}
-		return false
+		return f.maxEvicted > ssnNVul
 	}
-	if e.SSN > ssnNVul {
-		f.ctr.Reexecutions++
-		return true
-	}
-	return false
+	return e.SSN > ssnNVul
 }
 
 // TestBypassed performs the equality filter test for a bypassed load
@@ -228,14 +182,8 @@ func (f *TSSBF) TestNonBypassed(addr uint64, ssnNVul SSN) (reexec bool) {
 // bypass used. The extra size/offset check implements the paper's
 // verify-without-replay of predicted shift amounts.
 func (f *TSSBF) TestBypassed(loadAddr uint64, loadSize uint8, ssnByp SSN, predictedShift uint8) (reexec bool) {
-	f.ctr.LoadTests++
 	e, ok := f.Lookup(loadAddr)
-	if !ok {
-		f.ctr.Reexecutions++
-		return true
-	}
-	if e.SSN != ssnByp {
-		f.ctr.Reexecutions++
+	if !ok || e.SSN != ssnByp {
 		return true
 	}
 	// Shift verification: the load's offset within the store's bytes must
@@ -243,16 +191,8 @@ func (f *TSSBF) TestBypassed(loadAddr uint64, loadSize uint8, ssnByp SSN, predic
 	// store's written bytes.
 	loadLow := uint8(loadAddr & 7)
 	if loadLow < e.AddrLow {
-		f.ctr.Reexecutions++
 		return true
 	}
 	actualShift := loadLow - e.AddrLow
-	if actualShift != predictedShift || uint16(actualShift)+uint16(loadSize) > uint16(e.StoreSize) {
-		f.ctr.Reexecutions++
-		return true
-	}
-	return false
+	return actualShift != predictedShift || uint16(actualShift)+uint16(loadSize) > uint16(e.StoreSize)
 }
-
-// Counters returns a snapshot of the filter's counters.
-func (f *TSSBF) Counters() Counters { return f.ctr }

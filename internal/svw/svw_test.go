@@ -35,10 +35,6 @@ func TestSSBFInequalityTest(t *testing.T) {
 	if f.TestLoad(addr+4096, 0) {
 		t.Error("unrelated address should not re-execute")
 	}
-	c := f.Counters()
-	if c.LoadTests != 3 || c.Reexecutions != 1 || c.StoreUpdates != 1 {
-		t.Errorf("counters = %+v", c)
-	}
 }
 
 func TestSSBFAliasingIsConservative(t *testing.T) {
@@ -159,17 +155,6 @@ func TestTSSBFFIFOEviction(t *testing.T) {
 	// Equality test on an evicted address forces re-execution (safe).
 	if !f.TestBypassed(addrs[0], 8, 1, 0) {
 		t.Error("evicted entry must force re-execution for bypassed load")
-	}
-}
-
-func TestReexecRate(t *testing.T) {
-	var c Counters
-	if c.ReexecRate() != 0 {
-		t.Error("empty rate should be 0")
-	}
-	c = Counters{LoadTests: 8, Reexecutions: 2}
-	if c.ReexecRate() != 0.25 {
-		t.Errorf("rate = %v", c.ReexecRate())
 	}
 }
 
