@@ -123,10 +123,12 @@ func restoreJob(p *replayedJob) *job {
 
 // walSnapshotLocked renders the live state as a compaction snapshot: a
 // submitted record per retained job, in submission order so replay rebuilds
-// the same queue order, plus the terminal record of finished ones. Running
-// jobs snapshot as submitted-only — replay re-queues them regardless, so
-// their started records are pure noise the compaction drops. Callers hold
-// s.mu (or, in New, have not shared the server yet).
+// the same queue order, plus the started and terminal records of finished
+// ones, so a finished job keeps its start time and running event across any
+// number of restarts. Running jobs snapshot as submitted-only — replay
+// re-queues them regardless, so their started records are noise the
+// compaction drops. Callers hold s.mu (or, in New, have not shared the
+// server yet).
 func (s *Server) walSnapshotLocked() []simstore.Record {
 	out := make([]simstore.Record, 0, len(s.order))
 	for _, j := range s.order {
@@ -146,6 +148,9 @@ func (j *job) walRecords() []simstore.Record {
 	}}
 	if !simapi.TerminalState(j.state) {
 		return recs
+	}
+	if !j.started.IsZero() {
+		recs = append(recs, simstore.Record{Type: simstore.RecStarted, Time: j.started, JobID: j.id})
 	}
 	return append(recs, j.terminalRecordLocked())
 }

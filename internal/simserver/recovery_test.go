@@ -198,8 +198,9 @@ func TestServerRecovery(t *testing.T) {
 }
 
 // TestServerWALCompaction: with the compaction threshold at 1 append, every
-// job completion rewrites the log down to its snapshot — two lines per
-// retained job — and the rewritten log still replays.
+// job completion rewrites the log down to its snapshot — three lines per
+// retained finished job (submitted, started, completed) — and the rewritten
+// log still replays.
 func TestServerWALCompaction(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Workers: 1, CodeRev: "test-rev", StateDir: dir}
@@ -237,8 +238,8 @@ func TestServerWALCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lines := strings.Count(string(raw), "\n"); lines != 2 {
-		t.Errorf("compacted WAL has %d lines, want 2 (submitted + completed):\n%s", lines, raw)
+	if lines := strings.Count(string(raw), "\n"); lines != 3 {
+		t.Errorf("compacted WAL has %d lines, want 3 (submitted + started + completed):\n%s", lines, raw)
 	}
 	hs.Close()
 	sctx, scancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -453,5 +454,63 @@ func TestServerRecoveryLargeCompletedRecord(t *testing.T) {
 	}
 	if got, _ := j.rendered("csv"); got != csv {
 		t.Fatalf("restored csv report is %d bytes, want %d", len(got), len(csv))
+	}
+}
+
+// TestFinishedJobKeepsStartAcrossRestarts: every restart compacts the WAL to
+// a snapshot, so a finished job must come back from the second restart — a
+// replay of a snapshot, not of the original log — with the same start time
+// and running event as from the first.
+func TestFinishedJobKeepsStartAcrossRestarts(t *testing.T) {
+	cfg := Config{Workers: 1, CodeRev: "test-rev", StateDir: t.TempDir()}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	shutdown := func(srv *Server) {
+		t.Helper()
+		sctx, scancel := context.WithTimeout(ctx, 30*time.Second)
+		defer scancel()
+		if err := srv.Shutdown(sctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv, _, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	info, err := srv.Submit(simapi.JobSpec{Experiment: "fig2", Benchmarks: []string{"gzip"}, Iterations: 10}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	done, err := simclient.New(hs.URL, nil).Wait(ctx, info.ID)
+	hs.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.State != simapi.StateDone || done.Started.IsZero() {
+		t.Fatalf("job finished as %+v, want done with a start time", done)
+	}
+	shutdown(srv)
+
+	for restart := 1; restart <= 2; restart++ {
+		srv, _, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := srv.Job(info.ID)
+		if !ok || got.State != simapi.StateDone || !got.Started.Equal(done.Started) {
+			t.Errorf("restart %d: job = %+v (ok=%v), want done, started at %v", restart, got, ok, done.Started)
+		}
+		var running bool
+		evs, _, _ := srv.jobs[info.ID].eventsSince(0)
+		for _, ev := range evs {
+			running = running || ev.State == simapi.StateRunning && ev.Time.Equal(done.Started)
+		}
+		if !running {
+			t.Errorf("restart %d: event log lost the running event: %+v", restart, evs)
+		}
+		shutdown(srv)
 	}
 }
