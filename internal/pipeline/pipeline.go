@@ -240,9 +240,8 @@ func (s *Simulator) scheduleCompletion(in *inflight, cycle uint64) {
 
 // newInflight takes a record from the pool. The pool is never empty here:
 // every record not in the window is in the pool, and fetch stops when it is
-// empty. The record is zeroed except for its
-// generation counter, which monotonically tracks reuse — callers must not
-// reset it.
+// empty. The record is zeroed except for its generation counter, which
+// monotonically tracks reuse — callers must not reset it.
 func (s *Simulator) newInflight() *inflight {
 	n := len(s.pool)
 	in := s.pool[n-1]
