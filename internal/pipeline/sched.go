@@ -23,9 +23,9 @@ import (
 // Selection equals that of an oldest-first scan over the whole issue queue:
 // every blocking condition is monotone within one window occupancy, except
 // the associative multi-source hold, whose loads are therefore re-polled
-// every cycle and re-verified at selection (msGate below). The scan survives
-// as a differential oracle in sched_oracle_test.go, which checks the two
-// agree every cycle.
+// every cycle and re-verified at selection (the msGate poll; see gate). The
+// scan survives as a differential oracle in sched_oracle_test.go, which
+// checks the two agree every cycle.
 //
 // Stale references are tolerated everywhere: a schedRef pins a specific
 // occupancy of an inflight record via its generation counter, so entries
