@@ -294,6 +294,8 @@ func (c Config) Validate() error {
 		{"ROBSize", c.ROBSize}, {"IQSize", c.IQSize}, {"PhysRegs", c.PhysRegs},
 		{"FrontEndDepth", c.FrontEndDepth}, {"BackendDepth", c.BackendDepth},
 		{"DCacheLatency", c.DCacheLatency}, {"L2Latency", c.L2Latency}, {"MemLatency", c.MemLatency},
+		{"SimpleIntPorts", c.SimpleIntPorts}, {"ComplexPorts", c.ComplexPorts},
+		{"BranchPorts", c.BranchPorts}, {"LoadPorts", c.LoadPorts}, {"StorePorts", c.StorePorts},
 		{"TSSBFEntries", c.TSSBFEntries}, {"TSSBFAssoc", c.TSSBFAssoc},
 	} {
 		if ch.v <= 0 {

@@ -114,6 +114,25 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsZeroPorts: a port class with no port never issues, so a
+// machine without one would fail every run as a deadlock; Validate names
+// the field instead.
+func TestConfigRejectsZeroPorts(t *testing.T) {
+	for name, zero := range map[string]func(*Config){
+		"SimpleIntPorts": func(c *Config) { c.SimpleIntPorts = 0 },
+		"ComplexPorts":   func(c *Config) { c.ComplexPorts = 0 },
+		"BranchPorts":    func(c *Config) { c.BranchPorts = 0 },
+		"LoadPorts":      func(c *Config) { c.LoadPorts = 0 },
+		"StorePorts":     func(c *Config) { c.StorePorts = 0 },
+	} {
+		c := BaselineConfig()
+		zero(&c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s = 0: Validate = %v, want an error naming %s", name, err, name)
+		}
+	}
+}
+
 func TestAllConfigsRunToCompletion(t *testing.T) {
 	p := simpleLoop(500)
 	// All instructions must commit under every configuration: the dynamic
