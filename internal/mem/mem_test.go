@@ -142,3 +142,33 @@ func TestSignZeroExtendAgreeProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPagedTableCachedMiss: a read of an untouched page is cached as a miss,
+// and a later write to that page, or to a page sharing its cache entry, must
+// still reach the table and be read back.
+func TestPagedTableCachedMiss(t *testing.T) {
+	m := New()
+	far := uint64(recentPages) << PageBits // same cache entry as page 0
+	for _, addr := range []uint64{0x10, far + 0x10} {
+		if got := m.Read(addr, 8); got != 0 {
+			t.Fatalf("untouched %#x read %#x", addr, got)
+		}
+	}
+	m.Write(0x10, 8, 0x1122334455667788)
+	if got := m.Read(0x10, 8); got != 0x1122334455667788 {
+		t.Errorf("read after a cached miss = %#x", got)
+	}
+	if got := m.Read(far+0x10, 8); got != 0 {
+		t.Errorf("page sharing the entry read %#x, want 0", got)
+	}
+	m.Write(far+0x10, 1, 0xAB)
+	if got, want := m.Read(0x10, 8), uint64(0x1122334455667788); got != want {
+		t.Errorf("page 0 after its entry was replaced = %#x, want %#x", got, want)
+	}
+	if got := m.LoadByte(far + 0x10); got != 0xAB {
+		t.Errorf("far page byte = %#x, want 0xab", got)
+	}
+	if n := len(m.pages.pages); n != 2 {
+		t.Errorf("%d pages allocated, want 2", n)
+	}
+}
