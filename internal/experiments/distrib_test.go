@@ -193,13 +193,9 @@ func TestExecutorMergedReportByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Batch accounting describes how pairs were simulated, not what was
-	// measured: the local reference run batches in-process while the executor
-	// run defers execution, so those fields legitimately differ.
-	refSum, distSum := refRep.Summary, distRep.Summary
-	refSum.BatchGroups, refSum.BatchedPairs = 0, 0
-	distSum.BatchGroups, distSum.BatchedPairs = 0, 0
-	if refSum != distSum {
+	// The local reference run batches in-process while the executor run
+	// defers execution.
+	if refSum, distSum := measured(refRep.Summary), measured(distRep.Summary); refSum != distSum {
 		t.Errorf("summaries differ: local %+v, distributed %+v", refSum, distSum)
 	}
 	for _, format := range stats.Formats() {

@@ -158,8 +158,7 @@ func TestRepeatedNamesExecutorMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls, rs := local.Summary, remote.Summary
-	ls.BatchGroups, ls.BatchedPairs = 0, 0
+	ls, rs := measured(local.Summary), measured(remote.Summary)
 	if ls != rs || rs.Executed != 2 || rs.Failed != 0 {
 		t.Errorf("summaries: local %+v, executor %+v; want both to execute the 2 distinct pairs", ls, rs)
 	}

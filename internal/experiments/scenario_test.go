@@ -227,12 +227,8 @@ func TestScenarioExecutorByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Batch accounting covers only locally simulated pairs; an executor run
-	// defers execution, so those fields legitimately differ from the local
-	// reference.
-	refSum, distSum := refRep.Summary, distRep.Summary
-	refSum.BatchGroups, refSum.BatchedPairs = 0, 0
-	distSum.BatchGroups, distSum.BatchedPairs = 0, 0
-	if refSum != distSum {
+	// defers execution.
+	if refSum, distSum := measured(refRep.Summary), measured(distRep.Summary); refSum != distSum {
 		t.Errorf("summaries differ: local %+v, distributed %+v", refSum, distSum)
 	}
 	for _, format := range stats.Formats() {

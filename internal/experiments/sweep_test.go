@@ -35,6 +35,15 @@ func countCheckpointPairs(t *testing.T, path string) map[string]int {
 	return counts
 }
 
+// measured returns the summary without its execution-only fields, which
+// describe how the pairs were simulated (BatchGroups, BatchedPairs) and not
+// what was measured, so two runs of one grid that executed differently
+// compare equal.
+func measured(s Summary) Summary {
+	s.BatchGroups, s.BatchedPairs = 0, 0
+	return s
+}
+
 func TestSweepCheckpointResume(t *testing.T) {
 	benchmarks := []string{"gzip", "applu"}
 	cfgs := kindConfigs([]core.ConfigKind{core.Baseline, core.NoSQDelay}, 0)
