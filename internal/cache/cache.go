@@ -42,27 +42,29 @@ func (c Config) Validate() error {
 }
 
 type line struct {
-	valid bool
-	tag   uint64
+	// tag is the line's tag plus one; 0 marks an invalid way.
+	tag uint64
 	// lastUse is the access counter value of the most recent touch (LRU).
 	lastUse uint64
 }
 
 // Cache is a set-associative cache with true-LRU replacement.
 type Cache struct {
-	cfg      Config
-	sets     [][]line
+	// lines holds every way of every set in one pointer-free array: set i is
+	// lines[i*assoc : (i+1)*assoc].
+	lines    []line
+	assoc    int
 	lineBits uint
 	setBits  uint
 	setMask  uint64
 	counter  uint64
-	// Line buffer: the block, set and way of the most recent access, letting
-	// the extremely common repeat access to the same line (sequential fetch,
-	// stack traffic) skip the set scan. The remembered line was just touched,
-	// so it is MRU and cannot be evicted before a different line is accessed.
+	// Line buffer: the block and the lines index of the most recent access,
+	// letting the extremely common repeat access to the same line (stack
+	// traffic, a TLB's page) skip the set scan. The remembered line was just
+	// touched, so it is MRU and cannot be evicted before a different line is
+	// accessed.
 	lastBlk uint64
-	lastSet uint64
-	lastWay int
+	lastIdx int
 }
 
 // New creates a cache from the configuration; it panics on an invalid
@@ -72,18 +74,13 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	numSets := cfg.SizeBytes / (cfg.LineBytes * cfg.Assoc)
-	sets := make([][]line, numSets)
-	backing := make([]line, numSets*cfg.Assoc)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc]
-	}
 	return &Cache{
-		cfg:      cfg,
-		sets:     sets,
+		lines:    make([]line, numSets*cfg.Assoc),
+		assoc:    cfg.Assoc,
 		lineBits: log2(uint64(cfg.LineBytes)),
 		setBits:  log2(uint64(numSets)),
 		setMask:  uint64(numSets - 1),
-		lastWay:  -1, // line buffer empty
+		lastIdx:  -1, // line buffer empty
 	}
 }
 
@@ -101,24 +98,24 @@ func log2(v uint64) uint {
 func (c *Cache) Access(addr uint64) bool {
 	c.counter++
 	blk := addr >> c.lineBits
-	if blk == c.lastBlk && c.lastWay >= 0 {
+	if blk == c.lastBlk && c.lastIdx >= 0 {
 		// Line-buffer hit: exactly the state update of the scan's hit case.
-		c.sets[c.lastSet][c.lastWay].lastUse = c.counter
+		c.lines[c.lastIdx].lastUse = c.counter
 		return true
 	}
-	setIdx, tag := blk&c.setMask, blk>>c.setBits
-	set := c.sets[setIdx]
+	base, tag := int(blk&c.setMask)*c.assoc, blk>>c.setBits+1
+	set := c.lines[base : base+c.assoc]
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].tag == tag {
 			set[i].lastUse = c.counter
-			c.lastBlk, c.lastSet, c.lastWay = blk, setIdx, i
+			c.lastBlk, c.lastIdx = blk, base+i
 			return true
 		}
 	}
 	// Choose victim: first invalid way, else LRU.
 	victim := 0
 	for i := range set {
-		if !set[i].valid {
+		if set[i].tag == 0 {
 			victim = i
 			break
 		}
@@ -126,8 +123,8 @@ func (c *Cache) Access(addr uint64) bool {
 			victim = i
 		}
 	}
-	set[victim] = line{valid: true, tag: tag, lastUse: c.counter}
-	c.lastBlk, c.lastSet, c.lastWay = blk, setIdx, victim
+	set[victim] = line{tag: tag, lastUse: c.counter}
+	c.lastBlk, c.lastIdx = blk, base+victim
 	return false
 }
 

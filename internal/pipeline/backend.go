@@ -16,10 +16,10 @@ const flushRecoveryBubble = 3
 // back-end data-cache port.
 func (s *Simulator) commitEnter() {
 	for entered := 0; entered < s.cfg.CommitWidth; entered++ {
-		// The back-end queue holds the oldest window records, so the next to
-		// enter is the window record right after it, once renamed (renamed
+		// The back-end holds the oldest window records, so the next to enter
+		// is the window record right after them, once renamed (renamed
 		// records are the window's first renamedCount) and completed.
-		idx := s.backendQ.len()
+		idx := s.backendLen
 		if idx >= s.renamedCount || !s.window.at(idx).completed {
 			return
 		}
@@ -28,6 +28,7 @@ func (s *Simulator) commitEnter() {
 }
 
 func (s *Simulator) enterBackend(in *inflight) {
+	s.active = true
 	exit := s.now + uint64(s.cfg.BackendDepth)
 	tailStages := uint64(s.cfg.BackendDepth - s.cfg.BackendDCacheStage)
 
@@ -54,11 +55,11 @@ func (s *Simulator) enterBackend(in *inflight) {
 	}
 
 	// Retirement must remain in order.
-	if s.backendQ.len() > 0 && exit < s.backendQ.back().exitCycle {
-		exit = s.backendQ.back().exitCycle
+	if s.backendLen > 0 {
+		exit = max(exit, s.window.at(s.backendLen-1).exitCycle)
 	}
 	in.exitCycle = exit
-	s.backendQ.pushBack(in)
+	s.backendLen++
 }
 
 // backendDCache books the back-end's single data-cache port, shared by
@@ -78,16 +79,14 @@ func (s *Simulator) backendDCache(addr uint64) uint64 {
 // the predictors, and — when re-execution revealed a wrong load value —
 // flushing the pipeline.
 func (s *Simulator) retire() {
-	for s.backendQ.len() > 0 {
-		in := s.backendQ.front()
+	for s.backendLen > 0 {
+		in := s.window.at(0)
 		if in.exitCycle > s.now {
 			return
 		}
-		s.backendQ.popFront()
-		if s.window.len() == 0 || s.window.front() != in {
-			panic("pipeline: retire order does not match window order")
-		}
-		s.window.popFront()
+		s.active = true
+		s.window.head++
+		s.backendLen--
 		s.renamedCount--
 		s.releaseResources(in)
 		s.histAfterRetired = in.histAfter
@@ -104,16 +103,13 @@ func (s *Simulator) retire() {
 			flush = s.retireLoad(in)
 		}
 
-		// The record is now reachable from neither the window nor the
-		// back-end queue; recycle it before a potential squash so the pool
-		// sees it ahead of the squash victims.
-		seq := in.seq
-		s.recycle(in)
+		// The occupancy ends: every reference to it goes stale.
+		in.gen++
 
 		if flush {
 			// Value mis-speculation recovery: squash all younger work and
 			// restart fetch after a short recovery bubble (state repair).
-			s.squash(seq, s.now+flushRecoveryBubble)
+			s.squash(in.seq, s.now+flushRecoveryBubble)
 			return
 		}
 	}

@@ -1,10 +1,5 @@
 package pipeline
 
-import (
-	"cmp"
-	"slices"
-)
-
 // doIssue starts executing an instruction and schedules its completion.
 // The instruction's issue-queue entry is freed here: selection removes the
 // instruction from the scheduler.
@@ -74,20 +69,18 @@ func (s *Simulator) resolveLoadValue(in *inflight) {
 // Issued instructions complete through scheduled events (bucketed by cycle)
 // and conventional stores through the pending-store list, so the pass costs
 // O(completions + in-flight stores) instead of O(window) per cycle. Events
-// are processed in seq order, and producers are always older than their
-// consumers, so the observable update order matches the window scan this
-// replaces.
+// are kept in seq order (see scheduleCompletion), and producers are always
+// older than their consumers, so the observable update order matches the
+// window scan this replaces.
 func (s *Simulator) complete() {
 	bucket := &s.compBuckets[s.now&s.compMask]
 	if events := *bucket; len(events) > 0 {
-		slices.SortFunc(events, func(a, b compEvent) int {
-			return cmp.Compare(a.seq, b.seq)
-		})
 		for _, ev := range events {
-			in := ev.in
-			if in.gen != ev.gen || !in.issued || in.completed {
+			in := s.occupant(ev)
+			if in == nil {
 				continue // the occupant was squashed; the event is stale
 			}
+			s.active = true
 			s.markCompleted(in)
 			st := in.st
 			switch {
@@ -117,15 +110,17 @@ func (s *Simulator) complete() {
 		return
 	}
 	kept := s.pendingStores[:0]
-	for _, in := range s.pendingStores {
+	for _, seq := range s.pendingStores {
+		in := s.window.slot(seq)
 		if s.producerDone(in.srcSeqs[0]) && s.producerDone(in.srcSeqs[1]) {
+			s.active = true
 			s.markCompleted(in)
 			in.storeExecuted = true
 			s.ss.StoreCompleted(in.st.PC, in.ssn)
 			s.wakeConsumers(in)
 			continue
 		}
-		kept = append(kept, in)
+		kept = append(kept, seq)
 	}
 	s.pendingStores = kept
 }

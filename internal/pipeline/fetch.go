@@ -9,6 +9,11 @@ import (
 // Branch mispredictions are modelled by halting fetch at the mispredicted
 // branch until it resolves; instruction-cache misses stall fetch for the miss
 // latency.
+//
+// Fetch probes the instruction cache only when it crosses into a new line.
+// Nothing else touches the L1I, so the line of the previous probe is still
+// resident and most recently used, and probing it again would hit and leave
+// every way's LRU order as it was.
 func (s *Simulator) fetch() {
 	if s.streamEnded || s.now < s.fetchResumeCycle || s.fetchBlockedOn != 0 {
 		return
@@ -16,12 +21,12 @@ func (s *Simulator) fetch() {
 	branches := 0
 	takenCrossed := 0
 	for fetched := 0; fetched < s.cfg.FetchWidth; fetched++ {
-		// Every record not in the window is in the pool, so an empty pool is
-		// the in-flight bound (see newSimulator).
-		if len(s.pool) == 0 {
+		if s.window.len() == s.maxInFlight {
 			return
 		}
-		d, err := s.cursor.Get(s.fetchSeq)
+		s.active = true
+		seq := s.window.tail
+		d, err := s.cursor.Get(seq)
 		if err != nil { // emu.ErrEndOfStream, the only error a cursor returns
 			s.streamEnded = true
 			return
@@ -29,24 +34,26 @@ func (s *Simulator) fetch() {
 		st := s.cursor.Static(d)
 		// Instruction cache: a miss stalls fetch for the miss latency (the
 		// missing line is brought in, so the retry hits).
-		if lat := s.icacheLatency(st.PC); lat > 0 {
-			s.fetchResumeCycle = s.now + uint64(lat)
-			return
+		if line := st.PC >> s.fetchLineBits; line != s.fetchLine {
+			s.fetchLine = line
+			if lat := s.icacheLatency(st.PC); lat > 0 {
+				s.fetchResumeCycle = s.now + uint64(lat)
+				return
+			}
 		}
 
-		// Pool records come back zeroed except for their generation counter,
-		// which must survive reuse: stale completion events scheduled for a
-		// squashed previous occupant are recognised by generation mismatch.
-		in := s.newInflight()
-		in.dyn = d
-		in.st = st
-		in.seq = s.fetchSeq
+		// Claim the slot: it is cleared except for its generation, which the
+		// previous occupant's departure already bumped, and its wake list's
+		// capacity. The port class was pre-decoded once for the whole trace.
+		in := s.window.slot(seq)
+		gen, wake := in.gen, in.wake[:0]
+		*in = inflight{}
+		in.dyn, in.st, in.seq, in.gen, in.wake = d, st, seq, gen, wake
+		in.port = portClass(s.meta.class[seq-1])
 		in.renameReady = s.now + uint64(s.cfg.FrontEndDepth)
-		// The port class was pre-decoded once for the whole trace.
-		in.port = portClass(s.meta.class[in.seq-1])
-		// The new occupant reuses a window slot; reset its completed bit.
-		s.clearCompletedBit(in.seq)
 		in.histAtDec = s.pathHist.Value()
+		// The new occupant reuses a window slot; reset its completed bit.
+		s.clearCompletedBit(seq)
 
 		taken, nextPC := d.Taken(), d.NextPC()
 		shortBubble := false
@@ -87,8 +94,7 @@ func (s *Simulator) fetch() {
 		}
 		in.histAfter = s.pathHist.Value()
 
-		s.window.pushBack(in)
-		s.fetchSeq++
+		s.window.tail++
 
 		if in.brMispredicted {
 			// Fetch cannot proceed past a mispredicted branch until it

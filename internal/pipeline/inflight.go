@@ -110,9 +110,9 @@ type inflight struct {
 	histAfter  uint64 // path history after this instruction (for squash repair)
 	mispredict mispredictKind
 
-	// Harness bookkeeping (not architectural state). gen is bumped every time
-	// the record is recycled, invalidating completion events scheduled for a
-	// previous occupant.
+	// Harness bookkeeping (not architectural state). gen is the slot's
+	// generation: it is bumped when the occupant leaves the window, at retire
+	// or squash, which invalidates every schedRef to that occupancy.
 	gen uint64
 
 	// Event-driven scheduler state (see sched.go). wake lists the issue-queue
@@ -132,3 +132,24 @@ type inflight struct {
 // same information as re-deriving the opcode through st.
 func (in *inflight) isLoad() bool  { return in.port == portLoad }
 func (in *inflight) isStore() bool { return in.port == portStore }
+
+// window holds the in-flight instructions, from fetch until retirement from
+// the back-end, in age order. Sequence numbers are contiguous, so the
+// occupant with sequence number seq lives in slot seq&mask of one
+// power-of-two array for its whole stay: fetch claims slot tail, retire frees
+// slot head, and a record never moves, so finding one is an index.
+type window struct {
+	slots []inflight
+	mask  uint64
+	head  uint64 // sequence number of the oldest occupant
+	tail  uint64 // sequence number the next fetched instruction gets
+}
+
+func (w *window) len() int { return int(w.tail - w.head) }
+
+// at returns the i-th occupant from the oldest (0-based); i must be < len.
+func (w *window) at(i int) *inflight { return &w.slots[(w.head+uint64(i))&w.mask] }
+
+// slot returns the slot of sequence number seq, whether or not seq occupies
+// it now.
+func (w *window) slot(seq uint64) *inflight { return &w.slots[seq&w.mask] }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/bpred"
 	"repro/internal/bypass"
@@ -41,33 +42,32 @@ type Simulator struct {
 
 	now uint64
 
-	// window holds in-flight instructions in age order; sequence numbers are
-	// contiguous, so window.at(i).seq == window.front().seq + i. Renamed
-	// instructions form a prefix of renamedCount records (rename is
-	// in-order).
-	window       ring
+	// window holds the in-flight instructions, at most maxInFlight of them.
+	// Renamed instructions form a prefix of renamedCount records (rename is
+	// in-order), and the back-end pipeline holds the oldest backendLen of
+	// those (commit is in-order too).
+	window       window
+	maxInFlight  int
 	renamedCount int
-
-	// pool holds the in-flight records not in the window, for reuse. It
-	// starts with every record the window can hold, carved from one block, so
-	// the cycle loop never allocates one.
-	pool []*inflight
+	backendLen   int
 
 	// compBuckets is a cycle-indexed ring of completion events for issued
-	// instructions; complete drains bucket now&compMask instead of scanning
-	// the window. Events carry the record's generation so events belonging to
-	// squashed (recycled) occupants are ignored.
-	compBuckets [][]compEvent
+	// instructions, each bucket in sequence order; complete drains bucket
+	// now&compMask instead of scanning the window. An event pins one
+	// occupancy, so events of squashed occupants are ignored.
+	compBuckets [][]schedRef
 	compMask    uint64
 
-	// pendingStores lists renamed, not-yet-executed stores of the
-	// conventional design (which complete when both inputs have been
-	// produced, without issuing), in seq order.
-	pendingStores []*inflight
+	// pendingStores lists the sequence numbers of renamed, not-yet-executed
+	// stores of the conventional design (which complete when both inputs
+	// have been produced, without issuing), in order.
+	pendingStores []uint64
 
-	// Fetch state.
-	fetchSeq         uint64
+	// Fetch state. fetchLine is the instruction-cache line of the latest
+	// fetch probe (fetch probes the L1I once per line, see fetch).
 	fetchResumeCycle uint64
+	fetchLine        uint64
+	fetchLineBits    uint
 	fetchBlockedOn   uint64 // seq of an unresolved mispredicted branch (0 = none)
 	streamEnded      bool
 	pathHist         bypass.PathHistory
@@ -84,19 +84,23 @@ type Simulator struct {
 	sqUsed       int
 
 	// Back-end state.
-	backendQ        ring
 	nextBackendDC   uint64
 	ssnCommitted    uint64
 	ssnInDCache     uint64
 	pendingDCWrites []pendingWrite
 
 	// Event-driven issue scheduler state (sched.go).
-	readyBits  []uint64 // ready bitmap, indexed by seq & seqMask
+	readyBits  []uint64 // ready bitmap, indexed by window slot
 	complBits  []uint64 // completed bitmap for window occupants, same indexing
-	seqMask    uint64   // window-ring capacity minus one (power of two)
 	readyCount int      // number of set bits in readyBits
 	msGate     []schedRef
 	ssnWaiters []ssnWaiter
+
+	// active records that the current cycle changed machine state, and
+	// perCycle which per-cycle counters it bumped; runQuantum skips the
+	// cycles after one that stays inactive (see skipIdle).
+	active   bool
+	perCycle uint8
 
 	res stats.Run
 	// lastCommit is the cycle of the latest commit; the watchdog fails a run
@@ -150,45 +154,45 @@ func newSimulator(t *emu.Trace, meta *TraceMeta, cfg Config) (*Simulator, error)
 		return nil, err
 	}
 	s := &Simulator{
-		cfg:      cfg,
-		cursor:   t.Cursor(cfg.MaxInsts),
-		meta:     meta,
-		bp:       bpred.New(cfg.BPred),
-		ss:       storesets.New(cfg.StoreSets),
-		byp:      bypass.New(cfg.BypassPred),
-		tssbf:    svw.NewTSSBF(cfg.TSSBFEntries, cfg.TSSBFAssoc),
-		srq:      smb.NewSRQ(cfg.ROBSize),
-		l1i:      cache.New(cfg.L1I),
-		l1d:      cache.New(cfg.L1D),
-		l2:       cache.New(cfg.L2),
-		itlb:     cache.NewTLB("itlb", cfg.ITLBEntries, cfg.TLBAssoc),
-		dtlb:     cache.NewTLB("dtlb", cfg.DTLBEntries, cfg.TLBAssoc),
-		fetchSeq: 1,
+		cfg:    cfg,
+		cursor: t.Cursor(cfg.MaxInsts),
+		meta:   meta,
+		bp:     bpred.New(cfg.BPred),
+		ss:     storesets.New(cfg.StoreSets),
+		byp:    bypass.New(cfg.BypassPred),
+		tssbf:  svw.NewTSSBF(cfg.TSSBFEntries, cfg.TSSBFAssoc),
+		srq:    smb.NewSRQ(cfg.ROBSize),
+		l1i:    cache.New(cfg.L1I),
+		l1d:    cache.New(cfg.L1D),
+		l2:     cache.New(cfg.L2),
+		itlb:   cache.NewTLB("itlb", cfg.ITLBEntries, cfg.TLBAssoc),
+		dtlb:   cache.NewTLB("dtlb", cfg.DTLBEntries, cfg.TLBAssoc),
+		// No line has been probed yet, and no 4-byte-aligned PC lies in
+		// line ^0.
+		fetchLine:     ^uint64(0),
+		fetchLineBits: uint(bits.TrailingZeros(uint(cfg.L1I.LineBytes))),
 	}
 	// The window holds at most ROBSize renamed instructions plus a fetch
-	// buffer. The bound is the pool's size: fetch stops when the pool is
-	// empty, so buffering cannot grow without limit.
-	maxInFlight := cfg.ROBSize + 4*cfg.FetchWidth
-	s.window = newRing(maxInFlight)
-	s.backendQ = newRing(maxInFlight)
-	// Each record's wake list takes its first wakeSlab consumers from its own
+	// buffer; fetch stops at that bound, so buffering cannot grow without
+	// limit. The slot array is the next power of two.
+	s.maxInFlight = cfg.ROBSize + 4*cfg.FetchWidth
+	capacity := 1
+	for capacity < s.maxInFlight {
+		capacity <<= 1
+	}
+	s.window = window{slots: make([]inflight, capacity), mask: uint64(capacity - 1), head: 1, tail: 1}
+	// Each slot's wake list takes its first wakeSlab consumers from its own
 	// slice of one shared slab; the full slice expression caps it there, so
 	// a list that outgrows its slice moves out instead of into its
-	// neighbour's, and recycle keeps whichever capacity the list ends with.
-	block := make([]inflight, maxInFlight)
-	wakes := make([]schedRef, maxInFlight*wakeSlab)
-	s.pool = make([]*inflight, maxInFlight)
-	for i := range block {
+	// neighbour's, and fetch keeps whichever capacity the list ends with.
+	wakes := make([]schedRef, capacity*wakeSlab)
+	for i := range s.window.slots {
 		lo := i * wakeSlab
-		block[i].wake = wakes[lo : lo : lo+wakeSlab]
-		s.pool[i] = &block[i]
+		s.window.slots[i].wake = wakes[lo : lo : lo+wakeSlab]
 	}
-	// The scheduler's bitmaps are indexed by window-ring slot, seq & seqMask
-	// (the ring's capacity is a power of two).
-	capacity := len(s.window.buf)
+	// The scheduler's bitmaps are indexed by window slot.
 	s.readyBits = make([]uint64, (capacity+63)/64)
 	s.complBits = make([]uint64, (capacity+63)/64)
-	s.seqMask = uint64(capacity - 1)
 	// The completion ring must cover the longest possible issue-to-complete
 	// distance: a load missing everywhere plus a page-table walk (with slack
 	// for the multi-cycle ALU latencies).
@@ -200,31 +204,23 @@ func newSimulator(t *emu.Trace, meta *TraceMeta, cfg Config) (*Simulator, error)
 	// Each bucket's first IssueWidth events go to its own slice of one
 	// shared slab; the full slice expression caps it there, so a bucket that
 	// outgrows its slice moves out instead of into its neighbour's.
-	s.compBuckets = make([][]compEvent, comp)
-	slab := make([]compEvent, comp*cfg.IssueWidth)
+	s.compBuckets = make([][]schedRef, comp)
+	slab := make([]schedRef, comp*cfg.IssueWidth)
 	for i := range s.compBuckets {
 		lo := i * cfg.IssueWidth
 		s.compBuckets[i] = slab[lo : lo : lo+cfg.IssueWidth]
 	}
 	s.compMask = uint64(comp - 1)
-	s.pendingStores = make([]*inflight, 0, cfg.SQSize)
-	s.stallLimit = stallLimit(cfg, maxInFlight)
+	s.pendingStores = make([]uint64, 0, cfg.SQSize)
+	s.stallLimit = stallLimit(cfg, s.maxInFlight)
 	s.res.Benchmark = t.Name()
 	s.res.Config = cfg.Name
 	return s, nil
 }
 
-// compEvent is one scheduled completion. seq and gen pin the event to a
-// specific occupancy of the record: after a squash recycles the record, the
-// generation no longer matches and the event is dead.
-type compEvent struct {
-	in  *inflight
-	seq uint64
-	gen uint64
-}
-
 // scheduleCompletion registers an issued instruction's completion event for
-// the given cycle.
+// the given cycle. The bucket stays in sequence order: the event is inserted
+// scanning from the tail, where it almost always belongs.
 func (s *Simulator) scheduleCompletion(in *inflight, cycle uint64) {
 	if cycle <= s.now {
 		// Defensive: a zero-latency completion is observed at the next
@@ -234,32 +230,13 @@ func (s *Simulator) scheduleCompletion(in *inflight, cycle uint64) {
 	if cycle-s.now > s.compMask {
 		panic("pipeline: completion latency exceeds the completion ring")
 	}
-	idx := cycle & s.compMask
-	s.compBuckets[idx] = append(s.compBuckets[idx], compEvent{in: in, seq: in.seq, gen: in.gen})
-}
-
-// newInflight takes a record from the pool. The pool is never empty here:
-// every record not in the window is in the pool, and fetch stops when it is
-// empty. The record is zeroed except for its generation counter, which
-// monotonically tracks reuse — callers must not reset it.
-func (s *Simulator) newInflight() *inflight {
-	n := len(s.pool)
-	in := s.pool[n-1]
-	s.pool = s.pool[:n-1]
-	return in
-}
-
-// recycle clears a record no longer reachable from the window or the
-// back-end queue and returns it to the pool. The generation counter survives
-// (incremented) so completion events scheduled for the old occupant are
-// recognisably stale.
-func (s *Simulator) recycle(in *inflight) {
-	gen := in.gen
-	wake := in.wake[:0] // keep the wakeup list's capacity across reuse
-	*in = inflight{}
-	in.gen = gen + 1
-	in.wake = wake
-	s.pool = append(s.pool, in)
+	b := append(s.compBuckets[cycle&s.compMask], schedRef{})
+	i := len(b) - 1
+	for ; i > 0 && b[i-1].seq > in.seq; i-- {
+		b[i] = b[i-1]
+	}
+	b[i] = in.ref()
+	s.compBuckets[cycle&s.compMask] = b
 }
 
 // MustNew is New but panics on error (for tests and benchmarks with known
@@ -320,18 +297,23 @@ func (s *Simulator) runQuantum(target uint64) (finished bool, err error) {
 			return false, nil
 		}
 		s.step()
+		if !s.active {
+			s.skipIdle()
+		}
 	}
 	s.res.Cycles = s.now
 	return true, nil
 }
 
 func (s *Simulator) done() bool {
-	return s.streamEnded && s.window.len() == 0 && s.backendQ.len() == 0
+	return s.streamEnded && s.window.len() == 0
 }
 
 // step advances the machine by one cycle. Stages run back to front so that
 // resources freed this cycle become available to earlier stages next cycle.
 func (s *Simulator) step() {
+	s.active = false
+	s.perCycle = 0
 	s.drainDCacheWrites()
 	s.retire()
 	s.commitEnter()
@@ -340,6 +322,87 @@ func (s *Simulator) step() {
 	s.rename()
 	s.fetch()
 	s.now++
+}
+
+// The per-cycle counters: each is bumped at most once per cycle, and a cycle
+// records which ones it bumped in perCycle.
+const (
+	cycStallFrontend uint8 = 1 << iota
+	cycStallROB
+	cycStallPhys
+	cycStallIQ
+	cycStallLQ
+	cycStallSQ
+	cycIdleIssue
+)
+
+// skipIdle moves the clock past the cycles that repeat an idle one. A cycle
+// that left active clear changed no state but the per-cycle counters, and a
+// stage reads the clock only to compare it with a timed event: the back-end
+// head's exit cycle, the first pending data-cache write, the oldest unrenamed
+// instruction's renameReady, fetchResumeCycle and the completion buckets.
+// Every later cycle before the first of those events therefore does exactly
+// what the idle cycle did, so the skip adds the skipped cycles to the
+// counters it bumped and changes nothing else. The watchdog's bound is an
+// event too, so ErrCycleLimit fires at the same cycle, with the same message,
+// as it would stepping every cycle.
+//
+// One stage does change state in a cycle it counts as idle: a rename that
+// fails its resource check after classifyNoSQLoad has looked the load up in
+// the bypassing predictor, which bumps the table's LRU tick and the entry's
+// lastUse. Repeating that lookup leaves the LRU order unchanged, so skipping
+// the repeats changes no prediction.
+func (s *Simulator) skipIdle() {
+	next := s.lastCommit + s.stallLimit + 1
+	if s.backendLen > 0 {
+		next = min(next, s.window.at(0).exitCycle)
+	}
+	if len(s.pendingDCWrites) > 0 {
+		next = min(next, s.pendingDCWrites[0].cycle)
+	}
+	if s.renamedCount < s.window.len() {
+		if r := s.window.at(s.renamedCount).renameReady; r >= s.now {
+			next = min(next, r)
+		}
+	}
+	if s.fetchResumeCycle >= s.now {
+		next = min(next, s.fetchResumeCycle)
+	}
+	// Every pending completion is due within compMask cycles; scan only as
+	// far as the skip reaches, so the scan costs no more than it saves.
+	for c := s.now; c < next && c-s.now <= s.compMask; c++ {
+		if len(s.compBuckets[c&s.compMask]) > 0 {
+			next = c
+			break
+		}
+	}
+	if next <= s.now {
+		return
+	}
+	k := next - s.now
+	m := s.perCycle
+	if m&cycStallFrontend != 0 {
+		s.res.StallFrontend += k
+	}
+	if m&cycStallROB != 0 {
+		s.res.StallROB += k
+	}
+	if m&cycStallPhys != 0 {
+		s.res.StallPhys += k
+	}
+	if m&cycStallIQ != 0 {
+		s.res.StallIQ += k
+	}
+	if m&cycStallLQ != 0 {
+		s.res.StallLQ += k
+	}
+	if m&cycStallSQ != 0 {
+		s.res.StallSQ += k
+	}
+	if m&cycIdleIssue != 0 {
+		s.res.IdleIssueCycles += k
+	}
+	s.now = next
 }
 
 // drainDCacheWrites makes committed stores' data-cache writes visible.
@@ -352,6 +415,7 @@ func (s *Simulator) drainDCacheWrites() {
 		s.ssnInDCache = s.pendingDCWrites[i].ssn
 	}
 	if i > 0 {
+		s.active = true
 		// Compact in place so the backing array is reused instead of creeping
 		// forward and forcing reallocation.
 		s.pendingDCWrites = append(s.pendingDCWrites[:0], s.pendingDCWrites[i:]...)
@@ -361,30 +425,23 @@ func (s *Simulator) drainDCacheWrites() {
 // find returns the in-flight record for seq, or nil if it is not in the
 // window (already retired or never fetched).
 func (s *Simulator) find(seq uint64) *inflight {
-	if s.window.len() == 0 {
+	if seq < s.window.head || seq >= s.window.tail {
 		return nil
 	}
-	base := s.window.front().seq
-	if seq < base || seq >= base+uint64(s.window.len()) {
-		return nil
-	}
-	return s.window.at(int(seq - base))
+	return s.window.slot(seq)
 }
 
 // producerDone reports whether the producer with the given sequence number
 // has produced its value (completed) or already left the window.
 func (s *Simulator) producerDone(seq uint64) bool {
-	if seq == 0 {
-		return true
-	}
 	// The completed bitmap answers in one load. Consumers only ask about
 	// producers older than themselves, so seq is either already retired
 	// (older than the window) or a window occupant whose slot bit is
 	// authoritative.
-	if s.window.len() == 0 || seq < s.window.front().seq {
+	if seq < s.window.head {
 		return true
 	}
-	idx := seq & s.seqMask
+	idx := seq & s.window.mask
 	return s.complBits[idx>>6]&(1<<(idx&63)) != 0
 }
 
@@ -439,27 +496,26 @@ func (s *Simulator) icacheLatency(pc uint64) int {
 // squash removes every in-flight instruction younger than afterSeq, restores
 // rename state, and redirects fetch to afterSeq+1.
 func (s *Simulator) squash(afterSeq uint64, resumeCycle uint64) {
-	// Squashed instructions that had already entered the back-end (younger
-	// than the flushing load but committed into the back-end pipeline in the
-	// same or a later cycle) are removed from it first; the same records form
-	// the tail of the window, where they are released and recycled.
-	for s.backendQ.len() > 0 && s.backendQ.back().seq > afterSeq {
-		s.backendQ.popBack()
-	}
-	// Squashed conventional stores form the tail of the pending-store list;
-	// drop them before their records are recycled below.
-	for n := len(s.pendingStores); n > 0 && s.pendingStores[n-1].seq > afterSeq; n = len(s.pendingStores) {
+	// Squashed conventional stores form the tail of the pending-store list.
+	for n := len(s.pendingStores); n > 0 && s.pendingStores[n-1] > afterSeq; n = len(s.pendingStores) {
 		s.pendingStores = s.pendingStores[:n-1]
 	}
-	for s.window.len() > 0 && s.window.back().seq > afterSeq {
-		v := s.window.popBack()
+	// The squashed instructions are the window's youngest. Each occupancy
+	// ends with a new generation, so every reference to it goes stale.
+	for s.window.len() > 0 && s.window.tail > afterSeq+1 {
+		s.window.tail--
+		v := s.window.slot(s.window.tail)
 		s.releaseResources(v)
 		if v.isStore() && v.ssn != 0 {
 			s.srq.Release(v.ssn)
 		}
-		s.recycle(v)
+		v.gen++
 	}
+	// Squashed instructions that had already entered the back-end (younger
+	// than the flushing load but committed into the back-end pipeline in the
+	// same or a later cycle) leave it with the window.
 	s.renamedCount = min(s.renamedCount, s.window.len())
+	s.backendLen = min(s.backendLen, s.window.len())
 	// Rebuild the producer map from the renamed survivors, and rewind the
 	// rename-time SSN counter to the youngest of their stores.
 	clear(s.ratProducer[:])
@@ -480,11 +536,10 @@ func (s *Simulator) squash(afterSeq uint64, resumeCycle uint64) {
 	s.pendingDCWrites = kept
 	// Restore path history and fetch state.
 	if s.window.len() > 0 {
-		s.pathHist = bypass.HistoryFromValue(s.window.back().histAfter)
+		s.pathHist = bypass.HistoryFromValue(s.window.at(s.window.len() - 1).histAfter)
 	} else {
 		s.pathHist = bypass.HistoryFromValue(s.histAfterRetired)
 	}
-	s.fetchSeq = afterSeq + 1
 	s.fetchResumeCycle = resumeCycle
 	if s.fetchBlockedOn > afterSeq {
 		s.fetchBlockedOn = 0

@@ -22,12 +22,14 @@ func (s *Simulator) rename() {
 		if in == nil || in.renameReady > s.now {
 			if n == 0 {
 				s.res.StallFrontend++
+				s.perCycle |= cycStallFrontend
 			}
 			return
 		}
 		if s.renamedCount >= s.cfg.ROBSize {
 			if n == 0 {
 				s.res.StallROB++
+				s.perCycle |= cycStallROB
 			}
 			return
 		}
@@ -122,25 +124,31 @@ func (s *Simulator) renameOne(in *inflight) bool {
 		// ALU, branches, etc. dispatch normally.
 	}
 
-	// Resource checks (no state has been modified yet).
+	// Resource checks (no state has been modified yet, but for the bypassing
+	// predictor's LRU stamps; see skipIdle).
 	if needPhys && s.physRegsUsed >= s.renameableRegs() {
 		s.res.StallPhys++
+		s.perCycle |= cycStallPhys
 		return false
 	}
 	if needIQ && s.iqUsed >= s.cfg.IQSize {
 		s.res.StallIQ++
+		s.perCycle |= cycStallIQ
 		return false
 	}
 	if needLQ && s.lqUsed >= s.cfg.LQSize {
 		s.res.StallLQ++
+		s.perCycle |= cycStallLQ
 		return false
 	}
 	if needSQ && s.sqUsed >= s.cfg.SQSize {
 		s.res.StallSQ++
+		s.perCycle |= cycStallSQ
 		return false
 	}
 
 	// Commit the rename.
+	s.active = true
 	s.renamedCount++
 	in.srcSeqs[0] = src1
 	in.srcSeqs[1] = src2
@@ -169,7 +177,7 @@ func (s *Simulator) renameOne(in *inflight) bool {
 		in.ssn = s.ssnRenamed
 		if s.cfg.LSQ == LSQAssociative {
 			s.ss.StoreRenamed(st.PC, in.ssn, in.seq)
-			s.pendingStores = append(s.pendingStores, in)
+			s.pendingStores = append(s.pendingStores, in.seq)
 		} else {
 			s.srq.Insert(smb.SRQEntry{
 				SSN:         in.ssn,

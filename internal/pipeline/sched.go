@@ -14,11 +14,11 @@ import (
 // registers a wakeup on each condition that blocks it (an incomplete
 // producer, a store it must wait for, a store-sequence number that must
 // reach the data cache), and the conditions mark it candidate-ready as they
-// resolve. Ready candidates live in a bitmap indexed by window-ring slot
-// (seq & seqMask — the window ring has power-of-two capacity and contiguous
-// sequence numbers, so the mapping is unique per window occupant and rotates
-// with the window), and the issue pass walks only set bits, in age order,
-// with trailing-zero scans.
+// resolve. Ready candidates live in a bitmap indexed by window slot (seq &
+// mask — the window has power-of-two capacity and contiguous sequence
+// numbers, so the mapping is unique per window occupant and rotates with the
+// window), and the issue pass walks only set bits, in age order, with
+// trailing-zero scans.
 //
 // Selection equals that of an oldest-first scan over the whole issue queue:
 // every blocking condition is monotone within one window occupancy, except
@@ -28,19 +28,26 @@ import (
 // checks the two agree every cycle.
 //
 // Stale references are tolerated everywhere: a schedRef pins a specific
-// occupancy of an inflight record via its generation counter, so entries
-// left behind by a squash are recognised and dropped lazily.
+// occupancy of a window slot via its generation counter, so entries left
+// behind by a squash are recognised and dropped lazily.
 
-// schedRef pins one occupancy of an inflight record. seq is captured at
-// registration time so ordered structures stay ordered even after the
-// record is recycled for a younger instruction.
+// schedRef pins one occupancy of a window slot: the occupant's sequence
+// number, which names the slot, and the slot's generation while it stays.
+// Wake lists, the SSN heap, the msGate poll and the completion buckets hold
+// them.
 type schedRef struct {
-	in  *inflight
 	seq uint64
 	gen uint64
 }
 
-func (r schedRef) valid() bool { return r.in.gen == r.gen }
+// occupant returns the record ref pins, or nil once that occupancy has
+// ended.
+func (s *Simulator) occupant(ref schedRef) *inflight {
+	if in := s.window.slot(ref.seq); in.gen == ref.gen {
+		return in
+	}
+	return nil
+}
 
 // ssnWaiter is one load waiting for ssnInDCache to reach ssn (the delay gate
 // and the perfect-scheduling commit gate); the waiters form a min-heap on
@@ -51,7 +58,7 @@ type ssnWaiter struct {
 }
 
 // ref pins the record's current occupancy.
-func (in *inflight) ref() schedRef { return schedRef{in: in, seq: in.seq, gen: in.gen} }
+func (in *inflight) ref() schedRef { return schedRef{seq: in.seq, gen: in.gen} }
 
 // gate reports whether every issue gate of an issue-queue occupant is open.
 // Every occupant needs its register sources produced; a load needs only its
@@ -127,8 +134,8 @@ func (s *Simulator) produced(in *inflight, seq uint64, wait bool) bool {
 // candidate once they are all open. A stale or already-issued reference is
 // dropped; an occupant still blocked stays registered on its other gates.
 func (s *Simulator) wake(ref schedRef) {
-	in := ref.in
-	if ref.valid() && !in.issued && in.holdsIQ && !in.inReadyQ && s.gate(in, false) {
+	in := s.occupant(ref)
+	if in != nil && !in.issued && in.holdsIQ && !in.inReadyQ && s.gate(in, false) {
 		s.pushReady(in)
 	}
 }
@@ -148,6 +155,7 @@ func (s *Simulator) wakeConsumers(p *inflight) {
 // this cycle is a candidate for this cycle's selection.
 func (s *Simulator) drainSSNWaiters() {
 	for len(s.ssnWaiters) > 0 && s.ssnWaiters[0].ssn <= s.ssnInDCache {
+		s.active = true
 		s.wake(s.ssnWaitPop())
 	}
 }
@@ -156,27 +164,28 @@ func (s *Simulator) drainSSNWaiters() {
 // completed bitmap, which gives producerDone a one-load answer.
 func (s *Simulator) markCompleted(in *inflight) {
 	in.completed = true
-	idx := in.seq & s.seqMask
+	idx := in.seq & s.window.mask
 	s.complBits[idx>>6] |= 1 << (idx & 63)
 }
 
 // clearCompletedBit resets the completed bit of a window slot when a new
-// occupant (with the same seq & seqMask) is fetched into it.
+// occupant (with the same seq & mask) is fetched into it.
 func (s *Simulator) clearCompletedBit(seq uint64) {
-	idx := seq & s.seqMask
+	idx := seq & s.window.mask
 	s.complBits[idx>>6] &^= 1 << (idx & 63)
 }
 
-// pushReady marks an instruction candidate-ready: its window-ring slot's bit
-// is set in the ready bitmap. O(1), no ordering work — the bitmap is
-// inherently seq-ordered.
+// pushReady marks an instruction candidate-ready: its window slot's bit is
+// set in the ready bitmap. O(1), no ordering work — the bitmap is inherently
+// seq-ordered.
 func (s *Simulator) pushReady(in *inflight) {
 	if in.inReadyQ {
 		return
 	}
+	s.active = true
 	in.inReadyQ = true
 	s.readyCount++
-	idx := in.seq & s.seqMask
+	idx := in.seq & s.window.mask
 	s.readyBits[idx>>6] |= 1 << (idx & 63)
 }
 
@@ -187,9 +196,10 @@ func (s *Simulator) clearReady(in *inflight) {
 	if !in.inReadyQ {
 		return
 	}
+	s.active = true
 	in.inReadyQ = false
 	s.readyCount--
-	idx := in.seq & s.seqMask
+	idx := in.seq & s.window.mask
 	s.readyBits[idx>>6] &^= 1 << (idx & 63)
 }
 
@@ -206,11 +216,12 @@ func (s *Simulator) issueFast() {
 	// Multi-source-gated loads re-poll every cycle (see gate).
 	for i := 0; i < len(s.msGate); {
 		ref := s.msGate[i]
-		in := ref.in
-		if !ref.valid() || in.issued || !in.holdsIQ {
-			if ref.valid() {
+		in := s.occupant(ref)
+		if in == nil || in.issued || !in.holdsIQ {
+			if in != nil {
 				in.inMSGate = false
 			}
+			s.active = true
 			s.msGate[i] = s.msGate[len(s.msGate)-1]
 			s.msGate = s.msGate[:len(s.msGate)-1]
 			continue
@@ -222,6 +233,7 @@ func (s *Simulator) issueFast() {
 	// No candidates at all (a stall cycle): skip the bitmap walk.
 	if s.readyCount == 0 {
 		s.res.IdleIssueCycles++
+		s.perCycle |= cycIdleIssue
 		return
 	}
 
@@ -233,12 +245,12 @@ func (s *Simulator) issueFast() {
 	ports[portStore] = s.cfg.StorePorts
 	issued := 0
 	// Walk the ready bitmap in age order: the window's oldest slot is
-	// start = frontSeq & seqMask, and slots wrap around the ring, so the
-	// scan covers the words from start upward and then the wrapped low bits
-	// of the starting word. Bits are cleared eagerly (issue, squash,
-	// revoked wakeup), so every set bit is a live candidate.
+	// start = head & mask, and slots wrap around the array, so the scan
+	// covers the words from start upward and then the wrapped low bits of
+	// the starting word. Bits are cleared eagerly (issue, squash, revoked
+	// wakeup), so every set bit is a live candidate.
 	if s.window.len() > 0 {
-		start := s.window.front().seq & s.seqMask
+		start := s.window.head & s.window.mask
 		w0 := int(start >> 6)
 		b0 := uint(start & 63)
 		nw := len(s.readyBits)
@@ -251,25 +263,25 @@ func (s *Simulator) issueFast() {
 			if wi == 0 {
 				word &= ^uint64(0) << b0
 			}
-			issued = s.issueReadyWord(word, w, start, &ports, issued)
+			issued = s.issueReadyWord(word, w, &ports, issued)
 		}
 		if issued < s.cfg.IssueWidth && b0 != 0 {
-			issued = s.issueReadyWord(s.readyBits[w0]&(1<<b0-1), w0, start, &ports, issued)
+			issued = s.issueReadyWord(s.readyBits[w0]&(1<<b0-1), w0, &ports, issued)
 		}
 	}
 	if issued == 0 {
 		s.res.IdleIssueCycles++
+		s.perCycle |= cycIdleIssue
 	}
 }
 
 // issueReadyWord issues candidates from one ready-bitmap word, oldest first,
 // until the issue width is exhausted; returns the updated issue count.
-func (s *Simulator) issueReadyWord(word uint64, w int, start uint64, ports *[portNone + 1]int, issued int) int {
+func (s *Simulator) issueReadyWord(word uint64, w int, ports *[portNone + 1]int, issued int) int {
 	for word != 0 && issued < s.cfg.IssueWidth {
 		b := bits.TrailingZeros64(word)
 		word &= word - 1
-		idx := uint64(w)<<6 | uint64(b)
-		in := s.window.at(int((idx - start) & s.seqMask))
+		in := &s.window.slots[w<<6|b]
 		if ports[in.port] <= 0 {
 			continue // port-limited: the bit stays set for next cycle
 		}
