@@ -169,15 +169,15 @@ func runAblation(b *testing.B, benchmark string, reference, variant pipeline.Con
 // delay mechanism on the partial-store-heavy benchmark the paper calls out
 // (g721.e).
 func BenchmarkAblationDelay(b *testing.B) {
-	runAblation(b, "g721.e", pipeline.NoSQConfig(true), pipeline.NoSQConfig(false))
+	runAblation(b, "g721.e", pipeline.ConfigFor(pipeline.NoSQDelay, 0), pipeline.ConfigFor(pipeline.NoSQNoDelay, 0))
 }
 
 // BenchmarkAblationHybridPredictor compares the hybrid (path-sensitive +
 // path-insensitive) bypassing predictor against a path-insensitive-only
 // predictor on a path-dependent benchmark.
 func BenchmarkAblationHybridPredictor(b *testing.B) {
-	ref := pipeline.NoSQConfig(true)
-	variant := pipeline.NoSQConfig(true)
+	ref := pipeline.ConfigFor(pipeline.NoSQDelay, 0)
+	variant := pipeline.ConfigFor(pipeline.NoSQDelay, 0)
 	variant.BypassPred.Hybrid = false
 	variant.Name = "nosq-no-path-table"
 	runAblation(b, "eon.k", ref, variant)
@@ -187,21 +187,11 @@ func BenchmarkAblationHybridPredictor(b *testing.B) {
 // against a quarter-size 512-entry predictor on a SPECint benchmark (the
 // suite the paper reports as most capacity-sensitive).
 func BenchmarkAblationPredictorCapacity(b *testing.B) {
-	ref := pipeline.NoSQConfig(true)
-	variant := pipeline.NoSQConfig(true)
+	ref := pipeline.ConfigFor(pipeline.NoSQDelay, 0)
+	variant := pipeline.ConfigFor(pipeline.NoSQDelay, 0)
 	variant.BypassPred.Entries = 512
 	variant.Name = "nosq-512"
 	runAblation(b, "vortex", ref, variant)
-}
-
-// BenchmarkAblationStoreSets compares the realistic baseline's StoreSets load
-// scheduling against naive scheduling (no memory dependence prediction).
-func BenchmarkAblationStoreSets(b *testing.B) {
-	ref := pipeline.BaselineConfig()
-	variant := pipeline.BaselineConfig()
-	variant.Sched = pipeline.SchedNaive
-	variant.Name = "assoc-sq-naive"
-	runAblation(b, "mesa.o", ref, variant)
 }
 
 // BenchmarkAblationTaggedSSBF compares the tagged, set-associative T-SSBF's
@@ -251,7 +241,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 	b.ResetTimer()
 	var committed uint64
 	for i := 0; i < b.N; i++ {
-		run, err := pipeline.MustNew(prog, pipeline.NoSQConfig(true)).Run()
+		run, err := pipeline.MustNew(prog, pipeline.ConfigFor(pipeline.NoSQDelay, 0)).Run()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,9 @@
-// Package cache implements set-associative caches with LRU replacement and a
-// simple TLB, used for the L1 instruction cache, L1 data cache, unified L2
-// and the instruction/data TLBs of the simulated machine.
+// Package cache implements set-associative caches with LRU replacement, used
+// for the L1 instruction cache, L1 data cache and unified L2 of the simulated
+// machine, and for its data TLB: a cache whose lines are pages, so that a
+// hit is a translation the TLB holds. Translation itself is identity (the
+// emulator uses flat addresses); the TLB models only translation hits and
+// misses.
 //
 // The caches model hit/miss behaviour only; the timing model translates
 // misses into latency using its memory-hierarchy configuration and counts
@@ -127,27 +130,3 @@ func (c *Cache) Access(addr uint64) bool {
 	c.lastBlk, c.lastIdx = blk, base+victim
 	return false
 }
-
-// TLB is a small fully-set-associative translation lookaside buffer modelled
-// as a page-granularity cache. Translation itself is identity (the emulator
-// uses flat addresses); the TLB exists to model translation hit/miss costs.
-type TLB struct {
-	cache *Cache
-}
-
-// NewTLB builds a TLB with the given number of entries and associativity over
-// 4KB pages.
-func NewTLB(name string, entries, assoc int) *TLB {
-	const page = 4096
-	return &TLB{
-		cache: New(Config{
-			Name:      name,
-			SizeBytes: entries * page / 1, // one "line" per page entry
-			LineBytes: page,
-			Assoc:     assoc,
-		}),
-	}
-}
-
-// Access looks up the page containing addr, returning true on a TLB hit.
-func (t *TLB) Access(addr uint64) bool { return t.cache.Access(addr) }

@@ -75,8 +75,10 @@ func TestLRUReplacement(t *testing.T) {
 	}
 }
 
+// TestTLB: a TLB is a cache of page-sized lines, one per entry.
 func TestTLB(t *testing.T) {
-	tlb := NewTLB("dtlb", 4, 4)
+	const page = 4096
+	tlb := New(Config{Name: "dtlb", SizeBytes: 4 * page, LineBytes: page, Assoc: 4})
 	if tlb.Access(0x1000) {
 		t.Error("cold TLB should miss")
 	}

@@ -21,48 +21,21 @@ import (
 )
 
 // ConfigKind names one of the five machine configurations evaluated in the
-// paper.
-type ConfigKind int
+// paper; it is the timing model's own pipeline.Kind.
+type ConfigKind = pipeline.Kind
 
-// The five configurations of Figures 2 and 3.
+// The five configurations of Figures 2 and 3 (see pipeline.Kind).
 const (
-	// IdealBaseline is the normalisation baseline: an associative store queue
-	// with perfect (oracle) load scheduling.
-	IdealBaseline ConfigKind = iota
-	// Baseline is the realistic conventional design: associative store queue
-	// with StoreSets load scheduling.
-	Baseline
-	// NoSQNoDelay is NoSQ with the bypassing predictor and no delay.
-	NoSQNoDelay
-	// NoSQDelay is NoSQ with the bypassing predictor and the confidence-driven
-	// delay mechanism.
-	NoSQDelay
-	// PerfectSMB is the idealised NoSQ configuration: perfect bypassing
-	// prediction with idealised partial-word support.
-	PerfectSMB
+	IdealBaseline = pipeline.IdealBaseline
+	Baseline      = pipeline.Baseline
+	NoSQNoDelay   = pipeline.NoSQNoDelay
+	NoSQDelay     = pipeline.NoSQDelay
+	PerfectSMB    = pipeline.PerfectSMB
 )
 
 // Kinds returns all configuration kinds in presentation order.
 func Kinds() []ConfigKind {
 	return []ConfigKind{IdealBaseline, Baseline, NoSQNoDelay, NoSQDelay, PerfectSMB}
-}
-
-// String implements fmt.Stringer.
-func (k ConfigKind) String() string {
-	switch k {
-	case IdealBaseline:
-		return "ideal-baseline"
-	case Baseline:
-		return "assoc-sq-storesets"
-	case NoSQNoDelay:
-		return "nosq-nodelay"
-	case NoSQDelay:
-		return "nosq-delay"
-	case PerfectSMB:
-		return "perfect-smb"
-	default:
-		return fmt.Sprintf("config?%d", int(k))
-	}
 }
 
 // KindByName parses a configuration name (as printed by String).
@@ -78,25 +51,7 @@ func KindByName(name string) (ConfigKind, error) {
 // ConfigFor returns the pipeline configuration for a kind and window size
 // (128 or 256 in the paper; any positive size is accepted).
 func ConfigFor(kind ConfigKind, windowSize int) pipeline.Config {
-	var cfg pipeline.Config
-	switch kind {
-	case IdealBaseline:
-		cfg = pipeline.IdealBaselineConfig()
-	case Baseline:
-		cfg = pipeline.BaselineConfig()
-	case NoSQNoDelay:
-		cfg = pipeline.NoSQConfig(false)
-	case NoSQDelay:
-		cfg = pipeline.NoSQConfig(true)
-	case PerfectSMB:
-		cfg = pipeline.PerfectSMBConfig()
-	default:
-		cfg = pipeline.BaselineConfig()
-	}
-	if windowSize > 0 && windowSize != cfg.ROBSize {
-		cfg = cfg.WithWindow(windowSize)
-	}
-	return cfg
+	return pipeline.ConfigFor(kind, windowSize)
 }
 
 // Benchmarks returns the names of all 47 benchmarks of Table 5.

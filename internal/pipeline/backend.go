@@ -140,7 +140,7 @@ func (s *Simulator) retireLoad(in *inflight) (flush bool) {
 	// their correctness when they read the cache). The Perfect SMB
 	// configuration bypasses with oracle information and idealised
 	// partial-word support, so its bypasses are correct by construction.
-	if in.bypassed && s.cfg.Bypass != BypassPerfect {
+	if in.bypassed && s.cfg.Kind != PerfectSMB {
 		correct := dep.Exists && !dep.MultiSource &&
 			in.bypassSSN == dep.SSN && in.predShift == dep.Shift
 		if !correct {
@@ -154,13 +154,11 @@ func (s *Simulator) retireLoad(in *inflight) (flush bool) {
 		}
 	}
 
-	switch s.cfg.Bypass {
-	case BypassPredictor:
+	switch s.cfg.Kind {
+	case Baseline:
+		s.trainStoreSets(in)
+	case NoSQNoDelay, NoSQDelay:
 		s.trainBypassPredictor(in)
-	case BypassNone:
-		if s.cfg.Sched == SchedStoreSets {
-			s.trainStoreSets(in)
-		}
 	}
 
 	// A wrong value is detected by re-execution in the back-end and forces a

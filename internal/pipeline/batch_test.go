@@ -60,7 +60,7 @@ func TestBatchBitIdenticalOnStressScenarios(t *testing.T) {
 	if len(scens) > 3 {
 		scens = scens[:3]
 	}
-	cfgs := []Config{BaselineConfig(), NoSQConfig(true), NoSQConfig(false)}
+	cfgs := []Config{ConfigFor(Baseline, 0), ConfigFor(NoSQDelay, 0), ConfigFor(NoSQNoDelay, 0)}
 	for _, sc := range scens {
 		prog, err := workload.GenerateScenario(sc, workload.Options{Iterations: 30})
 		if err != nil {
@@ -109,10 +109,10 @@ func TestBatchMixedGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
-	small := NoSQConfig(true).WithWindow(64)
-	limited := BaselineConfig()
+	small := ConfigFor(NoSQDelay, 64)
+	limited := ConfigFor(Baseline, 0)
 	limited.MaxInsts = trace.Len() / 2
-	cfgs := []Config{NoSQConfig(true), small, limited}
+	cfgs := []Config{ConfigFor(NoSQDelay, 0), small, limited}
 	b, err := NewBatch(trace, cfgs)
 	if err != nil {
 		t.Fatalf("NewBatch: %v", err)

@@ -35,48 +35,56 @@ import (
 	"repro/internal/storesets"
 )
 
-// LSQPolicy selects how in-flight store-load communication is performed.
-type LSQPolicy int
+// Kind names one of the five machines the paper evaluates (Figures 2 and
+// 3). It selects every structural choice that tells them apart: whether
+// stores communicate through an associative store queue or through SMB, the
+// load-scheduling policy, the bypassing predictor, and the delay mechanism.
+type Kind int
 
+// The five machines, in presentation order.
 const (
-	// LSQAssociative is the conventional design: stores execute out-of-order
-	// into an associative store queue that loads search for forwarding.
-	LSQAssociative LSQPolicy = iota
-	// LSQNone is NoSQ: there is no store queue; stores do not execute in the
-	// out-of-order core and all in-flight communication uses SMB.
-	LSQNone
+	// IdealBaseline is the normalisation baseline: an associative store queue
+	// with perfect (oracle) load scheduling, which holds each load exactly
+	// until its communicating store has executed.
+	IdealBaseline Kind = iota
+	// Baseline is the realistic conventional design: stores execute
+	// out-of-order into an associative store queue that loads search for
+	// forwarding, and StoreSets schedules loads.
+	Baseline
+	// NoSQNoDelay is NoSQ: there is no store queue, stores do not execute in
+	// the out-of-order core, and all in-flight communication uses SMB driven
+	// by the distance-based bypassing predictor.
+	NoSQNoDelay
+	// NoSQDelay is NoSQ with the confidence-driven delay mechanism.
+	NoSQDelay
+	// PerfectSMB is the idealised NoSQ machine: a perfect bypassing predictor
+	// with idealised partial-word support.
+	PerfectSMB
+	numKinds
 )
 
-// SchedPolicy selects the baseline's load scheduling policy.
-type SchedPolicy int
+// kindNames are the configuration names that reports, checkpoints and cache
+// keys carry, so they must not change.
+var kindNames = [numKinds]string{"ideal-baseline", "assoc-sq-storesets", "nosq-nodelay", "nosq-delay", "perfect-smb"}
 
-const (
-	// SchedNaive issues loads as soon as their address register is ready.
-	SchedNaive SchedPolicy = iota
-	// SchedStoreSets holds loads for stores predicted by StoreSets.
-	SchedStoreSets
-	// SchedPerfect holds loads exactly until their true communicating store
-	// has executed (oracle scheduling, the paper's idealised baseline).
-	SchedPerfect
-)
+// String implements fmt.Stringer.
+func (k Kind) String() string {
+	if k < 0 || k >= numKinds {
+		return fmt.Sprintf("config?%d", int(k))
+	}
+	return kindNames[k]
+}
 
-// BypassPolicy selects the speculative-memory-bypassing mode.
-type BypassPolicy int
-
-const (
-	// BypassNone disables SMB (conventional designs).
-	BypassNone BypassPolicy = iota
-	// BypassPredictor uses the NoSQ distance-based bypassing predictor.
-	BypassPredictor
-	// BypassPerfect is the idealised configuration: a perfect bypassing
-	// predictor with idealised partial-word support ("Perfect SMB").
-	BypassPerfect
-)
+// storeQueue reports whether the machine is a conventional one, whose stores
+// execute into an associative store queue; the NoSQ machines have none.
+func (k Kind) storeQueue() bool { return k == IdealBaseline || k == Baseline }
 
 // Config describes one simulated machine.
 type Config struct {
 	// Name labels the configuration in results.
 	Name string
+	// Kind is the machine the configuration is a variant of.
+	Kind Kind
 
 	// FetchWidth..CommitWidth are per-cycle stage widths.
 	FetchWidth  int
@@ -88,10 +96,10 @@ type Config struct {
 	ROBSize int
 	// IQSize is the issue-queue capacity.
 	IQSize int
-	// LQSize is the load-queue capacity (ignored when the configuration
-	// eliminates the load queue).
+	// LQSize is the load-queue capacity (store-queue machines only: the NoSQ
+	// machines allocate no load-queue entries).
 	LQSize int
-	// SQSize is the store-queue capacity (associative configurations only).
+	// SQSize is the store-queue capacity (store-queue machines only).
 	SQSize int
 	// PhysRegs is the total number of physical registers (architectural +
 	// renameable).
@@ -113,22 +121,13 @@ type Config struct {
 	L2Latency     int
 	MemLatency    int
 
-	// Issue port counts per cycle.
+	// Issue port counts per cycle. Stores never issue: the store queue
+	// captures their operands as the producers write back, and NoSQ stores
+	// skip the out-of-order core, so there is no store port.
 	SimpleIntPorts int
 	ComplexPorts   int
 	BranchPorts    int
 	LoadPorts      int
-	StorePorts     int
-
-	// LSQ selects conventional forwarding vs NoSQ.
-	LSQ LSQPolicy
-	// Sched selects the baseline load-scheduling policy (ignored under NoSQ,
-	// which has no load scheduler).
-	Sched SchedPolicy
-	// Bypass selects the SMB mode.
-	Bypass BypassPolicy
-	// Delay enables NoSQ's confidence-driven delay mechanism.
-	Delay bool
 
 	// BPred configures the branch predictor.
 	BPred bpred.Config
@@ -141,25 +140,27 @@ type Config struct {
 	TSSBFEntries int
 	TSSBFAssoc   int
 
-	// L1I, L1D and L2 configure the caches.
-	L1I cache.Config
-	L1D cache.Config
-	L2  cache.Config
-	// ITLBEntries/DTLBEntries/TLBAssoc configure the TLBs.
-	ITLBEntries int
-	DTLBEntries int
-	TLBAssoc    int
+	// L1I, L1D and L2 configure the caches, and DTLB the data TLB: a cache
+	// of page-sized lines, one per entry.
+	L1I  cache.Config
+	L1D  cache.Config
+	L2   cache.Config
+	DTLB cache.Config
 
 	// MaxInsts bounds the number of committed instructions (0 = run the
 	// workload to completion).
 	MaxInsts uint64
 }
 
-// DefaultConfig returns the paper's baseline machine (Section 4.1) with an
-// associative store queue and StoreSets load scheduling.
-func DefaultConfig() Config {
-	return Config{
-		Name:        "baseline",
+// ConfigFor returns the paper's machine of the given kind (Section 4.1) at
+// the given instruction-window size (see WithWindow; 0 keeps the 128-entry
+// window). The machines share one core, but NoSQ's back-end is two stages
+// longer than the baseline's: its stores, which skip the out-of-order core,
+// read their registers there.
+func ConfigFor(kind Kind, window int) Config {
+	c := Config{
+		Name:        kind.String(),
+		Kind:        kind,
 		FetchWidth:  4,
 		RenameWidth: 4,
 		IssueWidth:  4,
@@ -183,12 +184,6 @@ func DefaultConfig() Config {
 		ComplexPorts:   2,
 		BranchPorts:    1,
 		LoadPorts:      1,
-		StorePorts:     1,
-
-		LSQ:    LSQAssociative,
-		Sched:  SchedStoreSets,
-		Bypass: BypassNone,
-		Delay:  false,
 
 		BPred:      bpred.DefaultConfig(),
 		StoreSets:  storesets.DefaultConfig(),
@@ -197,59 +192,16 @@ func DefaultConfig() Config {
 		TSSBFEntries: 128,
 		TSSBFAssoc:   4,
 
-		L1I: cache.Config{Name: "L1I", SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 2},
-		L1D: cache.Config{Name: "L1D", SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 2},
-		L2:  cache.Config{Name: "L2", SizeBytes: 1024 * 1024, LineBytes: 64, Assoc: 8},
-
-		ITLBEntries: 128,
-		DTLBEntries: 128,
-		TLBAssoc:    4,
+		L1I:  cache.Config{Name: "L1I", SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 2},
+		L1D:  cache.Config{Name: "L1D", SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 2},
+		L2:   cache.Config{Name: "L2", SizeBytes: 1024 * 1024, LineBytes: 64, Assoc: 8},
+		DTLB: cache.Config{Name: "DTLB", SizeBytes: 128 * 4096, LineBytes: 4096, Assoc: 4}, // 128 4 KB pages
 	}
-}
-
-// IdealBaselineConfig returns the normalisation baseline of Figures 2 and 3:
-// an associative store queue with perfect (oracle) load scheduling.
-func IdealBaselineConfig() Config {
-	c := DefaultConfig()
-	c.Name = "ideal-baseline"
-	c.Sched = SchedPerfect
-	return c
-}
-
-// BaselineConfig returns the realistic conventional configuration:
-// associative store queue with StoreSets load scheduling.
-func BaselineConfig() Config {
-	c := DefaultConfig()
-	c.Name = "assoc-sq-storesets"
-	return c
-}
-
-// NoSQConfig returns the NoSQ machine. delay selects the confidence-driven
-// delay mechanism (the paper's "NoSQ (with delay)" vs "NoSQ (no delay)").
-func NoSQConfig(delay bool) Config {
-	c := DefaultConfig()
-	if delay {
-		c.Name = "nosq-delay"
-	} else {
-		c.Name = "nosq-nodelay"
+	if !kind.storeQueue() {
+		c.BackendDepth = 8 // setup, 2x regread, agen/SVW, 3x dcache, commit
+		c.BackendDCacheStage = 6
 	}
-	c.LSQ = LSQNone
-	c.Sched = SchedNaive
-	c.Bypass = BypassPredictor
-	c.Delay = delay
-	c.BackendDepth = 8 // setup, 2x regread, agen/SVW, 3x dcache, commit
-	c.BackendDCacheStage = 6
-	return c
-}
-
-// PerfectSMBConfig returns the idealised NoSQ configuration with a perfect
-// bypassing predictor and idealised partial-word support.
-func PerfectSMBConfig() Config {
-	c := NoSQConfig(true)
-	c.Name = "perfect-smb"
-	c.Bypass = BypassPerfect
-	c.Delay = false
-	return c
+	return c.WithWindow(window)
 }
 
 // WithWindow returns a copy of the configuration scaled to the given
@@ -295,17 +247,20 @@ func (c Config) Validate() error {
 		{"FrontEndDepth", c.FrontEndDepth}, {"BackendDepth", c.BackendDepth},
 		{"DCacheLatency", c.DCacheLatency}, {"L2Latency", c.L2Latency}, {"MemLatency", c.MemLatency},
 		{"SimpleIntPorts", c.SimpleIntPorts}, {"ComplexPorts", c.ComplexPorts},
-		{"BranchPorts", c.BranchPorts}, {"LoadPorts", c.LoadPorts}, {"StorePorts", c.StorePorts},
+		{"BranchPorts", c.BranchPorts}, {"LoadPorts", c.LoadPorts},
 		{"TSSBFEntries", c.TSSBFEntries}, {"TSSBFAssoc", c.TSSBFAssoc},
 	} {
 		if ch.v <= 0 {
 			return fmt.Errorf("pipeline: %s must be positive, got %d", ch.name, ch.v)
 		}
 	}
-	if c.LSQ == LSQAssociative && c.SQSize <= 0 {
+	if c.Kind < 0 || c.Kind >= numKinds {
+		return fmt.Errorf("pipeline: unknown machine kind %d", int(c.Kind))
+	}
+	if c.Kind.storeQueue() && c.SQSize <= 0 {
 		return fmt.Errorf("pipeline: associative store queue requires SQSize > 0")
 	}
-	if c.LSQ == LSQAssociative && c.LQSize <= 0 {
+	if c.Kind.storeQueue() && c.LQSize <= 0 {
 		return fmt.Errorf("pipeline: conventional design requires LQSize > 0")
 	}
 	if c.PhysRegs <= 64 {
@@ -323,13 +278,10 @@ func (c Config) Validate() error {
 	if err := c.BypassPred.Validate(); err != nil {
 		return err
 	}
-	for _, cc := range []cache.Config{c.L1I, c.L1D, c.L2} {
+	for _, cc := range []cache.Config{c.L1I, c.L1D, c.L2, c.DTLB} {
 		if err := cc.Validate(); err != nil {
 			return err
 		}
-	}
-	if c.LSQ == LSQNone && c.Bypass == BypassNone {
-		return fmt.Errorf("pipeline: NoSQ requires a bypassing mode")
 	}
 	return nil
 }

@@ -2,7 +2,7 @@ package pipeline
 
 // doIssue starts executing an instruction and schedules its completion.
 // The instruction's issue-queue entry is freed here: selection removes the
-// instruction from the scheduler.
+// instruction from the scheduler. Stores hold no entry and never issue.
 func (s *Simulator) doIssue(in *inflight) {
 	in.issued = true
 	if in.holdsIQ {
@@ -10,14 +10,10 @@ func (s *Simulator) doIssue(in *inflight) {
 		in.holdsIQ = false
 	}
 	var lat int
-	switch {
-	case in.isLoad():
+	if in.isLoad() {
 		lat = s.loadLatency(in.dyn.EffAddr())
 		s.resolveLoadValue(in)
-	case in.isStore():
-		// Baseline store execution: address generation and store-queue write.
-		lat = 1
-	default:
+	} else {
 		lat = in.st.ExecLatency()
 	}
 	s.scheduleCompletion(in, s.now+uint64(lat))
@@ -36,7 +32,7 @@ func (s *Simulator) resolveLoadValue(in *inflight) {
 	}
 	// The communicating store is still in flight (or at least not yet in the
 	// data cache) at the time of the cache read.
-	if s.cfg.LSQ == LSQAssociative {
+	if s.cfg.Kind.storeQueue() {
 		// Conventional forwarding from the store queue: from an executed
 		// store, or from one that has retired while its write still drains
 		// through the back-end data-cache stage (the store queue drains at
@@ -82,14 +78,7 @@ func (s *Simulator) complete() {
 			}
 			s.active = true
 			s.markCompleted(in)
-			st := in.st
-			switch {
-			case in.isStore():
-				in.storeExecuted = true
-				if s.cfg.LSQ == LSQAssociative {
-					s.ss.StoreCompleted(st.PC, in.ssn)
-				}
-			case st.IsBranch():
+			if st := in.st; st.IsBranch() {
 				s.bp.Resolve(st, in.dyn.Taken(), in.dyn.NextPC(), in.bpPred)
 				if in.brMispredicted {
 					s.res.BranchMispredicts++
@@ -106,7 +95,7 @@ func (s *Simulator) complete() {
 		*bucket = events[:0]
 	}
 
-	if s.cfg.LSQ != LSQAssociative {
+	if !s.cfg.Kind.storeQueue() {
 		return
 	}
 	kept := s.pendingStores[:0]

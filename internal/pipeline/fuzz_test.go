@@ -24,8 +24,7 @@ const (
 // T-SSBF of 1 to 128 sets of 1 to 8 ways, and a back-end of 2 to 8 stages
 // with its data-cache stage anywhere inside it.
 func fuzzConfig(kind, window, width, iq, lsq, tssbf, depth byte) Config {
-	kinds := allConfigs()
-	cfg := kinds[int(kind)%len(kinds)].WithWindow(8 << (window % 6))
+	cfg := ConfigFor(Kind(int(kind)%int(numKinds)), 8<<(window%6))
 	cfg.PhysRegs = max(cfg.PhysRegs, isa.NumArchRegs+1)
 	cfg.FetchWidth = 1 + int(width%8)
 	cfg.RenameWidth = cfg.FetchWidth

@@ -17,7 +17,6 @@ const (
 	portBranch
 	portLoad
 	portStore
-	portNone // instructions that never issue (NoSQ stores, bypassed loads)
 )
 
 func classify(in *isa.Inst) portClass {

@@ -55,7 +55,7 @@ func TestGeneratedWorkloadAccuracyAboveNinetyNinePercent(t *testing.T) {
 	// benchmarks. With our shorter synthetic runs (which emphasise warm-up)
 	// we require 99% on benchmarks without erratic communication.
 	for _, bench := range []string{"gzip", "mpeg2.d", "wupwise", "pegwit.e"} {
-		got := runGenerated(t, bench, 120, NoSQConfig(true))
+		got := runGenerated(t, bench, 120, ConfigFor(NoSQDelay, 0))
 		if per10k := got.MispredictsPer10kLoads(); per10k > 100 {
 			t.Errorf("%s: %.1f mispredictions per 10k loads (accuracy below 99%%)", bench, per10k)
 		}
@@ -67,8 +67,8 @@ func TestNoSQCompetitiveWithBaselineOnGeneratedWorkloads(t *testing.T) {
 	// of the conventional design on every benchmark, despite having no store
 	// queue at all.
 	for _, bench := range []string{"gzip", "mesa.o", "applu", "vortex"} {
-		base := runGenerated(t, bench, 100, BaselineConfig())
-		nosq := runGenerated(t, bench, 100, NoSQConfig(true))
+		base := runGenerated(t, bench, 100, ConfigFor(Baseline, 0))
+		nosq := runGenerated(t, bench, 100, ConfigFor(NoSQDelay, 0))
 		if ratio := stats.RelativeExecutionTime(nosq, base); ratio > 1.10 {
 			t.Errorf("%s: NoSQ is %.1f%% slower than the baseline", bench, 100*(ratio-1))
 		}
@@ -77,7 +77,7 @@ func TestNoSQCompetitiveWithBaselineOnGeneratedWorkloads(t *testing.T) {
 
 func TestSmallStructuresStillComplete(t *testing.T) {
 	// Shrinking every window resource must not deadlock the model.
-	cfg := BaselineConfig()
+	cfg := ConfigFor(Baseline, 0)
 	cfg.ROBSize = 16
 	cfg.IQSize = 4
 	cfg.LQSize = 4
@@ -88,7 +88,7 @@ func TestSmallStructuresStillComplete(t *testing.T) {
 		t.Fatal("tiny baseline machine committed nothing")
 	}
 
-	nosq := NoSQConfig(true)
+	nosq := ConfigFor(NoSQDelay, 0)
 	nosq.ROBSize = 16
 	nosq.IQSize = 4
 	nosq.PhysRegs = 80
@@ -99,7 +99,7 @@ func TestSmallStructuresStillComplete(t *testing.T) {
 }
 
 func TestNarrowWidthMachineCompletes(t *testing.T) {
-	cfg := NoSQConfig(true)
+	cfg := ConfigFor(NoSQDelay, 0)
 	cfg.FetchWidth = 1
 	cfg.RenameWidth = 1
 	cfg.IssueWidth = 1
@@ -109,14 +109,14 @@ func TestNarrowWidthMachineCompletes(t *testing.T) {
 	if scalar.Committed == 0 {
 		t.Fatal("scalar machine committed nothing")
 	}
-	wide := runGenerated(t, "g721.e", 10, NoSQConfig(true))
+	wide := runGenerated(t, "g721.e", 10, ConfigFor(NoSQDelay, 0))
 	if scalar.Cycles <= wide.Cycles {
 		t.Errorf("a scalar machine should be slower: %d vs %d cycles", scalar.Cycles, wide.Cycles)
 	}
 }
 
 func TestStallCountersAreConsistent(t *testing.T) {
-	res := runGenerated(t, "vortex", 50, BaselineConfig())
+	res := runGenerated(t, "vortex", 50, ConfigFor(Baseline, 0))
 	total := res.StallROB + res.StallIQ + res.StallPhys + res.StallLQ + res.StallSQ + res.StallFrontend
 	if total > res.Cycles*4 {
 		t.Errorf("stall counters (%d) exceed plausible bound for %d cycles", total, res.Cycles)
@@ -128,8 +128,8 @@ func TestStallCountersAreConsistent(t *testing.T) {
 
 func TestPerfectSMBBypassesAtLeastAsMuchAsPredictor(t *testing.T) {
 	for _, bench := range []string{"mesa.o", "gzip"} {
-		pred := runGenerated(t, bench, 60, NoSQConfig(false))
-		perfect := runGenerated(t, bench, 60, PerfectSMBConfig())
+		pred := runGenerated(t, bench, 60, ConfigFor(NoSQNoDelay, 0))
+		perfect := runGenerated(t, bench, 60, ConfigFor(PerfectSMB, 0))
 		if perfect.BypassedLoads < pred.BypassedLoads {
 			t.Errorf("%s: perfect SMB bypassed fewer loads (%d) than the predictor (%d)",
 				bench, perfect.BypassedLoads, pred.BypassedLoads)
@@ -144,7 +144,7 @@ func TestDCacheReadAccounting(t *testing.T) {
 	// Every committed non-bypassed load performs at least one core read (plus
 	// re-fetch duplicates), and bypassed loads perform none, so core reads
 	// must lie between (committed loads - bypassed) and a small multiple.
-	res := runGenerated(t, "mesa.o", 60, NoSQConfig(true))
+	res := runGenerated(t, "mesa.o", 60, ConfigFor(NoSQDelay, 0))
 	minReads := res.CommittedLoads - res.BypassedLoads
 	if res.DCacheCoreReads < minReads {
 		t.Errorf("core reads %d below the non-bypassed load count %d", res.DCacheCoreReads, minReads)

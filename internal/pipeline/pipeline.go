@@ -37,8 +37,7 @@ type Simulator struct {
 	l1i   *cache.Cache
 	l1d   *cache.Cache
 	l2    *cache.Cache
-	itlb  *cache.TLB
-	dtlb  *cache.TLB
+	dtlb  *cache.Cache
 
 	now uint64
 
@@ -165,8 +164,7 @@ func newSimulator(t *emu.Trace, meta *TraceMeta, cfg Config) (*Simulator, error)
 		l1i:    cache.New(cfg.L1I),
 		l1d:    cache.New(cfg.L1D),
 		l2:     cache.New(cfg.L2),
-		itlb:   cache.NewTLB("itlb", cfg.ITLBEntries, cfg.TLBAssoc),
-		dtlb:   cache.NewTLB("dtlb", cfg.DTLBEntries, cfg.TLBAssoc),
+		dtlb:   cache.New(cfg.DTLB),
 		// No line has been probed yet, and no 4-byte-aligned PC lies in
 		// line ^0.
 		fetchLine:     ^uint64(0),

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/isa"
 	"repro/internal/program"
 	"repro/internal/stats"
@@ -81,14 +82,13 @@ func runConfig(t *testing.T, p *program.Program, cfg Config) stats.Run {
 	return res
 }
 
+// allConfigs returns the five machines at the 128-entry window.
 func allConfigs() []Config {
-	return []Config{
-		IdealBaselineConfig(),
-		BaselineConfig(),
-		NoSQConfig(false),
-		NoSQConfig(true),
-		PerfectSMBConfig(),
+	var cfgs []Config
+	for k := range numKinds {
+		cfgs = append(cfgs, ConfigFor(k, 0))
 	}
+	return cfgs
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -97,20 +97,38 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("%s: %v", cfg.Name, err)
 		}
 	}
-	bad := DefaultConfig()
+	bad := ConfigFor(Baseline, 0)
 	bad.ROBSize = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("zero ROB accepted")
 	}
-	bad = DefaultConfig()
+	bad = ConfigFor(Baseline, 0)
 	bad.PhysRegs = 64
 	if err := bad.Validate(); err == nil {
 		t.Error("64 physical registers accepted")
 	}
-	bad = NoSQConfig(true)
-	bad.Bypass = BypassNone
-	if err := bad.Validate(); err == nil {
-		t.Error("NoSQ without bypassing accepted")
+	for _, k := range []Kind{-1, numKinds} {
+		if err := ConfigFor(k, 0).Validate(); err == nil {
+			t.Errorf("unknown kind %d accepted", int(k))
+		}
+	}
+	// A data TLB of no entries, and one whose 128 entries do not divide into
+	// 3-way sets: Validate names the DTLB, and New returns its error instead
+	// of building the TLB.
+	for name, geometry := range map[string]func(*cache.Config){
+		"zero-size DTLB":       func(c *cache.Config) { c.SizeBytes = 0 },
+		"3-way 128-entry DTLB": func(c *cache.Config) { c.Assoc = 3 },
+	} {
+		bad = ConfigFor(Baseline, 0)
+		geometry(&bad.DTLB)
+		err := bad.Validate()
+		if err == nil || !strings.Contains(err.Error(), "DTLB") {
+			t.Errorf("%s: Validate = %v, want an error naming the DTLB", name, err)
+			continue
+		}
+		if _, newErr := New(simpleLoop(1), bad); newErr == nil || newErr.Error() != err.Error() {
+			t.Errorf("%s: New = %v, want %v", name, newErr, err)
+		}
 	}
 }
 
@@ -123,9 +141,8 @@ func TestConfigRejectsZeroPorts(t *testing.T) {
 		"ComplexPorts":   func(c *Config) { c.ComplexPorts = 0 },
 		"BranchPorts":    func(c *Config) { c.BranchPorts = 0 },
 		"LoadPorts":      func(c *Config) { c.LoadPorts = 0 },
-		"StorePorts":     func(c *Config) { c.StorePorts = 0 },
 	} {
-		c := BaselineConfig()
+		c := ConfigFor(Baseline, 0)
 		zero(&c)
 		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), name) {
 			t.Errorf("%s = 0: Validate = %v, want an error naming %s", name, err, name)
@@ -159,18 +176,18 @@ func TestAllConfigsRunToCompletion(t *testing.T) {
 }
 
 func TestInWindowCommunicationDetected(t *testing.T) {
-	res := runConfig(t, simpleLoop(300), BaselineConfig())
+	res := runConfig(t, simpleLoop(300), ConfigFor(Baseline, 0))
 	if res.InWindowComm < 290 {
 		t.Errorf("in-window communication = %d / %d loads, want nearly all", res.InWindowComm, res.CommittedLoads)
 	}
-	res = runConfig(t, independentLoop(300), BaselineConfig())
+	res = runConfig(t, independentLoop(300), ConfigFor(Baseline, 0))
 	if res.InWindowComm != 0 {
 		t.Errorf("independent loop should have no communication, got %d", res.InWindowComm)
 	}
 }
 
 func TestBaselineForwardsThroughStoreQueue(t *testing.T) {
-	res := runConfig(t, simpleLoop(300), BaselineConfig())
+	res := runConfig(t, simpleLoop(300), ConfigFor(Baseline, 0))
 	if res.SQForwards == 0 {
 		t.Error("baseline should forward store values through the store queue")
 	}
@@ -180,7 +197,7 @@ func TestBaselineForwardsThroughStoreQueue(t *testing.T) {
 }
 
 func TestNoSQBypassesCommunicatingLoads(t *testing.T) {
-	res := runConfig(t, simpleLoop(300), NoSQConfig(false))
+	res := runConfig(t, simpleLoop(300), ConfigFor(NoSQNoDelay, 0))
 	if res.BypassedLoads < 200 {
 		t.Errorf("NoSQ should bypass most communicating loads after warm-up, got %d of %d",
 			res.BypassedLoads, res.CommittedLoads)
@@ -195,7 +212,7 @@ func TestNoSQBypassesCommunicatingLoads(t *testing.T) {
 }
 
 func TestNoSQIndependentLoadsDoNotBypass(t *testing.T) {
-	res := runConfig(t, independentLoop(300), NoSQConfig(false))
+	res := runConfig(t, independentLoop(300), ConfigFor(NoSQNoDelay, 0))
 	if res.BypassedLoads != 0 {
 		t.Errorf("independent loads must not bypass, got %d", res.BypassedLoads)
 	}
@@ -209,8 +226,8 @@ func TestNoSQIndependentLoadsDoNotBypass(t *testing.T) {
 
 func TestPartialStorePatternNoDelayVsDelay(t *testing.T) {
 	p := partialStoreLoop(300)
-	noDelay := runConfig(t, p, NoSQConfig(false))
-	withDelay := runConfig(t, p, NoSQConfig(true))
+	noDelay := runConfig(t, p, ConfigFor(NoSQNoDelay, 0))
+	withDelay := runConfig(t, p, ConfigFor(NoSQDelay, 0))
 	if noDelay.BypassMispredictions == 0 {
 		t.Error("partial-store communication should cause mispredictions without delay")
 	}
@@ -234,7 +251,7 @@ func TestPartialStorePatternNoDelayVsDelay(t *testing.T) {
 
 func TestPerfectSMBNeverMispredicts(t *testing.T) {
 	for _, p := range []*program.Program{simpleLoop(300), independentLoop(300), partialStoreLoop(300)} {
-		res := runConfig(t, p, PerfectSMBConfig())
+		res := runConfig(t, p, ConfigFor(PerfectSMB, 0))
 		if res.Flushes != 0 {
 			t.Errorf("%s: perfect SMB flushed %d times", p.Name, res.Flushes)
 		}
@@ -246,8 +263,8 @@ func TestPerfectSMBNeverMispredicts(t *testing.T) {
 
 func TestNoSQReducesDataCacheReads(t *testing.T) {
 	p := simpleLoop(500)
-	base := runConfig(t, p, BaselineConfig())
-	nosq := runConfig(t, p, NoSQConfig(true))
+	base := runConfig(t, p, ConfigFor(Baseline, 0))
+	nosq := runConfig(t, p, ConfigFor(NoSQDelay, 0))
 	if nosq.TotalDCacheReads() >= base.TotalDCacheReads() {
 		t.Errorf("NoSQ should reduce data-cache reads on a bypass-heavy workload: %d vs %d",
 			nosq.TotalDCacheReads(), base.TotalDCacheReads())
@@ -256,8 +273,8 @@ func TestNoSQReducesDataCacheReads(t *testing.T) {
 
 func TestIdealBaselineNotSlowerThanRealistic(t *testing.T) {
 	p := simpleLoop(500)
-	ideal := runConfig(t, p, IdealBaselineConfig())
-	real := runConfig(t, p, BaselineConfig())
+	ideal := runConfig(t, p, ConfigFor(IdealBaseline, 0))
+	real := runConfig(t, p, ConfigFor(Baseline, 0))
 	if ideal.Cycles > real.Cycles+5 {
 		t.Errorf("perfect scheduling should not be slower: ideal %d vs realistic %d", ideal.Cycles, real.Cycles)
 	}
@@ -273,7 +290,7 @@ func TestIPCWithinPhysicalLimits(t *testing.T) {
 }
 
 func TestMaxInstsLimit(t *testing.T) {
-	cfg := BaselineConfig()
+	cfg := ConfigFor(Baseline, 0)
 	cfg.MaxInsts = 100
 	res := runConfig(t, simpleLoop(10000), cfg)
 	if res.Committed != 100 {
@@ -282,7 +299,7 @@ func TestMaxInstsLimit(t *testing.T) {
 }
 
 func TestWithWindowScaling(t *testing.T) {
-	c := BaselineConfig().WithWindow(256)
+	c := ConfigFor(Baseline, 0).WithWindow(256)
 	if c.ROBSize != 256 || c.IQSize != 80 || c.SQSize != 48 || c.LQSize != 96 || c.PhysRegs != 320 {
 		t.Errorf("scaled config = ROB %d IQ %d SQ %d LQ %d regs %d", c.ROBSize, c.IQSize, c.SQSize, c.LQSize, c.PhysRegs)
 	}
@@ -296,7 +313,7 @@ func TestWithWindowScaling(t *testing.T) {
 		t.Errorf("scaled config invalid: %v", err)
 	}
 	// Scaling to the same size is a no-op.
-	same := BaselineConfig().WithWindow(128)
+	same := ConfigFor(Baseline, 0).WithWindow(128)
 	if same.ROBSize != 128 || same.Name != "assoc-sq-storesets" {
 		t.Error("WithWindow(same) should be a no-op")
 	}
@@ -304,8 +321,8 @@ func TestWithWindowScaling(t *testing.T) {
 
 func TestLargerWindowNotSlower(t *testing.T) {
 	p := simpleLoop(500)
-	small := runConfig(t, p, BaselineConfig())
-	large := runConfig(t, p, BaselineConfig().WithWindow(256))
+	small := runConfig(t, p, ConfigFor(Baseline, 0))
+	large := runConfig(t, p, ConfigFor(Baseline, 256))
 	if large.Cycles > small.Cycles+small.Cycles/10 {
 		t.Errorf("256-entry window should not be much slower: %d vs %d", large.Cycles, small.Cycles)
 	}
@@ -316,7 +333,7 @@ func TestLargerWindowNotSlower(t *testing.T) {
 // to commit its first instruction through a 5-stage front end and a 6-stage
 // back end, so lowering the bound to 10 makes this run look deadlocked.
 func TestCycleLimitError(t *testing.T) {
-	sim := MustNew(simpleLoop(1000), BaselineConfig())
+	sim := MustNew(simpleLoop(1000), ConfigFor(Baseline, 0))
 	sim.stallLimit = 10
 	if _, err := sim.Run(); !errors.Is(err, ErrCycleLimit) {
 		t.Fatalf("Run error = %v, want ErrCycleLimit", err)
@@ -330,7 +347,7 @@ func TestNewReportsEmulatorFault(t *testing.T) {
 	b := program.NewBuilder("no-halt")
 	r1 := isa.IntReg(1)
 	b.AddImm(r1, r1, 1).AddImm(r1, r1, 1) // no Halt: execution runs off the end
-	sim, err := New(b.MustBuild(), NoSQConfig(true))
+	sim, err := New(b.MustBuild(), ConfigFor(NoSQDelay, 0))
 	if err == nil {
 		res, runErr := sim.Run()
 		t.Fatalf("New accepted a program that runs past its end: committed %d, Run error %v", res.Committed, runErr)
@@ -341,7 +358,7 @@ func TestNewReportsEmulatorFault(t *testing.T) {
 }
 
 func TestResultMetadata(t *testing.T) {
-	res := runConfig(t, simpleLoop(50), NoSQConfig(true))
+	res := runConfig(t, simpleLoop(50), ConfigFor(NoSQDelay, 0))
 	if res.Benchmark != "simple-loop" || res.Config != "nosq-delay" {
 		t.Errorf("metadata = %q/%q", res.Benchmark, res.Config)
 	}

@@ -86,33 +86,34 @@ func (s *Simulator) renameOne(in *inflight) bool {
 		// producers write back, so the store is "executed" as soon as both
 		// inputs are available without consuming scheduler entries.
 		needIQ = false
-		if s.cfg.LSQ == LSQAssociative {
-			needSQ = true
-		}
+		needSQ = s.cfg.Kind.storeQueue()
 
 	case in.isLoad():
-		if s.cfg.LSQ == LSQAssociative {
+		switch s.cfg.Kind {
+		case IdealBaseline:
+			// Oracle scheduling: hold the load exactly until its
+			// communicating store has executed.
 			needLQ = true
-			switch s.cfg.Sched {
-			case SchedPerfect:
-				dep := in.dyn.Dep()
-				if dep.Exists && dep.SSN > s.ssnCommitted {
-					if dep.MultiSource {
-						waitCommitSSN = dep.SSN
-					} else if depIn := s.find(dep.Seq); depIn != nil && !depIn.storeExecuted {
-						waitExecSeq = dep.Seq
-					}
-				}
-			case SchedStoreSets:
-				pred := s.ss.PredictLoad(st.PC)
-				in.ssPred = pred
-				if pred.DependsOnStore {
-					if depIn := s.find(pred.StoreSeq); depIn != nil && depIn.isStore() && !depIn.storeExecuted {
-						waitExecSeq = pred.StoreSeq
-					}
+			dep := in.dyn.Dep()
+			if dep.Exists && dep.SSN > s.ssnCommitted {
+				if dep.MultiSource {
+					waitCommitSSN = dep.SSN
+				} else if depIn := s.find(dep.Seq); depIn != nil && !depIn.storeExecuted {
+					waitExecSeq = dep.Seq
 				}
 			}
-		} else {
+		case Baseline:
+			// StoreSets scheduling: hold the load for the in-flight store
+			// its store set predicts.
+			needLQ = true
+			pred := s.ss.PredictLoad(st.PC)
+			in.ssPred = pred
+			if pred.DependsOnStore {
+				if depIn := s.find(pred.StoreSeq); depIn != nil && depIn.isStore() && !depIn.storeExecuted {
+					waitExecSeq = pred.StoreSeq
+				}
+			}
+		default:
 			bypassed, delayed, bypassSSN, defSeq, predShift, waitCommitSSN = s.classifyNoSQLoad(in)
 			if bypassed {
 				needIQ = false
@@ -175,7 +176,7 @@ func (s *Simulator) renameOne(in *inflight) bool {
 	case in.isStore():
 		s.ssnRenamed++
 		in.ssn = s.ssnRenamed
-		if s.cfg.LSQ == LSQAssociative {
+		if s.cfg.Kind.storeQueue() {
 			s.ss.StoreRenamed(st.PC, in.ssn, in.seq)
 			s.pendingStores = append(s.pendingStores, in.seq)
 		} else {
@@ -239,7 +240,7 @@ func (s *Simulator) classifyNoSQLoad(in *inflight) (bypassed, delayed bool, bypa
 	st := in.st
 	dep := in.dyn.Dep()
 
-	if s.cfg.Bypass == BypassPerfect {
+	if s.cfg.Kind == PerfectSMB {
 		// Oracle bypassing with idealised partial-word support: every load
 		// whose (youngest) communicating store is still in flight bypasses
 		// and is correct by construction; everything else reads the cache,
@@ -276,7 +277,7 @@ func (s *Simulator) classifyNoSQLoad(in *inflight) (bypassed, delayed bool, bypa
 		)
 		canBypass = planOK
 	}
-	if s.cfg.Delay && (!pred.Confident || !canBypass) {
+	if s.cfg.Kind == NoSQDelay && (!pred.Confident || !canBypass) {
 		// Delay: convert the would-be bypassing load into a non-bypassing
 		// load that waits for the uncertain store to reach the data cache.
 		return false, true, ssnByp, 0, 0, ssnByp

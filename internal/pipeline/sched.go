@@ -100,7 +100,7 @@ func (s *Simulator) gate(in *inflight, wait bool) bool {
 	// The associative store queue finds a partial (multi-source) overlap in
 	// its search and holds the load until the stores drain; the hold is
 	// closed once the youngest overlapping store has executed.
-	if s.cfg.LSQ == LSQAssociative {
+	if s.cfg.Kind.storeQueue() {
 		if dep := in.dyn.Dep(); dep.Exists && dep.MultiSource {
 			if wait && !in.inMSGate {
 				in.inMSGate = true
@@ -237,12 +237,13 @@ func (s *Simulator) issueFast() {
 		return
 	}
 
-	var ports [portNone + 1]int
+	// Stores hold no issue-queue entry and never issue, so only the classes
+	// below portStore have a port budget.
+	var ports [portStore]int
 	ports[portSimple] = s.cfg.SimpleIntPorts
 	ports[portComplex] = s.cfg.ComplexPorts
 	ports[portBranch] = s.cfg.BranchPorts
 	ports[portLoad] = s.cfg.LoadPorts
-	ports[portStore] = s.cfg.StorePorts
 	issued := 0
 	// Walk the ready bitmap in age order: the window's oldest slot is
 	// start = head & mask, and slots wrap around the array, so the scan
@@ -277,7 +278,7 @@ func (s *Simulator) issueFast() {
 
 // issueReadyWord issues candidates from one ready-bitmap word, oldest first,
 // until the issue width is exhausted; returns the updated issue count.
-func (s *Simulator) issueReadyWord(word uint64, w int, ports *[portNone + 1]int, issued int) int {
+func (s *Simulator) issueReadyWord(word uint64, w int, ports *[portStore]int, issued int) int {
 	for word != 0 && issued < s.cfg.IssueWidth {
 		b := bits.TrailingZeros64(word)
 		word &= word - 1

@@ -32,12 +32,11 @@ import (
 // on stores reaching the data cache, neither of which issue changes), so
 // selecting first and issuing afterwards picks what the scan picked.
 func scanSelect(s *Simulator) []uint64 {
-	var ports [portNone + 1]int
+	var ports [portStore]int
 	ports[portSimple] = s.cfg.SimpleIntPorts
 	ports[portComplex] = s.cfg.ComplexPorts
 	ports[portBranch] = s.cfg.BranchPorts
 	ports[portLoad] = s.cfg.LoadPorts
-	ports[portStore] = s.cfg.StorePorts
 	var picked []uint64
 	// The issue queue holds exactly the renamed, un-issued IQ holders, which
 	// the window keeps in sequence order.
@@ -70,7 +69,7 @@ func scanReady(s *Simulator, in *inflight) bool {
 	}
 	// Associative multi-source hold: the youngest overlapping store must
 	// not have executed yet while the stores drain.
-	if s.cfg.LSQ == LSQAssociative {
+	if s.cfg.Kind.storeQueue() {
 		dep := in.dyn.Dep()
 		if dep.Exists && dep.MultiSource && dep.SSN > s.ssnInDCache {
 			depIn := s.find(dep.Seq)
