@@ -140,12 +140,14 @@ type Config struct {
 	TSSBFEntries int
 	TSSBFAssoc   int
 
-	// L1I, L1D and L2 configure the caches, and DTLB the data TLB: a cache
-	// of page-sized lines, one per entry.
-	L1I  cache.Config
-	L1D  cache.Config
-	L2   cache.Config
-	DTLB cache.Config
+	// L1I, L1D and L2 configure the caches.
+	L1I cache.Config
+	L1D cache.Config
+	L2  cache.Config
+	// DTLBEntries and DTLBAssoc configure the data TLB, a cache of 4 KB
+	// pages (see dtlb).
+	DTLBEntries int
+	DTLBAssoc   int
 
 	// MaxInsts bounds the number of committed instructions (0 = run the
 	// workload to completion).
@@ -192,16 +194,26 @@ func ConfigFor(kind Kind, window int) Config {
 		TSSBFEntries: 128,
 		TSSBFAssoc:   4,
 
-		L1I:  cache.Config{Name: "L1I", SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 2},
-		L1D:  cache.Config{Name: "L1D", SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 2},
-		L2:   cache.Config{Name: "L2", SizeBytes: 1024 * 1024, LineBytes: 64, Assoc: 8},
-		DTLB: cache.Config{Name: "DTLB", SizeBytes: 128 * 4096, LineBytes: 4096, Assoc: 4}, // 128 4 KB pages
+		L1I: cache.Config{Name: "L1I", SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 2},
+		L1D: cache.Config{Name: "L1D", SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 2},
+		L2:  cache.Config{Name: "L2", SizeBytes: 1024 * 1024, LineBytes: 64, Assoc: 8},
+
+		DTLBEntries: 128,
+		DTLBAssoc:   4,
 	}
 	if !kind.storeQueue() {
 		c.BackendDepth = 8 // setup, 2x regread, agen/SVW, 3x dcache, commit
 		c.BackendDCacheStage = 6
 	}
 	return c.WithWindow(window)
+}
+
+// pageBytes is the page size the data TLB translates.
+const pageBytes = 4096
+
+// dtlb returns the data TLB's geometry: one page-sized line per entry.
+func (c Config) dtlb() cache.Config {
+	return cache.Config{Name: "DTLB", SizeBytes: c.DTLBEntries * pageBytes, LineBytes: pageBytes, Assoc: c.DTLBAssoc}
 }
 
 // WithWindow returns a copy of the configuration scaled to the given
@@ -278,7 +290,7 @@ func (c Config) Validate() error {
 	if err := c.BypassPred.Validate(); err != nil {
 		return err
 	}
-	for _, cc := range []cache.Config{c.L1I, c.L1D, c.L2, c.DTLB} {
+	for _, cc := range []cache.Config{c.L1I, c.L1D, c.L2, c.dtlb()} {
 		if err := cc.Validate(); err != nil {
 			return err
 		}

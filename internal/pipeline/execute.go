@@ -37,7 +37,7 @@ func (s *Simulator) resolveLoadValue(in *inflight) {
 		// store, or from one that has retired while its write still drains
 		// through the back-end data-cache stage (the store queue drains at
 		// commit, so it still holds the value).
-		if depIn := s.find(dep.Seq); depIn == nil || depIn.storeExecuted && !dep.MultiSource {
+		if depIn := s.find(dep.Seq); depIn == nil || depIn.completed && !dep.MultiSource {
 			in.ssnNVul = dep.SSN
 			s.res.SQForwards++
 			return
@@ -104,7 +104,6 @@ func (s *Simulator) complete() {
 		if s.producerDone(in.srcSeqs[0]) && s.producerDone(in.srcSeqs[1]) {
 			s.active = true
 			s.markCompleted(in)
-			in.storeExecuted = true
 			s.ss.StoreCompleted(in.st.PC, in.ssn)
 			s.wakeConsumers(in)
 			continue

@@ -80,8 +80,7 @@ type inflight struct {
 	srcSeqs [2]uint64
 
 	// Store state.
-	ssn           uint64
-	storeExecuted bool // baseline: address and data written into the SQ
+	ssn uint64
 
 	// Load state.
 	bypassed      bool

@@ -164,7 +164,7 @@ func newSimulator(t *emu.Trace, meta *TraceMeta, cfg Config) (*Simulator, error)
 		l1i:    cache.New(cfg.L1I),
 		l1d:    cache.New(cfg.L1D),
 		l2:     cache.New(cfg.L2),
-		dtlb:   cache.New(cfg.DTLB),
+		dtlb:   cache.New(cfg.dtlb()),
 		// No line has been probed yet, and no 4-byte-aligned PC lies in
 		// line ^0.
 		fetchLine:     ^uint64(0),

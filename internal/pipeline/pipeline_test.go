@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/isa"
 	"repro/internal/program"
 	"repro/internal/stats"
@@ -115,12 +114,12 @@ func TestConfigValidation(t *testing.T) {
 	// A data TLB of no entries, and one whose 128 entries do not divide into
 	// 3-way sets: Validate names the DTLB, and New returns its error instead
 	// of building the TLB.
-	for name, geometry := range map[string]func(*cache.Config){
-		"zero-size DTLB":       func(c *cache.Config) { c.SizeBytes = 0 },
-		"3-way 128-entry DTLB": func(c *cache.Config) { c.Assoc = 3 },
+	for name, geometry := range map[string]func(*Config){
+		"zero-size DTLB":       func(c *Config) { c.DTLBEntries = 0 },
+		"3-way 128-entry DTLB": func(c *Config) { c.DTLBAssoc = 3 },
 	} {
 		bad = ConfigFor(Baseline, 0)
-		geometry(&bad.DTLB)
+		geometry(&bad)
 		err := bad.Validate()
 		if err == nil || !strings.Contains(err.Error(), "DTLB") {
 			t.Errorf("%s: Validate = %v, want an error naming the DTLB", name, err)

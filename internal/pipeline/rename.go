@@ -98,7 +98,7 @@ func (s *Simulator) renameOne(in *inflight) bool {
 			if dep.Exists && dep.SSN > s.ssnCommitted {
 				if dep.MultiSource {
 					waitCommitSSN = dep.SSN
-				} else if depIn := s.find(dep.Seq); depIn != nil && !depIn.storeExecuted {
+				} else if depIn := s.find(dep.Seq); depIn != nil && !depIn.completed {
 					waitExecSeq = dep.Seq
 				}
 			}
@@ -109,7 +109,7 @@ func (s *Simulator) renameOne(in *inflight) bool {
 			pred := s.ss.PredictLoad(st.PC)
 			in.ssPred = pred
 			if pred.DependsOnStore {
-				if depIn := s.find(pred.StoreSeq); depIn != nil && depIn.isStore() && !depIn.storeExecuted {
+				if depIn := s.find(pred.StoreSeq); depIn != nil && depIn.isStore() && !depIn.completed {
 					waitExecSeq = pred.StoreSeq
 				}
 			}

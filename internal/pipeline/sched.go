@@ -107,7 +107,7 @@ func (s *Simulator) gate(in *inflight, wait bool) bool {
 				s.msGate = append(s.msGate, in.ref())
 			}
 			if dep.SSN > s.ssnInDCache {
-				if depIn := s.find(dep.Seq); depIn == nil || depIn.storeExecuted {
+				if depIn := s.find(dep.Seq); depIn == nil || depIn.completed {
 					return false
 				}
 			}

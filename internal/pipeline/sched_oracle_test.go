@@ -73,7 +73,7 @@ func scanReady(s *Simulator, in *inflight) bool {
 		dep := in.dyn.Dep()
 		if dep.Exists && dep.MultiSource && dep.SSN > s.ssnInDCache {
 			depIn := s.find(dep.Seq)
-			if depIn == nil || depIn.storeExecuted {
+			if depIn == nil || depIn.completed {
 				return false
 			}
 		}
