@@ -54,31 +54,51 @@ func (r *Report) AddMeta(key string, value interface{}) {
 	r.Meta = append(r.Meta, MetaEntry{Key: key, Value: fmt.Sprintf("%v", value)})
 }
 
-// Render renders the report in the named format: "text", "markdown", "json",
-// or "csv" (see stats.Formats). Metadata is appended as comment-style lines
-// to the text and Markdown renderings and embedded in the JSON document; the
-// CSV rendering is rows only.
+// Document is what a report renders from: the experiment's name, its
+// ordered metadata and its table. It is all a finished server job keeps of
+// its report, and the server's write-ahead log stores its JSON form, in which
+// the table keeps each cell's kind and value (see stats.Table.MarshalJSON).
+type Document struct {
+	Experiment string       `json:"experiment"`
+	Meta       []MetaEntry  `json:"meta,omitempty"`
+	Table      *stats.Table `json:"table"`
+}
+
+// Document returns the part of the report that renders.
+func (r *Report) Document() *Document {
+	return &Document{Experiment: r.Experiment, Meta: r.Meta, Table: r.Table}
+}
+
+// Render renders the report in the named format (see Document.Render).
 func (r *Report) Render(format string) (string, error) {
+	return r.Document().Render(format)
+}
+
+// Render renders the document in the named format: "text", "markdown",
+// "json", or "csv" (see stats.Formats). Metadata is appended as
+// comment-style lines to the text and Markdown renderings and embedded in
+// the JSON document; the CSV rendering is rows only.
+func (d *Document) Render(format string) (string, error) {
 	switch format {
 	case stats.FormatText, stats.FormatMarkdown:
-		out, err := r.Table.Render(format)
+		out, err := d.Table.Render(format)
 		if err != nil {
 			return "", err
 		}
-		if len(r.Meta) > 0 {
+		if len(d.Meta) > 0 {
 			var b strings.Builder
 			b.WriteString(out)
 			b.WriteString("\n")
-			for _, m := range r.Meta {
+			for _, m := range d.Meta {
 				fmt.Fprintf(&b, "> %s: %s\n", m.Key, m.Value)
 			}
 			return b.String(), nil
 		}
 		return out, nil
 	case stats.FormatJSON:
-		return r.renderJSON()
+		return d.renderJSON()
 	default:
-		return r.Table.Render(format)
+		return d.Table.Render(format)
 	}
 }
 
@@ -109,12 +129,12 @@ func (m metaObject) MarshalJSON() ([]byte, error) {
 	return []byte(b.String()), nil
 }
 
-func (r *Report) renderJSON() (string, error) {
+func (d *Document) renderJSON() (string, error) {
 	doc := struct {
 		Experiment string         `json:"experiment"`
 		Meta       metaObject     `json:"meta"`
 		Report     stats.TableDoc `json:"report"`
-	}{Experiment: r.Experiment, Meta: metaObject(r.Meta), Report: r.Table.Doc()}
+	}{Experiment: d.Experiment, Meta: metaObject(d.Meta), Report: d.Table.Doc()}
 	b, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return "", err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -366,11 +367,17 @@ func runCached(tb testing.TB, opts experiments.Options) {
 
 // TestCachedSweepCostIgnoresUnrelatedEntries: a fully cached sweep costs
 // the same whatever else the cache holds — it looks up its own pairs and
-// touches no other entry.
+// touches no other entry. Under the race detector a run's allocation count
+// varies by a few dozen from run to run (sync.Pool drops items at random
+// there), so the two sides take turns, one run at a time, and each keeps its
+// fewest: a count near the floor both share.
 func TestCachedSweepCostIgnoresUnrelatedEntries(t *testing.T) {
 	alone, beside := cachedSweep(t, 0), cachedSweep(t, 10000)
-	a := testing.AllocsPerRun(5, func() { runCached(t, alone) })
-	b := testing.AllocsPerRun(5, func() { runCached(t, beside) })
+	a, b := math.Inf(1), math.Inf(1)
+	for range 40 {
+		a = min(a, testing.AllocsPerRun(1, func() { runCached(t, alone) }))
+		b = min(b, testing.AllocsPerRun(1, func() { runCached(t, beside) }))
+	}
 	if b > a+8 {
 		t.Fatalf("a cached 10-pair sweep allocates %.0f times beside 10 000 unrelated entries, %.0f beside none", b, a)
 	}

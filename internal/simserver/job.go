@@ -12,7 +12,8 @@ import (
 
 // job is the server-side state of one submitted experiment run: the spec, the
 // lifecycle state machine, the append-only progress event log that streaming
-// clients follow, and (once done) the rendered report.
+// clients follow, and (once done) the report document that every format is
+// rendered from when a client asks for it.
 //
 // All mutable fields are guarded by mu. The event log is append-only;
 // followers snapshot a suffix under the lock and then wait on the notify
@@ -38,13 +39,14 @@ type job struct {
 	cached   int
 	executed int
 
-	// reports holds a done job's report rendered once per format, when it
-	// finishes or when it is replayed from the WAL: the typed report does
-	// not survive a WAL round trip, so live and restored jobs alike serve
-	// these texts.
-	reports map[string]string
-	events  []simapi.Event
-	notify  chan struct{}
+	// report is a done job's report document. A job replayed from a WAL
+	// record written before records carried the document has none; texts
+	// then holds the report as that record stored it, rendered in every
+	// format.
+	report *experiments.Document
+	texts  map[string]string
+	events []simapi.Event
+	notify chan struct{}
 
 	// heapIndex is maintained by jobHeap while the job is queued (-1 after).
 	heapIndex int
@@ -94,8 +96,8 @@ func (j *job) start(cancel context.CancelFunc, now time.Time) bool {
 }
 
 // finish transitions running → a terminal state; a done job carries its
-// rendered reports.
-func (j *job) finish(state, errMsg string, reports map[string]string, now time.Time) {
+// report document.
+func (j *job) finish(state, errMsg string, report *experiments.Document, now time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if simapi.TerminalState(j.state) {
@@ -109,7 +111,7 @@ func (j *job) finish(state, errMsg string, reports map[string]string, now time.T
 	j.appendEventLocked(spanEvent(obs.SpanAt("total", j.submitted).EndAt(now), now))
 	j.state = state
 	j.errMsg = errMsg
-	j.reports = reports
+	j.report = report
 	j.finished = now
 	j.cancel = nil
 	j.appendEventLocked(simapi.Event{Type: simapi.EventState, State: state, Error: errMsg, Time: now})
@@ -226,12 +228,19 @@ func (j *job) eventsSince(from int) (evs []simapi.Event, state string, notify <-
 	return evs, j.state, j.notify
 }
 
-// rendered returns a done job's report in the given format.
+// rendered returns a done job's report in the given format, rendering it
+// from the document outside the job lock; a format the report cannot render
+// (JSON of a NaN cell) has no text.
 func (j *job) rendered(format string) (string, bool) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	text, ok := j.reports[format]
-	return text, ok
+	report, texts := j.report, j.texts
+	j.mu.Unlock()
+	if report == nil {
+		text, ok := texts[format]
+		return text, ok
+	}
+	text, err := report.Render(format)
+	return text, err == nil
 }
 
 // jobSink adapts a job (plus the shared cache and metrics counters) to

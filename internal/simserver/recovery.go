@@ -22,8 +22,9 @@ type replayedJob struct {
 // Replay rules:
 //
 //   - submitted + terminal record → the job is restored as-is: queryable,
-//     with its pre-rendered reports, never re-run. This is what keeps a
-//     completed job's pairs from ever running twice.
+//     with its report document (or the rendered texts of an older record),
+//     never re-run. This is what keeps a completed job's pairs from ever
+//     running twice.
 //   - submitted only (queued or running at the crash) → the job re-queues.
 //     Its re-run resumes every pair the crashed run already persisted to the
 //     result cache, so orphaned work is re-planned, not repeated; orphaned
@@ -108,7 +109,7 @@ func restoreJob(p *replayedJob) *job {
 	j.errMsg = term.Error
 	j.started = p.started
 	j.finished = term.Time
-	j.reports = term.Reports
+	j.report, j.texts = term.Report, term.Reports
 	if term.Pairs != nil {
 		j.total = term.Pairs.Total
 		j.cached = term.Pairs.Cached
@@ -155,8 +156,8 @@ func (j *job) walRecords() []simstore.Record {
 	return append(recs, j.terminalRecordLocked())
 }
 
-// terminalRecord returns a finished job's terminal WAL record, its rendered
-// reports included.
+// terminalRecord returns a finished job's terminal WAL record, its report
+// included.
 func (j *job) terminalRecord() simstore.Record {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -166,7 +167,7 @@ func (j *job) terminalRecord() simstore.Record {
 func (j *job) terminalRecordLocked() simstore.Record {
 	rec := simstore.Record{
 		Type: simstore.RecCompleted, Time: j.finished, JobID: j.id,
-		State: j.state, Error: j.errMsg, Reports: j.reports,
+		State: j.state, Error: j.errMsg, Report: j.report, Reports: j.texts,
 		Pairs: &simstore.PairCounts{Total: j.total, Cached: j.cached, Executed: j.executed},
 	}
 	if j.state == simapi.StateCanceled {

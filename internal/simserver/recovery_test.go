@@ -147,7 +147,7 @@ func TestServerRecovery(t *testing.T) {
 
 	// Life 3: everything is terminal now. No worker ever starts, yet every
 	// job is queryable and A's report is served byte-identical from the
-	// pre-rendered WAL snapshot.
+	// document in the WAL snapshot.
 	srv3, corrupt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +265,7 @@ func TestServerWALCompaction(t *testing.T) {
 		t.Fatal("compacted log lost the job")
 	}
 	if _, haveCSV := got.rendered("csv"); !haveCSV {
-		t.Fatal("restored job missing its pre-rendered report")
+		t.Fatal("restored job has no report")
 	}
 	sctx2, scancel2 := context.WithTimeout(context.Background(), 30*time.Second)
 	defer scancel2()
@@ -405,10 +405,11 @@ func TestServerRecoveryTolerantOfCorruptTail(t *testing.T) {
 	}
 }
 
-// TestServerRecoveryLargeCompletedRecord: a completed record carries the
-// report rendered in every format, so a big sweep's record passes 1 MiB
-// (about 815 bytes per row). Replay must restore such a job, reports and
-// all, instead of failing the restart on the record's length.
+// TestServerRecoveryLargeCompletedRecord: a completed record of the older
+// format carries the report rendered in every format, so a big sweep's
+// record passes 1 MiB (about 815 bytes per row). Replay must restore such a
+// job, reports and all, instead of failing the restart on the record's
+// length.
 func TestServerRecoveryLargeCompletedRecord(t *testing.T) {
 	dir := t.TempDir()
 	wal, _, _, err := simstore.Open(filepath.Join(dir, "wal.jsonl"), jsonl.Hooks{}, nil)
@@ -512,5 +513,126 @@ func TestFinishedJobKeepsStartAcrossRestarts(t *testing.T) {
 			t.Errorf("restart %d: event log lost the running event: %+v", restart, evs)
 		}
 		shutdown(srv)
+	}
+}
+
+// TestServerServesRenderedReportsFromOlderWAL: terminal records once kept a
+// done job's report as four rendered texts instead of its document.
+// testdata/wal-rendered-reports.jsonl is such a log, as a server of that
+// format wrote it for a one-benchmark sweep. A server opened over a copy
+// serves each format byte for byte from those texts, and still does after
+// its startup compaction has rewritten the log.
+func TestServerServesRenderedReportsFromOlderWAL(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "wal-rendered-reports.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var id string
+	var want map[string]string
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		rec, err := simstore.DecodeRecord([]byte(line))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Type == simstore.RecCompleted {
+			id, want = rec.JobID, rec.Reports
+		}
+	}
+	if len(want) != len(stats.Formats()) {
+		t.Fatalf("the log's completed record has %d rendered texts, want one per format", len(want))
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal.jsonl"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for restart := 1; restart <= 2; restart++ {
+		srv, corrupt, err := New(Config{Workers: 1, CodeRev: "test-rev", StateDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if restored, requeued := srv.RecoveryStats(); corrupt != 0 || restored != 1 || requeued != 0 {
+			t.Fatalf("restart %d: %d corrupt, %d restored, %d re-queued; want 0, 1, 0", restart, corrupt, restored, requeued)
+		}
+		hs := httptest.NewServer(srv.Handler())
+		cl := simclient.New(hs.URL, nil)
+		for _, format := range stats.Formats() {
+			got, err := cl.Report(ctx, id, format)
+			if err != nil {
+				t.Fatalf("restart %d: %s report: %v", restart, format, err)
+			}
+			if string(got) != want[format] {
+				t.Errorf("restart %d: %s report differs from the stored text:\n got: %q\nwant: %q", restart, format, got, want[format])
+			}
+		}
+		hs.Close()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestServerRequeuesJobWhoseDocumentDoesNotDecode: a completed record whose
+// report document does not decode is a corrupt line. Replay skips it, so the
+// job re-queues as if it had never finished, and its re-run serves every
+// pair from the result cache.
+func TestServerRequeuesJobWhoseDocumentDoesNotDecode(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Workers: 1, CodeRev: "test-rev", StateDir: dir}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	srv, _, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	info, err := srv.Submit(simapi.JobSpec{Experiment: "fig2", Benchmarks: []string{"gzip"}, Iterations: 10}, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	first, err := simclient.New(hs.URL, nil).Wait(ctx, info.ID)
+	hs.Close()
+	if err != nil || first.State != simapi.StateDone {
+		t.Fatalf("job = %+v, %v; want done", first, err)
+	}
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	walPath := filepath.Join(dir, "wal.jsonl")
+	raw, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mangled := strings.Replace(string(raw), `"f64:`, `"f65:`, 1)
+	if mangled == string(raw) {
+		t.Fatalf("the WAL has no stored float cell to mangle:\n%s", raw)
+	}
+	if err := os.WriteFile(walPath, []byte(mangled), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, corrupt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored, requeued := srv2.RecoveryStats(); corrupt != 1 || restored != 0 || requeued != 1 {
+		t.Fatalf("%d corrupt, %d restored, %d re-queued; want 1, 0, 1", corrupt, restored, requeued)
+	}
+	srv2.Start()
+	hs2 := httptest.NewServer(srv2.Handler())
+	defer hs2.Close()
+	again, err := simclient.New(hs2.URL, nil).Wait(ctx, info.ID)
+	if err != nil || again.State != simapi.StateDone {
+		t.Fatalf("re-queued job = %+v, %v; want done", again, err)
+	}
+	if again.CachedPairs != first.TotalPairs || again.ExecutedPairs != 0 {
+		t.Fatalf("re-run served %d of %d pairs from the cache and executed %d; want all cached",
+			again.CachedPairs, first.TotalPairs, again.ExecutedPairs)
+	}
+	if err := srv2.Shutdown(ctx); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -42,7 +42,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/simapi"
 	"repro/internal/simstore"
-	"repro/internal/stats"
 )
 
 // Config configures a Server.
@@ -579,7 +578,7 @@ func (s *Server) runJob(j *job) {
 	}
 	switch {
 	case err == nil:
-		j.finish(simapi.StateDone, "", renderAll(rep), time.Now())
+		j.finish(simapi.StateDone, "", rep.Document(), time.Now())
 		s.finishAccounting(j, simapi.StateDone)
 		s.logf("finished %s in %v", j.id, time.Since(startT).Round(time.Millisecond))
 	case errors.Is(err, context.Canceled):
@@ -651,21 +650,6 @@ func (s *Server) walAppend(rec simstore.Record) {
 	if err := s.wal.Append(rec); err != nil {
 		s.logf("wal: %v", err)
 	}
-}
-
-// renderAll renders a finished report once in every format: the job serves
-// these texts and the WAL persists them, since the report's rows are
-// experiment-specific and do not survive a JSON round trip.
-func renderAll(rep *experiments.Report) map[string]string {
-	out := make(map[string]string, 4)
-	for _, format := range stats.Formats() {
-		text, err := rep.Render(format)
-		if err != nil {
-			continue
-		}
-		out[format] = text
-	}
-	return out
 }
 
 // jobSpan appends a dispatcher-produced timing span to a job's event log

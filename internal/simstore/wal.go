@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/jsonl"
 	"repro/internal/simapi"
 )
@@ -53,10 +54,12 @@ type Record struct {
 	Error string `json:"error,omitempty"`
 	// Pairs carries the final pair accounting of a terminal record.
 	Pairs *PairCounts `json:"pairs,omitempty"`
-	// Reports holds the finished job's report rendered in every format
-	// (format name → rendered text). Reports are persisted pre-rendered
-	// because the in-memory report's row type is experiment-specific and
-	// does not survive a JSON round trip.
+	// Report is a done job's report document, from which the server
+	// renders the format a client asks for.
+	Report *experiments.Document `json:"report,omitempty"`
+	// Reports is how records written before Report existed keep a done
+	// job's report: rendered in every format (format name → text). Replay
+	// serves these texts as they are.
 	Reports map[string]string `json:"reports,omitempty"`
 
 	// Shard-task fields (lease / task-done records).
@@ -191,6 +194,9 @@ func DecodeRecord(line []byte) (Record, error) {
 		}
 		if r.State != simapi.StateDone && r.State != simapi.StateFailed {
 			return Record{}, fmt.Errorf("simstore: completed record with non-terminal state %q", r.State)
+		}
+		if r.Report != nil && r.Report.Table == nil {
+			return Record{}, fmt.Errorf("simstore: completed record's report has no table")
 		}
 	case RecCanceled:
 		if r.JobID == "" {

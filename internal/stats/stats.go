@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -155,14 +156,37 @@ func Mean(xs []float64) float64 {
 }
 
 // Table is a fixed-column report table used by the experiment harness and
-// CLI tools. It keeps both the typed cell values and their paper-style text
-// formatting, so one set of rows can be rendered as aligned text (String),
-// Markdown, JSON, or CSV.
+// CLI tools. It keeps one typed cell per value and formats the cells only
+// when it is rendered, as aligned text (String), Markdown, JSON, or CSV. Its
+// JSON storage form (MarshalJSON) keeps each cell's kind and value.
 type Table struct {
 	Title   string
 	Columns []string
-	rows    [][]string
-	raw     [][]interface{}
+	rows    [][]cell
+}
+
+// cellKind is the Go type a cell was added as.
+type cellKind uint8
+
+// The kinds AddRow accepts, in the order of their storage-form tags.
+const (
+	kindString cellKind = iota
+	kindBool
+	kindInt
+	kindInt64
+	kindUint64
+	kindFloat32
+	kindFloat64
+)
+
+var kindTags = [...]string{"s", "b", "i", "i64", "u64", "f32", "f64"}
+
+// cell is one typed value: a string, or a bool, integer or float held in
+// num (a signed integer as its two's complement, a float as its bits).
+type cell struct {
+	kind cellKind
+	str  string
+	num  uint64
 }
 
 // NewTable creates a table with the given title and column headers.
@@ -170,81 +194,192 @@ func NewTable(title string, columns ...string) *Table {
 	return &Table{Title: title, Columns: columns}
 }
 
-// AddRow appends a row; values are formatted with %v (floats with 3 decimals)
-// for the text rendering, while the raw typed values are retained for the
-// machine-readable renderings.
+// AddRow appends a row of one cell per column. A cell is a string, bool,
+// int, int64, uint64, float32 or float64; AddRow panics on any other type,
+// and on a row whose length is not the column count, rather than keep what
+// it cannot render or store exactly. The text renderings show a float with 3
+// decimals and anything else as %v; CSV shows floats at full precision, and
+// JSON keeps the typed values.
 func (t *Table) AddRow(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.3f", v)
-		case float32:
-			row[i] = fmt.Sprintf("%.3f", v)
-		default:
-			row[i] = fmt.Sprintf("%v", v)
+	if len(cells) != len(t.Columns) {
+		panic(fmt.Sprintf("stats: table %q: a row of %d cells for %d columns", t.Title, len(cells), len(t.Columns)))
+	}
+	row := make([]cell, len(cells))
+	for i, v := range cells {
+		var ok bool
+		if row[i], ok = cellOf(v); !ok {
+			panic(fmt.Sprintf("stats: table %q: column %q cannot hold a %T", t.Title, t.Columns[i], v))
 		}
 	}
 	t.rows = append(t.rows, row)
-	t.raw = append(t.raw, append([]interface{}(nil), cells...))
+}
+
+// cellOf returns v as a cell, if v is of a kind a cell holds.
+func cellOf(v interface{}) (cell, bool) {
+	switch v := v.(type) {
+	case string:
+		return cell{kind: kindString, str: v}, true
+	case bool:
+		if v {
+			return cell{kind: kindBool, num: 1}, true
+		}
+		return cell{kind: kindBool}, true
+	case int:
+		return cell{kind: kindInt, num: uint64(v)}, true
+	case int64:
+		return cell{kind: kindInt64, num: uint64(v)}, true
+	case uint64:
+		return cell{kind: kindUint64, num: v}, true
+	case float32:
+		return cell{kind: kindFloat32, num: uint64(math.Float32bits(v))}, true
+	case float64:
+		return cell{kind: kindFloat64, num: math.Float64bits(v)}, true
+	}
+	return cell{}, false
+}
+
+// value returns the cell as the Go value it was added as.
+func (c cell) value() interface{} {
+	switch c.kind {
+	case kindString:
+		return c.str
+	case kindBool:
+		return c.num != 0
+	case kindInt:
+		return int(c.num)
+	case kindInt64:
+		return int64(c.num)
+	case kindUint64:
+		return c.num
+	case kindFloat32:
+		return math.Float32frombits(uint32(c.num))
+	default:
+		return math.Float64frombits(c.num)
+	}
+}
+
+// appendText appends the cell as the text and Markdown renderings show it:
+// a float as fmt's %.3f does, anything else as appendRaw.
+func (c cell) appendText(b []byte) []byte {
+	switch c.kind {
+	case kindFloat32:
+		return strconv.AppendFloat(b, float64(math.Float32frombits(uint32(c.num))), 'f', 3, 32)
+	case kindFloat64:
+		return strconv.AppendFloat(b, math.Float64frombits(c.num), 'f', 3, 64)
+	}
+	return c.appendRaw(b)
+}
+
+// appendRaw appends the cell at full precision, as CSV and the storage form
+// keep it: a float in the shortest form that parses back to its value,
+// anything else as fmt's %v does.
+func (c cell) appendRaw(b []byte) []byte {
+	switch c.kind {
+	case kindString:
+		return append(b, c.str...)
+	case kindBool:
+		return strconv.AppendBool(b, c.num != 0)
+	case kindInt, kindInt64:
+		return strconv.AppendInt(b, int64(c.num), 10)
+	case kindUint64:
+		return strconv.AppendUint(b, c.num, 10)
+	case kindFloat32:
+		return strconv.AppendFloat(b, float64(math.Float32frombits(uint32(c.num))), 'g', -1, 32)
+	default:
+		return strconv.AppendFloat(b, math.Float64frombits(c.num), 'g', -1, 64)
+	}
+}
+
+// format returns the cell's text (raw false) or full-precision (raw true)
+// form.
+func (c cell) format(raw bool) string {
+	if c.kind == kindString {
+		return c.str
+	}
+	var buf [32]byte
+	if raw {
+		return string(c.appendRaw(buf[:0]))
+	}
+	return string(c.appendText(buf[:0]))
 }
 
 // NumRows returns the number of data rows.
 func (t *Table) NumRows() int { return len(t.rows) }
 
-// Rows returns a copy of the data rows.
+// Rows returns the data rows as the text rendering shows them.
 func (t *Table) Rows() [][]string {
 	out := make([][]string, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = append([]string(nil), r...)
+	for i, row := range t.rows {
+		out[i] = make([]string, len(row))
+		for j, c := range row {
+			out[i][j] = c.format(false)
+		}
 	}
 	return out
 }
 
-// String renders the table with aligned columns.
+// String renders the table with aligned columns: each column is as wide as
+// its widest text in bytes, while the padding counts runes, as with fmt's
+// %-*s. The output's size is known before it is written.
 func (t *Table) String() string {
 	widths := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
-		widths[i] = len(c)
+	extra := 0 // the bytes of multi-byte runes beyond one per rune
+	for i, col := range t.Columns {
+		widths[i] = len(col)
+		extra += len(col) - utf8.RuneCountInString(col)
 	}
+	var buf [64]byte
 	for _, row := range t.rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
+		for i, c := range row {
+			text := c.appendText(buf[:0])
+			widths[i] = max(widths[i], len(text))
+			extra += len(text) - utf8.RuneCount(text)
+		}
+	}
+	line := 1 // the bytes of an all-ASCII row, newline included
+	for i, w := range widths {
+		line += w
+		if i > 0 {
+			line += 2
 		}
 	}
 	var b strings.Builder
+	b.Grow(len(t.Title) + 1 + (len(t.rows)+2)*line + extra)
 	if t.Title != "" {
 		b.WriteString(t.Title)
 		b.WriteString("\n")
 	}
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			// As with fmt's %-*s, the padding counts runes while the
-			// widths count bytes.
-			b.WriteString(cell)
-			for n := utf8.RuneCountInString(cell); n < widths[i]; n++ {
-				b.WriteByte(' ')
-			}
+	// cellDone pads cell i, whose text was runes long, and separates it
+	// from the next.
+	cellDone := func(i, runes int) {
+		for ; runes < widths[i]; runes++ {
+			b.WriteByte(' ')
 		}
-		b.WriteString("\n")
-	}
-	writeRow(t.Columns)
-	for i, w := range widths {
-		if i > 0 {
+		if i < len(widths)-1 {
 			b.WriteString("  ")
 		}
+	}
+	for i, col := range t.Columns {
+		b.WriteString(col)
+		cellDone(i, utf8.RuneCountInString(col))
+	}
+	b.WriteString("\n")
+	for i, w := range widths {
 		for ; w > 0; w-- {
 			b.WriteByte('-')
+		}
+		if i < len(widths)-1 {
+			b.WriteString("  ")
 		}
 	}
 	b.WriteString("\n")
 	for _, row := range t.rows {
-		writeRow(row)
+		for i, c := range row {
+			text := c.appendText(buf[:0])
+			b.Write(text)
+			cellDone(i, utf8.RuneCount(text))
+		}
+		b.WriteString("\n")
 	}
 	return b.String()
 }
@@ -294,19 +429,6 @@ func (t *Table) Render(format string) (string, error) {
 	}
 }
 
-// rawString formats a raw cell for the machine-readable renderings: floats
-// keep full precision instead of the text table's fixed 3 decimals.
-func rawString(c interface{}) string {
-	switch v := c.(type) {
-	case float64:
-		return strconv.FormatFloat(v, 'g', -1, 64)
-	case float32:
-		return strconv.FormatFloat(float64(v), 'g', -1, 32)
-	default:
-		return fmt.Sprintf("%v", v)
-	}
-}
-
 // Markdown renders the table as a GitHub-flavoured Markdown pipe table, with
 // the title as a heading.
 func (t *Table) Markdown() string {
@@ -332,7 +454,7 @@ func (t *Table) Markdown() string {
 		sep[i] = "---"
 	}
 	writeRow(sep)
-	for _, row := range t.rows {
+	for _, row := range t.Rows() {
 		writeRow(row)
 	}
 	return b.String()
@@ -345,31 +467,15 @@ func (t *Table) CSV() string {
 	var b strings.Builder
 	w := csv.NewWriter(&b)
 	w.Write(t.Columns)
-	for _, row := range t.raw {
-		rec := make([]string, len(row))
+	rec := make([]string, len(t.Columns))
+	for _, row := range t.rows {
 		for i, c := range row {
-			rec[i] = rawString(c)
+			rec[i] = c.format(true)
 		}
 		w.Write(rec)
 	}
 	w.Flush()
 	return b.String()
-}
-
-// RowMaps returns each data row as a column-name → typed-value map, the shape
-// used by the JSON rendering.
-func (t *Table) RowMaps() []map[string]interface{} {
-	out := make([]map[string]interface{}, len(t.raw))
-	for i, row := range t.raw {
-		m := make(map[string]interface{}, len(row))
-		for j, c := range row {
-			if j < len(t.Columns) {
-				m[t.Columns[j]] = c
-			}
-		}
-		out[i] = m
-	}
-	return out
 }
 
 // TableDoc is the table's JSON shape:
@@ -388,10 +494,106 @@ type TableDoc struct {
 
 // Doc returns the table as its JSON document value.
 func (t *Table) Doc() TableDoc {
-	return TableDoc{Title: t.Title, Columns: t.Columns, Rows: t.RowMaps()}
+	rows := make([]map[string]interface{}, len(t.rows))
+	for i, row := range t.rows {
+		rows[i] = make(map[string]interface{}, len(row))
+		for j, c := range row {
+			rows[i][t.Columns[j]] = c.value()
+		}
+	}
+	return TableDoc{Title: t.Title, Columns: t.Columns, Rows: rows}
 }
 
 // JSON renders the table as an indented JSON document (see TableDoc).
 func (t *Table) JSON() ([]byte, error) {
 	return json.MarshalIndent(t.Doc(), "", "  ")
+}
+
+// storedTable is the table's storage form; see MarshalJSON.
+type storedTable struct {
+	Title   string     `json:"title"`
+	Columns []string   `json:"columns"`
+	Rows    [][]string `json:"rows"`
+}
+
+// MarshalJSON encodes the table's storage form, from which UnmarshalJSON
+// restores a table that renders the same bytes in every format:
+//
+//	{"title": ..., "columns": [...], "rows": [["s:gzip", "u64:5636", "f64:0.7581618168914124", ...], ...]}
+//
+// A cell is its kind's tag (s, b, i, i64, u64, f32 or f64 for string, bool,
+// int, int64, uint64, float32 and float64), a colon, and its full-precision
+// text, so a uint64 above 2^53, -0, NaN and ±Inf survive. This is not the
+// JSON rendering, which is for readers (see JSON).
+func (t *Table) MarshalJSON() ([]byte, error) {
+	rows := make([][]string, len(t.rows))
+	var buf []byte
+	for i, row := range t.rows {
+		rows[i] = make([]string, len(row))
+		for j, c := range row {
+			buf = c.appendRaw(append(append(buf[:0], kindTags[c.kind]...), ':'))
+			rows[i][j] = string(buf)
+		}
+	}
+	return json.Marshal(storedTable{Title: t.Title, Columns: t.Columns, Rows: rows})
+}
+
+// UnmarshalJSON decodes the storage form MarshalJSON encodes. It rejects a
+// cell without a known kind, a value its kind cannot hold, and a row whose
+// length is not the column count.
+func (t *Table) UnmarshalJSON(b []byte) error {
+	var st storedTable
+	if err := json.Unmarshal(b, &st); err != nil {
+		return err
+	}
+	rows := make([][]cell, len(st.Rows))
+	for i, stored := range st.Rows {
+		if len(stored) != len(st.Columns) {
+			return fmt.Errorf("stats: stored table row %d has %d cells for %d columns", i, len(stored), len(st.Columns))
+		}
+		rows[i] = make([]cell, len(stored))
+		for j, s := range stored {
+			c, err := parseCell(s)
+			if err != nil {
+				return err
+			}
+			rows[i][j] = c
+		}
+	}
+	*t = Table{Title: st.Title, Columns: st.Columns, rows: rows}
+	return nil
+}
+
+// parseCell reads one stored cell, "<tag>:<text>".
+func parseCell(s string) (cell, error) {
+	tag, text, _ := strings.Cut(s, ":")
+	var v interface{}
+	var err error
+	switch cellKind(slices.Index(kindTags[:], tag)) {
+	case kindString:
+		v = text
+	case kindBool:
+		v, err = strconv.ParseBool(text)
+	case kindInt:
+		var n int64
+		n, err = strconv.ParseInt(text, 10, strconv.IntSize)
+		v = int(n)
+	case kindInt64:
+		v, err = strconv.ParseInt(text, 10, 64)
+	case kindUint64:
+		v, err = strconv.ParseUint(text, 10, 64)
+	case kindFloat32:
+		var f float64
+		f, err = strconv.ParseFloat(text, 32)
+		v = float32(f)
+	case kindFloat64:
+		v, err = strconv.ParseFloat(text, 64)
+	default:
+		return cell{}, fmt.Errorf("stats: stored table cell %q has no known kind", s)
+	}
+	if err != nil {
+		return cell{}, fmt.Errorf("stats: stored table cell %q: %w", s, err)
+	}
+	c, _ := cellOf(v)
+	return c, nil
 }
