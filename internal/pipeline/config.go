@@ -10,7 +10,11 @@
 // paper studies — store-load forwarding through an associative store queue,
 // StoreSets scheduling, speculative memory bypassing, the NoSQ bypassing
 // predictor, delay, SVW-filtered in-order load re-execution, and the
-// lengthened NoSQ commit pipeline — are modelled structurally.
+// lengthened NoSQ commit pipeline — are modelled structurally. A Config
+// holds only what experiments, the fuzzer and the tests vary: the machine
+// kind, widths, window resources, back-end depth, T-SSBF and bypassing
+// predictor. The rest of the paper's core (Section 4.1) is the same in every
+// machine and is stated once, in constants in this file.
 //
 // Every simulation replays a recorded dynamic instruction stream (an
 // emu.Trace plus its pre-decoded TraceMeta) and selects instructions for
@@ -28,11 +32,11 @@ package pipeline
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bpred"
 	"repro/internal/bypass"
 	"repro/internal/cache"
-	"repro/internal/storesets"
 )
 
 // Kind names one of the five machines the paper evaluates (Figures 2 and
@@ -79,7 +83,10 @@ func (k Kind) String() string {
 // execute into an associative store queue; the NoSQ machines have none.
 func (k Kind) storeQueue() bool { return k == IdealBaseline || k == Baseline }
 
-// Config describes one simulated machine.
+// Config describes one simulated machine: the machine kind and the sizes
+// that experiments, the fuzzer and the tests vary. The rest of the core is
+// the paper's and is the same in every machine: the constants below, and a
+// branch predictor that follows the window (branchPredictor).
 type Config struct {
 	// Name labels the configuration in results.
 	Name string
@@ -105,9 +112,6 @@ type Config struct {
 	// renameable).
 	PhysRegs int
 
-	// FrontEndDepth is the number of cycles from fetch to rename
-	// (predict + fetch + decode stages).
-	FrontEndDepth int
 	// BackendDepth is the in-order back-end (commit pipeline) depth:
 	// 6 for the baseline, 8 for NoSQ.
 	BackendDepth int
@@ -115,24 +119,6 @@ type Config struct {
 	// back-end pipeline (store writes become visible then).
 	BackendDCacheStage int
 
-	// DCacheLatency, L2Latency and MemLatency are load-to-use latencies in
-	// cycles for L1 hits, L2 hits and memory accesses.
-	DCacheLatency int
-	L2Latency     int
-	MemLatency    int
-
-	// Issue port counts per cycle. Stores never issue: the store queue
-	// captures their operands as the producers write back, and NoSQ stores
-	// skip the out-of-order core, so there is no store port.
-	SimpleIntPorts int
-	ComplexPorts   int
-	BranchPorts    int
-	LoadPorts      int
-
-	// BPred configures the branch predictor.
-	BPred bpred.Config
-	// StoreSets configures the baseline's dependence predictor.
-	StoreSets storesets.Config
 	// BypassPred configures the NoSQ bypassing predictor.
 	BypassPred bypass.Config
 
@@ -140,18 +126,62 @@ type Config struct {
 	TSSBFEntries int
 	TSSBFAssoc   int
 
-	// L1I, L1D and L2 configure the caches.
-	L1I cache.Config
-	L1D cache.Config
-	L2  cache.Config
-	// DTLBEntries and DTLBAssoc configure the data TLB, a cache of 4 KB
-	// pages (see dtlb).
-	DTLBEntries int
-	DTLBAssoc   int
-
 	// MaxInsts bounds the number of committed instructions (0 = run the
 	// workload to completion).
 	MaxInsts uint64
+}
+
+// The paper's core (Section 4.1), which every machine shares.
+const (
+	// frontEndDepth is the number of cycles from fetch to rename:
+	// 1 predict + 3 fetch + 1 decode.
+	frontEndDepth = 5
+
+	// dcacheLatency, l2Latency and memLatency are load-to-use latencies in
+	// cycles for L1 hits, L2 hits and memory accesses.
+	dcacheLatency = 3
+	l2Latency     = 10
+	memLatency    = 150
+	// pageWalkLatency is the cost in cycles of a page-table walk on a DTLB
+	// miss.
+	pageWalkLatency = 30
+	// loadMissLatency is the longest load-to-use latency loadLatency
+	// returns: a load missing everywhere after a page-table walk.
+	loadMissLatency = dcacheLatency + l2Latency + memLatency + pageWalkLatency
+
+	// lineBits is the log2 of every cache's line size.
+	lineBits  = 6
+	lineBytes = 1 << lineBits
+	// pageBytes is the page size the data TLB translates.
+	pageBytes = 4096
+
+	// refWindow is the window of the machine whose branch predictor is
+	// bpred.DefaultConfig (see branchPredictor).
+	refWindow = 128
+)
+
+// The caches and the data TLB, whose lines are pages.
+var (
+	l1iConfig  = cache.Config{Name: "L1I", SizeBytes: 64 * 1024, LineBytes: lineBytes, Assoc: 2}
+	l1dConfig  = cache.Config{Name: "L1D", SizeBytes: 64 * 1024, LineBytes: lineBytes, Assoc: 2}
+	l2Config   = cache.Config{Name: "L2", SizeBytes: 1024 * 1024, LineBytes: lineBytes, Assoc: 8}
+	dtlbConfig = cache.Config{Name: "DTLB", SizeBytes: 128 * pageBytes, LineBytes: pageBytes, Assoc: 4}
+)
+
+// issuePorts is the issue budget of each port class per cycle. Stores never
+// issue: the store queue captures their operands as the producers write
+// back, and NoSQ stores skip the out-of-order core, so there is no store
+// port.
+var issuePorts = [portStore]int{portSimple: 4, portComplex: 2, portBranch: 1, portLoad: 1}
+
+// branchPredictor returns the branch predictor of a machine with the given
+// window. Following Section 4.4 it is quadrupled when the window is doubled:
+// its tables grow by (robSize/refWindow)², rounded to the nearest integer,
+// at least 1, and then down to a power of two, which the tables' indexing
+// needs.
+func branchPredictor(robSize int) bpred.Config {
+	scale := max(1, (robSize*robSize+refWindow*refWindow/2)/(refWindow*refWindow))
+	return bpred.DefaultConfig().Scale(1 << (bits.Len(uint(scale)) - 1))
 }
 
 // ConfigFor returns the paper's machine of the given kind (Section 4.1) at
@@ -168,38 +198,19 @@ func ConfigFor(kind Kind, window int) Config {
 		IssueWidth:  4,
 		CommitWidth: 4,
 
-		ROBSize:  128,
+		ROBSize:  refWindow,
 		IQSize:   40,
 		LQSize:   48,
 		SQSize:   24,
 		PhysRegs: 160,
 
-		FrontEndDepth:      5, // 1 predict + 3 fetch + 1 decode
 		BackendDepth:       6, // setup, SVW, 3x dcache, commit
 		BackendDCacheStage: 4,
 
-		DCacheLatency: 3,
-		L2Latency:     10,
-		MemLatency:    150,
-
-		SimpleIntPorts: 4,
-		ComplexPorts:   2,
-		BranchPorts:    1,
-		LoadPorts:      1,
-
-		BPred:      bpred.DefaultConfig(),
-		StoreSets:  storesets.DefaultConfig(),
 		BypassPred: bypass.DefaultConfig(),
 
 		TSSBFEntries: 128,
 		TSSBFAssoc:   4,
-
-		L1I: cache.Config{Name: "L1I", SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 2},
-		L1D: cache.Config{Name: "L1D", SizeBytes: 64 * 1024, LineBytes: 64, Assoc: 2},
-		L2:  cache.Config{Name: "L2", SizeBytes: 1024 * 1024, LineBytes: 64, Assoc: 8},
-
-		DTLBEntries: 128,
-		DTLBAssoc:   4,
 	}
 	if !kind.storeQueue() {
 		c.BackendDepth = 8 // setup, 2x regread, agen/SVW, 3x dcache, commit
@@ -208,18 +219,10 @@ func ConfigFor(kind Kind, window int) Config {
 	return c.WithWindow(window)
 }
 
-// pageBytes is the page size the data TLB translates.
-const pageBytes = 4096
-
-// dtlb returns the data TLB's geometry: one page-sized line per entry.
-func (c Config) dtlb() cache.Config {
-	return cache.Config{Name: "DTLB", SizeBytes: c.DTLBEntries * pageBytes, LineBytes: pageBytes, Assoc: c.DTLBAssoc}
-}
-
 // WithWindow returns a copy of the configuration scaled to the given
 // instruction-window size. Following Section 4.4, all window resources scale
-// with the window and the branch predictor is quadrupled when the window is
-// doubled, but the NoSQ bypassing predictor is left unchanged.
+// with the window (and the branch predictor with it, see branchPredictor),
+// but the NoSQ bypassing predictor is left unchanged.
 func (c Config) WithWindow(robSize int) Config {
 	if robSize <= 0 || robSize == c.ROBSize {
 		return c
@@ -236,11 +239,6 @@ func (c Config) WithWindow(robSize int) Config {
 	c.LQSize = scale(c.LQSize)
 	c.SQSize = scale(c.SQSize)
 	c.PhysRegs = scale(c.PhysRegs)
-	bpredFactor := int(factor*factor + 0.5)
-	if bpredFactor < 1 {
-		bpredFactor = 1
-	}
-	c.BPred = c.BPred.Scale(bpredFactor)
 	c.ROBSize = robSize
 	c.Name = fmt.Sprintf("%s-w%d", c.Name, robSize)
 	return c
@@ -256,10 +254,7 @@ func (c Config) Validate() error {
 		{"FetchWidth", c.FetchWidth}, {"RenameWidth", c.RenameWidth},
 		{"IssueWidth", c.IssueWidth}, {"CommitWidth", c.CommitWidth},
 		{"ROBSize", c.ROBSize}, {"IQSize", c.IQSize}, {"PhysRegs", c.PhysRegs},
-		{"FrontEndDepth", c.FrontEndDepth}, {"BackendDepth", c.BackendDepth},
-		{"DCacheLatency", c.DCacheLatency}, {"L2Latency", c.L2Latency}, {"MemLatency", c.MemLatency},
-		{"SimpleIntPorts", c.SimpleIntPorts}, {"ComplexPorts", c.ComplexPorts},
-		{"BranchPorts", c.BranchPorts}, {"LoadPorts", c.LoadPorts},
+		{"BackendDepth", c.BackendDepth},
 		{"TSSBFEntries", c.TSSBFEntries}, {"TSSBFAssoc", c.TSSBFAssoc},
 	} {
 		if ch.v <= 0 {
@@ -281,19 +276,5 @@ func (c Config) Validate() error {
 	if c.BackendDCacheStage <= 0 || c.BackendDCacheStage >= c.BackendDepth {
 		return fmt.Errorf("pipeline: BackendDCacheStage %d must be inside the %d-stage back-end", c.BackendDCacheStage, c.BackendDepth)
 	}
-	if err := c.BPred.Validate(); err != nil {
-		return err
-	}
-	if err := c.StoreSets.Validate(); err != nil {
-		return err
-	}
-	if err := c.BypassPred.Validate(); err != nil {
-		return err
-	}
-	for _, cc := range []cache.Config{c.L1I, c.L1D, c.L2, c.dtlb()} {
-		if err := cc.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.BypassPred.Validate()
 }

@@ -34,7 +34,7 @@ func (s *Simulator) fetch() {
 		st := s.cursor.Static(d)
 		// Instruction cache: a miss stalls fetch for the miss latency (the
 		// missing line is brought in, so the retry hits).
-		if line := st.PC >> s.fetchLineBits; line != s.fetchLine {
+		if line := st.PC >> lineBits; line != s.fetchLine {
 			s.fetchLine = line
 			if lat := s.icacheLatency(st.PC); lat > 0 {
 				s.fetchResumeCycle = s.now + uint64(lat)
@@ -50,7 +50,7 @@ func (s *Simulator) fetch() {
 		*in = inflight{}
 		in.dyn, in.st, in.seq, in.gen, in.wake = d, st, seq, gen, wake
 		in.port = portClass(s.meta.class[seq-1])
-		in.renameReady = s.now + uint64(s.cfg.FrontEndDepth)
+		in.renameReady = s.now + frontEndDepth
 		in.histAtDec = s.pathHist.Value()
 		// The new occupant reuses a window slot; reset its completed bit.
 		s.clearCompletedBit(seq)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/bpred"
 	"repro/internal/bypass"
@@ -66,7 +65,6 @@ type Simulator struct {
 	// fetch probe (fetch probes the L1I once per line, see fetch).
 	fetchResumeCycle uint64
 	fetchLine        uint64
-	fetchLineBits    uint
 	fetchBlockedOn   uint64 // seq of an unresolved mispredicted branch (0 = none)
 	streamEnded      bool
 	pathHist         bypass.PathHistory
@@ -156,19 +154,18 @@ func newSimulator(t *emu.Trace, meta *TraceMeta, cfg Config) (*Simulator, error)
 		cfg:    cfg,
 		cursor: t.Cursor(cfg.MaxInsts),
 		meta:   meta,
-		bp:     bpred.New(cfg.BPred),
-		ss:     storesets.New(cfg.StoreSets),
+		bp:     bpred.New(branchPredictor(cfg.ROBSize)),
+		ss:     storesets.New(storesets.DefaultConfig()),
 		byp:    bypass.New(cfg.BypassPred),
 		tssbf:  svw.NewTSSBF(cfg.TSSBFEntries, cfg.TSSBFAssoc),
 		srq:    smb.NewSRQ(cfg.ROBSize),
-		l1i:    cache.New(cfg.L1I),
-		l1d:    cache.New(cfg.L1D),
-		l2:     cache.New(cfg.L2),
-		dtlb:   cache.New(cfg.dtlb()),
+		l1i:    cache.New(l1iConfig),
+		l1d:    cache.New(l1dConfig),
+		l2:     cache.New(l2Config),
+		dtlb:   cache.New(dtlbConfig),
 		// No line has been probed yet, and no 4-byte-aligned PC lies in
 		// line ^0.
-		fetchLine:     ^uint64(0),
-		fetchLineBits: uint(bits.TrailingZeros(uint(cfg.L1I.LineBytes))),
+		fetchLine: ^uint64(0),
 	}
 	// The window holds at most ROBSize renamed instructions plus a fetch
 	// buffer; fetch stops at that bound, so buffering cannot grow without
@@ -194,7 +191,7 @@ func newSimulator(t *emu.Trace, meta *TraceMeta, cfg Config) (*Simulator, error)
 	// The completion ring must cover the longest possible issue-to-complete
 	// distance: a load missing everywhere plus a page-table walk (with slack
 	// for the multi-cycle ALU latencies).
-	maxLat := loadMissLatency(cfg) + 8
+	maxLat := loadMissLatency + 8
 	comp := 1
 	for comp < maxLat+1 {
 		comp <<= 1
@@ -261,8 +258,8 @@ var ErrCycleLimit = errors.New("pipeline: cycle limit exceeded")
 // margin for a correct model and still stops a lost wakeup within
 // milliseconds.
 func stallLimit(cfg Config, maxInFlight int) uint64 {
-	path := flushRecoveryBubble + cfg.L2Latency + cfg.MemLatency + cfg.FrontEndDepth +
-		loadMissLatency(cfg) + cfg.BackendDepth
+	path := flushRecoveryBubble + l2Latency + memLatency + frontEndDepth +
+		loadMissLatency + cfg.BackendDepth
 	return uint64(maxInFlight * path)
 }
 
@@ -447,16 +444,6 @@ func (s *Simulator) producerDone(seq uint64) bool {
 // renaming (total minus the architectural registers).
 func (s *Simulator) renameableRegs() int { return s.cfg.PhysRegs - isa.NumArchRegs }
 
-// pageWalkLatency is the cost in cycles of a page-table walk on a DTLB
-// miss.
-const pageWalkLatency = 30
-
-// loadMissLatency is the longest load-to-use latency loadLatency returns: a
-// load missing everywhere after a page-table walk.
-func loadMissLatency(cfg Config) int {
-	return cfg.DCacheLatency + cfg.L2Latency + cfg.MemLatency + pageWalkLatency
-}
-
 // wakeSlab is each in-flight record's first wake-list capacity, taken from
 // newSimulator's shared slab. A solo g721.e nosq-delay run allocates 565
 // times with one, 421 with two, 278 with four, and no fewer with more.
@@ -466,18 +453,18 @@ const wakeSlab = 4
 // the load-to-use latency and updating cache state and statistics.
 func (s *Simulator) loadLatency(addr uint64) int {
 	s.res.DCacheCoreReads++
-	lat := s.cfg.DCacheLatency
+	lat := dcacheLatency
 	if !s.dtlb.Access(addr) {
 		lat += pageWalkLatency
 	}
 	if s.l1d.Access(addr) {
 		return lat
 	}
-	lat += s.cfg.L2Latency
+	lat += l2Latency
 	if s.l2.Access(addr) {
 		return lat
 	}
-	return lat + s.cfg.MemLatency
+	return lat + memLatency
 }
 
 // icacheLatency models an instruction fetch; returns 0 on an L1I hit.
@@ -486,9 +473,9 @@ func (s *Simulator) icacheLatency(pc uint64) int {
 		return 0
 	}
 	if s.l2.Access(pc) {
-		return s.cfg.L2Latency
+		return l2Latency
 	}
-	return s.cfg.MemLatency
+	return memLatency
 }
 
 // squash removes every in-flight instruction younger than afterSeq, restores

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bpred"
 	"repro/internal/isa"
 	"repro/internal/program"
 	"repro/internal/stats"
@@ -109,42 +110,6 @@ func TestConfigValidation(t *testing.T) {
 	for _, k := range []Kind{-1, numKinds} {
 		if err := ConfigFor(k, 0).Validate(); err == nil {
 			t.Errorf("unknown kind %d accepted", int(k))
-		}
-	}
-	// A data TLB of no entries, and one whose 128 entries do not divide into
-	// 3-way sets: Validate names the DTLB, and New returns its error instead
-	// of building the TLB.
-	for name, geometry := range map[string]func(*Config){
-		"zero-size DTLB":       func(c *Config) { c.DTLBEntries = 0 },
-		"3-way 128-entry DTLB": func(c *Config) { c.DTLBAssoc = 3 },
-	} {
-		bad = ConfigFor(Baseline, 0)
-		geometry(&bad)
-		err := bad.Validate()
-		if err == nil || !strings.Contains(err.Error(), "DTLB") {
-			t.Errorf("%s: Validate = %v, want an error naming the DTLB", name, err)
-			continue
-		}
-		if _, newErr := New(simpleLoop(1), bad); newErr == nil || newErr.Error() != err.Error() {
-			t.Errorf("%s: New = %v, want %v", name, newErr, err)
-		}
-	}
-}
-
-// TestConfigRejectsZeroPorts: a port class with no port never issues, so a
-// machine without one would fail every run as a deadlock; Validate names
-// the field instead.
-func TestConfigRejectsZeroPorts(t *testing.T) {
-	for name, zero := range map[string]func(*Config){
-		"SimpleIntPorts": func(c *Config) { c.SimpleIntPorts = 0 },
-		"ComplexPorts":   func(c *Config) { c.ComplexPorts = 0 },
-		"BranchPorts":    func(c *Config) { c.BranchPorts = 0 },
-		"LoadPorts":      func(c *Config) { c.LoadPorts = 0 },
-	} {
-		c := ConfigFor(Baseline, 0)
-		zero(&c)
-		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), name) {
-			t.Errorf("%s = 0: Validate = %v, want an error naming %s", name, err, name)
 		}
 	}
 }
@@ -302,8 +267,8 @@ func TestWithWindowScaling(t *testing.T) {
 	if c.ROBSize != 256 || c.IQSize != 80 || c.SQSize != 48 || c.LQSize != 96 || c.PhysRegs != 320 {
 		t.Errorf("scaled config = ROB %d IQ %d SQ %d LQ %d regs %d", c.ROBSize, c.IQSize, c.SQSize, c.LQSize, c.PhysRegs)
 	}
-	if c.BPred.BimodalEntries != 4*4096 {
-		t.Errorf("branch predictor should quadruple, got %d", c.BPred.BimodalEntries)
+	if bp := branchPredictor(c.ROBSize); bp.BimodalEntries != 4*4096 {
+		t.Errorf("branch predictor should quadruple, got %d", bp.BimodalEntries)
 	}
 	if c.BypassPred.Entries != 2048 {
 		t.Error("the bypassing predictor must not be enlarged with the window")
@@ -315,6 +280,54 @@ func TestWithWindowScaling(t *testing.T) {
 	same := ConfigFor(Baseline, 0).WithWindow(128)
 	if same.ROBSize != 128 || same.Name != "assoc-sq-storesets" {
 		t.Error("WithWindow(same) should be a no-op")
+	}
+}
+
+// TestBranchPredictorFollowsWindow: the predictor's tables grow by the
+// window's squared ratio to 128 entries, rounded, which is a power of two at
+// the windows the paper uses; every other window rounds down to one, so it
+// builds a valid predictor. 224, 300, 384 and 448 are such windows, and a
+// machine with each must simulate.
+func TestBranchPredictorFollowsWindow(t *testing.T) {
+	for w := 1; w <= 512; w++ {
+		got := branchPredictor(w)
+		if err := got.Validate(); err != nil {
+			t.Fatalf("window %d: %v", w, err)
+		}
+		f := float64(w) / 128
+		if scale := max(1, int(f*f+0.5)); scale&(scale-1) == 0 {
+			if want := bpred.DefaultConfig().Scale(scale); got != want {
+				t.Errorf("window %d: predictor %+v, want scale %d: %+v", w, got, scale, want)
+			}
+		}
+	}
+	for _, w := range []int{224, 300, 384, 448} {
+		cfg := ConfigFor(NoSQDelay, w)
+		if res := runConfig(t, simpleLoop(100), cfg); res.CommittedLoads != 100 {
+			t.Errorf("%s: committed %d loads, want 100", cfg.Name, res.CommittedLoads)
+		}
+	}
+}
+
+// TestWatchdogBoundAndCompletionRing pins the two sizes newSimulator derives
+// from the fixed core's latencies, which no result shows: the deadlock
+// watchdog's bound (stallLimit) and the completion ring's bucket count.
+func TestWatchdogBoundAndCompletionRing(t *testing.T) {
+	for _, c := range []struct {
+		window   int
+		sq, nosq uint64
+	}{{128, 52_848, 53_136}, {256, 99_824, 100_368}} {
+		for k := range numKinds {
+			s := MustNew(simpleLoop(1), ConfigFor(k, c.window))
+			want := c.nosq
+			if k.storeQueue() {
+				want = c.sq
+			}
+			if s.stallLimit != want || len(s.compBuckets) != 256 {
+				t.Errorf("%s: stallLimit %d, ring %d buckets; want %d and 256",
+					s.cfg.Name, s.stallLimit, len(s.compBuckets), want)
+			}
+		}
 	}
 }
 

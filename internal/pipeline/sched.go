@@ -237,13 +237,7 @@ func (s *Simulator) issueFast() {
 		return
 	}
 
-	// Stores hold no issue-queue entry and never issue, so only the classes
-	// below portStore have a port budget.
-	var ports [portStore]int
-	ports[portSimple] = s.cfg.SimpleIntPorts
-	ports[portComplex] = s.cfg.ComplexPorts
-	ports[portBranch] = s.cfg.BranchPorts
-	ports[portLoad] = s.cfg.LoadPorts
+	ports := issuePorts
 	issued := 0
 	// Walk the ready bitmap in age order: the window's oldest slot is
 	// start = head & mask, and slots wrap around the array, so the scan

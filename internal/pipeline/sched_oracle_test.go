@@ -32,11 +32,7 @@ import (
 // on stores reaching the data cache, neither of which issue changes), so
 // selecting first and issuing afterwards picks what the scan picked.
 func scanSelect(s *Simulator) []uint64 {
-	var ports [portStore]int
-	ports[portSimple] = s.cfg.SimpleIntPorts
-	ports[portComplex] = s.cfg.ComplexPorts
-	ports[portBranch] = s.cfg.BranchPorts
-	ports[portLoad] = s.cfg.LoadPorts
+	ports := issuePorts
 	var picked []uint64
 	// The issue queue holds exactly the renamed, un-issued IQ holders, which
 	// the window keeps in sequence order.

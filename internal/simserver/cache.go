@@ -10,21 +10,14 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/jsonl"
-	"repro/internal/obs"
 )
 
-// CodeRevision returns the identifier baked into every result-cache record:
-// the VCS revision the binary was built from, or "dev" when none is recorded
-// (go test, go run from a dirty tree). Measurements are only as trustworthy
-// as the simulator that produced them, so a cache populated by one revision
-// never serves a binary built from another — those entries simply miss and
-// the pairs re-simulate. The detection itself lives in internal/obs so the
-// CLI binaries share it for -version output.
-func CodeRevision() string { return obs.CodeRevision() }
-
 // cacheRecord is one JSONL line of the result-cache file: the entry's
-// content-address, the code revision that produced it, and the sweep
-// engine's checkpoint entry itself.
+// content-address, the code revision that produced it (obs.CodeRevision),
+// and the sweep engine's checkpoint entry itself. Measurements are only as
+// trustworthy as the simulator that produced them, so a cache populated by
+// one revision never serves a binary built from another: those entries
+// miss and the pairs re-simulate.
 type cacheRecord struct {
 	Key     string                      `json:"key"`
 	CodeRev string                      `json:"code_rev"`

@@ -11,7 +11,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/simapi"
-	"repro/internal/simstore"
 	"repro/internal/simwire"
 	"repro/internal/stats"
 )
@@ -42,17 +41,13 @@ var (
 // exactly the code a local run uses.
 //
 // Leases expire unless renewed by progress posts. The reaper re-queues
-// expired tasks, excluding the silent worker from re-claiming them
-// (suspect tracking), and prunes workers that stop polling entirely.
+// expired tasks, excluding the silent worker from re-claiming them, and
+// prunes workers that stop polling entirely.
 type dispatcher struct {
 	leaseTTL     time.Duration
 	workerTTL    time.Duration
 	pollInterval time.Duration
 	logf         func(format string, args ...interface{})
-	// walLog, when set, receives lease / task-done breadcrumbs for the
-	// write-ahead log. Replay ignores them (a recovered job re-plans its
-	// shard tasks), but they make a crash's task state auditable.
-	walLog func(simstore.Record)
 	// spanLog, when set, appends a timing span to the owning job's event log
 	// (one "shard[i]" span per retired task, first lease → full delivery).
 	// It takes the job's own locks, so it is never called under d.mu.
@@ -88,13 +83,9 @@ func newDispatcher(leaseTTL, workerTTL, pollInterval time.Duration, logf func(st
 // worker registers with is logged but does not influence scheduling yet —
 // tasks are leased pull-style, so a faster worker simply claims more.)
 type remoteWorker struct {
-	id         string
-	name       string
-	registered time.Time
-	lastSeen   time.Time
-	// suspect counts lost leases: heartbeats the worker missed badly enough
-	// for the reaper to take a task back.
-	suspect int
+	id       string
+	name     string
+	lastSeen time.Time
 }
 
 type taskState int
@@ -235,10 +226,9 @@ func (d *dispatcher) register(req simwire.RegisterRequest) simwire.RegisterRespo
 	d.mu.Lock()
 	d.nextWorker++
 	w := &remoteWorker{
-		id:         fmt.Sprintf("worker-%06d", d.nextWorker),
-		name:       req.Name,
-		registered: now,
-		lastSeen:   now,
+		id:       fmt.Sprintf("worker-%06d", d.nextWorker),
+		name:     req.Name,
+		lastSeen: now,
 	}
 	d.workers[w.id] = w
 	n := len(d.workers)
@@ -305,12 +295,6 @@ func (d *dispatcher) lease(workerID string) (*simwire.Task, error) {
 	t.expiry = now.Add(d.leaseTTL)
 	d.logf("task %s [%d,%d) of %s leased to %s (attempt %d)",
 		t.id, t.start, t.end, t.run.jobID, workerID, t.attempt)
-	if d.walLog != nil {
-		d.walLog(simstore.Record{
-			Type: simstore.RecLease, Time: now, JobID: t.run.jobID,
-			TaskID: t.id, WorkerID: workerID,
-		})
-	}
 	return &simwire.Task{
 		ID:      t.id,
 		JobID:   t.run.jobID,
@@ -447,12 +431,6 @@ func (d *dispatcher) finishTaskLocked(t *shardTask) (emitSpan func()) {
 	}
 	delete(d.tasks, t.id)
 	d.completed.Add(1)
-	if d.walLog != nil {
-		d.walLog(simstore.Record{
-			Type: simstore.RecTaskDone, Time: time.Now(), JobID: t.run.jobID,
-			TaskID: t.id, WorkerID: t.workerID,
-		})
-	}
 	if d.spanLog == nil {
 		return noSpan
 	}
@@ -462,16 +440,14 @@ func (d *dispatcher) finishTaskLocked(t *shardTask) (emitSpan func()) {
 }
 
 // requeueLocked sends a task back to the queue, excluding the worker that
-// held (or mishandled) it and marking that worker suspect. Callers hold d.mu.
+// held (or mishandled) it: that worker is suspect for this task. Callers
+// hold d.mu.
 func (d *dispatcher) requeueLocked(t *shardTask, workerID, reason string) {
 	t.excluded[workerID] = true
 	t.state = taskQueued
 	t.workerID = ""
 	d.queue = append(d.queue, t)
 	d.requeued.Add(1)
-	if w := d.workers[workerID]; w != nil {
-		w.suspect++
-	}
 	d.logf("task %s: %s; worker %s marked suspect, task re-queued (%d pairs left)",
 		t.id, reason, workerID, len(t.pending))
 }

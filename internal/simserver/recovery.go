@@ -30,8 +30,7 @@ type replayedJob struct {
 //     result cache, so orphaned work is re-planned, not repeated; orphaned
 //     shard leases need no bookkeeping here because the re-run splits fresh
 //     tasks and workers abandon stale leases on their first 404.
-//   - lease / task-done records are observability breadcrumbs; replay
-//     ignores them.
+//   - lease / task-done records, which only older logs carry, are ignored.
 //
 // recover runs inside New, before the server is shared, so it touches
 // mu-guarded fields without the lock.

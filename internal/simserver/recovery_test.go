@@ -573,6 +573,50 @@ func TestServerServesRenderedReportsFromOlderWAL(t *testing.T) {
 	}
 }
 
+// olderTaskRecordsWAL is a log as a server that also logged shard tasks
+// wrote it: a job leased to a two-worker fleet, which crashed before the
+// job finished.
+const olderTaskRecordsWAL = `{"type":"submitted","time":"2026-10-19T16:29:30.452069289Z","job_id":"job-000001","seq":1,"client":"tester","spec_hash":"df21b7041ce3919ddbd2ba536a58fb8245c3d78c0fcb8249967ab0a81dc00c84","spec":{"experiment":"sweep","source":{"kind":"benchmark","benchmarks":["gzip"]},"iterations":40}}
+{"type":"started","time":"2026-10-19T16:29:30.452661648Z","job_id":"job-000001"}
+{"type":"lease","time":"2026-10-19T16:29:30.454120004Z","job_id":"job-000001","task_id":"task-000001","worker_id":"worker-000001"}
+{"type":"lease","time":"2026-10-19T16:29:30.454388511Z","job_id":"job-000001","task_id":"task-000002","worker_id":"worker-000002"}
+{"type":"task-done","time":"2026-10-19T16:29:30.461907322Z","job_id":"job-000001","task_id":"task-000001","worker_id":"worker-000001"}
+`
+
+// TestServerIgnoresTaskRecordsFromOlderWAL: the log no longer records shard
+// tasks, but a server opened over an older log that does decodes those
+// lines and ignores them: they count neither as corrupt nor as jobs, the
+// interrupted job re-queues, and the startup compaction drops them.
+func TestServerIgnoresTaskRecordsFromOlderWAL(t *testing.T) {
+	dir := t.TempDir()
+	walPath := filepath.Join(dir, "wal.jsonl")
+	if err := os.WriteFile(walPath, []byte(olderTaskRecordsWAL), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, corrupt, err := New(Config{Workers: 1, CodeRev: "test-rev", StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored, requeued := srv.RecoveryStats(); corrupt != 0 || restored != 0 || requeued != 1 || len(srv.jobs) != 1 {
+		t.Fatalf("%d corrupt, %d restored, %d re-queued, %d jobs; want 0, 0, 1, 1", corrupt, restored, requeued, len(srv.jobs))
+	}
+	if _, ok := srv.Job("job-000001"); !ok {
+		t.Fatal("the interrupted job did not replay")
+	}
+	raw, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(string(raw), "\n"); lines != 1 || strings.Contains(string(raw), "task_id") {
+		t.Errorf("compacted WAL has %d lines, want only the job's submitted record:\n%s", lines, raw)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestServerRequeuesJobWhoseDocumentDoesNotDecode: a completed record whose
 // report document does not decode is a corrupt line. Replay skips it, so the
 // job re-queues as if it had never finished, and its re-run serves every

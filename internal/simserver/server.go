@@ -57,7 +57,7 @@ type Config struct {
 	// CachePath persists the result cache as JSONL ("" = memory-only).
 	CachePath string
 	// CodeRev overrides the binary's detected code revision (tests only;
-	// "" = CodeRevision()).
+	// "" = obs.CodeRevision()).
 	CodeRev string
 	// MaxIterations rejects specs asking for longer workloads (0 = no cap).
 	// A shared server would otherwise let one client monopolize the pool.
@@ -185,7 +185,7 @@ func New(cfg Config) (s *Server, corrupt int, err error) {
 	}
 	rev := cfg.CodeRev
 	if rev == "" {
-		rev = CodeRevision()
+		rev = obs.CodeRevision()
 	}
 	cache, corrupt, err := OpenResultCache(cfg.CachePath, rev)
 	if err != nil {
@@ -207,7 +207,6 @@ func New(cfg Config) (s *Server, corrupt int, err error) {
 		walCompactEvery: 512,
 	}
 	s.dispatch = newDispatcher(cfg.LeaseTTL, cfg.WorkerTTL, cfg.PollInterval, s.logf)
-	s.dispatch.walLog = s.walAppend
 	s.prom = newPromMetrics(s)
 	s.dispatch.spanLog = s.jobSpan
 	s.dispatch.pairTime = func(d time.Duration) { s.prom.pairLatency.Observe(d.Seconds()) }

@@ -24,14 +24,15 @@ func FuzzRecordDecode(f *testing.F) {
 			Pairs:   &PairCounts{Total: 4, Cached: 1, Executed: 3},
 			Reports: map[string]string{"csv": "a,b\n1,2\n"}},
 		{Type: RecCanceled, JobID: "job-000002"},
-		{Type: RecLease, JobID: "job-000001", TaskID: "task-000001", WorkerID: "worker-000001"},
-		{Type: RecTaskDone, JobID: "job-000001", TaskID: "task-000001"},
 	}
 	for _, rec := range seeds {
 		f.Add(marshal(f, rec))
 	}
 	f.Add([]byte(`{"type":"submitted","job_id":"j","se`)) // torn tail
 	f.Add([]byte(`{"type":"warp-drive","job_id":"j"}`))   // unknown type
+	// An older log's task lines: they decode, and replay ignores them.
+	f.Add([]byte(`{"type":"lease","job_id":"job-000001","task_id":"task-000001","worker_id":"worker-000001"}`))
+	f.Add([]byte(`{"type":"task-done","job_id":"job-000001","task_id":"task-000001"}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`[1,2,3]`))
@@ -55,7 +56,7 @@ func FuzzRecordDecode(f *testing.F) {
 			t.Fatalf("accepted record rejects its own encoding: %v (input %q, encoded %q)", err, line, b)
 		}
 		if again.Type != rec.Type || again.JobID != rec.JobID || again.Seq != rec.Seq ||
-			again.TaskID != rec.TaskID || again.State != rec.State {
+			again.State != rec.State {
 			t.Fatalf("record identity changed across round trip: %+v -> %+v", rec, again)
 		}
 		if rec.Report == nil {

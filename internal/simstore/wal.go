@@ -23,17 +23,14 @@ import (
 	"repro/internal/simapi"
 )
 
-// Record types. Job-lifecycle records (submitted, started, completed,
-// canceled) drive replay; task records (lease, task-done) are observability
-// breadcrumbs — replay ignores them, because a re-queued job re-plans its
-// shard tasks from scratch against the result cache.
+// Record types: the job lifecycle, which replay rebuilds jobs from. The log
+// holds nothing about shard tasks, because a re-queued job re-plans its
+// tasks from scratch against the result cache.
 const (
 	RecSubmitted = "submitted"
 	RecStarted   = "started"
 	RecCompleted = "completed"
 	RecCanceled  = "canceled"
-	RecLease     = "lease"
-	RecTaskDone  = "task-done"
 )
 
 // Record is one JSONL line of the write-ahead log.
@@ -61,10 +58,6 @@ type Record struct {
 	// job's report: rendered in every format (format name → text). Replay
 	// serves these texts as they are.
 	Reports map[string]string `json:"reports,omitempty"`
-
-	// Shard-task fields (lease / task-done records).
-	TaskID   string `json:"task_id,omitempty"`
-	WorkerID string `json:"worker_id,omitempty"`
 }
 
 // PairCounts is the pair accounting persisted with a terminal record.
@@ -202,10 +195,9 @@ func DecodeRecord(line []byte) (Record, error) {
 		if r.JobID == "" {
 			return Record{}, fmt.Errorf("simstore: canceled record missing job id")
 		}
-	case RecLease, RecTaskDone:
-		if r.TaskID == "" {
-			return Record{}, fmt.Errorf("simstore: %s record missing task id", r.Type)
-		}
+	case "lease", "task-done":
+		// Older logs record shard-task leases and completions too. Replay
+		// ignores them, and the next compaction drops them.
 	default:
 		return Record{}, fmt.Errorf("simstore: unknown WAL record type %q", r.Type)
 	}

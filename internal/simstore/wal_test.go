@@ -43,8 +43,6 @@ func TestWALRoundTrip(t *testing.T) {
 	want := []Record{
 		testRecord(0),
 		{Type: RecStarted, Time: time.Unix(1700000010, 0).UTC(), JobID: "job-000001"},
-		{Type: RecLease, Time: time.Unix(1700000011, 0).UTC(), JobID: "job-000001", TaskID: "task-000001", WorkerID: "worker-000001"},
-		{Type: RecTaskDone, Time: time.Unix(1700000012, 0).UTC(), JobID: "job-000001", TaskID: "task-000001"},
 		{Type: RecCompleted, Time: time.Unix(1700000013, 0).UTC(), JobID: "job-000001",
 			State: simapi.StateDone, Pairs: &PairCounts{Total: 4, Cached: 1, Executed: 3},
 			Reports: map[string]string{"csv": "a,b\n1,2\n"}},
@@ -78,11 +76,11 @@ func TestWALRoundTrip(t *testing.T) {
 	if got[0].Spec == nil || got[0].Spec.Experiment != "fig2" {
 		t.Fatalf("submitted record lost its spec: %+v", got[0])
 	}
-	if got[4].Reports["csv"] != "a,b\n1,2\n" {
-		t.Fatalf("completed record lost its rendered report: %+v", got[4])
+	if got[2].Reports["csv"] != "a,b\n1,2\n" {
+		t.Fatalf("completed record lost its rendered report: %+v", got[2])
 	}
-	if got[4].Pairs == nil || got[4].Pairs.Executed != 3 {
-		t.Fatalf("completed record lost its pair counts: %+v", got[4])
+	if got[2].Pairs == nil || got[2].Pairs.Executed != 3 {
+		t.Fatalf("completed record lost its pair counts: %+v", got[2])
 	}
 }
 
@@ -329,7 +327,6 @@ func TestDecodeRecordRejectsMalformed(t *testing.T) {
 		`{"type":"submitted","job_id":"j","seq":1}`, // no spec
 		`{"type":"started"}`,
 		`{"type":"completed","job_id":"j","state":"queued"}`, // non-terminal state
-		`{"type":"lease"}`,                                   // no task id
 		`{"type":"warp-drive","job_id":"j"}`,                 // unknown type
 	}
 	for _, line := range bad {

@@ -25,7 +25,10 @@
 // Content identity is the hex SHA-256 of the whole file. It appears in
 // committed-corpus filenames (see Manifest), in the trace experiment's
 // scope string — and therefore in every sweep pair key, checkpoint key, and
-// server result-cache key — exactly like scenario content hashes.
+// server result-cache key — exactly like scenario content hashes. The
+// checksum and the content identity come from one SHA-256 pass: the
+// checksum is its sum before the stored checksum, and the identity its sum
+// after it.
 package traceio
 
 import (
@@ -154,20 +157,20 @@ func Encode(w io.Writer, t *emu.Trace) (Summary, error) {
 }
 
 // encoder writes the container format. Everything funnels through one
-// buffered writer that also feeds the payload checksum and the content
-// hash, so both are computed in the same pass as the write. The first write
-// error sticks, and finish reports it.
+// buffered writer that also feeds the hash, so the checksum and the content
+// hash are computed in the same pass as the write. The first write error
+// sticks, and finish reports it.
 type encoder struct {
-	w             io.Writer
-	bw            *bufio.Writer
-	file, payload hash.Hash
-	scratch       []byte
-	err           error
+	w       io.Writer
+	bw      *bufio.Writer
+	hash    hash.Hash
+	scratch []byte
+	err     error
 }
 
 func newEncoder(w io.Writer) *encoder {
-	e := &encoder{w: w, file: sha256.New(), payload: sha256.New()}
-	e.bw = bufio.NewWriter(io.MultiWriter(w, e.file, e.payload))
+	e := &encoder{w: w, hash: sha256.New()}
+	e.bw = bufio.NewWriter(io.MultiWriter(w, e.hash))
 	return e
 }
 
@@ -265,44 +268,33 @@ func (e *encoder) finish(n uint64) (string, error) {
 	if e.err != nil {
 		return "", e.err
 	}
-	sum := e.payload.Sum(nil)
+	// Sum leaves the hash running: its sum before the checksum is the
+	// checksum, and its sum after it the content hash.
+	sum := e.hash.Sum(nil)
 	if _, err := e.w.Write(sum); err != nil {
 		return "", err
 	}
-	e.file.Write(sum)
-	return hex.EncodeToString(e.file.Sum(nil)), nil
+	e.hash.Write(sum)
+	return hex.EncodeToString(e.hash.Sum(nil)), nil
 }
 
 // hashTee reads from a buffered reader and folds exactly the *consumed*
-// bytes — never the buffer's read-ahead — into two hashers: the payload
-// checksum verified against the footer, and the whole-file content hash.
+// bytes — never the buffer's read-ahead — into one hasher, whose sum gives
+// the checksum verified against the footer and the whole-file content hash.
 // Consumed bytes are batched in a small buffer so varint-by-varint decoding
 // does not pay one hash call per byte.
 type hashTee struct {
-	r             *bufio.Reader
-	payload, file hash.Hash
-	// payloadDone flips once the payload checksum is snapshotted; bytes
-	// consumed afterwards (the stored checksum itself) count only toward
-	// the file hash.
-	payloadDone bool
-	buf         []byte
+	r    *bufio.Reader
+	hash hash.Hash
+	buf  []byte
 }
 
 func newHashTee(r io.Reader) *hashTee {
-	return &hashTee{
-		r: bufio.NewReader(r), payload: sha256.New(), file: sha256.New(),
-		buf: make([]byte, 0, 4096),
-	}
+	return &hashTee{r: bufio.NewReader(r), hash: sha256.New(), buf: make([]byte, 0, 4096)}
 }
 
 func (t *hashTee) drain() {
-	if len(t.buf) == 0 {
-		return
-	}
-	t.file.Write(t.buf)
-	if !t.payloadDone {
-		t.payload.Write(t.buf)
-	}
+	t.hash.Write(t.buf)
 	t.buf = t.buf[:0]
 }
 
@@ -324,26 +316,15 @@ func (t *hashTee) Read(p []byte) (int, error) {
 	n, err := t.r.Read(p)
 	if n > 0 {
 		t.drain()
-		t.file.Write(p[:n])
-		if !t.payloadDone {
-			t.payload.Write(p[:n])
-		}
+		t.hash.Write(p[:n])
 	}
 	return n, err
 }
 
-// payloadSum snapshots the payload checksum and stops feeding the payload
-// hasher; only the file hash accumulates from here on.
-func (t *hashTee) payloadSum() []byte {
+// sum returns the SHA-256 of every byte consumed so far.
+func (t *hashTee) sum() []byte {
 	t.drain()
-	t.payloadDone = true
-	return t.payload.Sum(nil)
-}
-
-// fileSum returns the content identity of every byte consumed so far.
-func (t *hashTee) fileSum() []byte {
-	t.drain()
-	return t.file.Sum(nil)
+	return t.hash.Sum(nil)
 }
 
 // Decode reads one trace from r, strictly validating structure, control
@@ -553,8 +534,8 @@ func Decode(r io.Reader) (*emu.Trace, Summary, error) {
 		}
 	}
 
-	// Footer. The payload checksum covers everything up to (excluding) the
-	// stored checksum, so snapshot it before reading the stored one.
+	// Footer. The checksum covers everything up to (excluding) the stored
+	// checksum, so take it before reading the stored one.
 	count, err := uvarint()
 	if err != nil {
 		return fail("footer: %v", err)
@@ -562,7 +543,7 @@ func Decode(r io.Reader) (*emu.Trace, Summary, error) {
 	if count != b.Len() {
 		return fail("footer declares %d records, file holds %d", count, b.Len())
 	}
-	wantSum := tee.payloadSum()
+	wantSum := tee.sum()
 	stored, err := readFull(sha256.Size)
 	if err != nil {
 		return fail("footer checksum: %v", err)
@@ -579,7 +560,7 @@ func Decode(r io.Reader) (*emu.Trace, Summary, error) {
 		return fail("%v", err)
 	}
 	sum.Insts = t.Len()
-	sum.Hash = hex.EncodeToString(tee.fileSum())
+	sum.Hash = hex.EncodeToString(tee.sum())
 	return t, sum, nil
 }
 
