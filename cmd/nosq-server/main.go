@@ -171,9 +171,11 @@ func main() {
 		}
 	}
 
-	// Cancel jobs first, then drain HTTP: open /events streams only end when
-	// their job reaches a terminal state, so draining connections before
-	// cancelling jobs would deadlock until the timeout. During the job drain
+	// Stop the server first, then drain HTTP: an open /events stream ends
+	// when its job ends or the server stops, so draining connections first
+	// would wait out the timeout. The stop ends no job: queued jobs stay
+	// queued and interrupted runs record nothing, so with -state-dir the next
+	// start re-queues them, exactly as after a kill. While the workers drain
 	// the listener still answers; new submissions fail with 503.
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()

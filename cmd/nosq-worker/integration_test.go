@@ -448,12 +448,14 @@ func TestScenarioSpecFileEndToEnd(t *testing.T) {
 }
 
 // TestCoordinatorCrashRecovery is the acceptance test of the durable
-// simulation service: a coordinator with -state-dir is SIGKILLed mid-sweep
+// simulation service: a coordinator with -state-dir is stopped mid-sweep
 // with two live workers attached and two jobs in flight (a running fig2 grid
-// and a queued inline-scenario job). A restarted server on the same port must
-// replay its WAL, re-queue both jobs under their original IDs, resume every
-// pair the crashed run had already persisted (no pair executes twice), and
-// produce reports byte-identical to an uninterrupted run.
+// and a queued inline-scenario job), once by SIGKILL and once by SIGTERM. A
+// SIGTERM ends no job, so both stops leave the same kind of log. A restarted
+// server on the same port must replay its WAL, re-queue both jobs under their
+// original IDs, resume every pair the stopped run had already persisted (no
+// pair executes twice), and produce reports byte-identical to an
+// uninterrupted run.
 //
 // Run with: go test -tags integration ./cmd/nosq-worker -run TestCoordinatorCrashRecovery
 func TestCoordinatorCrashRecovery(t *testing.T) {
@@ -504,11 +506,23 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 	}
 	refStop()
 
+	for _, signal := range []string{"SIGKILL", "SIGTERM"} {
+		t.Run(signal, func(t *testing.T) {
+			testCoordinatorRecovery(t, ctx, serverBin, workerBin, signal == "SIGKILL", sweepSpec, scenarioSpec, refReports)
+		})
+	}
+}
+
+// testCoordinatorRecovery stops a durable coordinator mid-sweep, by SIGKILL
+// if kill is set and by SIGTERM otherwise, and checks the restarted server's
+// replay against the uninterrupted reports.
+func testCoordinatorRecovery(t *testing.T, ctx context.Context, serverBin, workerBin string, kill bool,
+	sweepSpec, scenarioSpec simapi.JobSpec, refReports map[string][2][]byte) {
 	// The durable coordinator, plus two throttled workers so the sweep is
-	// still mid-flight when the kill lands.
-	stateDir := filepath.Join(dir, "state")
+	// still mid-flight when the stop lands.
+	stateDir := filepath.Join(t.TempDir(), "state")
 	durableArgs := []string{"-workers", "1", "-lease-ttl", "1500ms", "-state-dir", stateDir}
-	coordURL, coord, _ := startServerProc(t, serverBin, durableArgs...)
+	coordURL, coord, coordStop := startServerProc(t, serverBin, durableArgs...)
 	port := coordURL[strings.LastIndex(coordURL, ":")+1:]
 	c := simclient.New(coordURL, nil).WithClientID("crash-test")
 	startWorker(t, workerBin, coordURL, "w1", "-pair-delay", "250ms")
@@ -523,7 +537,7 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// SIGKILL the coordinator once the first pair lands: the sweep is running
+	// Stop the coordinator once the first pair lands: the sweep is running
 	// (pairs delivered, pairs in flight on both workers), the scenario job is
 	// still queued — replay must handle both shapes.
 	sawPair := make(chan struct{})
@@ -539,12 +553,16 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 	case <-time.After(2 * time.Minute):
 		t.Fatal("no pair event before timeout")
 	}
-	if err := coord.Process.Kill(); err != nil {
-		t.Fatal(err)
+	if kill {
+		if err := coord.Process.Kill(); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		coordStop() // SIGTERM, then wait for the exit
 	}
 
-	// What the crashed run made durable: every parseable result-cache line.
-	// Nothing can append after the kill (only the server writes the cache),
+	// What the stopped run made durable: every parseable result-cache line.
+	// Nothing can append after the stop (only the server writes the cache),
 	// so this is exactly the set of pairs the restarted run must resume.
 	raw, err := os.ReadFile(filepath.Join(stateDir, "results.jsonl"))
 	if err != nil {
@@ -558,7 +576,7 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 		}
 	}
 	if nPre == 0 {
-		t.Fatal("no durable pairs before the crash; the kill landed too early to prove resumption")
+		t.Fatal("no durable pairs before the stop; it landed too early to prove resumption")
 	}
 
 	// Restart on the same port (the helper's default -addr is overridden by
@@ -587,10 +605,10 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 	}
 
 	// No job lost, no pair executed twice: the resumed sweep serves exactly
-	// the pre-crash pairs from the cache and executes only the remainder; the
+	// the pre-stop pairs from the cache and executes only the remainder; the
 	// never-started scenario job executes everything.
 	if finalSweep.CachedPairs != nPre {
-		t.Errorf("resumed sweep cached %d pairs, want the %d persisted before the crash",
+		t.Errorf("resumed sweep cached %d pairs, want the %d persisted before the stop",
 			finalSweep.CachedPairs, nPre)
 	}
 	if got := finalSweep.ExecutedPairs; got != finalSweep.TotalPairs-nPre {
@@ -598,7 +616,7 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 			got, finalSweep.TotalPairs-nPre, finalSweep.TotalPairs, nPre)
 	}
 	if finalScn.CachedPairs != 0 || finalScn.ExecutedPairs != finalScn.TotalPairs {
-		t.Errorf("queued-at-crash scenario job = %+v, want fully executed after replay", finalScn)
+		t.Errorf("queued-at-stop scenario job = %+v, want fully executed after replay", finalScn)
 	}
 
 	// Reports byte-identical to the uninterrupted run: CSV exactly for both

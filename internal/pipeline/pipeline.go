@@ -105,9 +105,10 @@ type Simulator struct {
 	lastCommit uint64
 	stallLimit uint64
 	// escapes counts SVW escapes: retired loads whose value was wrong but
-	// that did not re-execute. The T-SSBF is built so that there are none;
-	// tests assert it. Kept out of stats.Run, whose JSON is in every
-	// checkpoint, cache record and golden report.
+	// that did not re-execute. The T-SSBF is built so that there are none,
+	// and a run that counts one fails with ErrSVWEscape. Kept out of
+	// stats.Run, whose JSON is in every checkpoint, cache record and golden
+	// report.
 	escapes uint64
 }
 
@@ -249,6 +250,10 @@ func MustNew(p *program.Program, cfg Config) *Simulator {
 // which is a bug (see stallLimit).
 var ErrCycleLimit = errors.New("pipeline: cycle limit exceeded")
 
+// ErrSVWEscape is the error of a run in which a load retired with a wrong
+// value without re-executing: the paper's safety argument failed.
+var ErrSVWEscape = errors.New("pipeline: SVW escape")
+
 // stallLimit is the watchdog's bound on the cycles that may pass without a
 // commit. The oldest in-flight instruction waits on nothing younger than
 // itself: once the one before it retires, it is at worst fetched after a
@@ -282,7 +287,8 @@ func (s *Simulator) Run() (stats.Run, error) {
 
 // runQuantum advances the simulation until the committed-instruction count
 // reaches target (math.MaxUint64 = no bound), reporting whether it finished:
-// completed, or failed on the watchdog.
+// completed, or failed on the watchdog. A completed run that counted an SVW
+// escape fails with ErrSVWEscape.
 func (s *Simulator) runQuantum(target uint64) (finished bool, err error) {
 	for !s.done() {
 		if err := s.checkProgress(); err != nil {
@@ -297,6 +303,9 @@ func (s *Simulator) runQuantum(target uint64) (finished bool, err error) {
 		}
 	}
 	s.res.Cycles = s.now
+	if s.escapes != 0 {
+		return true, fmt.Errorf("%w: %d retired loads had a wrong value and did not re-execute", ErrSVWEscape, s.escapes)
+	}
 	return true, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bpred"
+	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/program"
 	"repro/internal/stats"
@@ -349,6 +350,33 @@ func TestCycleLimitError(t *testing.T) {
 	sim.stallLimit = 10
 	if _, err := sim.Run(); !errors.Is(err, ErrCycleLimit) {
 		t.Fatalf("Run error = %v, want ErrCycleLimit", err)
+	}
+}
+
+// TestSVWEscapeFailsTheRun: a run that counts an SVW escape, a load that
+// retired with a wrong value and did not re-execute, fails with ErrSVWEscape
+// and gives the count. No correct run has one, so the test sets the counter;
+// in a batch, only the member that counted it fails.
+func TestSVWEscapeFailsTheRun(t *testing.T) {
+	sim := MustNew(simpleLoop(100), ConfigFor(NoSQDelay, 0))
+	sim.escapes = 3
+	if _, err := sim.Run(); !errors.Is(err, ErrSVWEscape) || !strings.Contains(err.Error(), "3 retired loads") {
+		t.Fatalf("Run error = %v, want ErrSVWEscape giving 3 loads", err)
+	}
+	tr, err := emu.RecordTrace(simpleLoop(100), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBatch(tr, allConfigs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.sims[1].escapes = 1
+	_, errs := b.Run()
+	for i, err := range errs {
+		if (i == 1) != errors.Is(err, ErrSVWEscape) || i != 1 && err != nil {
+			t.Errorf("batch member %d: error %v", i, err)
+		}
 	}
 }
 

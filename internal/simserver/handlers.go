@@ -267,9 +267,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents streams a job's progress feed from ?from= (exclusive, default
 // 0): every recorded event, then live events as they land, until the job
-// reaches a terminal state or the client goes away. The feed is Server-Sent
-// Events when the client asks for text/event-stream, JSON Lines otherwise —
-// both carry the same Event documents.
+// reaches a terminal state, the server stops (no terminal event will come)
+// or the client goes away. The feed is Server-Sent Events when the client
+// asks for text/event-stream, JSON Lines otherwise — both carry the same
+// Event documents.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookupJob(w, r)
 	if !ok {
@@ -336,6 +337,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				flusher.Flush()
 			}
 		case <-r.Context().Done():
+			return
+		case <-s.baseCtx.Done():
 			return
 		}
 	}

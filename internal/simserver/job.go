@@ -8,12 +8,15 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/simapi"
+	"repro/internal/simstore"
 )
 
 // job is the server-side state of one submitted experiment run: the spec, the
-// lifecycle state machine, the append-only progress event log that streaming
-// clients follow, and (once done) the report document that every format is
-// rendered from when a client asks for it.
+// lifecycle state machine, and the append-only progress event log that
+// streaming clients follow. It keeps its submitted and terminal WAL records
+// as the log holds them: the submitted record gives its identity, the
+// terminal record its end (error, finish time and report), and a compaction
+// snapshot writes both back.
 //
 // All mutable fields are guarded by mu. The event log is append-only;
 // followers snapshot a suffix under the lock and then wait on the notify
@@ -22,29 +25,22 @@ import (
 type job struct {
 	id       string
 	seq      int
-	spec     simapi.JobSpec
+	spec     *simapi.JobSpec // the submitted record's
 	specHash string
 	client   string
+	sub      simstore.Record
 
 	mu        sync.Mutex
 	state     string
-	errMsg    string
 	cancelReq bool
-	submitted time.Time
 	started   time.Time
-	finished  time.Time
-	cancel    context.CancelFunc
+	cancel    context.CancelCauseFunc
+	term      *simstore.Record // nil until the job has ended
 
 	total    int
 	cached   int
 	executed int
 
-	// report is a done job's report document. A job replayed from a WAL
-	// record written before records carried the document has none; texts
-	// then holds the report as that record stored it, rendered in every
-	// format.
-	report *experiments.Document
-	texts  map[string]string
 	events []simapi.Event
 	notify chan struct{}
 
@@ -52,19 +48,24 @@ type job struct {
 	heapIndex int
 }
 
-func newJob(id string, seq int, spec simapi.JobSpec, specHash, client string, now time.Time) *job {
+// newJob builds a queued job from its submitted record, live and at replay.
+func newJob(sub simstore.Record) *job {
+	client := sub.Client
+	if client == "" {
+		client = DefaultClient
+	}
 	j := &job{
-		id:        id,
-		seq:       seq,
-		spec:      spec,
-		specHash:  specHash,
+		id:        sub.JobID,
+		seq:       sub.Seq,
+		spec:      sub.Spec,
+		specHash:  sub.SpecHash,
 		client:    client,
+		sub:       sub,
 		state:     simapi.StateQueued,
-		submitted: now,
 		notify:    make(chan struct{}),
 		heapIndex: -1,
 	}
-	j.appendEventLocked(simapi.Event{Type: simapi.EventState, State: simapi.StateQueued, Time: now})
+	j.appendEventLocked(simapi.Event{Type: simapi.EventState, State: simapi.StateQueued, Time: sub.Time})
 	return j
 }
 
@@ -81,40 +82,70 @@ func (j *job) appendEventLocked(ev simapi.Event) {
 // start transitions queued → running, reporting false if the job was
 // canceled before a worker claimed it (including a cancel that raced the
 // worker between queue pop and start).
-func (j *job) start(cancel context.CancelFunc, now time.Time) bool {
+func (j *job) start(cancel context.CancelCauseFunc, now time.Time) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != simapi.StateQueued || j.cancelReq {
 		return false
 	}
-	j.state = simapi.StateRunning
-	j.started = now
 	j.cancel = cancel
-	j.appendEventLocked(simapi.Event{Type: simapi.EventState, State: simapi.StateRunning, Time: now})
-	j.appendEventLocked(spanEvent(obs.SpanAt("queued", j.submitted).EndAt(now), now))
+	j.startLocked(now)
 	return true
 }
 
-// finish transitions running → a terminal state; a done job carries its
-// report document.
-func (j *job) finish(state, errMsg string, report *experiments.Document, now time.Time) {
+// startLocked moves the job to running: the running event, then the span of
+// its wait in the queue.
+func (j *job) startLocked(now time.Time) {
+	j.state = simapi.StateRunning
+	j.started = now
+	j.appendEventLocked(simapi.Event{Type: simapi.EventState, State: simapi.StateRunning, Time: now})
+	j.appendEventLocked(spanEvent(obs.SpanAt("queued", j.sub.Time).EndAt(now), now))
+}
+
+// end applies a terminal record: the job takes the record's state and pair
+// counts and keeps the record, and its event log gains the run and total
+// spans and the terminal event. A record that finds the job queued but
+// carries a start time starts it first. Server.end applies the record it has
+// just appended; replay applies the records the log holds. end reports
+// false, changing nothing, if the job has already ended.
+func (j *job) end(rec simstore.Record) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if simapi.TerminalState(j.state) {
-		return
+	if j.term != nil {
+		return false
+	}
+	if j.state == simapi.StateQueued && !rec.Started.IsZero() {
+		j.startLocked(rec.Started)
+	}
+	state := rec.State
+	if rec.Type == simstore.RecCanceled {
+		state = simapi.StateCanceled
 	}
 	// Timing spans land before the terminal state event — followers stop at
 	// the terminal event, so anything after it would never be streamed.
 	if !j.started.IsZero() {
-		j.appendEventLocked(spanEvent(obs.SpanAt("run", j.started).EndAt(now), now))
+		j.appendEventLocked(spanEvent(obs.SpanAt("run", j.started).EndAt(rec.Time), rec.Time))
 	}
-	j.appendEventLocked(spanEvent(obs.SpanAt("total", j.submitted).EndAt(now), now))
+	j.appendEventLocked(spanEvent(obs.SpanAt("total", j.sub.Time).EndAt(rec.Time), rec.Time))
 	j.state = state
-	j.errMsg = errMsg
-	j.report = report
-	j.finished = now
+	if rec.Pairs != nil {
+		j.total, j.cached, j.executed = rec.Pairs.Total, rec.Pairs.Cached, rec.Pairs.Executed
+	}
 	j.cancel = nil
-	j.appendEventLocked(simapi.Event{Type: simapi.EventState, State: state, Error: errMsg, Time: now})
+	j.term = &rec
+	j.appendEventLocked(simapi.Event{Type: simapi.EventState, State: state, Error: rec.Error, Time: rec.Time})
+	return true
+}
+
+// records returns the WAL records the job holds: its submitted record and,
+// once it has ended, its terminal record.
+func (j *job) records() []simstore.Record {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.term == nil {
+		return []simstore.Record{j.sub}
+	}
+	return []simstore.Record{j.sub, *j.term}
 }
 
 // span appends one timing span to the event log, unless the job already
@@ -142,24 +173,11 @@ func spanEvent(rec obs.SpanRecord, now time.Time) simapi.Event {
 	}
 }
 
-// markCanceledQueued cancels a job that never left the queue.
-func (j *job) markCanceledQueued(now time.Time) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != simapi.StateQueued {
-		return false
-	}
-	j.state = simapi.StateCanceled
-	j.finished = now
-	j.appendEventLocked(simapi.Event{Type: simapi.EventState, State: simapi.StateCanceled, Time: now})
-	return true
-}
-
 // requestCancel flags the job as cancel-requested and, if it is already
-// running, cancels its context (the sweep engine stops dispatching and the
-// worker records the canceled state). A popped-but-not-yet-started job sees
-// the flag in start and never runs. It reports whether the job was still
-// cancelable.
+// running, cancels its context with errCanceled as the cause (the sweep
+// engine stops dispatching and the worker ends the job canceled). A
+// popped-but-not-yet-started job sees the flag in start and never runs. It
+// reports whether the job was still cancelable.
 func (j *job) requestCancel() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -168,7 +186,7 @@ func (j *job) requestCancel() bool {
 	}
 	j.cancelReq = true
 	if j.cancel != nil {
-		j.cancel()
+		j.cancel(errCanceled)
 	}
 	return true
 }
@@ -199,19 +217,21 @@ func (j *job) pairDone(e experiments.CheckpointEntry, now time.Time) {
 func (j *job) info() simapi.JobInfo {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return simapi.JobInfo{
+	info := simapi.JobInfo{
 		ID:            j.id,
-		Spec:          j.spec,
+		Spec:          *j.spec,
 		State:         j.state,
 		Client:        j.client,
-		Error:         j.errMsg,
-		Submitted:     j.submitted,
+		Submitted:     j.sub.Time,
 		Started:       j.started,
-		Finished:      j.finished,
 		TotalPairs:    j.total,
 		CachedPairs:   j.cached,
 		ExecutedPairs: j.executed,
 	}
+	if j.term != nil {
+		info.Error, info.Finished = j.term.Error, j.term.Time
+	}
+	return info
 }
 
 // eventsSince returns the events with Seq > from, the job's current state,
@@ -229,17 +249,22 @@ func (j *job) eventsSince(from int) (evs []simapi.Event, state string, notify <-
 }
 
 // rendered returns a done job's report in the given format, rendering it
-// from the document outside the job lock; a format the report cannot render
-// (JSON of a NaN cell) has no text.
+// from its terminal record's document outside the job lock; a format the
+// report cannot render (JSON of a NaN cell) has no text. A record written
+// before records carried the document has none, and serves the texts it
+// stored, rendered in every format.
 func (j *job) rendered(format string) (string, bool) {
 	j.mu.Lock()
-	report, texts := j.report, j.texts
+	term := j.term
 	j.mu.Unlock()
-	if report == nil {
-		text, ok := texts[format]
+	if term == nil {
+		return "", false
+	}
+	if term.Report == nil {
+		text, ok := term.Reports[format]
 		return text, ok
 	}
-	text, err := report.Render(format)
+	text, err := term.Report.Render(format)
 	return text, err == nil
 }
 

@@ -1,7 +1,9 @@
 package simserver
 
 import (
+	"maps"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/experiments"
@@ -131,16 +133,17 @@ func (p *promMetrics) pairDone(config string, flushes, mispreds, committed uint6
 	p.simInsts.With(config).Add(committed)
 }
 
-// clientSamples snapshots the tenant registry into one family's samples.
+// clientSamples snapshots the tenant registry into one family's samples, in
+// client-name order so every scrape lists the series alike.
 func clientSamples(s *Server, value func(simapi.ClientMetrics) float64) []obs.Sample {
 	s.mu.Lock()
 	snap := s.tenants.snapshot()
 	s.mu.Unlock()
 	out := make([]obs.Sample, 0, len(snap))
-	for client, cm := range snap {
+	for _, client := range slices.Sorted(maps.Keys(snap)) {
 		out = append(out, obs.Sample{
 			Labels: []obs.Label{{Name: "client", Value: client}},
-			Value:  value(cm),
+			Value:  value(snap[client]),
 		})
 	}
 	return out

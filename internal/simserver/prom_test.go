@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -375,5 +376,56 @@ func TestJobSpanEvents(t *testing.T) {
 	}
 	if terminalSeq == 0 || lastSpanSeq == 0 || lastSpanSeq > terminalSeq {
 		t.Errorf("span events (last seq %d) must precede the terminal event (seq %d)", lastSpanSeq, terminalSeq)
+	}
+}
+
+// TestClientSeriesStableOrder: the per-client series come out in client-name
+// order, so every scrape lists them alike. Workers are not started, so the
+// submitted jobs stay queued and the gauges do not move between scrapes.
+func TestClientSeriesStableOrder(t *testing.T) {
+	srv, _, base := newPromTestServer(t, Config{Workers: 1})
+	clients := []string{"erin", "alice", "dave", "carol", "bob"}
+	for i, client := range clients {
+		spec := simapi.JobSpec{Experiment: "fig2", Benchmarks: []string{"gzip"}, Iterations: 10 + i}
+		if _, err := srv.Submit(spec, client); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scrape := func() string {
+		t.Helper()
+		resp, err := http.Get(base + "/metricsz?format=prometheus")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var series strings.Builder
+		for line := range strings.Lines(string(body)) {
+			if strings.HasPrefix(line, "nosq_client_") {
+				series.WriteString(line)
+			}
+		}
+		return series.String()
+	}
+	first := scrape()
+	if n := strings.Count(first, "\n"); n != 3*len(clients) {
+		t.Fatalf("%d per-client series, want %d:\n%s", n, 3*len(clients), first)
+	}
+	for i := 0; i < 10; i++ {
+		if got := scrape(); got != first {
+			t.Fatalf("scrape %d lists the per-client series differently:\n%s\nfirst:\n%s", i+2, got, first)
+		}
+	}
+	var order []string
+	for line := range strings.Lines(first) {
+		if name, ok := strings.CutPrefix(line, `nosq_client_submitted_total{client="`); ok {
+			order = append(order, name[:strings.IndexByte(name, '"')])
+		}
+	}
+	if !slices.IsSorted(order) || len(order) != len(clients) {
+		t.Fatalf("client order %v, want the %d names sorted", order, len(clients))
 	}
 }

@@ -22,39 +22,36 @@ func newJobQueue() *jobQueue {
 	return q
 }
 
-// push enqueues a job, reporting false when the queue is closed (shutdown):
-// the job will never be picked up and the caller must dispose of it.
-func (q *jobQueue) push(j *job) bool {
+// push enqueues a job. The server pushes under its lock and checks isClosed
+// first, so no job is pushed after close.
+func (q *jobQueue) push(j *job) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed {
-		return false
-	}
 	heap.Push(&q.heap, j)
 	q.cond.Signal()
-	return true
 }
 
 // pop blocks until a job is available or the queue is closed; ok is false
-// only on close.
+// once the queue is closed.
 func (q *jobQueue) pop() (j *job, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.heap) == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.heap) == 0 {
+	if q.closed {
 		return nil, false
 	}
 	return heap.Pop(&q.heap).(*job), true
 }
 
 // remove takes a still-queued job out of the queue, reporting whether it was
-// present (false means a worker already claimed it).
+// present (false means a worker already claimed it). A closed queue keeps its
+// jobs: a cancel that comes after the stop ends no job.
 func (q *jobQueue) remove(j *job) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if j.heapIndex < 0 || j.heapIndex >= len(q.heap) || q.heap[j.heapIndex] != j {
+	if q.closed || j.heapIndex < 0 || j.heapIndex >= len(q.heap) || q.heap[j.heapIndex] != j {
 		return false
 	}
 	heap.Remove(&q.heap, j.heapIndex)
@@ -68,18 +65,20 @@ func (q *jobQueue) depth() int {
 	return len(q.heap)
 }
 
-// close wakes every blocked worker; subsequent pops return ok=false once the
-// queue drains. Pending jobs left in the queue are returned so the server
-// can mark them canceled.
-func (q *jobQueue) close() []*job {
+// close wakes every blocked worker; every later pop returns ok=false. Jobs
+// left in the queue stay there, queued: shutdown ends no job.
+func (q *jobQueue) close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.closed = true
-	left := make([]*job, len(q.heap))
-	copy(left, q.heap)
-	q.heap = nil
 	q.cond.Broadcast()
-	return left
+}
+
+// isClosed reports whether close has run.
+func (q *jobQueue) isClosed() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.closed
 }
 
 // jobHeap implements container/heap: higher priority first, then lower

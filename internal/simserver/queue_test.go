@@ -5,10 +5,12 @@ import (
 	"time"
 
 	"repro/internal/simapi"
+	"repro/internal/simstore"
 )
 
 func qjob(seq, priority int) *job {
-	return newJob("job-test", seq, simapi.JobSpec{Experiment: "sweep", Priority: priority}, "h", DefaultClient, time.Now())
+	return newJob(simstore.Record{Type: simstore.RecSubmitted, Time: time.Now(), JobID: "job-test", Seq: seq,
+		SpecHash: "h", Spec: &simapi.JobSpec{Experiment: "sweep", Priority: priority}})
 }
 
 func TestQueuePriorityThenFIFO(t *testing.T) {
@@ -50,7 +52,7 @@ func TestQueueRemoveAndClose(t *testing.T) {
 		t.Fatalf("pop = %v, %v", j, ok)
 	}
 
-	// close releases blocked poppers and returns what was left.
+	// close releases blocked poppers, and no pop returns a job afterwards.
 	q.push(qjob(3, 0))
 	popped := make(chan bool)
 	go func() {
@@ -64,10 +66,7 @@ func TestQueueRemoveAndClose(t *testing.T) {
 		_, ok := q.pop() // blocks: queue empty
 		popped <- ok
 	}()
-	left := q.close()
-	if len(left) != 0 {
-		t.Fatalf("close returned %d leftover jobs", len(left))
-	}
+	q.close()
 	select {
 	case ok := <-popped:
 		if ok {
@@ -75,5 +74,10 @@ func TestQueueRemoveAndClose(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("blocked pop not released by close")
+	}
+	late := qjob(4, 0)
+	q.push(late)
+	if _, ok := q.pop(); ok || q.remove(late) || !q.isClosed() {
+		t.Fatal("a closed queue gave up a job")
 	}
 }

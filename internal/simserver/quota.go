@@ -2,7 +2,6 @@ package simserver
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/simapi"
@@ -147,20 +146,13 @@ func (r *tenantRegistry) restore(client string, queued bool) {
 	}
 }
 
-// snapshot renders the per-client gauges for /metricsz, sorted keys for a
-// stable document.
+// snapshot renders the per-client gauges for /metricsz.
 func (r *tenantRegistry) snapshot() map[string]simapi.ClientMetrics {
 	if len(r.clients) == 0 {
 		return nil
 	}
 	out := make(map[string]simapi.ClientMetrics, len(r.clients))
-	names := make([]string, 0, len(r.clients))
-	for name := range r.clients {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		t := r.clients[name]
+	for name, t := range r.clients {
 		out[name] = simapi.ClientMetrics{
 			Queued:    t.queued,
 			Running:   t.running,

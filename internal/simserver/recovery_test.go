@@ -17,21 +17,15 @@ import (
 	"repro/internal/stats"
 )
 
-// crash abandons a server without the graceful-shutdown work. As far as the
-// on-disk state goes this is SIGKILL: every durable write was fsynced when it
-// happened, and none of Shutdown's goodbye records (cancel-the-queued-jobs)
-// are written. Only call it when no job is mid-run — a running job would see
-// its context cancelled and record a terminal state, which a real SIGKILL
-// never would.
-func crash(t *testing.T, srv *Server) {
+// shutdown stops a server. Shutdown ends no job and writes no record, so
+// the state directory it leaves is the one a kill would leave: every durable
+// write was fsynced when it happened, and a queued or interrupted job has
+// only its submitted record.
+func shutdown(t *testing.T, srv *Server) {
 	t.Helper()
-	srv.queue.close()
-	srv.stop()
-	srv.wg.Wait()
-	if srv.wal != nil {
-		srv.wal.Close()
-	}
-	if err := srv.cache.Close(); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -50,7 +44,7 @@ func TestServerRecovery(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	// Life 1: submit three jobs, cancel one, never start a worker, crash.
+	// Life 1: submit three jobs, cancel one, never start a worker, stop.
 	srv1, corrupt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +67,7 @@ func TestServerRecovery(t *testing.T) {
 	if _, ok := srv1.Cancel(c1.ID); !ok {
 		t.Fatal("cancel of queued job failed")
 	}
-	crash(t, srv1)
+	shutdown(t, srv1)
 
 	// Life 2: replay. The canceled job restores terminal; A and B re-queue.
 	srv2, corrupt, err := New(cfg)
@@ -81,7 +75,7 @@ func TestServerRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if corrupt != 0 {
-		t.Fatalf("replay reported %d corrupt lines, want 0 (clean crash)", corrupt)
+		t.Fatalf("replay reported %d corrupt lines, want 0 (clean stop)", corrupt)
 	}
 	restored, requeued := srv2.RecoveryStats()
 	if restored != 1 || requeued != 2 {
@@ -198,9 +192,9 @@ func TestServerRecovery(t *testing.T) {
 }
 
 // TestServerWALCompaction: with the compaction threshold at 1 append, every
-// job completion rewrites the log down to its snapshot — three lines per
-// retained finished job (submitted, started, completed) — and the rewritten
-// log still replays.
+// job completion rewrites the log down to its snapshot — two lines per
+// retained finished job (submitted, completed) — and the rewritten log still
+// replays.
 func TestServerWALCompaction(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Workers: 1, CodeRev: "test-rev", StateDir: dir}
@@ -225,21 +219,17 @@ func TestServerWALCompaction(t *testing.T) {
 	if _, err := cl.Wait(ctx, info.ID); err != nil {
 		t.Fatal(err)
 	}
-	// Wait observes the terminal state slightly before finishAccounting runs
-	// compaction; poll briefly instead of racing it.
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.wal.AppendsSinceCompact() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("AppendsSinceCompact = %d, compaction never ran", srv.wal.AppendsSinceCompact())
-		}
-		time.Sleep(10 * time.Millisecond)
+	// Wait ends with a job lookup, which takes the server lock that the
+	// job's end holds through the compaction.
+	if n := srv.wal.AppendsSinceCompact(); n != 0 {
+		t.Fatalf("AppendsSinceCompact = %d, compaction never ran", n)
 	}
 	raw, err := os.ReadFile(filepath.Join(dir, "wal.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lines := strings.Count(string(raw), "\n"); lines != 3 {
-		t.Errorf("compacted WAL has %d lines, want 3 (submitted + started + completed):\n%s", lines, raw)
+	if lines := strings.Count(string(raw), "\n"); lines != 2 {
+		t.Errorf("compacted WAL has %d lines, want 2 (submitted + completed):\n%s", lines, raw)
 	}
 	hs.Close()
 	sctx, scancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -308,14 +298,6 @@ func TestReportFormatsSurviveRestart(t *testing.T) {
 		}
 		return out
 	}
-	shutdown := func(srv *Server) {
-		sctx, scancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer scancel()
-		if err := srv.Shutdown(sctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	srv1, _, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -342,13 +324,13 @@ func TestReportFormatsSurviveRestart(t *testing.T) {
 			t.Errorf("live %s report differs from the library render:\n got: %q\nwant: %q", format, text, want)
 		}
 	}
-	shutdown(srv1)
+	shutdown(t, srv1)
 
 	srv2, _, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer shutdown(srv2)
+	defer shutdown(t, srv2)
 	if restored, _ := srv2.RecoveryStats(); restored != 1 {
 		t.Fatalf("restored %d jobs, want 1", restored)
 	}
@@ -372,7 +354,7 @@ func TestServerRecoveryTolerantOfCorruptTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crash(t, srv1)
+	shutdown(t, srv1)
 
 	// Tear the tail the way a crash mid-append would.
 	walPath := filepath.Join(dir, "wal.jsonl")
@@ -466,15 +448,6 @@ func TestFinishedJobKeepsStartAcrossRestarts(t *testing.T) {
 	cfg := Config{Workers: 1, CodeRev: "test-rev", StateDir: t.TempDir()}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	shutdown := func(srv *Server) {
-		t.Helper()
-		sctx, scancel := context.WithTimeout(ctx, 30*time.Second)
-		defer scancel()
-		if err := srv.Shutdown(sctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	srv, _, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -493,7 +466,7 @@ func TestFinishedJobKeepsStartAcrossRestarts(t *testing.T) {
 	if done.State != simapi.StateDone || done.Started.IsZero() {
 		t.Fatalf("job finished as %+v, want done with a start time", done)
 	}
-	shutdown(srv)
+	shutdown(t, srv)
 
 	for restart := 1; restart <= 2; restart++ {
 		srv, _, err := New(cfg)
@@ -512,31 +485,40 @@ func TestFinishedJobKeepsStartAcrossRestarts(t *testing.T) {
 		if !running {
 			t.Errorf("restart %d: event log lost the running event: %+v", restart, evs)
 		}
-		shutdown(srv)
+		shutdown(t, srv)
 	}
 }
 
 // TestServerServesRenderedReportsFromOlderWAL: terminal records once kept a
-// done job's report as four rendered texts instead of its document.
+// done job's report as four rendered texts instead of its document, and the
+// job's start time in a started record of its own.
 // testdata/wal-rendered-reports.jsonl is such a log, as a server of that
 // format wrote it for a one-benchmark sweep. A server opened over a copy
-// serves each format byte for byte from those texts, and still does after
-// its startup compaction has rewritten the log.
+// serves each format byte for byte from those texts and keeps the job's
+// start time, and still does after its startup compaction has rewritten the
+// log to the job's two records.
 func TestServerServesRenderedReportsFromOlderWAL(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "wal-rendered-reports.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var id string
+	var started time.Time
 	var want map[string]string
 	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
 		rec, err := simstore.DecodeRecord([]byte(line))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.Type == simstore.RecCompleted {
+		switch rec.Type {
+		case simstore.RecStarted:
+			started = rec.Time
+		case simstore.RecCompleted:
 			id, want = rec.JobID, rec.Reports
 		}
+	}
+	if started.IsZero() {
+		t.Fatal("the log has no started record")
 	}
 	if len(want) != len(stats.Formats()) {
 		t.Fatalf("the log's completed record has %d rendered texts, want one per format", len(want))
@@ -554,6 +536,16 @@ func TestServerServesRenderedReportsFromOlderWAL(t *testing.T) {
 		}
 		if restored, requeued := srv.RecoveryStats(); corrupt != 0 || restored != 1 || requeued != 0 {
 			t.Fatalf("restart %d: %d corrupt, %d restored, %d re-queued; want 0, 1, 0", restart, corrupt, restored, requeued)
+		}
+		if got, _ := srv.Job(id); !got.Started.Equal(started) {
+			t.Errorf("restart %d: job started at %v, want %v", restart, got.Started, started)
+		}
+		compacted, err := os.ReadFile(filepath.Join(dir, "wal.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lines := strings.Count(string(compacted), "\n"); lines != 2 {
+			t.Errorf("restart %d: compacted WAL has %d lines, want 2 (submitted + completed)", restart, lines)
 		}
 		hs := httptest.NewServer(srv.Handler())
 		cl := simclient.New(hs.URL, nil)

@@ -224,9 +224,9 @@ func New(cfg Config) (s *Server, corrupt int, err error) {
 		}
 		s.wal = wal
 		s.recover(records)
-		// Startup compaction: replay noise (started records, stale leases,
-		// evicted jobs, the corrupt tail) is rewritten away so the log
-		// restarts from a clean snapshot of the live state.
+		// Startup compaction: replay noise (older logs' started and task
+		// records, evicted jobs, the corrupt tail) is rewritten away so the
+		// log restarts from a clean snapshot of the live state.
 		if cerr := wal.Compact(s.walSnapshotLocked()); cerr != nil {
 			s.logf("wal: startup compaction: %v", cerr)
 		}
@@ -237,7 +237,7 @@ func New(cfg Config) (s *Server, corrupt int, err error) {
 
 // RecoveryStats reports what New replayed from the WAL: jobs restored in a
 // terminal state (still queryable, reports included) and jobs re-queued for
-// execution because a crash interrupted them.
+// execution because a crash or a stop interrupted them.
 func (s *Server) RecoveryStats() (restored, requeued int) {
 	return s.recRestored, s.recRequeued
 }
@@ -275,14 +275,15 @@ func (s *Server) reaperLoop() {
 	}
 }
 
-// Shutdown stops accepting work, cancels running jobs, waits for the workers
-// (or ctx), and closes the result cache.
+// Shutdown stops accepting work, interrupts running jobs, ends every /events
+// stream, waits for the workers (or ctx), and closes the result cache and
+// the WAL. It ends no job and writes no record: queued jobs stay queued, and
+// a run the stop interrupts records nothing, so a durable server re-queues
+// both at its next start, exactly as after a kill.
 func (s *Server) Shutdown(ctx context.Context) error {
-	for _, j := range s.queue.close() {
-		if j.markCanceledQueued(time.Now()) {
-			s.finishAccounting(j, simapi.StateCanceled)
-		}
-	}
+	s.mu.Lock()
+	s.queue.close()
+	s.mu.Unlock()
 	s.stop() // cancels every running job's context
 	doneCh := make(chan struct{})
 	go func() {
@@ -395,15 +396,17 @@ func (s *Server) Submit(spec simapi.JobSpec, client string) (simapi.JobInfo, err
 
 	s.mu.Lock()
 	if id, ok := s.active[hash]; ok {
-		// A job keeps its dedup slot from its terminal event until
-		// finishAccounting runs; a re-submission in between is a new job,
-		// exactly as it is afterwards.
-		if info := s.jobs[id].info(); !simapi.TerminalState(info.State) {
-			s.mu.Unlock()
-			s.metrics.deduped.Add(1)
-			info.Deduped = true
-			return info, nil
-		}
+		info := s.jobs[id].info()
+		s.mu.Unlock()
+		s.metrics.deduped.Add(1)
+		info.Deduped = true
+		return info, nil
+	}
+	// Shutdown closes the queue under s.mu, so a submission it has begun to
+	// refuse never reaches the WAL.
+	if s.queue.isClosed() {
+		s.mu.Unlock()
+		return simapi.JobInfo{}, ErrShuttingDown
 	}
 	if s.cfg.MaxQueuedJobs > 0 && s.queue.depth() >= s.cfg.MaxQueuedJobs {
 		s.tenants.rejectQueueFull(client)
@@ -417,31 +420,25 @@ func (s *Server) Submit(spec simapi.JobSpec, client string) (simapi.JobInfo, err
 		s.mu.Unlock()
 		return simapi.JobInfo{}, err
 	}
-	s.nextSeq++
-	j := newJob(fmt.Sprintf("job-%06d", s.nextSeq), s.nextSeq, spec, hash, client, time.Now())
+	seq := s.nextSeq + 1
+	sub := simstore.Record{
+		Type: simstore.RecSubmitted, Time: wallNow(), JobID: fmt.Sprintf("job-%06d", seq),
+		Seq: seq, Client: client, SpecHash: hash, Spec: &spec,
+	}
 	if s.wal != nil {
-		if err := s.wal.Append(simstore.Record{
-			Type: simstore.RecSubmitted, Time: j.submitted, JobID: j.id,
-			Seq: j.seq, Client: client, SpecHash: hash, Spec: &spec,
-		}); err != nil {
+		if err := s.wal.Append(sub); err != nil {
 			s.tenants.unadmit(client)
-			s.nextSeq--
 			s.mu.Unlock()
 			return simapi.JobInfo{}, fmt.Errorf("simserver: persisting submission: %w", err)
 		}
 	}
+	s.nextSeq = seq
+	j := newJob(sub)
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
 	s.active[hash] = j.id
+	s.queue.push(j)
 	s.mu.Unlock()
-
-	if !s.queue.push(j) {
-		// Shutdown closed the queue between registration and push: no worker
-		// will ever see the job, so dispose of it and refuse the submission.
-		j.markCanceledQueued(time.Now())
-		s.finishAccounting(j, simapi.StateCanceled)
-		return simapi.JobInfo{}, ErrShuttingDown
-	}
 	s.metrics.submitted.Add(1)
 	s.logf("submitted %s: %s", j.id, spec)
 	return j.info(), nil
@@ -449,6 +446,15 @@ func (s *Server) Submit(spec simapi.JobSpec, client string) (simapi.JobInfo, err
 
 // ErrShuttingDown is returned by Submit once Shutdown has begun.
 var ErrShuttingDown = errors.New("simserver: server is shutting down")
+
+// errCanceled is the cause a client's cancel gives a running job's context.
+// A run canceled with any other cause was interrupted by Shutdown.
+var errCanceled = errors.New("simserver: job canceled by its client")
+
+// wallNow reads the clock without its monotonic reading, as a WAL record
+// keeps a time, so a job's spans measure the same durations live and
+// replayed.
+func wallNow() time.Time { return time.Now().Round(0) }
 
 // specHash canonicalizes a spec's work-defining fields (priority excluded —
 // the same grid at a different priority is still the same work).
@@ -497,13 +503,14 @@ func (s *Server) Cancel(id string) (simapi.JobInfo, bool) {
 	if !ok {
 		return simapi.JobInfo{}, false
 	}
-	// Queued: take it out of the queue and mark it directly. Running: cancel
-	// its context and let the worker record the terminal state.
-	if s.queue.remove(j) && j.markCanceledQueued(time.Now()) {
-		s.finishAccounting(j, simapi.StateCanceled)
+	// Queued: take it out of the queue and end it here. Running: cancel its
+	// context and let the worker end it. After Shutdown neither ends the
+	// job: the stop was the first cancel.
+	if s.queue.remove(j) {
+		s.end(j, simapi.StateCanceled, "", nil)
 		s.logf("canceled %s while queued", j.id)
 	} else if j.requestCancel() {
-		s.logf("cancel requested for running %s", j.id)
+		s.logf("cancel requested for %s", j.id)
 	}
 	return j.info(), true
 }
@@ -521,32 +528,27 @@ func (s *Server) worker() {
 }
 
 func (s *Server) runJob(j *job) {
-	jctx, cancel := context.WithCancel(s.baseCtx)
-	defer cancel()
-	now := time.Now()
+	jctx, cancel := context.WithCancelCause(s.baseCtx)
+	defer cancel(nil)
+	now := wallNow()
 	if !j.start(cancel, now) {
-		// Canceled between pop and start: record the terminal state here,
-		// since no worker will.
-		if j.markCanceledQueued(time.Now()) {
-			s.finishAccounting(j, simapi.StateCanceled)
-		}
+		// Canceled between pop and start: end it here, since no worker will.
+		s.end(j, simapi.StateCanceled, "", nil)
 		return
 	}
 	s.mu.Lock()
 	s.tenants.jobStarted(j.client)
 	s.mu.Unlock()
-	// j.submitted is written once at construction, so reading it without the
-	// job lock is safe.
-	s.prom.queueWait.Observe(now.Sub(j.submitted).Seconds())
-	s.walAppend(simstore.Record{Type: simstore.RecStarted, Time: now, JobID: j.id})
+	// j.sub is written once at construction, so reading it without the job
+	// lock is safe.
+	s.prom.queueWait.Observe(now.Sub(j.sub.Time).Seconds())
 	s.metrics.jobStarted(j.seq)
 	startT := time.Now()
 	defer s.metrics.jobEnded(j.seq)
 
 	exp, err := experiments.Lookup(j.spec.Experiment)
 	if err != nil {
-		j.finish(simapi.StateFailed, err.Error(), nil, time.Now())
-		s.finishAccounting(j, simapi.StateFailed)
+		s.end(j, simapi.StateFailed, err.Error(), nil)
 		return
 	}
 	opts := j.spec.Options()
@@ -559,7 +561,7 @@ func (s *Server) runJob(j *job) {
 	// which leases contiguous shard tasks to the fleet. With no fleet the job
 	// runs in-process exactly as before.
 	if n := s.dispatch.liveWorkers(); n > 0 {
-		opts.Executor = s.dispatch.executor(j.id, j.spec)
+		opts.Executor = s.dispatch.executor(j.id, *j.spec)
 		s.logf("distributing %s across %d remote workers", j.id, n)
 	}
 
@@ -577,26 +579,54 @@ func (s *Server) runJob(j *job) {
 	}
 	switch {
 	case err == nil:
-		j.finish(simapi.StateDone, "", rep.Document(), time.Now())
-		s.finishAccounting(j, simapi.StateDone)
+		s.end(j, simapi.StateDone, "", rep.Document())
 		s.logf("finished %s in %v", j.id, time.Since(startT).Round(time.Millisecond))
-	case errors.Is(err, context.Canceled):
-		j.finish(simapi.StateCanceled, "", nil, time.Now())
-		s.finishAccounting(j, simapi.StateCanceled)
+	case !errors.Is(err, context.Canceled):
+		s.end(j, simapi.StateFailed, err.Error(), nil)
+		s.logf("failed %s: %v", j.id, err)
+	case context.Cause(jctx) == errCanceled:
+		// The client's cancel came before any stop: the first cancel decides.
+		s.end(j, simapi.StateCanceled, "", nil)
 		s.logf("canceled %s", j.id)
 	default:
-		j.finish(simapi.StateFailed, err.Error(), nil, time.Now())
-		s.finishAccounting(j, simapi.StateFailed)
-		s.logf("failed %s: %v", j.id, err)
+		// Shutdown interrupted the run. Recording nothing leaves the job as a
+		// kill would: a durable server re-queues it at its next start, and
+		// its re-run resumes the pairs already in the result cache.
+		s.logf("%s interrupted by shutdown", j.id)
 	}
 }
 
-// finishAccounting updates terminal-state counters, releases the job's
-// dedup slot and quota reservation, persists the terminal WAL record, and
-// evicts the oldest terminal jobs past the retention cap — without it a
-// long-lived server's job registry (and every job's event log) would grow
-// forever.
-func (s *Server) finishAccounting(j *job, state string) {
+// end is the one way a job ends. It builds the job's terminal record,
+// appends it to the WAL and applies it with job.end, so no client sees the
+// job ended before its record is durable. Then it updates the counters and
+// the client's gauges, releases the dedup slot, evicts the oldest terminal
+// jobs past the retention cap and compacts the WAL when due. s.mu spans all
+// of it: a compaction, which snapshots under s.mu, can then never see the
+// record durable but the job unfinished, and drop the record. A failed
+// append degrades to a logged warning, since the job's work is still
+// recoverable from the result cache. end does nothing if the job has
+// already ended.
+func (s *Server) end(j *job, state, errMsg string, doc *experiments.Document) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	info := j.info()
+	if simapi.TerminalState(info.State) {
+		return
+	}
+	rec := simstore.Record{
+		Type: simstore.RecCompleted, Time: wallNow(), JobID: j.id,
+		State: state, Error: errMsg, Started: info.Started, Report: doc,
+		Pairs: &simstore.PairCounts{Total: info.TotalPairs, Cached: info.CachedPairs, Executed: info.ExecutedPairs},
+	}
+	if state == simapi.StateCanceled {
+		rec.Type = simstore.RecCanceled
+	}
+	if s.wal != nil {
+		if err := s.wal.Append(rec); err != nil {
+			s.logf("wal: %v", err)
+		}
+	}
+	j.end(rec)
 	switch state {
 	case simapi.StateDone:
 		s.metrics.done.Add(1)
@@ -605,10 +635,7 @@ func (s *Server) finishAccounting(j *job, state string) {
 	case simapi.StateCanceled:
 		s.metrics.canceled.Add(1)
 	}
-	started := !j.info().Started.IsZero()
-	s.walAppend(j.terminalRecord())
-	s.mu.Lock()
-	s.tenants.jobFinished(j.client, started)
+	s.tenants.jobFinished(j.client, !info.Started.IsZero())
 	if s.active[j.specHash] == j.id {
 		delete(s.active, j.specHash)
 	}
@@ -619,7 +646,6 @@ func (s *Server) finishAccounting(j *job, state string) {
 			s.logf("wal: compaction: %v", err)
 		}
 	}
-	s.mu.Unlock()
 }
 
 // evictFinishedLocked drops the oldest terminal jobs past the retention cap
@@ -635,19 +661,6 @@ func (s *Server) evictFinishedLocked() {
 				break
 			}
 		}
-	}
-}
-
-// walAppend logs one record when durability is enabled. Append failures on
-// mid-run transitions degrade to a warning — the job's work is still
-// recoverable from the result cache — unlike submissions, which fail hard in
-// Submit.
-func (s *Server) walAppend(rec simstore.Record) {
-	if s.wal == nil {
-		return
-	}
-	if err := s.wal.Append(rec); err != nil {
-		s.logf("wal: %v", err)
 	}
 }
 

@@ -480,19 +480,12 @@ func TestServerEvictsOldFinishedJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The second completion evicts the first job's metadata. The server
-	// publishes the terminal event that ends Wait just before it evicts, so
-	// wait for the eviction to land.
-	for {
-		_, err := c.Job(ctx, first.ID)
-		var apiErr *simclient.APIError
-		if errors.As(err, &apiErr) && apiErr.Status == 404 {
-			break
-		}
-		if ctx.Err() != nil {
-			t.Fatalf("evicted job %s still queryable (last error: %v)", first.ID, err)
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The second completion evicts the first job's metadata. Wait ends with
+	// a job lookup, which takes the server lock that the second job's end
+	// holds through the eviction.
+	var apiErr *simclient.APIError
+	if _, err := c.Job(ctx, first.ID); !errors.As(err, &apiErr) || apiErr.Status != 404 {
+		t.Fatalf("evicted job %s still queryable: %v", first.ID, err)
 	}
 	if _, err := c.Job(ctx, second.ID); err != nil {
 		t.Fatalf("most recent finished job evicted: %v", err)

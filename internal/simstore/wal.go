@@ -1,14 +1,15 @@
 // Package simstore is the durability layer of the simulation service: a
-// write-ahead log of job state transitions. Every record is fsynced on
-// append, so a SIGKILLed nosq-server replays the log on restart and rebuilds
-// its queue, job registry and per-client accounting without losing a job.
+// write-ahead log of how each job was submitted and how it ended. Every
+// record is fsynced on append, so a nosq-server stopped by SIGKILL or
+// SIGTERM replays the log on restart and rebuilds its queue, job registry
+// and per-client accounting without losing a job.
 // The file's crash rules (torn tails, corrupt-line counting, atomic
 // compaction) are internal/jsonl's.
 //
 // The log is the job-level truth; the pair-level truth is the result cache.
-// Replay re-queues every job that was not terminal at the crash, and the
-// re-run resumes already-finished pairs from the cache — which is what makes
-// "no pair executed twice" hold without logging individual pairs here.
+// Replay re-queues every job that was not terminal at the crash or stop, and
+// the re-run resumes already-finished pairs from the cache — which is what
+// makes "no pair executed twice" hold without logging individual pairs here.
 package simstore
 
 import (
@@ -23,9 +24,12 @@ import (
 	"repro/internal/simapi"
 )
 
-// Record types: the job lifecycle, which replay rebuilds jobs from. The log
-// holds nothing about shard tasks, because a re-queued job re-plans its
-// tasks from scratch against the result cache.
+// Record types: the job lifecycle, which replay rebuilds jobs from. A job
+// has a submitted record and, once it has ended, one terminal record
+// (completed or canceled). Only older logs hold started records; replay reads
+// them to date those logs' terminal records. The log holds nothing about
+// shard tasks, because a re-queued job re-plans its tasks from scratch
+// against the result cache.
 const (
 	RecSubmitted = "submitted"
 	RecStarted   = "started"
@@ -47,6 +51,9 @@ type Record struct {
 	// State is the terminal state of a completed/canceled record (done,
 	// failed, canceled).
 	State string `json:"state,omitempty"`
+	// Started is when a terminal record's job started running; zero for a
+	// job that ended while queued.
+	Started time.Time `json:"started,omitzero"`
 	// Error is the failure message of a failed job.
 	Error string `json:"error,omitempty"`
 	// Pairs carries the final pair accounting of a terminal record.
@@ -107,8 +114,8 @@ func Open(path string, hooks jsonl.Hooks, appendDone func(time.Duration)) (w *WA
 
 // Append durably logs one record: marshal, write, fsync. An error means the
 // record may not be durable — the caller decides whether that fails the
-// operation (submissions do) or degrades to a warning (mid-run transitions
-// do, since the job's work is still recoverable from the result cache).
+// operation (submissions do) or degrades to a warning (terminal records do,
+// since the job's work is still recoverable from the result cache).
 func (w *WAL) Append(rec Record) error {
 	start := time.Now()
 	b, err := json.Marshal(rec)

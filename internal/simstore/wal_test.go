@@ -44,7 +44,8 @@ func TestWALRoundTrip(t *testing.T) {
 		testRecord(0),
 		{Type: RecStarted, Time: time.Unix(1700000010, 0).UTC(), JobID: "job-000001"},
 		{Type: RecCompleted, Time: time.Unix(1700000013, 0).UTC(), JobID: "job-000001",
-			State: simapi.StateDone, Pairs: &PairCounts{Total: 4, Cached: 1, Executed: 3},
+			State: simapi.StateDone, Started: time.Unix(1700000011, 0).UTC(),
+			Pairs:   &PairCounts{Total: 4, Cached: 1, Executed: 3},
 			Reports: map[string]string{"csv": "a,b\n1,2\n"}},
 		{Type: RecCanceled, Time: time.Unix(1700000014, 0).UTC(), JobID: "job-000002"},
 	}
@@ -81,6 +82,9 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 	if got[2].Pairs == nil || got[2].Pairs.Executed != 3 {
 		t.Fatalf("completed record lost its pair counts: %+v", got[2])
+	}
+	if !got[2].Started.Equal(want[2].Started) || !got[3].Started.IsZero() {
+		t.Fatalf("start times %v and %v, want %v and none", got[2].Started, got[3].Started, want[2].Started)
 	}
 }
 

@@ -135,7 +135,7 @@ type ServerEvaluator struct {
 func (e ServerEvaluator) Evaluate(ctx context.Context, s workload.Scenario, settings EvalSettings) (Measurement, error) {
 	info, err := e.Client.SubmitWait(ctx, simapi.JobSpec{
 		Experiment: "scenario",
-		Scenario:   &s,
+		Source:     simclient.ScenarioSource(s),
 		Configs:    settings.configs(),
 		Windows:    []int{settings.Window},
 		MaxInsts:   settings.MaxInsts,

@@ -2,10 +2,14 @@ package tuner
 
 import (
 	"context"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/simclient"
+	"repro/internal/simserver"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -186,5 +190,38 @@ func TestMeasurementFromReportJSON(t *testing.T) {
 	// A report missing the target cell must error, not zero-fill.
 	if _, err := measurementFromReportJSON([]byte(doc), EvalSettings{Config: "perfect-smb", Window: 128}); err == nil {
 		t.Error("missing config row should error")
+	}
+}
+
+// TestServerEvaluatorMatchesLocal evaluates one scenario through an
+// in-process simulation server and requires the measurement the local
+// evaluator takes of it, baseline included.
+func TestServerEvaluatorMatchesLocal(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	srv, _, err := simserver.New(simserver.Config{Workers: 1, Parallelism: 1, CodeRev: "test-rev"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	hs := httptest.NewServer(srv.Handler())
+	defer func() {
+		hs.Close()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Error(err)
+		}
+	}()
+	s := workload.Scenario{Name: "tuner/server", Iterations: 20}
+	settings := EvalSettings{Config: "nosq-delay", BaselineConfig: "assoc-sq-storesets", Window: 128}
+	got, err := ServerEvaluator{Client: simclient.New(hs.URL, nil)}.Evaluate(ctx, s, settings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := LocalEvaluator{}.Evaluate(ctx, s, settings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || got.Cycles == 0 || got.BaselineIPC == 0 {
+		t.Errorf("server measurement %+v, want the local %+v", got, want)
 	}
 }
