@@ -25,7 +25,7 @@ import (
 type job struct {
 	id       string
 	seq      int
-	spec     *simapi.JobSpec // the submitted record's
+	spec     simapi.JobSpec
 	specHash string
 	client   string
 	sub      simstore.Record
@@ -35,7 +35,7 @@ type job struct {
 	cancelReq bool
 	started   time.Time
 	cancel    context.CancelCauseFunc
-	term      *simstore.Record // nil until the job has ended
+	term      simstore.Record // zero until the job has ended
 
 	total    int
 	cached   int
@@ -57,7 +57,7 @@ func newJob(sub simstore.Record) *job {
 	j := &job{
 		id:        sub.JobID,
 		seq:       sub.Seq,
-		spec:      sub.Spec,
+		spec:      *sub.Spec,
 		specHash:  sub.SpecHash,
 		client:    client,
 		sub:       sub,
@@ -65,6 +65,9 @@ func newJob(sub simstore.Record) *job {
 		notify:    make(chan struct{}),
 		heapIndex: -1,
 	}
+	// The record shares the job's copy of the spec, so a retained job pins
+	// no allocation of its own for it.
+	j.sub.Spec = &j.spec
 	j.appendEventLocked(simapi.Event{Type: simapi.EventState, State: simapi.StateQueued, Time: sub.Time})
 	return j
 }
@@ -111,7 +114,7 @@ func (j *job) startLocked(now time.Time) {
 func (j *job) end(rec simstore.Record) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.term != nil {
+	if simapi.TerminalState(j.state) {
 		return false
 	}
 	if j.state == simapi.StateQueued && !rec.Started.IsZero() {
@@ -132,7 +135,7 @@ func (j *job) end(rec simstore.Record) bool {
 		j.total, j.cached, j.executed = rec.Pairs.Total, rec.Pairs.Cached, rec.Pairs.Executed
 	}
 	j.cancel = nil
-	j.term = &rec
+	j.term = rec
 	j.appendEventLocked(simapi.Event{Type: simapi.EventState, State: state, Error: rec.Error, Time: rec.Time})
 	return true
 }
@@ -142,10 +145,10 @@ func (j *job) end(rec simstore.Record) bool {
 func (j *job) records() []simstore.Record {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.term == nil {
+	if !simapi.TerminalState(j.state) {
 		return []simstore.Record{j.sub}
 	}
-	return []simstore.Record{j.sub, *j.term}
+	return []simstore.Record{j.sub, j.term}
 }
 
 // span appends one timing span to the event log, unless the job already
@@ -217,21 +220,19 @@ func (j *job) pairDone(e experiments.CheckpointEntry, now time.Time) {
 func (j *job) info() simapi.JobInfo {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	info := simapi.JobInfo{
+	return simapi.JobInfo{
 		ID:            j.id,
-		Spec:          *j.spec,
+		Spec:          j.spec,
 		State:         j.state,
 		Client:        j.client,
+		Error:         j.term.Error,
 		Submitted:     j.sub.Time,
 		Started:       j.started,
+		Finished:      j.term.Time,
 		TotalPairs:    j.total,
 		CachedPairs:   j.cached,
 		ExecutedPairs: j.executed,
 	}
-	if j.term != nil {
-		info.Error, info.Finished = j.term.Error, j.term.Time
-	}
-	return info
 }
 
 // eventsSince returns the events with Seq > from, the job's current state,
@@ -255,16 +256,13 @@ func (j *job) eventsSince(from int) (evs []simapi.Event, state string, notify <-
 // stored, rendered in every format.
 func (j *job) rendered(format string) (string, bool) {
 	j.mu.Lock()
-	term := j.term
+	report, texts := j.term.Report, j.term.Reports
 	j.mu.Unlock()
-	if term == nil {
-		return "", false
-	}
-	if term.Report == nil {
-		text, ok := term.Reports[format]
+	if report == nil {
+		text, ok := texts[format]
 		return text, ok
 	}
-	text, err := term.Report.Render(format)
+	text, err := report.Render(format)
 	return text, err == nil
 }
 

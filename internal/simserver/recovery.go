@@ -3,6 +3,7 @@ package simserver
 import (
 	"time"
 
+	"repro/internal/simapi"
 	"repro/internal/simstore"
 )
 
@@ -52,7 +53,7 @@ func (s *Server) recover(records []simstore.Record) {
 		}
 	}
 	for _, j := range s.order {
-		if j.term != nil {
+		if simapi.TerminalState(j.state) {
 			s.recRestored++
 			s.tenants.restore(j.client, false)
 			continue

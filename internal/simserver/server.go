@@ -561,7 +561,7 @@ func (s *Server) runJob(j *job) {
 	// which leases contiguous shard tasks to the fleet. With no fleet the job
 	// runs in-process exactly as before.
 	if n := s.dispatch.liveWorkers(); n > 0 {
-		opts.Executor = s.dispatch.executor(j.id, *j.spec)
+		opts.Executor = s.dispatch.executor(j.id, j.spec)
 		s.logf("distributing %s across %d remote workers", j.id, n)
 	}
 
