@@ -1,16 +1,17 @@
 // Command nosq-worker is a remote simulation worker: it joins a
-// nosq-server coordinator's fleet and pulls leased shard tasks — contiguous
-// slices of a job's deterministic (benchmark, configuration) pair order —
-// executing them with the local simulator and streaming finished pairs
-// back. Run one per machine to scale a sweep across hosts:
+// nosq-server coordinator's fleet and pulls leased shard tasks — runs of a
+// job's pending (benchmark, configuration) pairs — executing them with the
+// local simulator and posting each finished pair back. Run one per machine
+// to scale a sweep across hosts, built from the coordinator's commit:
 //
 //	nosq-worker -server http://10.0.0.5:8080
 //	nosq-worker -server http://10.0.0.5:8080 -name rack7 -parallel 8
 //
 // The worker is stateless: killing it at any moment costs at most the
-// unstreamed pairs of its current task, which the coordinator re-leases to
+// unposted pairs of its current task, which the coordinator re-leases to
 // another worker after the lease TTL. SIGINT/SIGTERM exit gracefully,
-// salvaging the pairs finished so far.
+// salvaging the pairs finished so far. A coordinator of another code
+// revision refuses the worker, which then exits 1 with the refusal.
 package main
 
 import (

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"time"
+
 	"repro/internal/pipeline"
 	"repro/internal/stats"
 )
@@ -53,9 +55,10 @@ func planGroups(pending []sweepJob) []sweepGroup {
 
 // sweepResult is one finished pair, as delivered to runSweep's collector.
 type sweepResult struct {
-	job sweepJob
-	run stats.Run
-	err error
+	job  sweepJob
+	run  stats.Run
+	wall time.Duration // the pair's share of its group's wall time
+	err  error
 }
 
 // effectiveConfig applies the sweep-wide instruction bound to a job's

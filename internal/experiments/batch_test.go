@@ -100,10 +100,10 @@ func TestSweepGroupWidthDoesNotChangeRows(t *testing.T) {
 	}
 }
 
-// TestSweepSliceSplitsBatchGroup: a leased pair slice that cuts through a
-// batch group must produce, after merging the per-slice checkpoints, exactly
-// the results of an unsliced run — each side simply batches its own part of
-// the group.
+// TestSweepSliceSplitsBatchGroup: two shard tasks whose pair lists cut
+// through a batch group must produce, after merging their checkpoints,
+// exactly the results of an unsplit run — each side simply batches its own
+// part of the group.
 func TestSweepSliceSplitsBatchGroup(t *testing.T) {
 	benchmarks := []string{"gzip"}
 	cfgs := kindConfigs(core.Kinds(), 0) // 5 pairs, one batchable group
@@ -117,18 +117,17 @@ func TestSweepSliceSplitsBatchGroup(t *testing.T) {
 	}
 
 	ck := filepath.Join(t.TempDir(), "ck.jsonl")
-	for _, sl := range []PairSlice{{Start: 0, End: 2}, {Start: 2, End: 5}} {
-		sl := sl
+	for _, pairs := range [][]int{{0, 1}, {2, 3, 4}} {
 		_, sum, err := runSweep(context.Background(), benchmarkSource("", benchmarks), cfgs,
-			Options{Iterations: 25, Parallelism: 2, Checkpoint: ck, Slice: &sl})
+			Options{Iterations: 25, Parallelism: 2, Checkpoint: ck, Pairs: pairs})
 		if err != nil {
-			t.Fatalf("slice %+v: %v", sl, err)
+			t.Fatalf("positions %v: %v", pairs, err)
 		}
-		if want := sl.End - sl.Start; sum.Executed != want {
-			t.Errorf("slice %+v executed %d pairs, want %d", sl, sum.Executed, want)
+		if sum.Executed != len(pairs) {
+			t.Errorf("positions %v executed %d pairs, want %d", pairs, sum.Executed, len(pairs))
 		}
 		if sum.BatchedPairs != sum.Executed {
-			t.Errorf("slice %+v batched %d of its %d pairs", sl, sum.BatchedPairs, sum.Executed)
+			t.Errorf("positions %v batched %d of their %d pairs", pairs, sum.BatchedPairs, sum.Executed)
 		}
 	}
 
@@ -141,7 +140,7 @@ func TestSweepSliceSplitsBatchGroup(t *testing.T) {
 		t.Fatalf("merged replay summary = %+v, want everything resumed", sum)
 	}
 	if !reflect.DeepEqual(merged, full) {
-		t.Error("slice-split batch groups produced different results than the unsliced run")
+		t.Error("split batch groups produced different results than the unsplit run")
 	}
 }
 

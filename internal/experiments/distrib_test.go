@@ -6,15 +6,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/stats"
 )
 
-// staticStore is a read-only ResultStore seeded with fixed entries — the
-// remote worker's view of a leased task's already-resolved pairs.
+// staticStore is a read-only ResultStore seeded with fixed entries.
 type staticStore struct{ entries []CheckpointEntry }
 
 func (s staticStore) Lookup(keys []string) (map[string]CheckpointEntry, int, error) {
@@ -30,23 +31,36 @@ func (s staticStore) Lookup(keys []string) (map[string]CheckpointEntry, int, err
 
 func (s staticStore) Append(CheckpointEntry) error { return nil }
 
-// entryCollector is a ProgressSink that records executed pairs.
+// entryCollector is a ProgressSink that records executed pairs and their
+// wall times.
 type entryCollector struct {
 	mu      sync.Mutex
 	entries []CheckpointEntry
+	walls   []time.Duration
 }
 
 func (c *entryCollector) Planned(total, resumed, skippedShard, pending int) {}
-func (c *entryCollector) PairDone(e CheckpointEntry) {
+func (c *entryCollector) PairDone(e CheckpointEntry, wall time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.entries = append(c.entries, e)
+	c.walls = append(c.walls, wall)
+}
+
+// positions lists the pairs' positions in the full pair order, as a shard
+// task names the pairs it owes.
+func positions(pjs []PairJob) []int {
+	out := make([]int, len(pjs))
+	for i, pj := range pjs {
+		out[i] = pj.Index
+	}
+	return out
 }
 
 func TestSweepSliceSelectsContiguousRange(t *testing.T) {
 	benchmarks := []string{"gzip", "applu", "mesa.o"}
 	cfgs := kindConfigs([]core.ConfigKind{core.Baseline, core.NoSQDelay}, 0)
-	opts := Options{Iterations: 25, Parallelism: 2, Slice: &PairSlice{Start: 2, End: 5}}
+	opts := Options{Iterations: 25, Parallelism: 2, Pairs: []int{2, 3, 4}}
 
 	runs, sum, err := runSweep(context.Background(), benchmarkSource("", benchmarks), cfgs, opts)
 	if err != nil {
@@ -66,7 +80,7 @@ func TestSweepSliceSelectsContiguousRange(t *testing.T) {
 			case b == "applu":
 			case b == "mesa.o" && k == core.Baseline.String():
 			default:
-				t.Errorf("unexpected pair %s/%s for slice [2,5)", b, k)
+				t.Errorf("unexpected pair %s/%s for positions 2..4", b, k)
 			}
 		}
 	}
@@ -75,14 +89,20 @@ func TestSweepSliceSelectsContiguousRange(t *testing.T) {
 	}
 }
 
+// TestSweepSliceInvalid: a listed position outside the grid fails the run
+// before anything executes.
 func TestSweepSliceInvalid(t *testing.T) {
 	benchmarks := []string{"gzip"}
-	cfgs := kindConfigs([]core.ConfigKind{core.Baseline}, 0)
-	for _, s := range []PairSlice{{Start: -1, End: 2}, {Start: 3, End: 1}} {
-		sl := s
-		_, _, err := runSweep(context.Background(), benchmarkSource("", benchmarks), cfgs, Options{Iterations: 5, Slice: &sl})
-		if err == nil {
-			t.Errorf("slice %+v accepted, want error", s)
+	cfgs := kindConfigs([]core.ConfigKind{core.Baseline}, 0) // a 1-pair grid
+	for _, pairs := range [][]int{{-1}, {1}, {0, 1}} {
+		col := &entryCollector{}
+		_, _, err := runSweep(context.Background(), benchmarkSource("", benchmarks), cfgs,
+			Options{Iterations: 5, Pairs: pairs, Progress: col})
+		if err == nil || !strings.Contains(err.Error(), "outside the 1-pair grid") {
+			t.Errorf("positions %v: error %v, want one naming the grid", pairs, err)
+		}
+		if len(col.entries) != 0 {
+			t.Errorf("positions %v: %d pairs ran before the error", pairs, len(col.entries))
 		}
 	}
 }
@@ -99,11 +119,11 @@ func copyFile(t *testing.T, src, dst string) {
 }
 
 // TestExecutorMergedReportByteIdentical drives the remote-execution seam the
-// way the distributed coordinator does — pending pairs chunked into
-// contiguous slices, each slice run by an emulated worker via the same
-// experiment with Options.Slice and Done-entry seeding — and verifies the
-// merged report is byte-identical to a locally executed run in every render
-// format, including the resume accounting in the metadata.
+// way the distributed coordinator does — pending pairs split into runs in
+// pair order, each run executed by an emulated worker via the same
+// experiment with Options.Pairs — and verifies the merged report is
+// byte-identical to a locally executed run in every render format, including
+// the resume accounting in the metadata.
 func TestExecutorMergedReportByteIdentical(t *testing.T) {
 	exp, err := Lookup("fig2")
 	if err != nil {
@@ -113,12 +133,12 @@ func TestExecutorMergedReportByteIdentical(t *testing.T) {
 	base := Options{Iterations: 12, Benchmarks: []string{"gzip", "applu"}, Parallelism: 2}
 	ctx := context.Background()
 
-	// Seed a partial checkpoint (3 of the 10 pairs) so the distributed run
-	// also exercises slices spanning already-resolved pairs.
+	// Seed a partial checkpoint (3 of the 10 pairs) so the executor is
+	// handed only the pairs still pending.
 	seedCk := filepath.Join(dir, "seed.jsonl")
 	seedOpts := base
 	seedOpts.Checkpoint = seedCk
-	seedOpts.Slice = &PairSlice{Start: 0, End: 3}
+	seedOpts.Pairs = []int{0, 1, 2}
 	if _, err := exp.Run(ctx, seedOpts); err != nil {
 		t.Fatal(err)
 	}
@@ -137,50 +157,41 @@ func TestExecutorMergedReportByteIdentical(t *testing.T) {
 	distOpts := base
 	distOpts.Checkpoint = distCk
 	distOpts.Executor = func(ctx context.Context, req ExecRequest) error {
-		if len(req.Pending) != 7 {
-			return fmt.Errorf("pending = %d pairs, want 7", len(req.Pending))
+		if len(req.Pending) != 7 || req.Pending[0].Index != 3 {
+			return fmt.Errorf("pending = %+v, want the 7 pairs after the 3 resumed ones", req.Pending)
 		}
-		if len(req.Resumed) != 3 {
-			return fmt.Errorf("resumed = %d entries, want 3", len(req.Resumed))
-		}
-		// Two emulated workers, each owning one contiguous slice of the full
-		// pair order. The second slice starts at the first chunk boundary, so
-		// one slice spans the resumed pairs.
+		// Two emulated workers, each owning one run of the pending pairs.
 		half := len(req.Pending) / 2
 		chunks := [][]PairJob{req.Pending[:half], req.Pending[half:]}
 		var wg sync.WaitGroup
 		errCh := make(chan error, len(chunks))
 		for _, chunk := range chunks {
-			start, end := chunk[0].Index, chunk[len(chunk)-1].Index+1
 			byPair := make(map[string]PairJob, len(chunk))
 			for _, pj := range chunk {
 				byPair[pj.Benchmark+"\x00"+pj.Config] = pj
-			}
-			var done []CheckpointEntry
-			for i := start; i < end; i++ {
-				if e, ok := req.Resumed[i]; ok {
-					done = append(done, e)
-				}
 			}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				col := &entryCollector{}
 				wopts := base
-				wopts.Slice = &PairSlice{Start: start, End: end}
-				wopts.Store = staticStore{entries: done}
+				wopts.Pairs = positions(chunk)
 				wopts.Progress = col
 				if _, err := exp.Run(ctx, wopts); err != nil {
 					errCh <- err
 					return
 				}
-				for _, e := range col.entries {
+				if len(col.entries) != len(chunk) {
+					errCh <- fmt.Errorf("worker executed %d pairs, want its %d", len(col.entries), len(chunk))
+					return
+				}
+				for i, e := range col.entries {
 					pj, ok := byPair[e.Benchmark+"\x00"+e.Config]
 					if !ok {
-						errCh <- fmt.Errorf("worker executed %s/%s outside its slice", e.Benchmark, e.Config)
+						errCh <- fmt.Errorf("worker executed %s/%s outside its task", e.Benchmark, e.Config)
 						return
 					}
-					req.Emit(pj, e.Run)
+					req.Emit(pj, e.Run, col.walls[i])
 				}
 			}()
 		}
@@ -226,17 +237,17 @@ func TestExecutorPartialFailure(t *testing.T) {
 
 	opts := Options{Iterations: 25, Checkpoint: ck}
 	opts.Executor = func(ctx context.Context, req ExecRequest) error {
-		// Execute just the first pair — through a real single-pair slice run —
+		// Execute just the first pair — through a real single-pair run —
 		// then emit it twice and fail.
 		pj := req.Pending[0]
 		col := &entryCollector{}
 		wopts := Options{Iterations: opts.Iterations, Parallelism: 1,
-			Slice: &PairSlice{Start: pj.Index, End: pj.Index + 1}, Progress: col}
+			Pairs: []int{pj.Index}, Progress: col}
 		if _, _, err := runSweep(ctx, benchmarkSource("", benchmarks), cfgs, wopts); err != nil {
 			return err
 		}
 		for i := 0; i < 2; i++ {
-			req.Emit(pj, col.entries[0].Run)
+			req.Emit(pj, col.entries[0].Run, col.walls[0])
 		}
 		return boom
 	}

@@ -54,20 +54,19 @@ type Options struct {
 	Shards     int
 	ShardIndex int
 
-	// Slice restricts execution to the contiguous positions [Start, End) of
-	// the deterministic pair order (nil = no restriction). Pairs outside the
-	// slice are skipped exactly like other shards' pairs under Shards. The
-	// distributed coordinator leases such slices to remote workers as shard
-	// tasks; Slice composes with a seeded Store, so a slice spanning
-	// already-resolved pairs resumes them instead of re-simulating.
-	Slice *PairSlice
+	// Pairs restricts execution to the listed positions of the
+	// deterministic pair order (nil = no restriction); a position outside
+	// the grid is an error. Unlisted pairs are skipped exactly like other
+	// shards' pairs under Shards. A remote worker runs a leased shard task
+	// this way: the task lists the positions it still owes.
+	Pairs []int
 
 	// Executor, if set, replaces the local worker pool: the engine plans the
-	// sweep (resume, shard and slice filtering, progress events, the result
+	// sweep (resume, shard and pair filtering, progress events, the result
 	// store) and then hands the pending pairs to the executor instead of
 	// simulating them in-process. The simulation coordinator uses this seam
-	// to fan pair slices out to remote workers while keeping reports
-	// byte-identical to a local run.
+	// to fan runs of pending pairs out to remote workers while keeping
+	// reports byte-identical to a local run.
 	Executor Executor
 
 	// MaxInsts bounds each simulation to N committed instructions

@@ -137,18 +137,18 @@ func TestRepeatedNamesExecutorMatchesLocal(t *testing.T) {
 
 	dist := base
 	dist.Executor = func(ctx context.Context, req ExecRequest) error {
-		// One emulated worker re-derives the grid and runs the leased slice.
+		// One emulated worker re-derives the grid and runs the leased pairs.
 		col := &entryCollector{}
 		wopts := base
-		wopts.Slice = &PairSlice{Start: req.Pending[0].Index, End: req.Pending[len(req.Pending)-1].Index + 1}
+		wopts.Pairs = positions(req.Pending)
 		wopts.Progress = col
 		if _, err := Sweep(ctx, wopts); err != nil {
 			return err
 		}
-		for _, e := range col.entries {
+		for i, e := range col.entries {
 			for _, pj := range req.Pending {
 				if pj.Benchmark == e.Benchmark && pj.Config == e.Config {
-					req.Emit(pj, e.Run)
+					req.Emit(pj, e.Run, col.walls[i])
 				}
 			}
 		}

@@ -167,8 +167,8 @@ func TestScenarioExperimentRejectsBadInput(t *testing.T) {
 }
 
 // TestScenarioExecutorByteIdentical: the scenario experiment run through the
-// remote-execution seam (two emulated workers on contiguous pair slices,
-// exactly like the distributed coordinator) merges byte-identically to a
+// remote-execution seam (two emulated workers, each on one run of the
+// pending pairs, exactly like the distributed coordinator) merges byte-identically to a
 // local run — the unit-level form of the fleet acceptance criterion.
 func TestScenarioExecutorByteIdentical(t *testing.T) {
 	exp, _ := Lookup("scenario")
@@ -197,7 +197,6 @@ func TestScenarioExecutorByteIdentical(t *testing.T) {
 			if len(chunk) == 0 {
 				continue
 			}
-			start, end := chunk[0].Index, chunk[len(chunk)-1].Index+1
 			byPair := make(map[string]PairJob, len(chunk))
 			for _, pj := range chunk {
 				byPair[pj.Benchmark+"\x00"+pj.Config] = pj
@@ -207,14 +206,14 @@ func TestScenarioExecutorByteIdentical(t *testing.T) {
 				defer wg.Done()
 				col := &entryCollector{}
 				wopts := base
-				wopts.Slice = &PairSlice{Start: start, End: end}
+				wopts.Pairs = positions(chunk)
 				wopts.Progress = col
 				if _, err := exp.Run(ctx, wopts); err != nil {
 					errCh <- err
 					return
 				}
-				for _, e := range col.entries {
-					req.Emit(byPair[e.Benchmark+"\x00"+e.Config], e.Run)
+				for i, e := range col.entries {
+					req.Emit(byPair[e.Benchmark+"\x00"+e.Config], e.Run, col.walls[i])
 				}
 			}()
 		}

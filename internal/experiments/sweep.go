@@ -101,15 +101,6 @@ type sweepJob struct {
 	cfg       pipeline.Config
 }
 
-// PairSlice restricts a run to the contiguous job-list positions
-// [Start, End) of the sweep's deterministic pair order. Unlike the modulo
-// sharding of Options.Shards, a slice is a dense range — the unit the
-// distributed coordinator leases to one remote worker as a shard task.
-type PairSlice struct {
-	Start int `json:"start"`
-	End   int `json:"end"`
-}
-
 // PairJob identifies one pending (benchmark, configuration) simulation by
 // its position in the full deterministic pair order. It is the unit of work
 // an Executor is handed: enough to address the pair remotely (a remote
@@ -122,32 +113,26 @@ type PairJob struct {
 }
 
 // ExecRequest is the engine's side of a remote execution: the pending pairs
-// after resume and shard filtering, the already-resolved entries a remote
-// slice may span, and the callback that lands results.
+// after resume and shard filtering, and the callback that lands results.
 type ExecRequest struct {
 	// Pending lists the pairs to execute, in ascending Index order (a
 	// subsequence of the full deterministic pair order).
 	Pending []PairJob
-	// Resumed maps full-order indices that were already resolved from the
-	// result store to their entries. A contiguous slice [Start, End) leased
-	// over the full order may span resolved pairs; sending their entries
-	// along lets the remote worker resume them instead of re-simulating.
-	Resumed map[int]CheckpointEntry
-	// Emit reports one executed pair's measurements. It is safe for
-	// concurrent use, idempotent per pair (a duplicate emission — e.g. a
-	// re-queued shard task whose original worker already delivered some
-	// pairs — is ignored), and must not be called after the Executor
-	// returns.
-	Emit func(PairJob, stats.Run)
+	// Emit reports one executed pair's measurements and the wall time its
+	// simulation took (see ProgressSink.PairDone). It is safe for concurrent
+	// use, idempotent per pair (a duplicate emission — e.g. a re-queued
+	// shard task whose original worker already delivered some pairs — is
+	// ignored), and must not be called after the Executor returns.
+	Emit func(PairJob, stats.Run, time.Duration)
 }
 
 // Executor runs a sweep's pending pairs somewhere other than the local
-// worker pool — the simulation coordinator installs one that leases
-// contiguous slices of the pair order to remote workers. The engine still
-// owns planning, resume, the result store, and progress events; the
-// executor owns only raw pair execution. Returning an error fails the sweep
-// (pairs already emitted are still recorded in the store, exactly like a
-// local run with a failing pair).
+// worker pool — the simulation coordinator installs one that leases runs of
+// the pending pairs to remote workers. The engine still owns planning,
+// resume, the result store, and progress events; the executor owns only raw
+// pair execution. Returning an error fails the sweep (pairs already emitted
+// are still recorded in the store, exactly like a local run with a failing
+// pair).
 type Executor func(ctx context.Context, req ExecRequest) error
 
 // Summary describes how a sweep's job list was disposed of.
@@ -221,28 +206,21 @@ type ResultStore interface {
 
 // ProgressSink observes a sweep as it runs. Planned fires once per sweep,
 // after resume and shard filtering decided what actually executes; PairDone
-// fires for every pair simulated by this process, as its result lands.
-// PairDone may be called concurrently from worker goroutines' result
-// collector; implementations are invoked synchronously and should be quick.
+// fires for every executed pair, as its result lands. PairDone may be called
+// concurrently from worker goroutines' result collector; implementations are
+// invoked synchronously and should be quick.
 type ProgressSink interface {
 	// Planned reports the job accounting: the full grid size, pairs resumed
 	// from the result store, pairs owned by other shards, and pairs this
-	// process will execute.
+	// run will execute.
 	Planned(total, resumed, skippedShard, pending int)
-	// PairDone reports one executed pair as its checkpoint entry.
-	PairDone(CheckpointEntry)
-}
-
-// PairTimer is an optional extension of ProgressSink: a sink that also
-// implements it receives each locally executed pair's wall-clock simulation
-// time. Config-parallel batching makes exact per-pair time unobservable —
-// members of one batch simulate interleaved — so the engine times the whole
-// execution group and attributes an equal share to each member; singletons
-// get their true time. Implementations may be called concurrently
-// from worker goroutines and should be quick. The interface is type-asserted
-// at runtime, so existing ProgressSink implementations keep working unchanged.
-type PairTimer interface {
-	PairTimed(benchmark, config string, wall time.Duration)
+	// PairDone reports one executed pair as its checkpoint entry, with the
+	// wall time of its simulation. Config-parallel batching makes exact
+	// per-pair time unobservable — members of one batch simulate
+	// interleaved — so a batch group's wall time is split evenly across its
+	// members, and a singleton gets its true time. A pair an Executor
+	// delivers carries the time the executor reports for it.
+	PairDone(CheckpointEntry, time.Duration)
 }
 
 // checkpointFileStore is the default ResultStore: one JSONL checkpoint file,
@@ -315,8 +293,8 @@ func (s *checkpointFileStore) Append(e CheckpointEntry) error {
 // sorted — which makes two things possible. First, sharding: with
 // opts.Shards > 1, only jobs whose list position i satisfies
 // i % Shards == ShardIndex are run, so independent processes (or machines) can
-// split one sweep without coordination (opts.Slice selects a contiguous
-// position range instead — the coordinated, leased variant of the same idea).
+// split one sweep without coordination (opts.Pairs lists the positions to run
+// instead — the coordinated, leased variant of the same idea).
 // Second, resumption: every finished job is appended to the configured
 // ResultStore (by default a JSONL checkpoint file, Options.Checkpoint), and
 // pairs already present in the store are loaded instead of re-run. Entries
@@ -337,9 +315,6 @@ func runSweep(ctx context.Context, src source, cfgs map[string]pipeline.Config, 
 	if opts.Shards > 1 && (opts.ShardIndex < 0 || opts.ShardIndex >= opts.Shards) {
 		return nil, sum, fmt.Errorf("experiments: shard index %d outside [0,%d)", opts.ShardIndex, opts.Shards)
 	}
-	if opts.Slice != nil && (opts.Slice.Start < 0 || opts.Slice.End < opts.Slice.Start) {
-		return nil, sum, fmt.Errorf("experiments: invalid pair slice [%d,%d)", opts.Slice.Start, opts.Slice.End)
-	}
 
 	keys := make([]string, 0, len(cfgs))
 	for k := range cfgs {
@@ -356,6 +331,16 @@ func runSweep(ctx context.Context, src source, cfgs map[string]pipeline.Config, 
 		}
 	}
 	sum.Total = len(jobs)
+	var listed map[int]bool // opts.Pairs as a set; nil runs every position
+	if opts.Pairs != nil {
+		listed = make(map[int]bool, len(opts.Pairs))
+		for _, p := range opts.Pairs {
+			if p < 0 || p >= len(jobs) {
+				return nil, sum, fmt.Errorf("experiments: pair position %d outside the %d-pair grid", p, len(jobs))
+			}
+			listed[p] = true
+		}
+	}
 
 	out := make(map[string]map[string]stats.Run, len(src.names))
 	for _, b := range src.names {
@@ -386,19 +371,14 @@ func runSweep(ctx context.Context, src source, cfgs map[string]pipeline.Config, 
 		}
 	}
 	var pending []sweepJob
-	resumed := make(map[int]CheckpointEntry)
 	for _, j := range jobs {
 		if e, ok := done[pairs[j.index]]; ok {
 			out[j.benchmark][j.key] = e.Run
-			resumed[j.index] = e
 			sum.Resumed++
 			continue
 		}
-		if opts.Shards > 1 && j.index%opts.Shards != opts.ShardIndex {
-			sum.SkippedShard++
-			continue
-		}
-		if opts.Slice != nil && (j.index < opts.Slice.Start || j.index >= opts.Slice.End) {
+		if opts.Shards > 1 && j.index%opts.Shards != opts.ShardIndex ||
+			listed != nil && !listed[j.index] {
 			sum.SkippedShard++
 			continue
 		}
@@ -422,7 +402,7 @@ func runSweep(ctx context.Context, src source, cfgs map[string]pipeline.Config, 
 	// land records one executed pair — in the results, the store and the
 	// progress feed — wherever it ran; a store error becomes firstErr.
 	var firstErr error
-	land := func(benchmark, key string, run stats.Run) {
+	land := func(benchmark, key string, run stats.Run, wall time.Duration) {
 		out[benchmark][key] = run
 		sum.Executed++
 		e := CheckpointEntry{Experiment: src.scope, Iterations: opts.Iterations, MaxInsts: opts.MaxInsts,
@@ -436,28 +416,25 @@ func runSweep(ctx context.Context, src source, cfgs map[string]pipeline.Config, 
 			}
 		}
 		if opts.Progress != nil {
-			opts.Progress.PairDone(e)
+			opts.Progress.PairDone(e, wall)
 		}
 	}
 
 	// A configured Executor takes over raw pair execution (the distributed
-	// coordinator leases pair slices to remote workers); the engine keeps
-	// planning, the store, progress events, and result assembly, so reports
-	// merge byte-identically to a locally executed run.
+	// coordinator leases runs of the pending pairs to remote workers); the
+	// engine keeps planning, the store, progress events, and result
+	// assembly, so reports merge byte-identically to a locally executed run.
 	if opts.Executor != nil {
 		var mu sync.Mutex
-		req := ExecRequest{
-			Pending: make([]PairJob, len(pending)),
-			Resumed: resumed,
-		}
+		req := ExecRequest{Pending: make([]PairJob, len(pending))}
 		for i, j := range pending {
 			req.Pending[i] = PairJob{Index: j.index, Benchmark: j.benchmark, Config: j.key}
 		}
-		req.Emit = func(pj PairJob, run stats.Run) {
+		req.Emit = func(pj PairJob, run stats.Run, wall time.Duration) {
 			mu.Lock()
 			defer mu.Unlock()
 			if _, dup := out[pj.Benchmark][pj.Config]; !dup {
-				land(pj.Benchmark, pj.Config, run)
+				land(pj.Benchmark, pj.Config, run, wall)
 			}
 		}
 		execErr := opts.Executor(ctx, req)
@@ -502,7 +479,6 @@ func runSweep(ctx context.Context, src source, cfgs map[string]pipeline.Config, 
 	}
 	groupCh := make(chan sweepGroup)
 	resCh := make(chan sweepResult)
-	timer, _ := opts.Progress.(PairTimer)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -515,9 +491,7 @@ func runSweep(ctx context.Context, src source, cfgs map[string]pipeline.Config, 
 				// wall time is the group's time split evenly.
 				per := time.Since(start) / time.Duration(len(results))
 				for _, r := range results {
-					if timer != nil && r.err == nil {
-						timer.PairTimed(r.job.benchmark, r.job.key, per)
-					}
+					r.wall = per
 					resCh <- r
 				}
 			}
@@ -546,7 +520,7 @@ func runSweep(ctx context.Context, src source, cfgs map[string]pipeline.Config, 
 			}
 			continue
 		}
-		land(r.job.benchmark, r.job.key, r.run)
+		land(r.job.benchmark, r.job.key, r.run, r.wall)
 	}
 	if firstErr == nil {
 		firstErr = ctx.Err()

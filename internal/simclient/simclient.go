@@ -1,7 +1,9 @@
 // Package simclient is the typed Go client for the simulation service
 // (internal/simserver, command nosq-server). It covers the whole REST
 // surface: submitting jobs, listing and inspecting them, cancelling,
-// following the per-job progress feed, and fetching finished reports.
+// following the per-job progress feed, and fetching finished reports — plus
+// the three worker-protocol calls a remote worker makes (RegisterWorker,
+// LeaseTask, TaskProgress; see internal/simwire).
 //
 // Typical flow:
 //
@@ -32,7 +34,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/simapi"
 	"repro/internal/simwire"
 	"repro/internal/workload"
@@ -229,7 +230,8 @@ func (c *Client) Report(ctx context.Context, id, format string) ([]byte, error) 
 // RegisterWorker enrolls this process in the coordinator's remote-worker
 // fleet and returns the assigned identity plus lease/poll parameters
 // (command nosq-worker's first call; see the simwire package for the
-// protocol).
+// protocol). A 409 APIError means the coordinator runs another code
+// revision; its message names both.
 func (c *Client) RegisterWorker(ctx context.Context, req simwire.RegisterRequest) (simwire.RegisterResponse, error) {
 	var resp simwire.RegisterResponse
 	err := c.do(ctx, http.MethodPost, "/api/v1/worker/register", req, &resp)
@@ -246,26 +248,14 @@ func (c *Client) LeaseTask(ctx context.Context, workerID string) (simwire.LeaseR
 	return resp, err
 }
 
-// TaskProgress streams finished pairs for a leased task and renews its
-// lease; an empty entries slice is a pure heartbeat. A response with
-// Canceled set tells the worker to abandon the task.
-func (c *Client) TaskProgress(ctx context.Context, taskID, workerID string, entries []experiments.CheckpointEntry) (simwire.ProgressResponse, error) {
+// TaskProgress delivers finished pairs for a leased task and renews its
+// lease; no pairs is a pure heartbeat. A non-empty errMsg reports a
+// simulation failure, failing the job. A response with Canceled set tells
+// the worker to abandon the task.
+func (c *Client) TaskProgress(ctx context.Context, taskID, workerID string, pairs []simwire.Pair, errMsg string) (simwire.ProgressResponse, error) {
 	var resp simwire.ProgressResponse
 	err := c.do(ctx, http.MethodPost, "/api/v1/worker/tasks/"+url.PathEscape(taskID)+"/progress",
-		simwire.ProgressRequest{WorkerID: workerID, Entries: entries}, &resp)
-	return resp, err
-}
-
-// CompleteTask finishes a leased task, delivering every executed entry
-// (the coordinator deduplicates against earlier progress posts). A
-// non-empty errMsg reports a simulation failure, failing the job. wall is
-// the worker-measured wall-clock time of the whole task (0 = unmeasured),
-// which the coordinator folds into its pair latency accounting.
-func (c *Client) CompleteTask(ctx context.Context, taskID, workerID string, entries []experiments.CheckpointEntry, errMsg string, wall time.Duration) (simwire.CompleteResponse, error) {
-	var resp simwire.CompleteResponse
-	err := c.do(ctx, http.MethodPost, "/api/v1/worker/tasks/"+url.PathEscape(taskID)+"/complete",
-		simwire.CompleteRequest{WorkerID: workerID, Entries: entries, Error: errMsg,
-			WallMillis: wall.Milliseconds()}, &resp)
+		simwire.ProgressRequest{WorkerID: workerID, Pairs: pairs, Error: errMsg}, &resp)
 	return resp, err
 }
 

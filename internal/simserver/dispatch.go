@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,17 +34,18 @@ var (
 
 // dispatcher is the coordinator side of the distributed execution protocol:
 // the remote-worker fleet, the shard-task queue, and lease bookkeeping. A
-// job popped by a server worker is split into shard tasks (contiguous
-// slices of its deterministic pair order) through the experiments.Executor
-// seam; pull-based remote workers lease tasks, stream finished pairs back,
-// and the dispatcher folds them into the engine's emit callback, so the
-// merged report, the job's event log, and /metricsz are all produced by
-// exactly the code a local run uses.
+// job popped by a server worker is split into shard tasks (runs of its
+// pending pairs, in pair order) through the experiments.Executor seam;
+// pull-based remote workers lease tasks, post finished pairs back, and the
+// dispatcher folds them into the engine's emit callback, so the merged
+// report, the job's event log, and /metricsz are all produced by exactly the
+// code a local run uses.
 //
 // Leases expire unless renewed by progress posts. The reaper re-queues
 // expired tasks, excluding the silent worker from re-claiming them, and
 // prunes workers that stop polling entirely.
 type dispatcher struct {
+	rev          string // the coordinator's code revision, which workers must match
 	leaseTTL     time.Duration
 	workerTTL    time.Duration
 	pollInterval time.Duration
@@ -52,9 +54,6 @@ type dispatcher struct {
 	// (one "shard[i]" span per retired task, first lease → full delivery).
 	// It takes the job's own locks, so it is never called under d.mu.
 	spanLog func(jobID string, rec obs.SpanRecord)
-	// pairTime, when set, feeds the pair latency histogram: a completing
-	// worker's reported wall time divided evenly across its executed pairs.
-	pairTime func(d time.Duration)
 
 	mu         sync.Mutex
 	workers    map[string]*remoteWorker
@@ -68,8 +67,9 @@ type dispatcher struct {
 	remotePairs atomic.Uint64
 }
 
-func newDispatcher(leaseTTL, workerTTL, pollInterval time.Duration, logf func(string, ...interface{})) *dispatcher {
+func newDispatcher(rev string, leaseTTL, workerTTL, pollInterval time.Duration, logf func(string, ...interface{})) *dispatcher {
 	return &dispatcher{
+		rev:          rev,
 		leaseTTL:     leaseTTL,
 		workerTTL:    workerTTL,
 		pollInterval: pollInterval,
@@ -95,19 +95,16 @@ const (
 	taskLeased
 )
 
-// shardTask is one leased unit of distributed work: the contiguous slice
-// [start, end) of one job's deterministic pair order. pending tracks the
-// pairs not yet delivered by any worker; done accumulates resolved entries
-// (cache hits at creation, then every delivered pair) so a re-leased task
-// seeds its next worker instead of re-simulating.
+// shardTask is one leased unit of distributed work: a run of one job's
+// pending pairs, in pair order. pending holds the pairs no worker has
+// delivered yet, and a lease names only those, so a re-leased task's next
+// worker simulates just the remainder.
 type shardTask struct {
 	id  string
 	run *distRun
 
-	idx        int // position among the run's tasks, for the shard[idx] span
-	start, end int
+	idx        int       // position among the run's tasks, for the shard[idx] span
 	firstLease time.Time // when the first worker claimed the task
-	done       []experiments.CheckpointEntry
 	pending    map[string]experiments.PairJob
 	attempt    int
 	excluded   map[string]bool // workers that lost a lease on this task
@@ -121,33 +118,45 @@ type shardTask struct {
 // (benchmark, configuration) pair.
 func pairID(benchmark, config string) string { return benchmark + "\x00" + config }
 
-// take merges delivered entries into the task, returning the matched pairs
-// in delivery order. Unknown pairs (outside the slice, or already delivered
-// by another worker) are ignored — duplicates cannot double-emit. Callers
-// hold d.mu.
-func (t *shardTask) take(entries []experiments.CheckpointEntry) []pairResult {
+// take removes delivered pairs from the task's pending set, returning the
+// matched pairs in delivery order. Unknown pairs (not in the task, or
+// already delivered by another worker) are ignored — duplicates cannot
+// double-emit. Callers hold d.mu.
+func (t *shardTask) take(pairs []simwire.Pair) []pairResult {
 	var out []pairResult
-	for _, e := range entries {
-		pj, ok := t.pending[pairID(e.Benchmark, e.Config)]
+	for _, p := range pairs {
+		id := pairID(p.Entry.Benchmark, p.Entry.Config)
+		pj, ok := t.pending[id]
 		if !ok {
 			continue
 		}
-		delete(t.pending, pairID(e.Benchmark, e.Config))
-		t.done = append(t.done, e)
-		out = append(out, pairResult{job: pj, run: e.Run})
+		delete(t.pending, id)
+		out = append(out, pairResult{job: pj, run: p.Entry.Run, wall: p.Wall()})
 	}
 	return out
 }
 
+// positions lists the task's pending pairs by position in the pair order,
+// ascending. Callers hold d.mu.
+func (t *shardTask) positions() []int {
+	out := make([]int, 0, len(t.pending))
+	for _, pj := range t.pending {
+		out = append(out, pj.Index)
+	}
+	slices.Sort(out)
+	return out
+}
+
 type pairResult struct {
-	job experiments.PairJob
-	run stats.Run
+	job  experiments.PairJob
+	run  stats.Run
+	wall time.Duration
 }
 
 // distRun is one distributed job execution: the bridge between the sweep
 // engine blocked inside the executor and the HTTP handlers delivering
-// remote results. emit and the completion bookkeeping are serialized by its
-// own mutex so the engine's Emit contract (no calls after the executor
+// remote results. Emission and the completion bookkeeping are serialized by
+// its own mutex so the engine's Emit contract (no calls after the executor
 // returns) holds.
 type distRun struct {
 	jobID string
@@ -155,8 +164,8 @@ type distRun struct {
 	tasks []*shardTask
 
 	mu        sync.Mutex
-	emit      func(experiments.PairJob, stats.Run)
-	remaining int
+	emit      func(experiments.PairJob, stats.Run, time.Duration)
+	remaining int // pairs not yet landed
 	done      bool
 	err       error
 	doneCh    chan struct{}
@@ -167,29 +176,27 @@ type distRun struct {
 	noWorkers time.Time
 }
 
-// deliver emits matched pairs and, when a task finished, advances the run's
-// completion; errMsg fails the run instead.
-func (r *distRun) deliver(pairs []pairResult, taskDone bool, errMsg string) {
+// land emits pairs a task has just released and completes the run once its
+// last pair has landed; errMsg fails the run instead. Counting pairs rather
+// than tasks keeps a run from completing while another post's pairs, already
+// taken from their task, are still on their way here.
+func (r *distRun) land(pairs []pairResult, errMsg string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.done {
 		return
 	}
 	for _, p := range pairs {
-		r.emit(p.job, p.run)
+		r.emit(p.job, p.run, p.wall)
 	}
+	r.remaining -= len(pairs)
 	if errMsg != "" {
 		r.err = errors.New(errMsg)
-		r.done = true
-		close(r.doneCh)
+	} else if r.remaining > 0 {
 		return
 	}
-	if taskDone {
-		if r.remaining--; r.remaining == 0 {
-			r.done = true
-			close(r.doneCh)
-		}
-	}
+	r.done = true
+	close(r.doneCh)
 }
 
 // abandon marks the run over without completing it (job canceled, or failed
@@ -220,8 +227,16 @@ func (r *distRun) result() error {
 	return r.err
 }
 
-// register adds a worker to the fleet.
-func (d *dispatcher) register(req simwire.RegisterRequest) simwire.RegisterResponse {
+// register adds a worker to the fleet. It refuses a worker built from
+// another revision: every pair the coordinator lands is cached under its own
+// revision, so a foreign binary's measurements would be served as this one's.
+func (d *dispatcher) register(req simwire.RegisterRequest) (simwire.RegisterResponse, error) {
+	if req.CodeRev != d.rev {
+		err := fmt.Errorf("simserver: worker %q runs code revision %q but the coordinator runs %q; build workers from the coordinator's commit",
+			req.Name, req.CodeRev, d.rev)
+		d.logf("%v", err)
+		return simwire.RegisterResponse{}, err
+	}
 	now := time.Now()
 	d.mu.Lock()
 	d.nextWorker++
@@ -238,7 +253,7 @@ func (d *dispatcher) register(req simwire.RegisterRequest) simwire.RegisterRespo
 		WorkerID:       w.id,
 		LeaseTTLMillis: int(d.leaseTTL / time.Millisecond),
 		PollMillis:     int(d.pollInterval / time.Millisecond),
-	}
+	}, nil
 }
 
 // liveWorkers returns the current fleet size — the coordinator distributes
@@ -293,24 +308,27 @@ func (d *dispatcher) lease(workerID string) (*simwire.Task, error) {
 		t.firstLease = now
 	}
 	t.expiry = now.Add(d.leaseTTL)
-	d.logf("task %s [%d,%d) of %s leased to %s (attempt %d)",
-		t.id, t.start, t.end, t.run.jobID, workerID, t.attempt)
+	d.logf("task %s (%d pairs) of %s leased to %s (attempt %d)",
+		t.id, len(t.pending), t.run.jobID, workerID, t.attempt)
 	return &simwire.Task{
 		ID:      t.id,
 		JobID:   t.run.jobID,
 		Spec:    t.run.spec,
-		Start:   t.start,
-		End:     t.end,
-		Done:    append([]experiments.CheckpointEntry(nil), t.done...),
+		Pairs:   t.positions(),
 		Attempt: t.attempt,
 	}, nil
 }
 
-// progress merges streamed pairs and renews the sender's lease. Entries are
-// merged even from a worker that lost the lease — late results are still
-// valid measurements — but only the current holder gets its lease renewed;
-// everyone else is told to abandon the task.
-func (d *dispatcher) progress(taskID, workerID string, entries []experiments.CheckpointEntry) (canceled bool, err error) {
+// deliver handles one progress post: it lands the pairs the task still owes,
+// renews the sender's lease, and retires the task once its last pending pair
+// has landed. Pairs land even from a worker that lost the lease — late
+// results are still valid measurements — but everyone except the holder is
+// told to abandon the task. A reported simulation error fails the whole job
+// (exactly as a failing pair fails a local run), but only from the lease
+// holder: a worker whose lease already expired is reporting on work someone
+// else now owns, and its error (likely the very stall that cost it the
+// lease) must not discard the healthy re-run.
+func (d *dispatcher) deliver(taskID, workerID string, pairs []simwire.Pair, errMsg string) (canceled bool, err error) {
 	now := time.Now()
 	d.mu.Lock()
 	w := d.workers[workerID]
@@ -321,101 +339,36 @@ func (d *dispatcher) progress(taskID, workerID string, entries []experiments.Che
 	w.lastSeen = now
 	t := d.tasks[taskID]
 	if t == nil {
-		// Completed by another worker, withdrawn with its job, or never
-		// existed: nothing to merge, abandon.
+		// Finished, withdrawn with its job, or never existed: nothing to
+		// land, abandon.
 		d.mu.Unlock()
 		return true, nil
 	}
 	run := t.run
-	pairs := t.take(entries)
-	d.remotePairs.Add(uint64(len(pairs)))
+	landed := t.take(pairs)
+	d.remotePairs.Add(uint64(len(landed)))
 	holder := t.state == taskLeased && t.workerID == workerID
-	if holder {
+	switch {
+	case errMsg != "" && holder:
+		d.logf("task %s failed on %s: %s", t.id, workerID, errMsg)
+		d.withdrawLocked(run)
+		d.mu.Unlock()
+		run.land(landed, fmt.Sprintf("remote worker %s: %s", workerID, errMsg))
+		return true, nil
+	case errMsg != "":
+		d.logf("task %s: ignoring failure from stale worker %s: %s", t.id, workerID, errMsg)
+	case holder:
 		t.expiry = now.Add(d.leaseTTL)
 	}
-	finished := len(t.pending) == 0
 	emitSpan := noSpan
-	if finished {
+	if len(t.pending) == 0 {
+		d.logf("task %s delivered; its last pairs came from %s", t.id, workerID)
 		emitSpan = d.finishTaskLocked(t)
 	}
 	d.mu.Unlock()
 	emitSpan()
-	run.deliver(pairs, finished, "")
+	run.land(landed, "")
 	return !holder || run.isDone(), nil
-}
-
-// complete finishes a task: remaining pairs are merged from the final
-// delivery, and a reported simulation error fails the whole job (exactly as
-// a failing pair fails a local run). wallMillis is the worker's reported
-// whole-task wall time, divided evenly across the pairs it executed to feed
-// the pair latency histogram (0 = unreported, e.g. an older worker).
-func (d *dispatcher) complete(taskID, workerID string, entries []experiments.CheckpointEntry, errMsg string, wallMillis int64) (canceled bool, err error) {
-	now := time.Now()
-	d.mu.Lock()
-	w := d.workers[workerID]
-	if w == nil {
-		d.mu.Unlock()
-		return true, errUnknownWorker
-	}
-	w.lastSeen = now
-	// The latency observation must not depend on the task still existing:
-	// when heartbeats streamed every pair, the final progress post already
-	// finished (and deleted) the task, yet this complete is the only message
-	// carrying the wall time of work that really ran on this worker.
-	if d.pairTime != nil && wallMillis > 0 && len(entries) > 0 {
-		per := time.Duration(wallMillis) * time.Millisecond / time.Duration(len(entries))
-		for range entries {
-			d.pairTime(per)
-		}
-	}
-	t := d.tasks[taskID]
-	if t == nil {
-		d.mu.Unlock()
-		return true, nil
-	}
-	run := t.run
-	pairs := t.take(entries)
-	d.remotePairs.Add(uint64(len(pairs)))
-	holder := t.state == taskLeased && t.workerID == workerID
-	switch {
-	case errMsg != "":
-		// Only the lease holder's failure fails the job: a worker whose
-		// lease already expired is reporting on work someone else now owns,
-		// and its error (likely the very stall that cost it the lease) must
-		// not discard the healthy re-run.
-		if !holder {
-			d.logf("task %s: ignoring failure from stale worker %s: %s", t.id, workerID, errMsg)
-			d.mu.Unlock()
-			run.deliver(pairs, false, "")
-			return true, nil
-		}
-		d.logf("task %s failed on %s: %s", t.id, workerID, errMsg)
-		d.withdrawLocked(run)
-		d.mu.Unlock()
-		run.deliver(pairs, false, fmt.Sprintf("remote worker %s: %s", workerID, errMsg))
-		return false, nil
-	case len(t.pending) == 0:
-		emitSpan := d.finishTaskLocked(t)
-		d.logf("task %s completed by %s (%d/%d pairs delivered now)",
-			t.id, workerID, len(pairs), t.end-t.start)
-		d.mu.Unlock()
-		emitSpan()
-		run.deliver(pairs, true, "")
-		return run.isDone(), nil
-	default:
-		// The worker said "complete" but pairs are missing — a protocol
-		// breach or version skew. Salvage what arrived and, if this worker
-		// still holds the lease, re-queue the rest for someone else. A
-		// non-holder (lease already expired and re-queued) must not push the
-		// task a second time — a duplicate queue entry would let two workers
-		// "hold" one task.
-		if holder {
-			d.requeueLocked(t, workerID, "completion missing pairs")
-		}
-		d.mu.Unlock()
-		run.deliver(pairs, false, "")
-		return true, nil
-	}
 }
 
 // noSpan is the no-op span emitter finishTaskLocked returns when there is
@@ -439,17 +392,17 @@ func (d *dispatcher) finishTaskLocked(t *shardTask) (emitSpan func()) {
 	return func() { d.spanLog(jobID, rec) }
 }
 
-// requeueLocked sends a task back to the queue, excluding the worker that
-// held (or mishandled) it: that worker is suspect for this task. Callers
-// hold d.mu.
-func (d *dispatcher) requeueLocked(t *shardTask, workerID, reason string) {
-	t.excluded[workerID] = true
+// requeueLocked sends a task whose lease expired back to the queue,
+// excluding the worker that held it: that worker is suspect for this task.
+// Callers hold d.mu.
+func (d *dispatcher) requeueLocked(t *shardTask) {
+	d.logf("task %s: lease expired; worker %s marked suspect, task re-queued (%d pairs left)",
+		t.id, t.workerID, len(t.pending))
+	t.excluded[t.workerID] = true
 	t.state = taskQueued
 	t.workerID = ""
 	d.queue = append(d.queue, t)
 	d.requeued.Add(1)
-	d.logf("task %s: %s; worker %s marked suspect, task re-queued (%d pairs left)",
-		t.id, reason, workerID, len(t.pending))
 }
 
 func (d *dispatcher) removeQueuedLocked(t *shardTask) {
@@ -492,7 +445,7 @@ func (d *dispatcher) reap(now time.Time) {
 	d.mu.Lock()
 	for _, t := range d.tasks {
 		if t.state == taskLeased && now.After(t.expiry) {
-			d.requeueLocked(t, t.workerID, "lease expired")
+			d.requeueLocked(t)
 		}
 	}
 	for id, w := range d.workers {
@@ -532,9 +485,10 @@ func (d *dispatcher) reap(now time.Time) {
 }
 
 // executor returns the experiments.Executor that distributes one job: it
-// splits the pending pairs into one contiguous shard task per live worker,
-// queues them, and blocks until every task is delivered, the job fails, or
-// the context is canceled.
+// splits the pending pairs into one shard task per live worker, each a run
+// of them in pair order (so a worker shares each benchmark's trace across
+// its pairs), queues them, and blocks until every pair is delivered, the job
+// fails, or the context is canceled.
 func (d *dispatcher) executor(jobID string, spec simapi.JobSpec) experiments.Executor {
 	return func(ctx context.Context, req experiments.ExecRequest) error {
 		distStart := time.Now()
@@ -544,15 +498,12 @@ func (d *dispatcher) executor(jobID string, spec simapi.JobSpec) experiments.Exe
 			d.mu.Unlock()
 			return errNoLiveWorkers
 		}
-		nTasks := n
-		if nTasks > len(req.Pending) {
-			nTasks = len(req.Pending)
-		}
+		nTasks := min(n, len(req.Pending))
 		run := &distRun{
 			jobID:     jobID,
 			spec:      spec,
 			emit:      req.Emit,
-			remaining: nTasks,
+			remaining: len(req.Pending),
 			doneCh:    make(chan struct{}),
 		}
 		for i := 0; i < nTasks; i++ {
@@ -562,21 +513,11 @@ func (d *dispatcher) executor(jobID string, spec simapi.JobSpec) experiments.Exe
 				id:       fmt.Sprintf("task-%06d", d.nextTask),
 				run:      run,
 				idx:      i,
-				start:    chunk[0].Index,
-				end:      chunk[len(chunk)-1].Index + 1,
 				pending:  make(map[string]experiments.PairJob, len(chunk)),
 				excluded: make(map[string]bool),
 			}
 			for _, pj := range chunk {
 				t.pending[pairID(pj.Benchmark, pj.Config)] = pj
-			}
-			// A contiguous slice of the full pair order may span pairs the
-			// engine already resolved (cache hits); their entries ride along
-			// so the worker resumes instead of re-simulating them.
-			for idx := t.start; idx < t.end; idx++ {
-				if e, ok := req.Resumed[idx]; ok {
-					t.done = append(t.done, e)
-				}
 			}
 			run.tasks = append(run.tasks, t)
 			d.tasks[t.id] = t

@@ -3,11 +3,16 @@ package simserver
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/simapi"
 	"repro/internal/simclient"
 	"repro/internal/simwire"
@@ -16,12 +21,10 @@ import (
 
 // newCoordinator builds a started server with fleet-friendly timing, an
 // httptest front end, and a typed client, returning the base URL for
-// worker agents.
+// worker agents. The server keeps the test binary's own code revision, which
+// in-process agents register with.
 func newCoordinator(t *testing.T, cfg Config) (*Server, *simclient.Client, string) {
 	t.Helper()
-	if cfg.CodeRev == "" {
-		cfg.CodeRev = "test-rev"
-	}
 	if cfg.Workers == 0 {
 		cfg.Workers = 1
 	}
@@ -82,6 +85,86 @@ func waitFleet(t *testing.T, srv *Server, n int) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// registerRaw enrolls a worker that speaks the raw protocol, with this
+// binary's code revision.
+func registerRaw(t *testing.T, c *simclient.Client, name string) simwire.RegisterResponse {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	reg, err := c.RegisterWorker(ctx, simwire.RegisterRequest{Name: name, CodeRev: obs.CodeRevision()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
+// leaseOne polls until the worker is granted a task.
+func leaseOne(t *testing.T, c *simclient.Client, workerID string) *simwire.Task {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for {
+		lease, err := c.LeaseTask(ctx, workerID)
+		if err != nil {
+			t.Fatalf("no task leased to %s: %v", workerID, err)
+		}
+		if lease.Task != nil {
+			return lease.Task
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// waitQueued blocks until the coordinator has n queued shard tasks.
+func waitQueued(t *testing.T, srv *Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Metrics().TasksQueued != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("queued tasks never reached %d (have %d)", n, srv.Metrics().TasksQueued)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// pairSink is an experiments.ProgressSink that keeps executed entries.
+type pairSink struct {
+	mu      sync.Mutex
+	entries []experiments.CheckpointEntry
+}
+
+func (s *pairSink) Planned(total, resumed, skippedShard, pending int) {}
+func (s *pairSink) PairDone(e experiments.CheckpointEntry, wall time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.entries = append(s.entries, e)
+}
+
+// simulateTask executes a leased task's pairs in-process, one position at a
+// time, and returns each position's delivery, stamped with wall.
+func simulateTask(t *testing.T, task *simwire.Task, wall time.Duration) map[int]simwire.Pair {
+	t.Helper()
+	exp, err := experiments.Lookup(task.Spec.Experiment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[int]simwire.Pair, len(task.Pairs))
+	for _, p := range task.Pairs {
+		sink := &pairSink{}
+		opts := task.Spec.Options()
+		opts.Pairs = []int{p}
+		opts.Progress = sink
+		if _, err := exp.Run(context.Background(), opts); err != nil {
+			t.Fatal(err)
+		}
+		if len(sink.entries) != 1 {
+			t.Fatalf("position %d ran %d pairs, want 1", p, len(sink.entries))
+		}
+		out[p] = simwire.NewPair(sink.entries[0], wall)
+	}
+	return out
 }
 
 func runJobToDone(t *testing.T, c *simclient.Client, spec simapi.JobSpec) simapi.JobInfo {
@@ -197,32 +280,14 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	raw := simclient.New(url, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	reg, err := raw.RegisterWorker(ctx, simwire.RegisterRequest{Name: "silent"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := registerRaw(t, raw, "silent")
 
 	spec := simapi.JobSpec{Experiment: "fig2", Benchmarks: []string{"gzip"}, Iterations: 12}
 	info, err := c.Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var task *simwire.Task
-	deadline := time.Now().Add(10 * time.Second)
-	for task == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("silent worker never got a task")
-		}
-		lease, err := raw.LeaseTask(ctx, reg.WorkerID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		task = lease.Task
-		if task == nil {
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
+	task := leaseOne(t, raw, reg.WorkerID)
 
 	// Let the lease expire, then bring up a healthy worker to rescue the job.
 	startAgent(t, url, "rescue", simworker.Config{})
@@ -240,7 +305,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 
 	// The silent worker's stale lease is gone: progress on it reports the
 	// task canceled rather than merging anything.
-	resp, err := raw.TaskProgress(ctx, task.ID, reg.WorkerID, nil)
+	resp, err := raw.TaskProgress(ctx, task.ID, reg.WorkerID, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,9 +382,7 @@ func TestFleetLostFallsBackLocal(t *testing.T) {
 	raw := simclient.New(url, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	if _, err := raw.RegisterWorker(ctx, simwire.RegisterRequest{Name: "ghost"}); err != nil {
-		t.Fatal(err)
-	}
+	registerRaw(t, raw, "ghost")
 
 	spec := simapi.JobSpec{Experiment: "fig2", Benchmarks: []string{"gzip"}, Iterations: 12}
 	info := runJobToDone(t, c, spec)
@@ -365,36 +428,15 @@ func TestStaleWorkerFailureDoesNotFailJob(t *testing.T) {
 	raw := simclient.New(url, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	reg, err := raw.RegisterWorker(ctx, simwire.RegisterRequest{Name: "staller"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := registerRaw(t, raw, "staller")
 	spec := simapi.JobSpec{Experiment: "fig2", Benchmarks: []string{"gzip"}, Iterations: 12}
 	info, err := c.Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var task *simwire.Task
-	deadline := time.Now().Add(10 * time.Second)
-	for task == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("staller never got a task")
-		}
-		lease, err := raw.LeaseTask(ctx, reg.WorkerID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if task = lease.Task; task == nil {
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	for srv.Metrics().TasksQueued == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("expired lease never re-queued")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	resp, err := raw.CompleteTask(ctx, task.ID, reg.WorkerID, nil, "simulated stall-induced failure", 0)
+	task := leaseOne(t, raw, reg.WorkerID)
+	waitQueued(t, srv, 1) // the lease expired and was re-queued
+	resp, err := raw.TaskProgress(ctx, task.ID, reg.WorkerID, nil, "simulated stall-induced failure")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,11 +452,10 @@ func TestStaleWorkerFailureDoesNotFailJob(t *testing.T) {
 	}
 }
 
-// TestLateIncompleteCompleteDoesNotDuplicateTask: a completion that is both
-// missing pairs and from a worker whose lease already expired must not
-// re-queue the task a second time — the requeue from lease expiry already
-// did.
-func TestLateIncompleteCompleteDoesNotDuplicateTask(t *testing.T) {
+// TestLateEmptyPostDoesNotDuplicateTask: a post that carries no pairs, from
+// a worker whose lease already expired, must not queue the task a second
+// time — the requeue from lease expiry already did.
+func TestLateEmptyPostDoesNotDuplicateTask(t *testing.T) {
 	srv, c, url := newCoordinator(t, Config{
 		Parallelism:  2,
 		LeaseTTL:     100 * time.Millisecond,
@@ -423,47 +464,24 @@ func TestLateIncompleteCompleteDoesNotDuplicateTask(t *testing.T) {
 	raw := simclient.New(url, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	reg, err := raw.RegisterWorker(ctx, simwire.RegisterRequest{Name: "laggard"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := registerRaw(t, raw, "laggard")
 	spec := simapi.JobSpec{Experiment: "fig2", Benchmarks: []string{"gzip"}, Iterations: 12}
 	info, err := c.Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var task *simwire.Task
-	deadline := time.Now().Add(10 * time.Second)
-	for task == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("laggard never got a task")
-		}
-		lease, err := raw.LeaseTask(ctx, reg.WorkerID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if task = lease.Task; task == nil {
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	// Sit out the lease; the reaper re-queues the task.
-	deadline = time.Now().Add(10 * time.Second)
-	for srv.Metrics().TasksQueued == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("expired lease never re-queued")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	// The late, incomplete completion: entries missing, lease long gone.
-	resp, err := raw.CompleteTask(ctx, task.ID, reg.WorkerID, nil, "", 0)
+	task := leaseOne(t, raw, reg.WorkerID)
+	waitQueued(t, srv, 1) // sit out the lease; the reaper re-queues the task
+	// The late, empty post: no pairs, lease long gone.
+	resp, err := raw.TaskProgress(ctx, task.ID, reg.WorkerID, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !resp.Canceled {
-		t.Error("late completion not told the task is lost")
+		t.Error("late post not told the task is lost")
 	}
 	if q := srv.Metrics().TasksQueued; q != 1 {
-		t.Fatalf("task queued %d times after late incomplete completion, want 1", q)
+		t.Fatalf("task queued %d times after a late empty post, want 1", q)
 	}
 	// A healthy worker finishes the job.
 	startAgent(t, url, "rescue", simworker.Config{})
@@ -492,37 +510,122 @@ func TestNoRemoteWorkersRunsLocally(t *testing.T) {
 	}
 }
 
-// TestCompleteAfterStreamedFinishObservesPairLatency: when heartbeats
-// streamed every pair, the final progress post already finished and deleted
-// the task — yet the worker's complete is the only message carrying the
-// task's wall time, so it must still feed the pair latency histogram.
-// (Regression: the observation used to sit after the task lookup, so fully
-// streamed tasks never reported a latency sample.)
-func TestCompleteAfterStreamedFinishObservesPairLatency(t *testing.T) {
+// TestRemotePairLatencyOncePerDeliveredPair: a distributed job's pair
+// latency histogram gains exactly one observation per executed pair, with
+// the wall time its worker posted; a pair posted twice is observed once.
+func TestRemotePairLatencyOncePerDeliveredPair(t *testing.T) {
+	srv, c, url := newCoordinator(t, Config{LeaseTTL: 10 * time.Second, PollInterval: 10 * time.Millisecond})
+	raw := simclient.New(url, nil)
+	reg := registerRaw(t, raw, "poster")
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	info, err := c.Submit(ctx, simapi.JobSpec{Experiment: "fig2", Benchmarks: []string{"gzip"}, Iterations: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := leaseOne(t, raw, reg.WorkerID)
+	const wall = 40 * time.Millisecond
+	byPos := simulateTask(t, task, wall)
+	var first, rest []simwire.Pair
+	for i, p := range task.Pairs {
+		if i < len(task.Pairs)/2 {
+			first = append(first, byPos[p])
+		} else {
+			rest = append(rest, byPos[p])
+		}
+	}
+	again := append([]simwire.Pair(nil), first...)
+	for i := range again {
+		again[i].WallMillis = 5000 // a second copy, which must not be observed
+	}
+	for _, post := range [][]simwire.Pair{first, again, rest} {
+		if _, err := raw.TaskProgress(ctx, task.ID, reg.WorkerID, post, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if info, err = c.Wait(ctx, info.ID); err != nil || info.State != simapi.StateDone {
+		t.Fatalf("job = %+v, %v; want done", info, err)
+	}
+	if info.ExecutedPairs != len(task.Pairs) {
+		t.Fatalf("executed pairs = %d, want the task's %d", info.ExecutedPairs, len(task.Pairs))
+	}
+	if n := srv.prom.pairLatency.Count(); n != uint64(info.ExecutedPairs) {
+		t.Errorf("pair latency observations = %d, want one per executed pair (%d)", n, info.ExecutedPairs)
+	}
+	want := float64(info.ExecutedPairs) * wall.Seconds()
+	if sum := srv.prom.pairLatency.Sum(); sum < want-1e-6 || sum > want+1e-6 {
+		t.Errorf("pair latency sum = %v s, want the posted %v s", sum, want)
+	}
+}
+
+// TestReleasedTaskNamesOnlyUndeliveredPairs: when a worker delivers part of
+// a task and then goes silent, the task re-leased after its lease expires
+// names exactly the pairs that worker did not deliver.
+func TestReleasedTaskNamesOnlyUndeliveredPairs(t *testing.T) {
+	srv, c, url := newCoordinator(t, Config{
+		LeaseTTL:     150 * time.Millisecond,
+		WorkerTTL:    20 * time.Second,
+		PollInterval: 10 * time.Millisecond,
+	})
+	raw := simclient.New(url, nil)
+	first := registerRaw(t, raw, "partial")
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	info, err := c.Submit(ctx, simapi.JobSpec{Experiment: "fig2", Benchmarks: []string{"gzip"}, Iterations: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := leaseOne(t, raw, first.WorkerID)
+	if len(task.Pairs) < 3 {
+		t.Fatalf("task owes %v, want at least 3 pairs", task.Pairs)
+	}
+	byPos := simulateTask(t, task, time.Millisecond)
+	// Deliver the first and the last pair, then go silent.
+	delivered := []simwire.Pair{byPos[task.Pairs[0]], byPos[task.Pairs[len(task.Pairs)-1]]}
+	if _, err := raw.TaskProgress(ctx, task.ID, first.WorkerID, delivered, ""); err != nil {
+		t.Fatal(err)
+	}
+	waitQueued(t, srv, 1)
+
+	second := registerRaw(t, raw, "rescue")
+	again := leaseOne(t, raw, second.WorkerID)
+	if want := task.Pairs[1 : len(task.Pairs)-1]; again.ID != task.ID || !reflect.DeepEqual(again.Pairs, want) || again.Attempt != 2 {
+		t.Fatalf("re-leased task %s names %v (attempt %d), want %s naming %v (attempt 2)",
+			again.ID, again.Pairs, again.Attempt, task.ID, want)
+	}
+	var rest []simwire.Pair
+	for _, p := range again.Pairs {
+		rest = append(rest, byPos[p])
+	}
+	if _, err := raw.TaskProgress(ctx, again.ID, second.WorkerID, rest, ""); err != nil {
+		t.Fatal(err)
+	}
+	if info, err = c.Wait(ctx, info.ID); err != nil || info.State != simapi.StateDone || info.ExecutedPairs != len(task.Pairs) {
+		t.Fatalf("job = %+v, %v; want done with all %d pairs executed", info, err, len(task.Pairs))
+	}
+}
+
+// TestRegisterRefusesOtherRevision: a worker of another code revision, or
+// one that reports none, is refused with 409 naming both revisions and does
+// not join the fleet.
+func TestRegisterRefusesOtherRevision(t *testing.T) {
 	srv, c, _ := newCoordinator(t, Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	reg, err := c.RegisterWorker(ctx, simwire.RegisterRequest{Name: "streamer"})
-	if err != nil {
-		t.Fatal(err)
+	for _, rev := range []string{"0123456789ab-other", ""} {
+		_, err := c.RegisterWorker(ctx, simwire.RegisterRequest{Name: "stale", CodeRev: rev})
+		var apiErr *simclient.APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusConflict {
+			t.Fatalf("register with revision %q: %v, want 409", rev, err)
+		}
+		for _, name := range []string{`"` + rev + `"`, `"` + srv.rev + `"`} {
+			if !strings.Contains(apiErr.Message, name) {
+				t.Errorf("refusal %q does not name revision %s", apiErr.Message, name)
+			}
+		}
 	}
-	entries := []experiments.CheckpointEntry{
-		{Benchmark: "gzip", Config: "nosq-delay@w0128"},
-		{Benchmark: "applu", Config: "nosq-delay@w0128"},
-	}
-	resp, err := c.CompleteTask(ctx, "task-gone", reg.WorkerID, entries, "", 80*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Canceled {
-		t.Error("complete for a finished task not told the task is gone")
-	}
-	if got := srv.prom.pairLatency.Count(); got != uint64(len(entries)) {
-		t.Errorf("pair latency observations = %d, want %d", got, len(entries))
-	}
-	// 80ms over 2 pairs = 40ms each; both land below the 100ms bucket bound.
-	if sum := srv.prom.pairLatency.Sum(); sum < 0.079 || sum > 0.081 {
-		t.Errorf("pair latency sum = %v s, want ~0.080", sum)
+	if n := srv.Metrics().RemoteWorkers; n != 0 {
+		t.Errorf("fleet has %d workers after refusals, want 0", n)
 	}
 }
 
@@ -537,7 +640,7 @@ func TestUnknownWorkerRejected(t *testing.T) {
 	if !errors.As(err, &apiErr) || apiErr.Status != 404 {
 		t.Fatalf("lease with bogus worker id: %v, want 404", err)
 	}
-	if _, err := c.TaskProgress(ctx, "task-000001", "worker-bogus", nil); !errors.As(err, &apiErr) || apiErr.Status != 404 {
+	if _, err := c.TaskProgress(ctx, "task-000001", "worker-bogus", nil, ""); !errors.As(err, &apiErr) || apiErr.Status != 404 {
 		t.Fatalf("progress with bogus worker id: %v, want 404", err)
 	}
 }

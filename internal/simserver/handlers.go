@@ -68,13 +68,11 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /api/v1/worker/register", s.handleWorkerRegister)
 	s.mux.HandleFunc("POST /api/v1/worker/lease", s.handleWorkerLease)
 	s.mux.HandleFunc("POST /api/v1/worker/tasks/{id}/progress", s.handleWorkerProgress)
-	s.mux.HandleFunc("POST /api/v1/worker/tasks/{id}/complete", s.handleWorkerComplete)
 }
 
-// decodeWire decodes a worker-protocol body. Unlike job submission it is
-// deliberately tolerant of unknown fields, so mixed-version fleets keep
-// working (see the simwire package comment). The limit is generous: a
-// complete request re-delivers every entry of a large shard task.
+// decodeWire decodes a worker-protocol body. Unlike job submission it
+// tolerates unknown fields (see the simwire package comment). The limit is
+// generous: a worker's final post may carry most of a large shard task.
 func decodeWire(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20)).Decode(v); err != nil {
 		writeErr(w, http.StatusBadRequest, "decoding request: %v", err)
@@ -88,7 +86,12 @@ func (s *Server) handleWorkerRegister(w http.ResponseWriter, r *http.Request) {
 	if !decodeWire(w, r, &req) {
 		return
 	}
-	writeJSON(w, http.StatusOK, s.dispatch.register(req))
+	resp, err := s.dispatch.register(req)
+	if err != nil {
+		writeErr(w, http.StatusConflict, "%v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleWorkerLease(w http.ResponseWriter, r *http.Request) {
@@ -113,26 +116,13 @@ func (s *Server) handleWorkerProgress(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	canceled, err := s.dispatch.progress(r.PathValue("id"), req.WorkerID, req.Entries)
+	canceled, err := s.dispatch.deliver(r.PathValue("id"), req.WorkerID, req.Pairs, req.Error)
 	s.prom.leaseRTT.ObserveSince(start)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, simwire.ProgressResponse{Canceled: canceled})
-}
-
-func (s *Server) handleWorkerComplete(w http.ResponseWriter, r *http.Request) {
-	var req simwire.CompleteRequest
-	if !decodeWire(w, r, &req) {
-		return
-	}
-	canceled, err := s.dispatch.complete(r.PathValue("id"), req.WorkerID, req.Entries, req.Error, req.WallMillis)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, simwire.CompleteResponse{Canceled: canceled})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {

@@ -291,20 +291,15 @@ func (s *jobSink) Planned(total, resumed, skippedShard, pending int) {
 	s.j.planned(total, resumed, pending, time.Now())
 }
 
-func (s *jobSink) PairDone(e experiments.CheckpointEntry) {
+// PairDone lands one executed pair, local or remote, in the job's event
+// log and the server's counters, and observes its wall time once in the
+// pair latency histogram.
+func (s *jobSink) PairDone(e experiments.CheckpointEntry, wall time.Duration) {
 	s.cache.RecordMisses(1)
 	s.m.insts.Add(e.Run.Committed)
 	if s.prom != nil {
 		s.prom.pairDone(e.Config, e.Run.Flushes, e.Run.BypassMispredictions, e.Run.Committed)
-	}
-	s.j.pairDone(e, time.Now())
-}
-
-// PairTimed implements experiments.PairTimer: the sweep engine's per-pair
-// wall-time attribution (a config-parallel batch group's wall divided across
-// its members) feeds the pair latency histogram.
-func (s *jobSink) PairTimed(benchmark, config string, wall time.Duration) {
-	if s.prom != nil {
 		s.prom.pairLatency.Observe(wall.Seconds())
 	}
+	s.j.pairDone(e, time.Now())
 }

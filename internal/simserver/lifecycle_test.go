@@ -115,6 +115,16 @@ func TestJobEndsOnlyOnceDurable(t *testing.T) {
 	// Buffered past the job's dozen events, so the follower never blocks.
 	feed := make(chan simapi.Event, 64)
 	go cl.StreamEvents(ctx, info.ID, 0, func(ev simapi.Event) error { feed <- ev; return nil })
+	// The follower's request looks the job up under the server lock, which
+	// the job's end holds through the held fsync: start the job only once
+	// the follower is streaming, or it may see no event at all.
+	var state string
+	select {
+	case ev := <-feed:
+		state = ev.State
+	case <-ctx.Done():
+		t.Fatal("the follower never received the queued event")
+	}
 	srv.Start()
 	select {
 	case <-held:
@@ -136,7 +146,6 @@ func TestJobEndsOnlyOnceDurable(t *testing.T) {
 		}
 	case <-time.After(200 * time.Millisecond):
 	}
-	state := ""
 	for drained := false; !drained; {
 		select {
 		case ev := <-feed:

@@ -26,7 +26,7 @@ type promMetrics struct {
 	pairLatency *obs.Histogram    // one (benchmark, config) pair's simulation
 	walAppend   *obs.Histogram    // WAL append incl. fsync
 	cacheLookup *obs.Histogram    // result-cache lookup of a job's grid at planning
-	leaseRTT    *obs.Histogram    // lease-renewal (progress post) handling
+	leaseRTT    *obs.Histogram    // progress-post handling (pair delivery and lease renewal)
 	httpSeconds *obs.HistogramVec // handler duration per route pattern
 
 	// Per-configuration simulation counters, aggregated from sweep rows as
@@ -106,13 +106,13 @@ func newPromMetrics(s *Server) *promMetrics {
 	p.queueWait = r.Histogram("nosq_job_queue_wait_seconds",
 		"Time a job spent queued before a worker started it.", nil)
 	p.pairLatency = r.Histogram("nosq_pair_sim_seconds",
-		"Wall-clock simulation time of one (benchmark, configuration) pair; config-parallel batches attribute an equal share per member, remote shard tasks divide worker-reported wall time across their pairs.", nil)
+		"Wall-clock simulation time of one (benchmark, configuration) pair, observed once per landed pair; a config-parallel batch group's time is split evenly across its members, on a remote worker as in-process.", nil)
 	p.walAppend = r.Histogram("nosq_wal_append_seconds",
 		"WAL append latency including the fsync.", nil)
 	p.cacheLookup = r.Histogram("nosq_cache_lookup_seconds",
 		"Result-cache lookup latency of a job's planned grid, one per job.", nil)
 	p.leaseRTT = r.Histogram("nosq_lease_renewal_seconds",
-		"Server-side handling time of a lease-renewing worker progress post.", nil)
+		"Server-side handling time of a worker progress post (heartbeat or pair delivery, final posts included).", nil)
 	p.httpSeconds = r.HistogramVec("nosq_http_request_seconds",
 		"HTTP handler duration by route pattern.", "route", nil)
 

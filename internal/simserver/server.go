@@ -57,7 +57,8 @@ type Config struct {
 	// CachePath persists the result cache as JSONL ("" = memory-only).
 	CachePath string
 	// CodeRev overrides the binary's detected code revision (tests only;
-	// "" = obs.CodeRevision()).
+	// "" = obs.CodeRevision()). Remote workers must register with the same
+	// revision.
 	CodeRev string
 	// MaxIterations rejects specs asking for longer workloads (0 = no cap).
 	// A shared server would otherwise let one client monopolize the pool.
@@ -206,10 +207,9 @@ func New(cfg Config) (s *Server, corrupt int, err error) {
 
 		walCompactEvery: 512,
 	}
-	s.dispatch = newDispatcher(cfg.LeaseTTL, cfg.WorkerTTL, cfg.PollInterval, s.logf)
+	s.dispatch = newDispatcher(rev, cfg.LeaseTTL, cfg.WorkerTTL, cfg.PollInterval, s.logf)
 	s.prom = newPromMetrics(s)
 	s.dispatch.spanLog = s.jobSpan
-	s.dispatch.pairTime = func(d time.Duration) { s.prom.pairLatency.Observe(d.Seconds()) }
 	if cfg.StateDir != "" {
 		wal, records, walCorrupt, werr := simstore.Open(filepath.Join(cfg.StateDir, "wal.jsonl"), jsonl.Hooks{},
 			func(d time.Duration) { s.prom.walAppend.Observe(d.Seconds()) })
@@ -558,7 +558,7 @@ func (s *Server) runJob(j *job) {
 	opts.Progress = sink
 	// With remote workers registered, this worker coordinates instead of
 	// simulating: the sweep engine hands its pending pairs to the dispatcher,
-	// which leases contiguous shard tasks to the fleet. With no fleet the job
+	// which leases them to the fleet as shard tasks. With no fleet the job
 	// runs in-process exactly as before.
 	if n := s.dispatch.liveWorkers(); n > 0 {
 		opts.Executor = s.dispatch.executor(j.id, j.spec)

@@ -3,26 +3,30 @@
 // coordinator (internal/simserver, command nosq-server) and its pull-based
 // remote workers (command nosq-worker).
 //
-// The protocol is four POST endpoints on the coordinator, all initiated by
+// The protocol is three POST endpoints on the coordinator, all initiated by
 // the worker (workers need no inbound connectivity):
 //
 //	POST /api/v1/worker/register            join the fleet → worker id + lease/poll parameters
-//	POST /api/v1/worker/lease               claim a shard task (204-style empty response = no work)
-//	POST /api/v1/worker/tasks/{id}/progress stream finished pairs; doubles as the lease heartbeat
-//	POST /api/v1/worker/tasks/{id}/complete finish a task, delivering any remaining pairs
+//	POST /api/v1/worker/lease               claim a shard task (no task in the response = no work)
+//	POST /api/v1/worker/tasks/{id}/progress deliver finished pairs or a failure; doubles as the lease heartbeat
 //
-// A shard task is a contiguous slice [Start, End) of one job's deterministic
-// pair order (see experiments.PairSlice). Leases expire unless renewed by
-// progress posts; an expired lease re-queues the task for another worker and
+// A shard task lists the positions, in one job's deterministic pair order, of
+// the pending pairs it owes. A worker posts each finished pair once, with the
+// wall time its engine measured, and the task ends when its last pair lands.
+// Leases expire unless renewed by progress posts; an expired lease re-queues
+// the task, naming only the pairs still undelivered, for another worker and
 // marks the silent worker suspect. See DESIGN.md "Distributed execution" for
 // the full lifecycle.
 //
-// Wire-compatibility rule: decoding is tolerant of unknown fields on both
-// sides, so fields may be added without breaking older peers; removing or
-// renaming fields is a breaking change.
+// A fleet runs the coordinator's revision: a worker registers with its code
+// revision, and the coordinator refuses (409) one built from another commit,
+// whose measurements it would otherwise cache as its own. Decoding tolerates
+// unknown fields.
 package simwire
 
 import (
+	"time"
+
 	"repro/internal/experiments"
 	"repro/internal/simapi"
 )
@@ -35,6 +39,9 @@ type RegisterRequest struct {
 	// Capacity is advisory: how many concurrent simulations the worker runs
 	// within a task.
 	Capacity int `json:"capacity,omitempty"`
+	// CodeRev is the worker binary's code revision (obs.CodeRevision); the
+	// coordinator refuses a worker whose revision differs from its own.
+	CodeRev string `json:"code_rev"`
 }
 
 // RegisterResponse carries the assigned identity and the coordinator's
@@ -65,64 +72,57 @@ type LeaseResponse struct {
 	PollMillis int   `json:"poll_ms,omitempty"`
 }
 
-// Task is one leased shard task: a contiguous slice of one job's
-// deterministic pair order, plus the entries already resolved inside that
-// slice so the worker resumes them instead of re-simulating.
+// Task is one leased shard task: the pairs of one job it still owes.
 type Task struct {
-	// ID names the task in progress/complete requests.
+	// ID names the task in progress posts.
 	ID string `json:"id"`
 	// JobID is the coordinator job this task belongs to (diagnostic).
 	JobID string `json:"job_id"`
 	// Spec is the job's full spec; the worker re-derives the deterministic
-	// pair order from it and executes the [Start, End) slice.
+	// pair order from it and executes the listed positions.
 	Spec simapi.JobSpec `json:"spec"`
-	// Start and End bound the slice, [Start, End) over the full pair order.
-	Start int `json:"start"`
-	End   int `json:"end"`
-	// Done seeds the worker's result store: pairs inside the slice that the
-	// coordinator already has (cache hits, or pairs delivered by a previous
-	// worker before its lease expired).
-	Done []experiments.CheckpointEntry `json:"done,omitempty"`
+	// Pairs lists the task's pending positions in that order, ascending. A
+	// re-leased task names only the pairs no earlier worker delivered.
+	Pairs []int `json:"pairs"`
 	// Attempt counts lease grants of this task, starting at 1; >1 means a
 	// previous worker's lease expired and the task was re-queued.
 	Attempt int `json:"attempt,omitempty"`
 }
 
-// ProgressRequest streams finished pairs to the coordinator and renews the
-// task's lease. An empty Entries list is a pure heartbeat.
+// Pair is one executed pair as a worker delivers it.
+type Pair struct {
+	Entry experiments.CheckpointEntry `json:"entry"`
+	// WallMillis is the wall time the worker's engine measured for the
+	// pair's simulation (see experiments.ProgressSink), in milliseconds.
+	WallMillis float64 `json:"wall_ms"`
+}
+
+// NewPair builds the delivery of one pair simulated in wall.
+func NewPair(e experiments.CheckpointEntry, wall time.Duration) Pair {
+	return Pair{Entry: e, WallMillis: float64(wall) / float64(time.Millisecond)}
+}
+
+// Wall returns the pair's measured simulation time.
+func (p Pair) Wall() time.Duration {
+	return time.Duration(p.WallMillis * float64(time.Millisecond))
+}
+
+// ProgressRequest delivers finished pairs to the coordinator and renews the
+// task's lease. A worker posts each pair once, re-sending only the pairs of
+// a post that failed; an empty Pairs list is a pure heartbeat. A non-empty
+// Error reports a simulation failure, which fails the job as a failing local
+// run would; a worker in infrastructure trouble just lets its lease lapse.
 type ProgressRequest struct {
-	WorkerID string                        `json:"worker_id"`
-	Entries  []experiments.CheckpointEntry `json:"entries,omitempty"`
+	WorkerID string `json:"worker_id"`
+	Pairs    []Pair `json:"pairs,omitempty"`
+	Error    string `json:"error,omitempty"`
 }
 
 // ProgressResponse acknowledges a progress post.
 type ProgressResponse struct {
-	// Canceled tells the worker to abandon the task: its job was canceled,
-	// or the lease was lost (expired and re-queued, possibly already
-	// completed by another worker). Delivered entries are still merged where
-	// possible.
-	Canceled bool `json:"canceled,omitempty"`
-}
-
-// CompleteRequest finishes a task. Entries carries every pair the worker
-// executed (progress posts are an optimization, not a delivery guarantee;
-// the coordinator deduplicates). A non-empty Error reports a simulation
-// failure — the job fails, mirroring a failing local run; infrastructure
-// failures are reported by simply abandoning the lease instead.
-type CompleteRequest struct {
-	WorkerID string                        `json:"worker_id"`
-	Entries  []experiments.CheckpointEntry `json:"entries,omitempty"`
-	Error    string                        `json:"error,omitempty"`
-	// WallMillis is the worker-measured wall-clock time of the whole task
-	// (lease receipt → completion), in milliseconds. Additive and advisory:
-	// the coordinator divides it across the task's pairs to feed its pair
-	// latency histogram; an older worker simply omits it.
-	WallMillis int64 `json:"wall_ms,omitempty"`
-}
-
-// CompleteResponse acknowledges a completion.
-type CompleteResponse struct {
-	// Canceled has the same meaning as in ProgressResponse; a completing
-	// worker can ignore it.
+	// Canceled tells the worker to abandon the task: its job was canceled
+	// or failed, or the lease was lost (expired and re-queued, possibly
+	// already finished by another worker). Delivered pairs are still landed
+	// where the task still owes them.
 	Canceled bool `json:"canceled,omitempty"`
 }

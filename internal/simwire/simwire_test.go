@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/simapi"
@@ -30,21 +31,19 @@ func TestTaskProtocolRoundTrip(t *testing.T) {
 	}
 	task := Task{
 		ID: "task-000003", JobID: "job-000001",
-		Spec:  simapi.JobSpec{Experiment: "fig2", Benchmarks: []string{"gzip"}, Iterations: 40},
-		Start: 5, End: 10,
-		Done:    []experiments.CheckpointEntry{entry},
+		Spec:    simapi.JobSpec{Experiment: "fig2", Benchmarks: []string{"gzip"}, Iterations: 40},
+		Pairs:   []int{5, 6, 9},
 		Attempt: 2,
 	}
 	cases := []interface{}{
-		RegisterRequest{Name: "worker-a", Capacity: 4},
+		RegisterRequest{Name: "worker-a", Capacity: 4, CodeRev: "0123abcd"},
 		RegisterResponse{WorkerID: "w-000001", LeaseTTLMillis: 15000, PollMillis: 500},
 		LeaseRequest{WorkerID: "w-000001"},
 		LeaseResponse{Task: &task, PollMillis: 500},
 		LeaseResponse{PollMillis: 250},
-		ProgressRequest{WorkerID: "w-000001", Entries: []experiments.CheckpointEntry{entry}},
+		ProgressRequest{WorkerID: "w-000001", Pairs: []Pair{NewPair(entry, 1500*time.Microsecond)}},
+		ProgressRequest{WorkerID: "w-000001", Error: "boom"},
 		ProgressResponse{Canceled: true},
-		CompleteRequest{WorkerID: "w-000001", Entries: []experiments.CheckpointEntry{entry}, Error: "boom"},
-		CompleteResponse{Canceled: true},
 	}
 	for _, c := range cases {
 		if got := roundTrip(t, c); !reflect.DeepEqual(got, c) {
@@ -53,9 +52,8 @@ func TestTaskProtocolRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUnknownFieldsTolerated: a newer coordinator (or worker) may add
-// fields; the older peer must keep decoding. This pins the forward-
-// compatibility contract documented in the package comment.
+// TestUnknownFieldsTolerated: decoding ignores fields a type does not
+// declare, as the package comment says.
 func TestUnknownFieldsTolerated(t *testing.T) {
 	cases := []struct {
 		name string
@@ -63,10 +61,9 @@ func TestUnknownFieldsTolerated(t *testing.T) {
 		into interface{}
 	}{
 		{"RegisterResponse", `{"worker_id":"w-1","lease_ttl_ms":1000,"poll_ms":100,"fleet_epoch":7}`, &RegisterResponse{}},
-		{"LeaseResponse", `{"task":{"id":"t-1","start":0,"end":4,"gpu_required":false},"poll_ms":100}`, &LeaseResponse{}},
-		{"Task", `{"id":"t-1","job_id":"j-1","start":0,"end":2,"deadline":"2026-07-27T00:00:00Z"}`, &Task{}},
+		{"LeaseResponse", `{"task":{"id":"t-1","pairs":[0,3],"gpu_required":false},"poll_ms":100}`, &LeaseResponse{}},
+		{"Task", `{"id":"t-1","job_id":"j-1","pairs":[2],"deadline":"2026-07-27T00:00:00Z"}`, &Task{}},
 		{"ProgressResponse", `{"canceled":false,"throttle_ms":50}`, &ProgressResponse{}},
-		{"CompleteResponse", `{"requeued":true}`, &CompleteResponse{}},
 	}
 	for _, c := range cases {
 		if err := json.Unmarshal([]byte(c.doc), c.into); err != nil {

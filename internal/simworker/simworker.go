@@ -1,25 +1,30 @@
 // Package simworker implements the remote worker agent behind command
 // nosq-worker: a pull-based loop that registers with a coordinator
-// (internal/simserver, command nosq-server), leases shard tasks — contiguous
-// slices of a job's deterministic pair order — executes them through the
-// experiment subsystem with the engine's usual trace sharing, and streams
-// finished pairs back as progress posts that double as lease heartbeats.
+// (internal/simserver, command nosq-server), leases shard tasks — the
+// positions of pending pairs in a job's deterministic pair order — executes
+// them through the experiment subsystem with the engine's usual trace
+// sharing, and posts each finished pair back once, with the wall time its
+// engine measured, on progress posts that double as lease heartbeats.
 //
 // The agent holds no durable state: killing it at any moment loses at most
-// the pairs it had not yet streamed, which the coordinator re-leases to
+// the pairs the coordinator had not yet acknowledged, which it re-leases to
 // another worker once the lease expires. A worker that discovers its lease
-// is gone (coordinator says Canceled) abandons the task mid-run.
+// is gone (coordinator says Canceled) abandons the task mid-run. A
+// coordinator built from another commit refuses the worker at registration,
+// and Run returns that refusal.
 package simworker
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"runtime"
 	"sync"
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/simclient"
 	"repro/internal/simwire"
 )
@@ -88,10 +93,11 @@ func (a *Agent) logf(format string, args ...interface{}) {
 	}
 }
 
-// Run is the agent's main loop: register, then lease/execute/complete until
+// Run is the agent's main loop: register, then lease and execute tasks until
 // ctx is canceled. Connection errors back off and retry; an unknown-worker
-// response re-registers (coordinator restart). Run returns ctx.Err() on
-// shutdown — an in-flight task is abandoned and its lease left to expire,
+// response re-registers (coordinator restart). A coordinator that refuses
+// this worker's code revision ends Run with that error. Run returns ctx.Err()
+// on shutdown — an in-flight task is abandoned and its lease left to expire,
 // after a best-effort progress post salvaging the pairs finished so far.
 func (a *Agent) Run(ctx context.Context) error {
 	if err := a.register(ctx); err != nil {
@@ -134,12 +140,12 @@ func (a *Agent) Run(ctx context.Context) error {
 }
 
 // register enrolls with the coordinator, retrying with backoff until it
-// succeeds or ctx ends.
+// succeeds, ctx ends, or the coordinator refuses this worker's revision.
 func (a *Agent) register(ctx context.Context) error {
 	backoff := a.poll
 	for {
 		resp, err := a.client.RegisterWorker(ctx, simwire.RegisterRequest{
-			Name: a.cfg.Name, Capacity: a.cfg.Parallelism,
+			Name: a.cfg.Name, Capacity: a.cfg.Parallelism, CodeRev: obs.CodeRevision(),
 		})
 		if err == nil {
 			a.workerID = resp.WorkerID
@@ -150,6 +156,10 @@ func (a *Agent) register(ctx context.Context) error {
 		}
 		if ctx.Err() != nil {
 			return ctx.Err()
+		}
+		var apiErr *simclient.APIError
+		if errors.As(err, &apiErr) && apiErr.Status == http.StatusConflict {
+			return err // another revision: no retry can succeed
 		}
 		a.logf("register: %v; retrying in %v", err, backoff)
 		if !sleep(ctx, backoff) {
@@ -170,116 +180,104 @@ func (a *Agent) pollHint(millis int) time.Duration {
 	return d
 }
 
-// taskSink collects executed pairs for streaming: the heartbeat drains
-// fresh entries into progress posts, and the final complete re-delivers
-// everything (the coordinator deduplicates).
+// taskSink holds a task's executed pairs until the coordinator acknowledges
+// them. Each post takes every held pair and a failed post puts its pairs
+// back, so a pair is posted once unless a post carrying it fails.
 type taskSink struct {
 	delay time.Duration
 
-	mu    sync.Mutex
-	fresh []experiments.CheckpointEntry
-	all   []experiments.CheckpointEntry
+	mu      sync.Mutex
+	unacked []simwire.Pair
 }
 
 func (s *taskSink) Planned(total, resumed, skippedShard, pending int) {}
 
-func (s *taskSink) PairDone(e experiments.CheckpointEntry) {
+func (s *taskSink) PairDone(e experiments.CheckpointEntry, wall time.Duration) {
 	s.mu.Lock()
-	s.fresh = append(s.fresh, e)
-	s.all = append(s.all, e)
+	s.unacked = append(s.unacked, simwire.NewPair(e, wall))
 	s.mu.Unlock()
 	if s.delay > 0 {
 		time.Sleep(s.delay)
 	}
 }
 
-func (s *taskSink) drain() []experiments.CheckpointEntry {
+// take removes and returns every held pair.
+func (s *taskSink) take() []simwire.Pair {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := s.fresh
-	s.fresh = nil
-	return out
+	pairs := s.unacked
+	s.unacked = nil
+	return pairs
 }
 
-func (s *taskSink) everything() []experiments.CheckpointEntry {
+// putBack holds a failed post's pairs again, ahead of any finished since.
+func (s *taskSink) putBack(pairs []simwire.Pair) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]experiments.CheckpointEntry(nil), s.all...)
+	s.unacked = append(pairs, s.unacked...)
 }
 
-// seedStore serves a leased task's already-resolved entries to the sweep
-// engine, which resumes them instead of re-simulating. Appends are dropped —
-// delivery happens through the progress stream.
-type seedStore struct{ entries []experiments.CheckpointEntry }
-
-func (s seedStore) Lookup(keys []string) (map[string]experiments.CheckpointEntry, int, error) {
-	want := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		want[k] = true
+// post sends the sink's unacknowledged pairs, and errMsg if the run failed,
+// in one progress post, putting the pairs back if the post fails.
+func (a *Agent) post(ctx context.Context, task *simwire.Task, sink *taskSink, errMsg string) (simwire.ProgressResponse, error) {
+	pairs := sink.take()
+	resp, err := a.client.TaskProgress(ctx, task.ID, a.workerID, pairs, errMsg)
+	if err != nil {
+		sink.putBack(pairs)
 	}
-	found := make(map[string]experiments.CheckpointEntry, len(s.entries))
-	for _, e := range s.entries {
-		if k := e.Key(); want[k] {
-			found[k] = e
-		}
-	}
-	return found, 0, nil
+	return resp, err
 }
-
-func (s seedStore) Append(experiments.CheckpointEntry) error { return nil }
 
 // runTask executes one leased shard task: the job's experiment restricted
-// to the [Start, End) pair slice, seeded with the coordinator's Done
-// entries, with a heartbeat goroutine streaming finished pairs and
-// renewing the lease.
+// to the task's pairs, with a heartbeat goroutine posting finished pairs and
+// renewing the lease, then a final post carrying whatever is left.
 func (a *Agent) runTask(ctx context.Context, task *simwire.Task) {
-	a.logf("task %s: %s pairs [%d,%d), attempt %d", task.ID, task.Spec.Experiment,
-		task.Start, task.End, task.Attempt)
-	taskStart := time.Now()
+	a.logf("task %s: %s, %d pairs, attempt %d", task.ID, task.Spec.Experiment,
+		len(task.Pairs), task.Attempt)
+	sink := &taskSink{delay: a.cfg.PairDelay}
 	exp, err := experiments.Lookup(task.Spec.Experiment)
 	if err != nil {
-		// Version skew: this binary does not know the experiment. Completing
-		// with the error (failing the job) beats a requeue loop across an
-		// equally stale fleet.
-		a.complete(task, nil, err.Error(), 0)
+		// The coordinator accepted the experiment, so this binary should know
+		// it. Failing the job beats a requeue loop across the fleet.
+		a.finish(task, sink, err.Error())
 		return
 	}
 
 	tctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	sink := &taskSink{delay: a.cfg.PairDelay}
-	hbDone := make(chan struct{})
-	go a.heartbeat(tctx, cancel, task, sink, hbDone)
+	stop, hbDone := make(chan struct{}), make(chan struct{})
+	go a.heartbeat(tctx, cancel, task, sink, stop, hbDone)
 
 	opts := task.Spec.Options()
 	opts.Parallelism = a.cfg.Parallelism
-	opts.Slice = &experiments.PairSlice{Start: task.Start, End: task.End}
-	opts.Store = seedStore{entries: task.Done}
+	opts.Pairs = task.Pairs
 	opts.Progress = sink
 	_, runErr := exp.Run(tctx, opts)
 
-	cancel()
+	// Stopping the heartbeat this way lets a post in flight finish instead
+	// of cutting it off, which would send its pairs a second time.
+	close(stop)
 	<-hbDone
 	switch {
 	case ctx.Err() != nil:
 		// Worker shutdown: salvage finished pairs; the lease expires and the
-		// remainder re-runs elsewhere. Not a complete — a shutdown must not
-		// fail the job.
+		// remainder re-runs elsewhere. No error — a shutdown must not fail
+		// the job.
 		a.salvage(task, sink)
-	case tctx.Err() != nil && runErr != nil && errors.Is(runErr, context.Canceled):
+	case tctx.Err() != nil && errors.Is(runErr, context.Canceled):
 		// Coordinator told the heartbeat the task is canceled (job canceled
 		// or lease lost): nothing further to report.
 		a.logf("task %s abandoned (canceled by coordinator)", task.ID)
 	case runErr != nil:
-		a.complete(task, sink.everything(), runErr.Error(), time.Since(taskStart))
+		a.finish(task, sink, runErr.Error())
 	default:
-		a.complete(task, sink.everything(), "", time.Since(taskStart))
+		a.finish(task, sink, "")
 	}
 }
 
-// heartbeat streams progress every third of the lease TTL until the task
-// context ends, canceling the task when the coordinator says so.
-func (a *Agent) heartbeat(tctx context.Context, cancel context.CancelFunc, task *simwire.Task, sink *taskSink, done chan<- struct{}) {
+// heartbeat posts finished pairs every third of the lease TTL until stop is
+// closed, canceling the task when the coordinator says so.
+func (a *Agent) heartbeat(tctx context.Context, cancel context.CancelFunc, task *simwire.Task, sink *taskSink, stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	interval := a.leaseTTL / 3
 	if interval <= 0 {
@@ -289,22 +287,22 @@ func (a *Agent) heartbeat(tctx context.Context, cancel context.CancelFunc, task 
 	defer t.Stop()
 	for {
 		select {
-		case <-tctx.Done():
+		case <-stop:
 			return
 		case <-t.C:
-			resp, err := a.client.TaskProgress(tctx, task.ID, a.workerID, sink.drain())
+			resp, err := a.post(tctx, task, sink, "")
 			if isUnknownWorker(err) {
 				// Coordinator restart or liveness prune: nothing this worker
 				// delivers under its old identity can land, so finishing the
-				// task would waste the whole slice. Abandon now; the main
-				// loop re-registers on its next lease call.
+				// task would waste it. Abandon now; the main loop
+				// re-registers on its next lease call.
 				a.logf("task %s: coordinator no longer knows %s; abandoning", task.ID, a.workerID)
 				cancel()
 				return
 			}
 			if err != nil {
-				// Transient: the next tick retries; undelivered entries are
-				// re-sent by the final complete anyway.
+				// Transient: the pairs went back to the sink, and the next
+				// post carries them.
 				continue
 			}
 			if resp.Canceled {
@@ -316,34 +314,33 @@ func (a *Agent) heartbeat(tctx context.Context, cancel context.CancelFunc, task 
 	}
 }
 
-// complete reports a finished task, retrying briefly so one dropped
-// connection does not turn a finished slice into a lease-expiry re-run.
-// wall is the worker-measured wall-clock time of the whole task, shipped to
-// the coordinator's pair latency accounting (0 = unmeasured).
-func (a *Agent) complete(task *simwire.Task, entries []experiments.CheckpointEntry, errMsg string, wall time.Duration) {
+// finish makes a task's final post — the pairs still unacknowledged, and
+// errMsg if the run failed — retrying briefly so one dropped connection does
+// not turn a finished task into a lease-expiry re-run.
+func (a *Agent) finish(task *simwire.Task, sink *taskSink, errMsg string) {
 	for attempt := 0; attempt < 3; attempt++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		_, err := a.client.CompleteTask(ctx, task.ID, a.workerID, entries, errMsg, wall)
+		_, err := a.post(ctx, task, sink, errMsg)
 		cancel()
 		if err == nil {
-			a.logf("task %s complete (%d pairs, err=%q)", task.ID, len(entries), errMsg)
+			a.logf("task %s finished (err=%q)", task.ID, errMsg)
 			return
 		}
-		a.logf("task %s: completion attempt %d failed: %v", task.ID, attempt+1, err)
+		a.logf("task %s: final post attempt %d failed: %v", task.ID, attempt+1, err)
 		time.Sleep(500 * time.Millisecond)
 	}
 }
 
 // salvage posts the pairs finished before a shutdown, best-effort.
 func (a *Agent) salvage(task *simwire.Task, sink *taskSink) {
-	entries := sink.everything()
-	if len(entries) == 0 {
+	pairs := sink.take()
+	if len(pairs) == 0 {
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := a.client.TaskProgress(ctx, task.ID, a.workerID, entries); err == nil {
-		a.logf("task %s: salvaged %d finished pairs before shutdown", task.ID, len(entries))
+	if _, err := a.client.TaskProgress(ctx, task.ID, a.workerID, pairs, ""); err == nil {
+		a.logf("task %s: salvaged %d finished pairs before shutdown", task.ID, len(pairs))
 	}
 }
 

@@ -209,59 +209,41 @@ func (g *generator) footprintBytes() int64 {
 	return int64(p)
 }
 
-// slotMix computes the per-iteration slot composition from the profile (or,
-// for a scenario, from its explicit slot-count apportionment).
-func (g *generator) slotMix() []slotKind {
-	if g.scn != nil && g.scn.counts != nil {
-		var slots []slotKind
-		kinds := []slotKind{slotCommFull, slotCommPathDep, slotCommPartial, slotCommPartialStore, slotIndep}
-		for i, k := range kinds {
-			for n := 0; n < g.scn.counts[i]; n++ {
-				slots = append(slots, k)
-			}
-		}
-		if g.prof.HardPer10k >= 1 {
-			slots = append(slots, slotCommHard)
-		}
-		for i := len(slots) - 1; i > 0; i-- {
-			j := g.rng.intn(i + 1)
-			slots[i], slots[j] = slots[j], slots[i]
-		}
-		return slots
-	}
+// profileCounts apportions the loadSlotsPerIteration slots to a benchmark
+// profile's communication rates, in slotKind emission order: full,
+// path-dependent, partial, partial-store, independent.
+func profileCounts(p Profile) []int {
 	round := func(x float64) int { return int(math.Round(x)) }
 	total := loadSlotsPerIteration
-	comm := round(float64(total) * g.prof.CommPct / 100)
-	if comm > total {
-		comm = total
-	}
-	partial := round(float64(total) * g.prof.PartialPct / 100)
-	if partial > comm {
-		partial = comm
-	}
+	comm := min(round(float64(total)*p.CommPct/100), total)
+	partial := min(round(float64(total)*p.PartialPct/100), comm)
 	// The narrow-store/wide-load slot is emitted only when the profile's
 	// partial-store fraction amounts to at least one whole slot (floor, not
 	// round): one such slot per iteration already produces a large
 	// misprediction rate, so only benchmarks the paper singles out for
 	// partial-store communication (g721.e) get one.
-	partialStore := int(float64(partial) * g.prof.PartialStoreFrac)
-	partialShift := partial - partialStore
+	partialStore := int(float64(partial) * p.PartialStoreFrac)
 	fullComm := comm - partial
-	pathDep := round(float64(fullComm) * g.prof.PathDepFrac)
-	fullComm -= pathDep
-	indep := total - comm
+	pathDep := round(float64(fullComm) * p.PathDepFrac)
+	return []int{fullComm - pathDep, pathDep, partial - partialStore, partialStore, total - comm}
+}
 
+// slotMix computes the per-iteration slot composition from the profile's
+// slot counts, or a scenario's explicit apportionment.
+func (g *generator) slotMix() []slotKind {
+	var counts []int
+	if g.scn != nil && g.scn.counts != nil {
+		counts = g.scn.counts
+	} else {
+		counts = profileCounts(g.prof)
+	}
 	var slots []slotKind
-	add := func(k slotKind, n int) {
-		for i := 0; i < n; i++ {
+	kinds := []slotKind{slotCommFull, slotCommPathDep, slotCommPartial, slotCommPartialStore, slotIndep}
+	for i, k := range kinds {
+		for n := 0; n < counts[i]; n++ {
 			slots = append(slots, k)
 		}
 	}
-	add(slotCommFull, fullComm)
-	add(slotCommPathDep, pathDep)
-	add(slotCommPartial, partialShift)
-	add(slotCommPartialStore, partialStore)
-	add(slotIndep, indep)
 	// Benchmarks with an appreciable erratic-communication rate get one hard
 	// slot; below one misprediction per 10k loads the slot would add more
 	// spurious communication than it adds mispredictions.

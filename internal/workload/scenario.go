@@ -323,18 +323,10 @@ func (s Scenario) seed() uint64 {
 }
 
 // profile compiles the scenario's knobs into the generator's Profile form.
+// It sets only the knobs the generator reads on the scenario path: the slot
+// mix reaches it as the plan's counts, not as communication rates.
 func (s Scenario) profile() Profile {
-	mix := DefaultMix()
-	if s.Mix != nil {
-		mix = *s.Mix
-	}
-	comm := mix.FullCommPct + mix.PathDepPct + mix.PartialPct + mix.PartialStorePct
-	partial := mix.PartialPct + mix.PartialStorePct
 	prof := Profile{
-		Name:          s.Name,
-		Suite:         Custom,
-		CommPct:       comm,
-		PartialPct:    partial,
 		HardPer10k:    s.ErraticPer10k,
 		FootprintKB:   s.FootprintKB,
 		FPHeavy:       s.FPHeavy,
@@ -342,12 +334,6 @@ func (s Scenario) profile() Profile {
 	}
 	if prof.FootprintKB == 0 {
 		prof.FootprintKB = 64
-	}
-	if comm > 0 {
-		prof.PathDepFrac = mix.PathDepPct / comm
-	}
-	if partial > 0 {
-		prof.PartialStoreFrac = mix.PartialStorePct / partial
 	}
 	return prof
 }
