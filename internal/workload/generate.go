@@ -32,7 +32,7 @@ func (o Options) Validate() error {
 const DefaultIterations = 400
 
 // loadSlotsPerIteration is the number of load "slots" each iteration of the
-// generated program executes; the slot type mix realises the profile's
+// generated program executes; the slot counts realise the workload's
 // communication percentages.
 const loadSlotsPerIteration = 32
 
@@ -97,13 +97,14 @@ var (
 	regSinks = []isa.Reg{isa.IntReg(19), isa.IntReg(21), isa.IntReg(23), isa.IntReg(24)}
 )
 
-// Generate builds the synthetic program for the named benchmark.
+// Generate builds the synthetic program for the named benchmark: the
+// scenario its Table 5 profile compiles to.
 func Generate(name string, opts Options) (*program.Program, error) {
 	prof, err := ProfileByName(name)
 	if err != nil {
 		return nil, err
 	}
-	return GenerateFromProfile(prof, opts)
+	return GenerateScenario(prof.scenario(), opts)
 }
 
 // MustGenerate is Generate but panics on error.
@@ -115,42 +116,35 @@ func MustGenerate(name string, opts Options) *program.Program {
 	return p
 }
 
-// GenerateFromProfile builds a synthetic program for an arbitrary profile
-// (exported so examples and tests can construct custom workloads).
-func GenerateFromProfile(prof Profile, opts Options) (*program.Program, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if err := prof.Validate(); err != nil {
-		return nil, err
-	}
-	iters := opts.Iterations
-	if iters == 0 {
-		iters = DefaultIterations
-	}
-	g := &generator{
-		prof:     prof,
-		rng:      rng{s: seedFor(prof.Name)},
-		progSeed: seedFor(prof.Name),
-		b:        program.NewBuilder(prof.Name),
-	}
-	g.build(iters)
-	return g.b.Build()
-}
-
+// generator emits one program. GenerateScenario sets every knob from the
+// scenario; the emitters read only these fields.
 type generator struct {
-	prof Profile
-	rng  rng
-	b    *program.Builder
-	// progSeed seeds the generated program's in-program xorshift state
-	// (seedFor(name) for Table 5 profiles, the scenario content seed for
-	// scenarios).
+	rng rng
+	b   *program.Builder
+	// progSeed seeds the generated program's in-program xorshift state.
 	progSeed uint64
-	// scn carries a scenario's compiled parameters (nil for Table 5
-	// profiles; every scenario-specific branch in the emitters is gated on
-	// it, so profile generation is bit-identical with or without the
-	// scenario layer).
-	scn   *scenarioPlan
+
+	// pattern is the stress kernel to emit ("" = the slot kernel).
+	pattern string
+	// counts are the per-iteration slot counts in slotKind emission order:
+	// full, path-dependent, partial, partial-store, independent.
+	counts []int
+	// distMin/distMax bound the unrelated stores emitted between a full-word
+	// communicating store and its load (-1 = a coin-flip extra store).
+	distMin, distMax int
+	// shape fixes the partial-word slot shape (-1 = rotate through all).
+	shape int
+	// erraticPer10k is the target rate of erratic communication events.
+	erraticPer10k float64
+	// footprintKB is the data footprint of the non-communicating loads.
+	footprintKB int
+	// fpHeavy adds FP chains and FP memory formats.
+	fpHeavy bool
+	// branchEntropy is the fraction of data-dependent branches.
+	branchEntropy float64
+
+	// fill rotates filler-store offsets within the write-only output region.
+	fill  int
 	label int
 	// temp register rotation (r6..r15).
 	temp int
@@ -188,20 +182,20 @@ func (g *generator) nextSink() isa.Reg {
 // benchmark a cache-miss rate that grows with its footprint.
 func (g *generator) coldEvery() int {
 	switch {
-	case g.prof.FootprintKB <= 64:
+	case g.footprintKB <= 64:
 		return 1 // the whole footprint fits in the L1, so every slot may stream
-	case g.prof.FootprintKB <= 256:
+	case g.footprintKB <= 256:
 		return 10
-	case g.prof.FootprintKB <= 1024:
+	case g.footprintKB <= 1024:
 		return 6
 	default:
 		return 3
 	}
 }
 
-// footprintBytes rounds the profile's footprint to a power of two.
+// footprintBytes rounds the footprint up to a power of two.
 func (g *generator) footprintBytes() int64 {
-	bytes := g.prof.FootprintKB * 1024
+	bytes := g.footprintKB * 1024
 	p := 1
 	for p < bytes {
 		p <<= 1
@@ -209,45 +203,19 @@ func (g *generator) footprintBytes() int64 {
 	return int64(p)
 }
 
-// profileCounts apportions the loadSlotsPerIteration slots to a benchmark
-// profile's communication rates, in slotKind emission order: full,
-// path-dependent, partial, partial-store, independent.
-func profileCounts(p Profile) []int {
-	round := func(x float64) int { return int(math.Round(x)) }
-	total := loadSlotsPerIteration
-	comm := min(round(float64(total)*p.CommPct/100), total)
-	partial := min(round(float64(total)*p.PartialPct/100), comm)
-	// The narrow-store/wide-load slot is emitted only when the profile's
-	// partial-store fraction amounts to at least one whole slot (floor, not
-	// round): one such slot per iteration already produces a large
-	// misprediction rate, so only benchmarks the paper singles out for
-	// partial-store communication (g721.e) get one.
-	partialStore := int(float64(partial) * p.PartialStoreFrac)
-	fullComm := comm - partial
-	pathDep := round(float64(fullComm) * p.PathDepFrac)
-	return []int{fullComm - pathDep, pathDep, partial - partialStore, partialStore, total - comm}
-}
-
-// slotMix computes the per-iteration slot composition from the profile's
-// slot counts, or a scenario's explicit apportionment.
+// slotMix computes the per-iteration slot composition from the slot counts.
 func (g *generator) slotMix() []slotKind {
-	var counts []int
-	if g.scn != nil && g.scn.counts != nil {
-		counts = g.scn.counts
-	} else {
-		counts = profileCounts(g.prof)
-	}
 	var slots []slotKind
 	kinds := []slotKind{slotCommFull, slotCommPathDep, slotCommPartial, slotCommPartialStore, slotIndep}
 	for i, k := range kinds {
-		for n := 0; n < counts[i]; n++ {
+		for n := 0; n < g.counts[i]; n++ {
 			slots = append(slots, k)
 		}
 	}
 	// Benchmarks with an appreciable erratic-communication rate get one hard
 	// slot; below one misprediction per 10k loads the slot would add more
 	// spurious communication than it adds mispredictions.
-	if g.prof.HardPer10k >= 1 {
+	if g.erraticPer10k >= 1 {
 		slots = append(slots, slotCommHard)
 	}
 	// Deterministic shuffle so slot kinds interleave.
@@ -260,13 +228,13 @@ func (g *generator) slotMix() []slotKind {
 
 // hardDivertThreshold computes the threshold (out of 1024) with which the
 // hard slot's store is diverted away from the load, calibrated so the
-// expected mis-prediction rate approximates the profile's HardPer10k.
+// expected mis-prediction rate approximates erraticPer10k.
 func (g *generator) hardDivertThreshold() int64 {
 	// Each divert event causes several mis-predictions (the wrong bypass,
 	// the re-learning, and knock-on premature reads of the previous
 	// iteration's store), over loadSlotsPerIteration+1 loads; the divisor is
 	// calibrated against the simulator.
-	perLoad := g.prof.HardPer10k / 10000
+	perLoad := g.erraticPer10k / 10000
 	p := perLoad * float64(loadSlotsPerIteration+1) / 6
 	k := int64(math.Round(p * 1024))
 	if k < 0 {
@@ -290,7 +258,7 @@ func (g *generator) build(iters int) {
 	b.MovImm(regVal, 0x1234567)
 	b.MovImm(regOne, 1)
 	b.MovImm(regRng, int64(g.progSeed&0x7FFFFFFF)|1)
-	if g.prof.FPHeavy {
+	if g.fpHeavy {
 		b.InitData(program.DataBase+8*1024, 8, math.Float64bits(1.0009765625))
 		b.LoadFP8(regFAcc, regCommBase, 8*1024)
 		b.LoadFP8(regFVal, regCommBase, 8*1024)
@@ -306,9 +274,9 @@ func (g *generator) build(iters int) {
 	b.Branch(isa.BrNEZ, regCounter, "main_loop")
 	b.Halt()
 
-	// Communication kernel: the load slots, or a scenario's stress kernel.
+	// Communication kernel: the load slots, or a stress kernel.
 	b.Label("comm_kernel")
-	if g.scn != nil && g.scn.pattern != "" {
+	if g.pattern != "" {
 		g.emitStressKernel()
 	} else {
 		slots := g.slotMix()
@@ -343,10 +311,10 @@ func (g *generator) emitRngStep() {
 }
 
 // emitEntropyBranches emits data-dependent branches whose outcomes come from
-// the in-program RNG, realising the profile's branch entropy.
+// the in-program RNG, realising the branch entropy.
 func (g *generator) emitEntropyBranches() {
 	b := g.b
-	n := int(math.Round(g.prof.BranchEntropy * 6))
+	n := int(math.Round(g.branchEntropy * 6))
 	for i := 0; i < n; i++ {
 		g.emitRngStep()
 		cond := g.nextTemp()
@@ -370,7 +338,7 @@ func (g *generator) emitWork() {
 	b.Xor(regVal, regVal, t2, 0x5a)
 	b.Mul(t1, t2, regOne)
 	b.Add(regAcc, regAcc, t1)
-	if g.prof.FPHeavy {
+	if g.fpHeavy {
 		for i := 0; i < 4; i++ {
 			b.FMul(regFAcc, regFAcc, regFVal)
 			b.FAdd(regFAcc, regFAcc, regFVal)
@@ -413,7 +381,7 @@ func (g *generator) emitIndepSlot(index int) {
 		// Streaming load from the cold footprint array: address = base+index.
 		addr := g.nextTemp()
 		b.Add(addr, regFootBase, regFootIdx)
-		if g.prof.FPHeavy {
+		if g.fpHeavy {
 			b.LoadFP8(regFVal, addr, 0)
 			b.FAdd(regFAcc, regFAcc, regFVal)
 		} else {
@@ -430,7 +398,7 @@ func (g *generator) emitIndepSlot(index int) {
 	} else {
 		// Hot load: a fixed, frequently-touched location (L1 resident).
 		hotOff := int64(2048 + (index%32)*64)
-		if g.prof.FPHeavy && index%3 == 0 {
+		if g.fpHeavy && index%3 == 0 {
 			b.LoadFP8(regFVal, regFootBase, hotOff)
 			b.FAdd(regFAcc, regFAcc, regFVal)
 		} else {
@@ -463,18 +431,18 @@ func (g *generator) emitCommFull(off int64) {
 		b.AddImm(regVal, regVal, 13)
 	}
 	b.Store(regVal, regCommBase, off, 8)
-	if g.scn != nil && g.scn.distMax >= 0 {
-		// A scenario's store-distance knob: a spec-chosen number of unrelated
-		// stores (to the write-only output region) separate the pair, so the
-		// dynamic store distance the predictor must learn is under the spec's
-		// control — up to and beyond what its distance field can represent.
-		n := g.scn.distMin
-		if g.scn.distMax > g.scn.distMin {
-			n += g.rng.intn(g.scn.distMax - g.scn.distMin + 1)
+	if g.distMax >= 0 {
+		// The store-distance knob: a spec-chosen number of unrelated stores
+		// (to the write-only output region) separate the pair, so the dynamic
+		// store distance the predictor must learn is under the spec's control
+		// — up to and beyond what its distance field can represent.
+		n := g.distMin
+		if g.distMax > g.distMin {
+			n += g.rng.intn(g.distMax - g.distMin + 1)
 		}
 		for i := 0; i < n; i++ {
-			b.Store(regOne, regOut, int64(g.scn.fill%512)*8, 8)
-			g.scn.fill++
+			b.Store(regOne, regOut, int64(g.fill%512)*8, 8)
+			g.fill++
 		}
 	} else {
 		// Some slots put an extra unrelated store between the pair so the
@@ -501,10 +469,10 @@ func (g *generator) emitCommPartial(off int64) {
 	g.commSlotsEmitted++
 	b.AddImm(regVal, regVal, 7)
 	sel := g.rng.intn(4)
-	if g.scn != nil && g.scn.shape >= 0 {
-		// A scenario's partial-shape knob pins every partial-word slot to one
+	if g.shape >= 0 {
+		// The partial-shape knob pins every partial-word slot to one
 		// communication shape instead of rotating through all four.
-		sel = g.scn.shape
+		sel = g.shape
 	}
 	switch sel {
 	case 0:

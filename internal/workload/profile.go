@@ -13,15 +13,17 @@
 // preserving them preserves the relative behaviour of the configurations in
 // Table 5 and Figures 2-5, which is the goal of the reproduction.
 //
-// Beyond the fixed profiles, the package provides declarative workload
-// scenarios (Scenario, GenerateScenario): JSON-settable knob sets and
+// One description reaches the generator: a declarative workload scenario
+// (Scenario, GenerateScenario), a JSON-settable knob set or one of the
 // dedicated stress patterns that probe the bypassing and verification
-// machinery outside the published profiles. See scenario.go and stress.go.
+// machinery outside the published profiles. A Table 5 benchmark is the
+// scenario its profile compiles to, and the generator reads one set of
+// knobs. See scenario.go and stress.go.
 package workload
 
 import (
 	"fmt"
-	"sort"
+	"math"
 )
 
 // Suite identifies the benchmark suite a profile belongs to.
@@ -180,54 +182,55 @@ func SelectedNames() []string {
 	}
 }
 
-// Validate checks a profile for internal consistency.
-func (p Profile) Validate() error {
-	if p.Name == "" {
-		return fmt.Errorf("workload: profile without a name")
+// scenario is the Scenario this benchmark compiles to: its slot counts as
+// exact percentages of the loadSlotsPerIteration slots (n×100/32, which
+// mixCounts maps back to n), its erratic rate, footprint, FP weight and
+// branch entropy, and its name's seed, so every generation-time random
+// stream is the benchmark's own.
+func (p Profile) scenario() Scenario {
+	c := profileCounts(p)
+	pct := func(n int) float64 { return float64(n) * 100 / loadSlotsPerIteration }
+	return Scenario{
+		Name: p.Name,
+		Mix: &SlotMix{FullCommPct: pct(c[0]), PathDepPct: pct(c[1]), PartialPct: pct(c[2]),
+			PartialStorePct: pct(c[3]), IndepPct: pct(c[4])},
+		ErraticPer10k: p.HardPer10k,
+		FootprintKB:   p.FootprintKB,
+		FPHeavy:       p.FPHeavy,
+		BranchEntropy: p.BranchEntropy,
+		Seed:          seedFor([]byte(p.Name)),
 	}
-	if p.CommPct < 0 || p.CommPct > 100 {
-		return fmt.Errorf("workload %s: CommPct %v out of range", p.Name, p.CommPct)
-	}
-	if p.PartialPct < 0 || p.PartialPct > p.CommPct {
-		return fmt.Errorf("workload %s: PartialPct %v must be within CommPct %v", p.Name, p.PartialPct, p.CommPct)
-	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"PathDepFrac", p.PathDepFrac},
-		{"PartialStoreFrac", p.PartialStoreFrac},
-		{"BranchEntropy", p.BranchEntropy},
-	} {
-		if f.v < 0 || f.v > 1 {
-			return fmt.Errorf("workload %s: %s %v out of [0,1]", p.Name, f.name, f.v)
-		}
-	}
-	if p.HardPer10k < 0 || p.HardPer10k > 10000 {
-		return fmt.Errorf("workload %s: HardPer10k %v out of range", p.Name, p.HardPer10k)
-	}
-	if p.FootprintKB <= 0 {
-		return fmt.Errorf("workload %s: FootprintKB must be positive", p.Name)
-	}
-	return nil
 }
 
-// seedFor derives a deterministic RNG seed from a benchmark name.
-func seedFor(name string) uint64 {
+// profileCounts apportions the loadSlotsPerIteration slots to a benchmark
+// profile's communication rates, in slotKind emission order: full,
+// path-dependent, partial, partial-store, independent.
+func profileCounts(p Profile) []int {
+	round := func(x float64) int { return int(math.Round(x)) }
+	total := loadSlotsPerIteration
+	comm := min(round(float64(total)*p.CommPct/100), total)
+	partial := min(round(float64(total)*p.PartialPct/100), comm)
+	// The narrow-store/wide-load slot is emitted only when the profile's
+	// partial-store fraction amounts to at least one whole slot (floor, not
+	// round): one such slot per iteration already produces a large
+	// misprediction rate, so only benchmarks the paper singles out for
+	// partial-store communication (g721.e) get one.
+	partialStore := int(float64(partial) * p.PartialStoreFrac)
+	fullComm := comm - partial
+	pathDep := round(float64(fullComm) * p.PathDepFrac)
+	return []int{fullComm - pathDep, pathDep, partial - partialStore, partialStore, total - comm}
+}
+
+// seedFor derives a deterministic, nonzero generation seed from b (a
+// benchmark name or a scenario's canonical spec) by FNV-1a.
+func seedFor(b []byte) uint64 {
 	var h uint64 = 1469598103934665603 // FNV offset basis
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
+	for _, c := range b {
+		h ^= uint64(c)
 		h *= 1099511628211
 	}
 	if h == 0 {
 		h = 0x9E3779B97F4A7C15
 	}
 	return h
-}
-
-// sortedCopy is a test helper ensuring profile names are unique.
-func sortedCopy() []string {
-	names := Names()
-	sort.Strings(names)
-	return names
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -12,9 +13,9 @@ import (
 )
 
 // Scenario is a declarative workload specification: a JSON- and flag-settable
-// description of a synthetic program, compiled through the same slot-kind
-// generator as the Table 5 profiles (or through one of the dedicated stress
-// patterns). Scenarios exist to probe NoSQ's bypassing and verification
+// description of a synthetic program, compiled through the slot-kind
+// generator (or through one of the dedicated stress patterns). Each Table 5
+// benchmark is the scenario its profile compiles to. Scenarios exist to probe NoSQ's bypassing and verification
 // machinery outside the published profiles — adversarial aliasing,
 // pathological store distances, bursty partial-word traffic — so every knob
 // names a communication property rather than a program detail.
@@ -45,9 +46,8 @@ type Scenario struct {
 	// DistanceMixed (uniform 0-3), DistanceFar (8-16), or
 	// DistanceBeyondPredictor (70-78 — still inside a 128-instruction
 	// window, but more than the bypassing predictor's 6-bit distance field
-	// can express). Empty keeps the profile generator's own behaviour (a
-	// coin-flip extra store per slot), so a knobs-only scenario matches the
-	// Table 5 generator exactly.
+	// can express). Empty keeps the Table 5 benchmarks' behaviour: a
+	// coin-flip extra store per slot.
 	StoreDistance string `json:"store_distance,omitempty"`
 	// PartialShape restricts partial-word slots to one communication shape:
 	// ShapeMixed (default, rotate through all), ShapeUpperHalf (wide store,
@@ -148,9 +148,9 @@ const (
 	ShapeNarrow    = "narrow"
 )
 
-// stress reports whether the pattern is one of the dedicated stress kernels
+// Stress reports whether the pattern is one of the dedicated stress kernels
 // (anything other than the profile pattern).
-func (s Scenario) stress() bool {
+func (s Scenario) Stress() bool {
 	return s.Pattern != "" && s.Pattern != PatternProfile
 }
 
@@ -184,7 +184,7 @@ func (s Scenario) Validate() error {
 	if !valid {
 		return fmt.Errorf("workload: scenario %s: unknown pattern %q (known: %v)", s.Name, s.Pattern, Patterns())
 	}
-	if s.stress() {
+	if s.Stress() {
 		// The stress kernels replace the slot-based communication kernel
 		// entirely, so every knob that only the slot kernel reads is an error
 		// here rather than a silent no-op. (FPHeavy and BranchEntropy still
@@ -311,64 +311,7 @@ func (s Scenario) seed() uint64 {
 	if s.Seed != 0 {
 		return s.Seed
 	}
-	var h uint64 = 1469598103934665603
-	for _, b := range s.Canonical() {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	if h == 0 {
-		h = 0x9E3779B97F4A7C15
-	}
-	return h
-}
-
-// profile compiles the scenario's knobs into the generator's Profile form.
-// It sets only the knobs the generator reads on the scenario path: the slot
-// mix reaches it as the plan's counts, not as communication rates.
-func (s Scenario) profile() Profile {
-	prof := Profile{
-		HardPer10k:    s.ErraticPer10k,
-		FootprintKB:   s.FootprintKB,
-		FPHeavy:       s.FPHeavy,
-		BranchEntropy: s.BranchEntropy,
-	}
-	if prof.FootprintKB == 0 {
-		prof.FootprintKB = 64
-	}
-	return prof
-}
-
-// plan compiles the scenario into the generator's internal parameters.
-func (s Scenario) plan() *scenarioPlan {
-	p := &scenarioPlan{distMin: -1, distMax: -1, shape: -1}
-	if s.stress() {
-		p.pattern = s.Pattern
-		return p
-	}
-	mix := DefaultMix()
-	if s.Mix != nil {
-		mix = *s.Mix
-	}
-	p.counts = mixCounts(mix)
-	switch s.StoreDistance {
-	case DistanceNear:
-		p.distMin, p.distMax = 0, 0
-	case DistanceMixed:
-		p.distMin, p.distMax = 0, 3
-	case DistanceFar:
-		p.distMin, p.distMax = 8, 16
-	case DistanceBeyondPredictor:
-		p.distMin, p.distMax = 70, 78
-	}
-	switch s.PartialShape {
-	case ShapeUpperHalf:
-		p.shape = 0
-	case ShapeSigned:
-		p.shape = 1
-	case ShapeNarrow:
-		p.shape = 3
-	}
-	return p
+	return seedFor(s.Canonical())
 }
 
 // mixCounts apportions the loadSlotsPerIteration slots to the mix's
@@ -406,22 +349,6 @@ func mixCounts(mix SlotMix) []int {
 	return counts
 }
 
-// scenarioPlan is the compiled, generator-facing form of a scenario.
-type scenarioPlan struct {
-	// pattern is the stress kernel to emit ("" = the profile slot kernel).
-	pattern string
-	// counts are the per-iteration slot counts in slotKind emission order:
-	// full, path-dependent, partial, partial-store, independent.
-	counts []int
-	// distMin/distMax bound the unrelated stores emitted between a full-word
-	// communicating store and its load (-1 = the profile default behaviour).
-	distMin, distMax int
-	// shape fixes the partial-word slot shape (-1 = rotate through all).
-	shape int
-	// fill rotates filler-store offsets within the write-only output region.
-	fill int
-}
-
 // GenerateScenario compiles a scenario spec into a program. opts.Iterations
 // (when positive) overrides the spec's own iteration count; both zero selects
 // DefaultIterations. Generation is deterministic: the same spec and options
@@ -433,22 +360,47 @@ func GenerateScenario(s Scenario, opts Options) (*program.Program, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	iters := opts.Iterations
-	if iters == 0 {
-		iters = s.Iterations
-	}
-	if iters == 0 {
-		iters = DefaultIterations
-	}
 	seed := s.seed()
 	g := &generator{
-		prof:     s.profile(),
-		rng:      rng{s: seed},
-		progSeed: seed,
-		b:        program.NewBuilder(s.Name),
-		scn:      s.plan(),
+		rng:           rng{s: seed},
+		progSeed:      seed,
+		b:             program.NewBuilder(s.Name),
+		distMin:       -1,
+		distMax:       -1,
+		shape:         -1,
+		erraticPer10k: s.ErraticPer10k,
+		footprintKB:   cmp.Or(s.FootprintKB, 64),
+		fpHeavy:       s.FPHeavy,
+		branchEntropy: s.BranchEntropy,
 	}
-	g.build(iters)
+	if s.Stress() {
+		g.pattern = s.Pattern
+	} else {
+		mix := DefaultMix()
+		if s.Mix != nil {
+			mix = *s.Mix
+		}
+		g.counts = mixCounts(mix)
+		switch s.StoreDistance {
+		case DistanceNear:
+			g.distMin, g.distMax = 0, 0
+		case DistanceMixed:
+			g.distMin, g.distMax = 0, 3
+		case DistanceFar:
+			g.distMin, g.distMax = 8, 16
+		case DistanceBeyondPredictor:
+			g.distMin, g.distMax = 70, 78
+		}
+		switch s.PartialShape {
+		case ShapeUpperHalf:
+			g.shape = 0
+		case ShapeSigned:
+			g.shape = 1
+		case ShapeNarrow:
+			g.shape = 3
+		}
+	}
+	g.build(cmp.Or(opts.Iterations, s.Iterations, DefaultIterations))
 	return g.b.Build()
 }
 

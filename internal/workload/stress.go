@@ -26,9 +26,9 @@ var (
 	stressPhase = regFootIdx
 )
 
-// emitStressKernel dispatches to the scenario's stress pattern.
+// emitStressKernel dispatches to the stress pattern.
 func (g *generator) emitStressKernel() {
-	switch g.scn.pattern {
+	switch g.pattern {
 	case PatternAliasStorm:
 		g.emitAliasStorm()
 	case PatternLongDistance:
@@ -100,8 +100,8 @@ func (g *generator) emitLongDistance() {
 		b.AddImm(regVal, regVal, 13)
 		b.Store(regVal, regCommBase, off, 8)
 		for k := 0; k < 68+4*s; k++ {
-			b.Store(regOne, regOut, int64(g.scn.fill%512)*8, 8)
-			g.scn.fill++
+			b.Store(regOne, regOut, int64(g.fill%512)*8, 8)
+			g.fill++
 		}
 		b.Load(stressA, regCommBase, off, 8)
 		b.Add(regAcc, regAcc, stressA)

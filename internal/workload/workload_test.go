@@ -2,25 +2,42 @@ package workload
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/emu"
 	"repro/internal/program"
 )
 
+// TestAllProfilesValid checks every Table 5 entry's ranges, that the
+// scenario it compiles to validates, and that the scenario's mix maps back to
+// exactly the profile's slot counts.
 func TestAllProfilesValid(t *testing.T) {
 	if len(profiles) != 47 {
 		t.Fatalf("Table 5 has 47 benchmarks, profiles has %d", len(profiles))
 	}
+	in := func(v, lo, hi float64) bool { return v >= lo && v <= hi }
 	for _, p := range profiles {
-		if err := p.Validate(); err != nil {
-			t.Errorf("%s: %v", p.Name, err)
+		if p.Name == "" || !in(p.CommPct, 0, 100) || !in(p.PartialPct, 0, p.CommPct) ||
+			!in(p.PathDepFrac, 0, 1) || !in(p.PartialStoreFrac, 0, 1) || !in(p.BranchEntropy, 0, 1) ||
+			!in(p.HardPer10k, 0, 10000) || p.FootprintKB <= 0 {
+			t.Errorf("%q: a knob is out of range: %+v", p.Name, p)
+		}
+		s := p.scenario()
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s: scenario: %v", p.Name, err)
+			continue
+		}
+		if got, want := mixCounts(*s.Mix), profileCounts(p); !slices.Equal(got, want) {
+			t.Errorf("%s: scenario mix apportions %v, profile %v", p.Name, got, want)
 		}
 	}
 }
 
 func TestProfileNamesUnique(t *testing.T) {
-	names := sortedCopy()
+	names := Names()
+	sort.Strings(names)
 	for i := 1; i < len(names); i++ {
 		if names[i] == names[i-1] {
 			t.Errorf("duplicate benchmark name %q", names[i])
@@ -67,10 +84,10 @@ func TestSelectedNamesExist(t *testing.T) {
 }
 
 func TestSeedDeterministicAndDistinct(t *testing.T) {
-	if seedFor("gzip") != seedFor("gzip") {
+	if seedFor([]byte("gzip")) != seedFor([]byte("gzip")) {
 		t.Error("seed not deterministic")
 	}
-	if seedFor("gzip") == seedFor("gcc") {
+	if seedFor([]byte("gzip")) == seedFor([]byte("gcc")) {
 		t.Error("different benchmarks share a seed")
 	}
 }
@@ -181,27 +198,6 @@ func TestPartialStoreCaseGenerated(t *testing.T) {
 	_, _, _, multi = runFunctional(t, p)
 	if multi != 0 {
 		t.Errorf("applu should have no multi-source communication, got %d", multi)
-	}
-}
-
-func TestGenerateFromCustomProfile(t *testing.T) {
-	prof := Profile{
-		Name: "custom", Suite: SPECint, CommPct: 25, PartialPct: 5,
-		PathDepFrac: 0.2, HardPer10k: 10, PartialStoreFrac: 0.2,
-		FootprintKB: 64, BranchEntropy: 0.3,
-	}
-	p, err := GenerateFromProfile(prof, Options{Iterations: 20})
-	if err != nil {
-		t.Fatalf("GenerateFromProfile: %v", err)
-	}
-	loads, comm, _, _ := runFunctional(t, p)
-	if loads == 0 || comm == 0 {
-		t.Errorf("custom profile produced loads=%d comm=%d", loads, comm)
-	}
-	bad := prof
-	bad.FootprintKB = 0
-	if _, err := GenerateFromProfile(bad, Options{}); err == nil {
-		t.Error("invalid profile accepted")
 	}
 }
 
