@@ -48,17 +48,13 @@ type Evaluator interface {
 // LocalEvaluator runs candidates through the in-process scenario experiment —
 // the same sweep engine, batch scheduler, and result keys as
 // `nosq-experiments -exp scenario`. Because each evaluation runs exactly one
-// scenario, its experiment scope (and therefore its pair keys in an injected
-// Store) matches what a later CLI or server replay of the committed spec
-// derives, so a shared store carries measurements between search and replay.
+// scenario, its measurement is what a later CLI or server replay of the
+// committed spec reproduces.
 type LocalEvaluator struct {
 	// Parallelism bounds each evaluation's simulation workers. The tuner
 	// already runs evaluations concurrently, so 1 (the zero value is
 	// normalized to 1) is the right setting almost always.
 	Parallelism int
-	// Store, when set, is shared across evaluations: finished pairs are
-	// recorded and identical re-evaluations resume from it.
-	Store experiments.ResultStore
 }
 
 // Evaluate runs the scenario experiment for s and reduces its rows to a
@@ -78,7 +74,6 @@ func (l LocalEvaluator) Evaluate(ctx context.Context, s workload.Scenario, setti
 		Windows:     []int{settings.Window},
 		MaxInsts:    settings.MaxInsts,
 		Parallelism: par,
-		Store:       l.Store,
 	})
 	if err != nil {
 		return Measurement{}, err

@@ -101,17 +101,12 @@ func Mutate(parent workload.Scenario, seed uint64) (workload.Scenario, string) {
 
 	// Operators applicable to every pattern.
 	ops := []func(*rng, *workload.Scenario) string{opIterations, opBranchEntropy, opFPHeavy, opSwitchPattern}
-	if !isStress(s) {
+	if !s.Stress() {
 		// Profile-only knobs.
 		ops = append(ops, opShiftMix, opDistance, opShape, opErratic, opFootprint)
 	}
 	desc := ops[r.intn(len(ops))](r, &s)
 	return s, desc
-}
-
-// isStress mirrors workload's unexported stress() check.
-func isStress(s workload.Scenario) bool {
-	return s.Pattern != "" && s.Pattern != workload.PatternProfile
 }
 
 // opShiftMix moves a coarse slab of slot-mix mass from one slot kind to
@@ -193,7 +188,7 @@ func opIterations(r *rng, s *workload.Scenario) string {
 func opSwitchPattern(r *rng, s *workload.Scenario) string {
 	old := s.Pattern
 	s.Pattern = pickOther(r, workload.Patterns(), old)
-	if isStress(*s) {
+	if s.Stress() {
 		s.Mix = nil
 		s.StoreDistance = ""
 		s.PartialShape = ""

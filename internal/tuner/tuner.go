@@ -12,8 +12,8 @@
 // simulation server/fleet (ServerEvaluator). Evaluations are memoized by
 // scenario content hash, and because scenario content is also what the
 // experiment layer folds into its result keys, repeated candidates are free
-// at every level: the in-run memo, an injected result store, and the server's
-// content-addressed cache all key on the same identity.
+// at every level: the in-run memo and the server's content-addressed cache
+// both key on the same identity.
 //
 // The corpus is pruned for coverage, not just score: candidates are bucketed
 // by a quantized behaviour signature (pattern plus coarse flush, misprediction,

@@ -199,7 +199,7 @@ func TestMeasurementFromReportJSON(t *testing.T) {
 func TestServerEvaluatorMatchesLocal(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	srv, _, err := simserver.New(simserver.Config{Workers: 1, Parallelism: 1, CodeRev: "test-rev"})
+	srv, _, err := simserver.New(simserver.Config{Workers: 1, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
