@@ -72,7 +72,7 @@ func shutdownReleasing(t *testing.T, srv *Server, holding, release chan struct{}
 // job still reads running through Job and through its /events feed.
 func TestJobEndsOnlyOnceDurable(t *testing.T) {
 	dir := t.TempDir()
-	srv, _, err := New(Config{Workers: 1, CodeRev: "test-rev", StateDir: dir})
+	srv, _, err := New(Config{Workers: 1, StateDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestJobEndsOnlyOnceDurable(t *testing.T) {
 // twice.
 func TestShutdownMidRunRequeues(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Workers: 1, Parallelism: 1, CodeRev: "test-rev", StateDir: dir}
+	cfg := Config{Workers: 1, Parallelism: 1, StateDir: dir}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	srv, _, err := New(cfg)
@@ -230,7 +230,7 @@ func TestShutdownMidRunRequeues(t *testing.T) {
 // canceled, and a restart restores it canceled.
 func TestCancelBeforeShutdownEndsCanceled(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Workers: 1, Parallelism: 1, CodeRev: "test-rev", StateDir: dir}
+	cfg := Config{Workers: 1, Parallelism: 1, StateDir: dir}
 	srv, _, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +300,7 @@ func TestEventsEndAtShutdown(t *testing.T) {
 // ended it live, so a restored job's event log is the live one without the
 // events the WAL never held: planned, pair, shard[i] and merged.
 func TestRestoredEventLogMatchesLive(t *testing.T) {
-	cfg := Config{Workers: 1, CodeRev: "test-rev", StateDir: t.TempDir()}
+	cfg := Config{Workers: 1, StateDir: t.TempDir()}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	srv, _, err := New(cfg)

@@ -21,9 +21,6 @@ import (
 // tests that need to inspect headers and bodies below the typed client.
 func newPromTestServer(t *testing.T, cfg Config) (*Server, *simclient.Client, string) {
 	t.Helper()
-	if cfg.CodeRev == "" {
-		cfg.CodeRev = "test-rev"
-	}
 	srv, corrupt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +114,7 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		`nosq_sim_flushes_total{config="nosq-delay@w0128"}`,
 		`nosq_sim_bypass_mispredictions_total{config="nosq-delay@w0128"}`,
 		`nosq_sim_committed_insts_total{config="nosq-delay@w0128"}`,
-		`nosq_build_info{revision="test-rev",`,
+		`nosq_build_info{revision="` + obs.CodeRevision() + `",`,
 		`nosq_client_submitted_total{client="anonymous"} 1`,
 	} {
 		if !strings.Contains(text, want) {
@@ -179,7 +176,7 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &m); err != nil {
 		t.Fatalf("default /metricsz is not the JSON document: %v", err)
 	}
-	if m.CodeRev != "test-rev" || m.WorkersTotal != 1 {
+	if m.CodeRev != obs.CodeRevision() || m.WorkersTotal != 1 {
 		t.Errorf("JSON document = %+v", m)
 	}
 
@@ -247,8 +244,8 @@ func TestHealthBuildInfo(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Build.CodeRev != "test-rev" {
-		t.Errorf("build.code_rev = %q, want test-rev", h.Build.CodeRev)
+	if h.Build.CodeRev != obs.CodeRevision() {
+		t.Errorf("build.code_rev = %q, want %q", h.Build.CodeRev, obs.CodeRevision())
 	}
 	if !strings.HasPrefix(h.Build.GoVersion, "go") {
 		t.Errorf("build.go_version = %q", h.Build.GoVersion)

@@ -37,7 +37,7 @@ func shutdown(t *testing.T, srv *Server) {
 // terminal without re-running a single pair.
 func TestServerRecovery(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Workers: 1, CodeRev: "test-rev", StateDir: dir}
+	cfg := Config{Workers: 1, StateDir: dir}
 	specA := simapi.JobSpec{Experiment: "fig2", Benchmarks: []string{"gzip"}, Iterations: 10}
 	specB := simapi.JobSpec{Experiment: "fig2", Benchmarks: []string{"applu"}, Iterations: 10}
 	specC := simapi.JobSpec{Experiment: "table5", Benchmarks: []string{"gzip"}, Iterations: 10}
@@ -197,7 +197,7 @@ func TestServerRecovery(t *testing.T) {
 // replays.
 func TestServerWALCompaction(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Workers: 1, CodeRev: "test-rev", StateDir: dir}
+	cfg := Config{Workers: 1, StateDir: dir}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -269,7 +269,7 @@ func TestServerWALCompaction(t *testing.T) {
 // from the WAL serves the same four texts byte for byte.
 func TestReportFormatsSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Workers: 1, CodeRev: "test-rev", StateDir: dir}
+	cfg := Config{Workers: 1, StateDir: dir}
 	spec := simapi.JobSpec{Experiment: "fig5cap", Benchmarks: []string{"gzip", "applu"}, Iterations: 10}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -345,7 +345,7 @@ func TestReportFormatsSurviveRestart(t *testing.T) {
 // is skipped with a count, and every record before it replays.
 func TestServerRecoveryTolerantOfCorruptTail(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Workers: 1, CodeRev: "test-rev", StateDir: dir}
+	cfg := Config{Workers: 1, StateDir: dir}
 	srv1, _, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -414,7 +414,7 @@ func TestServerRecoveryLargeCompletedRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, corrupt, err := New(Config{Workers: 1, CodeRev: "test-rev", StateDir: dir})
+	srv, corrupt, err := New(Config{Workers: 1, StateDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestServerRecoveryLargeCompletedRecord(t *testing.T) {
 // replay of a snapshot, not of the original log — with the same start time
 // and running event as from the first.
 func TestFinishedJobKeepsStartAcrossRestarts(t *testing.T) {
-	cfg := Config{Workers: 1, CodeRev: "test-rev", StateDir: t.TempDir()}
+	cfg := Config{Workers: 1, StateDir: t.TempDir()}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	srv, _, err := New(cfg)
@@ -530,7 +530,7 @@ func TestServerServesRenderedReportsFromOlderWAL(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	for restart := 1; restart <= 2; restart++ {
-		srv, corrupt, err := New(Config{Workers: 1, CodeRev: "test-rev", StateDir: dir})
+		srv, corrupt, err := New(Config{Workers: 1, StateDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -585,7 +585,7 @@ func TestServerIgnoresTaskRecordsFromOlderWAL(t *testing.T) {
 	if err := os.WriteFile(walPath, []byte(olderTaskRecordsWAL), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	srv, corrupt, err := New(Config{Workers: 1, CodeRev: "test-rev", StateDir: dir})
+	srv, corrupt, err := New(Config{Workers: 1, StateDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,7 +615,7 @@ func TestServerIgnoresTaskRecordsFromOlderWAL(t *testing.T) {
 // pair from the result cache.
 func TestServerRequeuesJobWhoseDocumentDoesNotDecode(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Workers: 1, CodeRev: "test-rev", StateDir: dir}
+	cfg := Config{Workers: 1, StateDir: dir}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	srv, _, err := New(cfg)

@@ -56,10 +56,6 @@ type Config struct {
 	Parallelism int
 	// CachePath persists the result cache as JSONL ("" = memory-only).
 	CachePath string
-	// CodeRev overrides the binary's detected code revision (tests only;
-	// "" = obs.CodeRevision()). Remote workers must register with the same
-	// revision.
-	CodeRev string
 	// MaxIterations rejects specs asking for longer workloads (0 = no cap).
 	// A shared server would otherwise let one client monopolize the pool.
 	MaxIterations int
@@ -184,10 +180,8 @@ func New(cfg Config) (s *Server, corrupt int, err error) {
 			cfg.CachePath = filepath.Join(cfg.StateDir, "results.jsonl")
 		}
 	}
-	rev := cfg.CodeRev
-	if rev == "" {
-		rev = obs.CodeRevision()
-	}
+	// Remote workers must register with the same revision.
+	rev := obs.CodeRevision()
 	cache, corrupt, err := OpenResultCache(cfg.CachePath, rev)
 	if err != nil {
 		return nil, corrupt, err

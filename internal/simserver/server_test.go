@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/simapi"
 	"repro/internal/simclient"
 )
@@ -20,9 +21,6 @@ import (
 // when the test wants execution), an httptest front end, and a typed client.
 func newTestServer(t *testing.T, cfg Config) (*Server, *simclient.Client) {
 	t.Helper()
-	if cfg.CodeRev == "" {
-		cfg.CodeRev = "test-rev"
-	}
 	srv, corrupt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -394,7 +392,7 @@ func TestServerHealthAndList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != "ok" || h.CodeRev != "test-rev" {
+	if h.Status != "ok" || h.CodeRev != obs.CodeRevision() {
 		t.Fatalf("health = %+v", h)
 	}
 	found := false

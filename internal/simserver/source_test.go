@@ -24,9 +24,6 @@ import (
 // raw JSON (legacy encodings, malformed sources) instead of typed specs.
 func rawTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.CodeRev == "" {
-		cfg.CodeRev = "test-rev"
-	}
 	srv, _, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
