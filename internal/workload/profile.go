@@ -14,11 +14,11 @@
 // Table 5 and Figures 2-5, which is the goal of the reproduction.
 //
 // One description reaches the generator: a declarative workload scenario
-// (Scenario, GenerateScenario), a JSON-settable knob set or one of the
-// dedicated stress patterns that probe the bypassing and verification
-// machinery outside the published profiles. A Table 5 benchmark is the
-// scenario its profile compiles to, and the generator reads one set of
-// knobs. See scenario.go and stress.go.
+// (Scenario, GenerateScenario). A scenario sets the slot-kind generator's
+// knobs from JSON, or picks one of the dedicated stress patterns that probe
+// the bypassing and verification machinery outside the published profiles.
+// A Table 5 benchmark is the scenario its profile compiles to, and the
+// generator reads one set of knobs. See scenario.go and stress.go.
 package workload
 
 import (

@@ -15,10 +15,11 @@ import (
 // Scenario is a declarative workload specification: a JSON- and flag-settable
 // description of a synthetic program, compiled through the slot-kind
 // generator (or through one of the dedicated stress patterns). Each Table 5
-// benchmark is the scenario its profile compiles to. Scenarios exist to probe NoSQ's bypassing and verification
-// machinery outside the published profiles — adversarial aliasing,
-// pathological store distances, bursty partial-word traffic — so every knob
-// names a communication property rather than a program detail.
+// benchmark is the scenario its profile compiles to. Custom scenarios probe
+// NoSQ's bypassing and verification machinery outside the published
+// profiles — adversarial aliasing, pathological store distances, bursty
+// partial-word traffic — so every knob names a communication property rather
+// than a program detail.
 //
 // A scenario's identity is its canonical content (see Canonical and Hash):
 // two specs that decode to the same knobs are the same workload no matter how
