@@ -134,13 +134,11 @@ type generator struct {
 	distMin, distMax int
 	// shape fixes the partial-word slot shape (-1 = rotate through all).
 	shape int
-	// erraticPer10k is the target rate of erratic communication events.
+	// erraticPer10k, footprintKB, fpHeavy and branchEntropy are the
+	// Scenario knobs of the same names (footprintKB is 64 when unset).
 	erraticPer10k float64
-	// footprintKB is the data footprint of the non-communicating loads.
-	footprintKB int
-	// fpHeavy adds FP chains and FP memory formats.
-	fpHeavy bool
-	// branchEntropy is the fraction of data-dependent branches.
+	footprintKB   int
+	fpHeavy       bool
 	branchEntropy float64
 
 	// fill rotates filler-store offsets within the write-only output region.
@@ -201,6 +199,25 @@ func (g *generator) footprintBytes() int64 {
 		p <<= 1
 	}
 	return int64(p)
+}
+
+// profileCounts apportions the loadSlotsPerIteration slots to a benchmark
+// profile's communication rates, in slotKind emission order: full,
+// path-dependent, partial, partial-store, independent.
+func profileCounts(p Profile) []int {
+	round := func(x float64) int { return int(math.Round(x)) }
+	total := loadSlotsPerIteration
+	comm := min(round(float64(total)*p.CommPct/100), total)
+	partial := min(round(float64(total)*p.PartialPct/100), comm)
+	// The narrow-store/wide-load slot is emitted only when the profile's
+	// partial-store fraction amounts to at least one whole slot (floor, not
+	// round): one such slot per iteration already produces a large
+	// misprediction rate, so only benchmarks the paper singles out for
+	// partial-store communication (g721.e) get one.
+	partialStore := int(float64(partial) * p.PartialStoreFrac)
+	fullComm := comm - partial
+	pathDep := round(float64(fullComm) * p.PathDepFrac)
+	return []int{fullComm - pathDep, pathDep, partial - partialStore, partialStore, total - comm}
 }
 
 // slotMix computes the per-iteration slot composition from the slot counts.

@@ -21,10 +21,7 @@
 // generator reads one set of knobs. See scenario.go and stress.go.
 package workload
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Suite identifies the benchmark suite a profile belongs to.
 type Suite int
@@ -200,25 +197,6 @@ func (p Profile) scenario() Scenario {
 		BranchEntropy: p.BranchEntropy,
 		Seed:          seedFor([]byte(p.Name)),
 	}
-}
-
-// profileCounts apportions the loadSlotsPerIteration slots to a benchmark
-// profile's communication rates, in slotKind emission order: full,
-// path-dependent, partial, partial-store, independent.
-func profileCounts(p Profile) []int {
-	round := func(x float64) int { return int(math.Round(x)) }
-	total := loadSlotsPerIteration
-	comm := min(round(float64(total)*p.CommPct/100), total)
-	partial := min(round(float64(total)*p.PartialPct/100), comm)
-	// The narrow-store/wide-load slot is emitted only when the profile's
-	// partial-store fraction amounts to at least one whole slot (floor, not
-	// round): one such slot per iteration already produces a large
-	// misprediction rate, so only benchmarks the paper singles out for
-	// partial-store communication (g721.e) get one.
-	partialStore := int(float64(partial) * p.PartialStoreFrac)
-	fullComm := comm - partial
-	pathDep := round(float64(fullComm) * p.PathDepFrac)
-	return []int{fullComm - pathDep, pathDep, partial - partialStore, partialStore, total - comm}
 }
 
 // seedFor derives a deterministic, nonzero generation seed from b (a

@@ -3,7 +3,6 @@ package workload
 import (
 	"math"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/emu"
@@ -37,7 +36,7 @@ func TestAllProfilesValid(t *testing.T) {
 
 func TestProfileNamesUnique(t *testing.T) {
 	names := Names()
-	sort.Strings(names)
+	slices.Sort(names)
 	for i := 1; i < len(names); i++ {
 		if names[i] == names[i-1] {
 			t.Errorf("duplicate benchmark name %q", names[i])
